@@ -3,7 +3,7 @@ GO ?= go
 # Pinned staticcheck version, matching .github/workflows/ci.yml.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build vet staticcheck test race docs-lint check ci
+.PHONY: all build vet staticcheck test bench-test race docs-lint check ci
 
 all: check
 
@@ -24,6 +24,13 @@ staticcheck:
 
 test:
 	$(GO) test ./...
+
+# The repository benchmark's driver (bench/, BENCHMARK.json) is a module of
+# its own that compiles against internal/*: `go test ./...` does not build
+# it, so an API change can break the benchmark with the root tests green.
+# Its tests run every workload at 1/100 scale and check the golden digests.
+bench-test:
+	$(GO) test -C bench ./...
 
 # Documentation gate: relative links in the top-level docs must resolve,
 # and every internal/* package must carry a non-empty doc.go.
@@ -97,6 +104,6 @@ bench-replay:
 		-policy powerchief,fairness,marginal -json bench-replay.json
 
 # The full local gate: what CI runs.
-check: vet staticcheck build test race docs-lint
+check: vet staticcheck build test bench-test race docs-lint
 
 ci: check

@@ -200,25 +200,39 @@ func BenchmarkTable1Metrics(b *testing.B) {
 
 // --- Microbenchmarks of the framework hot paths ----------------------------
 
-// BenchmarkDESEngine measures raw event throughput of the simulator.
+// BenchmarkDESEngine measures raw event throughput of the simulator: a
+// self-rescheduling chain on a fresh event per firing (Schedule), and on one
+// caller-owned event (Arm) — the shape of an instance's completions and a
+// generator's arrivals.
 func BenchmarkDESEngine(b *testing.B) {
-	eng := sim.NewEngine()
-	var tick func()
-	n := 0
-	tick = func() {
-		n++
-		if n < b.N {
-			eng.Schedule(time.Microsecond, tick)
+	chain := func(b *testing.B, queue func(eng *sim.Engine, fn func())) {
+		b.ReportAllocs()
+		eng := sim.NewEngine()
+		var tick func()
+		n := 0
+		tick = func() {
+			n++
+			if n < b.N {
+				queue(eng, tick)
+			}
 		}
+		queue(eng, tick)
+		b.ResetTimer()
+		eng.Run()
 	}
-	eng.Schedule(time.Microsecond, tick)
-	b.ResetTimer()
-	eng.Run()
+	b.Run("schedule", func(b *testing.B) {
+		chain(b, func(eng *sim.Engine, fn func()) { eng.Schedule(time.Microsecond, fn) })
+	})
+	b.Run("arm", func(b *testing.B) {
+		var ev sim.Event
+		chain(b, func(eng *sim.Engine, fn func()) { eng.Arm(&ev, time.Microsecond, fn) })
+	})
 }
 
 // BenchmarkScenarioThroughput measures simulated queries per wall second
 // for a full PowerChief-managed Sirius run.
 func BenchmarkScenarioThroughput(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := Run(Scenario{
 			Name: "bench", App: Sirius(), Level: MidLevel, Budget: 13.56,

@@ -179,18 +179,25 @@ func (a App) Specs(instances []int, level cmp.Level) ([]stage.Spec, error) {
 }
 
 // DrawWork samples the per-stage work matrix for one query: one branch for
-// pipeline stages, branches[i] independent draws for fan-out stages.
+// pipeline stages, branches[i] independent draws for fan-out stages. The
+// rows are consecutive, capacity-limited pieces of one array.
 func (a App) DrawWork(rng *rand.Rand, branches []int) [][]time.Duration {
+	width := func(i int) int {
+		if a.Stages[i].Kind == stage.FanOut && branches[i] > 1 {
+			return branches[i]
+		}
+		return 1
+	}
+	total := 0
+	for i := range a.Stages {
+		total += width(i)
+	}
+	entries := make([]time.Duration, total)
 	work := make([][]time.Duration, len(a.Stages))
 	for i, sp := range a.Stages {
-		n := 1
-		if sp.Kind == stage.FanOut {
-			n = branches[i]
-			if n < 1 {
-				n = 1
-			}
-		}
-		row := make([]time.Duration, n)
+		n := width(i)
+		row := entries[:n:n]
+		entries = entries[n:]
 		for b := range row {
 			d := sp.Work.Draw(rng)
 			if sp.Kind == stage.FanOut && sp.Skew > 0 && n > 1 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"powerchief/internal/cmp"
 	"powerchief/internal/stage"
@@ -222,5 +223,28 @@ func TestPropertyDrawPositiveAndServingMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestDrawWorkRowsShareOneArrayWithoutOverlap(t *testing.T) {
+	w := WebSearchFanOut()
+	work := w.DrawWork(rand.New(rand.NewSource(7)), []int{4, 1})
+	leaf, agg := work[0], work[1]
+	if len(leaf) != 4 || len(agg) != 1 {
+		t.Fatalf("work shape = (%d,%d), want (4,1)", len(leaf), len(agg))
+	}
+	// One array: the second row starts where the first ends.
+	if unsafe.Pointer(&agg[0]) != unsafe.Add(unsafe.Pointer(&leaf[0]), 4*unsafe.Sizeof(leaf[0])) {
+		t.Error("rows of one DrawWork are not consecutive pieces of one array")
+	}
+	// No overlap: each row's capacity stops at its own length, so an append
+	// to one row cannot write into the next.
+	if cap(leaf) != 4 || cap(agg) != 1 {
+		t.Errorf("row capacities = (%d,%d), want (4,1)", cap(leaf), cap(agg))
+	}
+	want := agg[0]
+	_ = append(leaf, time.Hour)
+	if agg[0] != want {
+		t.Error("append to the leaf row overwrote the aggregation row")
 	}
 }

@@ -49,7 +49,9 @@ type Options struct {
 	// OnSample is invoked each sample epoch with the clock's current time.
 	OnSample func(now time.Duration)
 	// History bounds the outcome ring; zero means DefaultHistory. The ring
-	// plus the Total counter hold week-long runs in constant memory.
+	// grows with the run up to this size and then wraps, so a short run pays
+	// for the ticks it made, and the ring plus the Total counter hold
+	// week-long runs in constant memory.
 	History int
 	// Audit, when set, is attached to the policy (if it accepts one) so the
 	// decision trail lands in the telemetry log.
@@ -72,8 +74,8 @@ type Loop struct {
 	opts  Options
 
 	mu       sync.Mutex
-	ring     []core.BoostOutcome
-	start, n int
+	ring     []core.BoostOutcome // grows to opts.History entries, then wraps
+	start    int                 // oldest entry once the ring is full
 	total    uint64
 	boosts   map[core.BoostKind]int
 	degraded uint64
@@ -118,7 +120,6 @@ func Start(clock Clock, adj Adjuster, opts Options) (*Loop, error) {
 		clock:   clock,
 		adj:     adj,
 		opts:    opts,
-		ring:    make([]core.BoostOutcome, opts.History),
 		boosts:  make(map[core.BoostKind]int),
 		stopped: make(chan struct{}),
 	}
@@ -152,11 +153,10 @@ func (l *Loop) step() {
 		return
 	}
 	l.mu.Lock()
-	idx := (l.start + l.n) % len(l.ring)
-	l.ring[idx] = out
-	if l.n < len(l.ring) {
-		l.n++
+	if len(l.ring) < l.opts.History {
+		l.ring = append(l.ring, out)
 	} else {
+		l.ring[l.start] = out
 		l.start = (l.start + 1) % len(l.ring)
 	}
 	l.total++
@@ -172,11 +172,9 @@ func (l *Loop) step() {
 func (l *Loop) Outcomes() []core.BoostOutcome {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]core.BoostOutcome, l.n)
-	for i := 0; i < l.n; i++ {
-		out[i] = l.ring[(l.start+i)%len(l.ring)]
-	}
-	return out
+	out := make([]core.BoostOutcome, 0, len(l.ring))
+	out = append(out, l.ring[l.start:]...)
+	return append(out, l.ring[:l.start]...)
 }
 
 // Total counts every successful adjust over the loop's lifetime, including

@@ -69,9 +69,15 @@ type Query struct {
 	pending int
 }
 
-// New creates a query with the given arrival time and per-stage work.
+// New creates a query with the given arrival time and per-stage work. Every
+// work entry is served exactly once and leaves one record, so Records is
+// sized here, once, for the query's whole life.
 func New(id ID, arrival time.Duration, work [][]time.Duration) *Query {
-	return &Query{ID: id, Arrival: arrival, Work: work}
+	entries := 0
+	for _, row := range work {
+		entries += len(row)
+	}
+	return &Query{ID: id, Arrival: arrival, Work: work, Records: make([]Record, 0, entries)}
 }
 
 // Latency returns the end-to-end response latency; valid after completion.

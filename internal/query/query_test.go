@@ -144,3 +144,23 @@ func TestAppendAccumulatesRecords(t *testing.T) {
 		t.Error("record order not preserved")
 	}
 }
+
+func TestNewSizesRecordsFromWork(t *testing.T) {
+	// One record per work entry: a pipeline stage leaves one, a fan-out
+	// stage one per branch.
+	work := [][]time.Duration{{1}, {2, 3, 4}, {5}}
+	q := New(1, 0, work)
+	if len(q.Records) != 0 || cap(q.Records) != 5 {
+		t.Fatalf("Records len %d cap %d, want 0 and 5", len(q.Records), cap(q.Records))
+	}
+	first := &q.Records[:1][0]
+	for i := 0; i < 5; i++ {
+		q.Append(rec("S", "S_1", 0, 1, 2))
+	}
+	if &q.Records[0] != first {
+		t.Error("Records was reallocated while the query collected its own records")
+	}
+	if got := New(2, 0, nil); cap(got.Records) != 0 {
+		t.Errorf("query without work reserved %d records", cap(got.Records))
+	}
+}

@@ -6,12 +6,16 @@ import (
 	"time"
 )
 
-// Event is a scheduled occurrence in virtual time. It is returned by
-// Engine.Schedule and can be cancelled or rescheduled until it fires.
+// Event is a scheduled occurrence in virtual time. Engine.Schedule returns a
+// fresh one; a caller that fires the same occurrence over and over (an
+// instance's service completion, a generator's next arrival) embeds an Event
+// and queues it with Engine.Arm instead. The zero value is an idle event.
+// Either kind can be cancelled or rescheduled until it fires. An Event must
+// not be copied while it is pending: the queue holds its address.
 type Event struct {
 	at       time.Duration
 	seq      uint64
-	index    int // heap index, -1 when not queued
+	pos      int // heap index + 1; zero when not queued
 	fn       func()
 	canceled bool
 }
@@ -19,11 +23,11 @@ type Event struct {
 // At reports the virtual time the event is scheduled to fire.
 func (e *Event) At() time.Duration { return e.at }
 
-// Canceled reports whether the event was cancelled before firing.
+// Canceled reports whether the event was cancelled and not armed since.
 func (e *Event) Canceled() bool { return e.canceled }
 
 // Pending reports whether the event is still queued to fire.
-func (e *Event) Pending() bool { return e.index >= 0 && !e.canceled }
+func (e *Event) Pending() bool { return e.pos != 0 }
 
 type eventQueue []*Event
 
@@ -38,14 +42,14 @@ func (q eventQueue) Less(i, j int) bool {
 
 func (q eventQueue) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+	q[i].pos = i + 1
+	q[j].pos = j + 1
 }
 
 func (q *eventQueue) Push(x any) {
 	ev := x.(*Event)
-	ev.index = len(*q)
 	*q = append(*q, ev)
+	ev.pos = len(*q)
 }
 
 func (q *eventQueue) Pop() any {
@@ -53,7 +57,7 @@ func (q *eventQueue) Pop() any {
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.index = -1
+	ev.pos = 0
 	*q = old[:n-1]
 	return ev
 }
@@ -79,23 +83,43 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events queued (including cancelled events not
-// yet discarded).
+// Pending returns the number of events queued to fire. Cancel removes its
+// event at once, so cancelled events are never counted.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// Schedule queues fn to run after delay of virtual time. A negative delay is
-// treated as zero (fire as soon as possible, after already-queued events at
-// the current instant). The returned Event may be cancelled or rescheduled.
-func (e *Engine) Schedule(delay time.Duration, fn func()) *Event {
+// Arm queues the caller-owned event ev to run fn after delay of virtual
+// time. A negative delay is treated as zero (fire as soon as possible, after
+// already-queued events at the current instant). An event can be queued at
+// most once: Arm panics if ev is still pending. The engine clears the
+// pending mark before it invokes fn, so fn may re-arm its own event.
+//
+// Arm allocates nothing, which is why the owner keeps the Event: the engine
+// has no pool or free list, and an event handed out by Schedule is never
+// reused behind its holder's back.
+func (e *Engine) Arm(ev *Event, delay time.Duration, fn func()) {
+	if ev == nil {
+		panic("sim: Arm called with nil event")
+	}
 	if fn == nil {
-		panic("sim: Schedule called with nil function")
+		panic("sim: event armed with nil function")
+	}
+	if ev.pos != 0 {
+		panic("sim: Arm called on a pending event")
 	}
 	if delay < 0 {
 		delay = 0
 	}
 	e.seq++
-	ev := &Event{at: e.now + delay, seq: e.seq, fn: fn, index: -1}
+	ev.at, ev.seq, ev.fn, ev.canceled = e.now+delay, e.seq, fn, false
 	heap.Push(&e.queue, ev)
+}
+
+// Schedule queues fn to run after delay of virtual time on a fresh event:
+// Arm for callers that have no event of their own. The returned Event may be
+// cancelled or rescheduled.
+func (e *Engine) Schedule(delay time.Duration, fn func()) *Event {
+	ev := new(Event)
+	e.Arm(ev, delay, fn)
 	return ev
 }
 
@@ -109,52 +133,50 @@ func (e *Engine) ScheduleAt(at time.Duration, fn func()) *Event {
 // event is a no-op. Returns true if the event was pending and is now
 // cancelled.
 func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.canceled || ev.index < 0 {
+	if ev == nil || ev.pos == 0 {
 		return false
 	}
 	ev.canceled = true
-	heap.Remove(&e.queue, ev.index)
-	ev.index = -1
+	heap.Remove(&e.queue, ev.pos-1)
 	return true
 }
 
-// Reschedule moves a pending event to fire after delay from now. If the event
-// already fired or was cancelled, a fresh event is scheduled with the same
-// function. It returns the event that will fire.
+// Reschedule moves a pending event to fire after delay from now, behind
+// events already queued for that instant. An event that already fired or
+// was cancelled is armed again with the function it last carried. Either
+// way the event keeps its identity; ev is returned for convenience.
 func (e *Engine) Reschedule(ev *Event, delay time.Duration) *Event {
 	if ev == nil {
 		panic("sim: Reschedule called with nil event")
 	}
+	if ev.pos == 0 {
+		e.Arm(ev, delay, ev.fn)
+		return ev
+	}
 	if delay < 0 {
 		delay = 0
 	}
-	if ev.index >= 0 && !ev.canceled {
-		ev.at = e.now + delay
-		e.seq++
-		ev.seq = e.seq
-		heap.Fix(&e.queue, ev.index)
-		return ev
-	}
-	return e.Schedule(delay, ev.fn)
+	ev.at = e.now + delay
+	e.seq++
+	ev.seq = e.seq
+	heap.Fix(&e.queue, ev.pos-1)
+	return ev
 }
 
 // Step executes the next pending event, advancing the clock to its time.
 // It returns false when no events remain.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.canceled {
-			continue
-		}
-		if ev.at < e.now {
-			panic(fmt.Sprintf("sim: event scheduled in the past: %v < %v", ev.at, e.now))
-		}
-		e.now = ev.at
-		e.fired++
-		ev.fn()
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&e.queue).(*Event)
+	if ev.at < e.now {
+		panic(fmt.Sprintf("sim: event scheduled in the past: %v < %v", ev.at, e.now))
+	}
+	e.now = ev.at
+	e.fired++
+	ev.fn()
+	return true
 }
 
 // RunUntil executes events until the virtual clock would pass deadline or no
@@ -162,15 +184,7 @@ func (e *Engine) Step() bool {
 // engine can be resumed with further RunUntil calls.
 func (e *Engine) RunUntil(deadline time.Duration) {
 	e.halted = false
-	for len(e.queue) > 0 && !e.halted {
-		ev := e.queue[0]
-		if ev.canceled {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if ev.at > deadline {
-			break
-		}
+	for len(e.queue) > 0 && !e.halted && e.queue[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
@@ -197,17 +211,17 @@ func (e *Engine) Every(interval time.Duration, fn func()) (stop func()) {
 	}
 	stopped := false
 	var tick func()
-	var ev *Event
+	ev := new(Event)
 	tick = func() {
 		if stopped {
 			return
 		}
 		fn()
 		if !stopped {
-			ev = e.Schedule(interval, tick)
+			e.Arm(ev, interval, tick)
 		}
 	}
-	ev = e.Schedule(interval, tick)
+	e.Arm(ev, interval, tick)
 	return func() {
 		stopped = true
 		e.Cancel(ev)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -290,5 +291,119 @@ func TestPropertyDeterminism(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestCancelDropsPendingAtOnce(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(time.Second, func() {})
+	ev := e.Schedule(2*time.Second, func() {})
+	e.Schedule(3*time.Second, func() {})
+	if !e.Cancel(ev) {
+		t.Fatal("Cancel returned false for a pending event")
+	}
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d right after Cancel, want 2", e.Pending())
+	}
+	if ev.Pending() {
+		t.Fatal("cancelled event still reports Pending")
+	}
+	e.Run()
+	if e.Fired() != 2 {
+		t.Fatalf("Fired = %d, want 2", e.Fired())
+	}
+}
+
+func TestArmPendingEventPanics(t *testing.T) {
+	e := NewEngine()
+	var ev Event
+	e.Arm(&ev, time.Second, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Arm on a pending event did not panic")
+		}
+		if e.Pending() != 1 {
+			t.Fatalf("Pending = %d after the refused Arm, want 1", e.Pending())
+		}
+	}()
+	e.Arm(&ev, 2*time.Second, func() {})
+}
+
+func TestCancelThenArmFiresOnce(t *testing.T) {
+	e := NewEngine()
+	var ev Event
+	var fired []string
+	e.Arm(&ev, time.Second, func() { fired = append(fired, "first") })
+	if !e.Cancel(&ev) || !ev.Canceled() {
+		t.Fatal("owned event not cancelled")
+	}
+	e.Arm(&ev, 3*time.Second, func() { fired = append(fired, "second") })
+	if ev.Canceled() || !ev.Pending() || ev.At() != 3*time.Second {
+		t.Fatalf("re-armed event: canceled=%v pending=%v at=%v", ev.Canceled(), ev.Pending(), ev.At())
+	}
+	e.Run()
+	if len(fired) != 1 || fired[0] != "second" {
+		t.Fatalf("fired %v, want only the second arming", fired)
+	}
+	if e.Now() != 3*time.Second {
+		t.Fatalf("clock at %v, want 3s", e.Now())
+	}
+}
+
+func TestRescheduleOwnedEventKeepsIdentityAndOrder(t *testing.T) {
+	e := NewEngine()
+	var owned Event
+	var order []string
+	e.Arm(&owned, time.Second, func() { order = append(order, "owned") })
+	e.Schedule(5*time.Second, func() { order = append(order, "a") })
+	e.Schedule(5*time.Second, func() { order = append(order, "b") })
+	if got := e.Reschedule(&owned, 5*time.Second); got != &owned {
+		t.Fatal("Reschedule of a pending owned event returned another event")
+	}
+	if e.Pending() != 3 {
+		t.Fatalf("Pending = %d, want 3 (no second copy queued)", e.Pending())
+	}
+	e.Run()
+	// A rescheduled event queues behind what is already due at that instant.
+	if want := []string{"a", "b", "owned"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	// Fired: Reschedule arms the same event again.
+	if got := e.Reschedule(&owned, time.Second); got != &owned || !owned.Pending() {
+		t.Fatal("Reschedule of a fired owned event did not re-arm it in place")
+	}
+	e.Run()
+	if len(order) != 4 || order[3] != "owned" {
+		t.Fatalf("order = %v, want a fourth firing of the owned event", order)
+	}
+}
+
+func TestEventRearmedFromItsOwnCallback(t *testing.T) {
+	e := NewEngine()
+	var ev Event
+	var at []time.Duration
+	var tick func()
+	tick = func() {
+		if ev.Pending() {
+			t.Error("event still marked pending inside its own callback")
+		}
+		at = append(at, e.Now())
+		if len(at) < 3 {
+			e.Arm(&ev, time.Second, tick)
+		}
+	}
+	e.Arm(&ev, time.Second, tick)
+	e.Run()
+	if !slices.Equal(at, []time.Duration{time.Second, 2 * time.Second, 3 * time.Second}) {
+		t.Fatalf("fired at %v, want 1s 2s 3s", at)
+	}
+	if e.Pending() != 0 || ev.Pending() {
+		t.Fatal("event left queued after its last firing")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.Arm(&ev, time.Second, tick)
+		e.Cancel(&ev)
+	}); allocs != 0 {
+		t.Fatalf("Arm allocates %v times per call, want 0", allocs)
 	}
 }

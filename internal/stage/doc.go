@@ -10,6 +10,20 @@
 // Center drives: per-instance DVFS, instance boosting (clone + work
 // stealing), and instance withdraw (drain + load redirection).
 //
+// Serving a query allocates nothing here. An Instance serves one query at a
+// time, so it embeds the one completion event it can have outstanding and
+// arms it per query (sim.Engine.Arm; the ownership contract is in package
+// sim's documentation): nobody else arms that event, SetLevel reschedules it
+// in place, and an Instance is therefore handled by pointer only. The
+// in-flight query is held by value, the FIFO is a slice with a head index
+// that zeroes each slot as it is served and moves its live region to the
+// front only when the array is full and at least half served, and a Stage
+// admits against a cached list of its non-draining instances that Launch,
+// Withdraw and remove invalidate (Active returns a copy). Clone's tail-half
+// steal and Withdraw's redirect move live entries only, with their original
+// enqueue times. Nothing is pooled or recycled: what a query allocates is
+// what it is — the Query, its work matrix, its records.
+//
 // Entry points: NewSystem assembles stages from Spec values on a sim.Engine
 // and a cmp.Chip; System.Submit injects a query and OnComplete reports it
 // with its latency records. Dispatcher implementations (JoinShortestQueue,

@@ -23,6 +23,11 @@ type queued struct {
 // the queuing and serving time of every query it processes and appends them
 // to the query (the joint design), and tracks its own busy time for the
 // withdraw rule.
+//
+// An instance serves one query at a time, so it owns the one completion
+// event it can ever have outstanding and arms it per query (sim.Engine.Arm);
+// serving a query allocates nothing. Instances are handled by pointer only:
+// the engine's queue holds the address of the embedded event.
 type Instance struct {
 	stage  *Stage
 	name   string
@@ -32,10 +37,16 @@ type Instance struct {
 	level   cmp.Level
 	boosted bool // launched by an instance boost (clone)
 
-	queue      []queued
-	serving    *queued
+	// The FIFO is queue[head:]. Slots before head are zeroed as they are
+	// served, so a finished query is not kept alive by the backing array.
+	queue []queued
+	head  int
+
+	serving    queued // the in-flight query; meaningful while inService
+	inService  bool
 	serveStart time.Duration
-	serveEnd   *sim.Event
+	serveEnd   sim.Event     // armed while inService
+	onComplete func()        // in.complete, bound once
 	endAt      time.Duration // scheduled completion time of the in-flight query
 
 	busy   *stats.BusyTracker
@@ -54,6 +65,7 @@ func newInstance(st *Stage, name string, branch int, core cmp.CoreID, level cmp.
 		level:  level,
 		busy:   stats.NewBusyTracker(),
 	}
+	in.onComplete = in.complete
 	// The utilization epoch starts at creation: a freshly cloned instance
 	// must not look idle for the part of the withdraw interval that
 	// predates it.
@@ -82,11 +94,38 @@ func (in *Instance) Power() cmp.Watts { return in.stage.sys.chip.Model().Power(i
 // QueueLen returns the realtime load: queued queries plus the one in
 // service. This is the L of the paper's latency metric (Equation 1).
 func (in *Instance) QueueLen() int {
-	n := len(in.queue)
-	if in.serving != nil {
+	n := in.waiting()
+	if in.inService {
 		n++
 	}
 	return n
+}
+
+// waiting returns the number of queries queued behind the one in service.
+func (in *Instance) waiting() int { return len(in.queue) - in.head }
+
+// push appends items to the FIFO. When the backing array is full and at
+// least half of it is served slots, the live region moves to the front
+// instead of the array growing; the half keeps the copying amortized
+// constant per query however long the queue stands.
+func (in *Instance) push(items ...queued) {
+	if in.head > 0 && len(in.queue)+len(items) > cap(in.queue) && 2*in.head >= len(in.queue) {
+		n := copy(in.queue, in.queue[in.head:])
+		clear(in.queue[n:])
+		in.queue, in.head = in.queue[:n], 0
+	}
+	in.queue = append(in.queue, items...)
+}
+
+// pop removes and returns the head of the FIFO, which must not be empty.
+func (in *Instance) pop() queued {
+	item := in.queue[in.head]
+	in.queue[in.head] = queued{}
+	in.head++
+	if in.head == len(in.queue) {
+		in.queue, in.head = in.queue[:0], 0
+	}
+	return item
 }
 
 // Served returns the number of queries this instance completed.
@@ -114,24 +153,22 @@ func (in *Instance) enqueue(q *query.Query) {
 	if in.retired {
 		panic(fmt.Sprintf("stage: enqueue on retired instance %s", in.name))
 	}
-	in.queue = append(in.queue, queued{q: q, enter: in.stage.sys.eng.Now()})
+	in.push(queued{q: q, enter: in.stage.sys.eng.Now()})
 	in.maybeStart()
 }
 
 // maybeStart begins serving the head of the queue when the instance is idle.
 func (in *Instance) maybeStart() {
-	if in.serving != nil || len(in.queue) == 0 || in.retired {
+	if in.inService || in.waiting() == 0 || in.retired {
 		return
 	}
-	item := in.queue[0]
-	in.queue = in.queue[1:]
-	in.serving = &item
+	in.serving, in.inService = in.pop(), true
 	now := in.stage.sys.eng.Now()
 	in.serveStart = now
 	in.busy.SetBusy(now)
-	d := in.serveTime(item.q)
+	d := in.serveTime(in.serving.q)
 	in.endAt = now + d
-	in.serveEnd = in.stage.sys.eng.Schedule(d, in.complete)
+	in.stage.sys.eng.Arm(&in.serveEnd, d, in.onComplete)
 }
 
 // serveTime maps the query's intrinsic demand to wall time at the current
@@ -149,13 +186,12 @@ func (in *Instance) serveTime(q *query.Query) time.Duration {
 // complete finishes the in-flight query: measure, record, hand back to the
 // stage, and pull the next query.
 func (in *Instance) complete() {
-	item := in.serving
-	if item == nil {
+	if !in.inService {
 		panic(fmt.Sprintf("stage: completion on idle instance %s", in.name))
 	}
+	item := in.serving
 	now := in.stage.sys.eng.Now()
-	in.serving = nil
-	in.serveEnd = nil
+	in.serving, in.inService = queued{}, false
 	in.served++
 
 	rec := query.Record{
@@ -170,10 +206,10 @@ func (in *Instance) complete() {
 	}
 	item.q.Append(rec)
 
-	if len(in.queue) == 0 {
+	if in.waiting() == 0 {
 		in.busy.SetIdle(now)
 	}
-	if in.draining && in.serving == nil && len(in.queue) == 0 {
+	if in.draining && in.waiting() == 0 {
 		in.finalizeWithdraw()
 	} else {
 		in.maybeStart()
@@ -198,7 +234,7 @@ func (in *Instance) SetLevel(l cmp.Level) error {
 	}
 	old := in.level
 	in.level = l
-	if in.serving != nil {
+	if in.inService {
 		now := in.stage.sys.eng.Now()
 		remaining := in.endAt - now
 		if remaining < 0 {
@@ -208,7 +244,7 @@ func (in *Instance) SetLevel(l cmp.Level) error {
 		newRatio := in.stage.spec.Profile.ExecRatio(l)
 		scaled := time.Duration(float64(remaining) * newRatio / oldRatio)
 		in.endAt = now + scaled
-		in.serveEnd = in.stage.sys.eng.Reschedule(in.serveEnd, scaled)
+		in.stage.sys.eng.Reschedule(&in.serveEnd, scaled)
 	}
 	return nil
 }
@@ -216,7 +252,7 @@ func (in *Instance) SetLevel(l cmp.Level) error {
 // finalizeWithdraw releases the instance's core and detaches it from the
 // stage. Only reachable when the instance is idle and draining.
 func (in *Instance) finalizeWithdraw() {
-	if in.serving != nil || len(in.queue) != 0 {
+	if in.inService || in.waiting() != 0 {
 		panic(fmt.Sprintf("stage: finalizeWithdraw on busy instance %s", in.name))
 	}
 	in.retired = true

@@ -65,6 +65,7 @@ type Stage struct {
 	index      int
 	spec       Spec
 	instances  []*Instance
+	active     []*Instance // the non-draining instances; nil when stale
 	dispatcher Dispatcher
 	seq        int // instance name sequence, monotonically increasing
 }
@@ -91,13 +92,23 @@ func (st *Stage) Instances() []*Instance {
 
 // Active returns the instances that accept new queries.
 func (st *Stage) Active() []*Instance {
-	var out []*Instance
-	for _, in := range st.instances {
-		if !in.draining {
-			out = append(out, in)
+	return append([]*Instance(nil), st.activeSet()...)
+}
+
+// activeSet returns the stage's own list of the instances that accept new
+// queries, for the per-query path; callers must not modify or keep it
+// (Active hands out copies). The list is rebuilt, into a fresh array, on
+// the first use after the membership changed: Launch, Withdraw and remove
+// drop it.
+func (st *Stage) activeSet() []*Instance {
+	if st.active == nil {
+		for _, in := range st.instances {
+			if !in.draining {
+				st.active = append(st.active, in)
+			}
 		}
 	}
-	return out
+	return st.active
 }
 
 // SetDispatcher replaces the stage's dispatch policy.
@@ -112,14 +123,14 @@ func (st *Stage) SetDispatcher(d Dispatcher) {
 func (st *Stage) admit(q *query.Query) {
 	switch st.spec.Kind {
 	case Pipeline:
-		active := st.Active()
+		active := st.activeSet()
 		if len(active) == 0 {
 			panic(fmt.Sprintf("stage %s: no active instance to serve query %d", st.spec.Name, q.ID))
 		}
 		in := st.dispatcher.Pick(active)
 		in.enqueue(q)
 	case FanOut:
-		active := st.Active()
+		active := st.activeSet()
 		if len(active) == 0 {
 			panic(fmt.Sprintf("stage %s: no active instance to serve query %d", st.spec.Name, q.ID))
 		}
@@ -153,6 +164,7 @@ func (st *Stage) Launch(level cmp.Level) (*Instance, error) {
 	st.seq++
 	in := newInstance(st, fmt.Sprintf("%s_%d", st.spec.Name, st.seq), len(st.instances), core, level)
 	st.instances = append(st.instances, in)
+	st.active = nil
 	return in, nil
 }
 
@@ -178,12 +190,11 @@ func (st *Stage) Clone(src *Instance) (*Instance, error) {
 	// Offload the tail half of src's queue. Queue-enter timestamps travel
 	// with the queries so queuing time is still measured from the original
 	// enqueue.
-	n := len(src.queue)
-	steal := n / 2
-	if steal > 0 {
-		moved := src.queue[n-steal:]
-		src.queue = src.queue[:n-steal]
-		in.queue = append(in.queue, moved...)
+	if steal := src.waiting() / 2; steal > 0 {
+		keep := len(src.queue) - steal
+		in.push(src.queue[keep:]...)
+		clear(src.queue[keep:])
+		src.queue = src.queue[:keep]
 		in.maybeStart()
 	}
 	return in, nil
@@ -215,16 +226,17 @@ func (st *Stage) Withdraw(in *Instance, target *Instance) error {
 		return fmt.Errorf("stage %s: cannot withdraw the last active instance", st.spec.Name)
 	}
 	in.draining = true
+	st.active = nil
 	// Redirect queued load.
-	if len(in.queue) > 0 {
+	if in.waiting() > 0 {
 		if target == nil || target == in || target.draining {
-			target = st.dispatcher.Pick(st.Active())
+			target = st.dispatcher.Pick(st.activeSet())
 		}
-		target.queue = append(target.queue, in.queue...)
-		in.queue = nil
+		target.push(in.queue[in.head:]...)
+		in.queue, in.head = nil, 0
 		target.maybeStart()
 	}
-	if in.serving == nil {
+	if !in.inService {
 		in.finalizeWithdraw()
 	}
 	return nil
@@ -235,6 +247,7 @@ func (st *Stage) remove(in *Instance) {
 	for i, o := range st.instances {
 		if o == in {
 			st.instances = append(st.instances[:i], st.instances[i+1:]...)
+			st.active = nil
 			return
 		}
 	}

@@ -161,7 +161,7 @@ func (s *System) WorkFor(draw func(stageIdx, branch int) time.Duration) [][]time
 	for i, st := range s.stages {
 		branches := 1
 		if st.spec.Kind == FanOut {
-			branches = len(st.Active())
+			branches = len(st.activeSet())
 		}
 		row := make([]time.Duration, branches)
 		for b := range row {

@@ -148,17 +148,23 @@ type WorkDrawer func(rng *rand.Rand) [][]time.Duration
 // Generator drives Poisson arrivals into a stage.System on a simulation
 // engine. Time-varying rates are realized by thinning against the source's
 // MaxRate, which keeps the process exact for piecewise-constant traces.
+//
+// At most one candidate arrival is outstanding, so the generator owns that
+// one event and arms it per candidate (sim.Engine.Arm).
 type Generator struct {
-	eng     *sim.Engine
-	sys     *stage.System
-	src     Source
-	draw    WorkDrawer
-	rng     *rand.Rand
-	until   time.Duration
-	nextID  query.ID
-	issued  uint64
-	paused  bool
-	pending *sim.Event
+	eng    *sim.Engine
+	sys    *stage.System
+	src    Source
+	draw   WorkDrawer
+	rng    *rand.Rand
+	until  time.Duration
+	nextID query.ID
+	issued uint64
+	paused bool
+
+	arrival   sim.Event // the pending candidate arrival
+	onArrival func()    // g.arrive, bound once
+	maxRate   float64   // the thinning rate the pending candidate was drawn at
 }
 
 // NewGenerator prepares a generator that submits queries from virtual time 0
@@ -170,7 +176,9 @@ func NewGenerator(eng *sim.Engine, sys *stage.System, src Source, draw WorkDrawe
 	if until <= 0 {
 		panic("workload: generation horizon must be positive")
 	}
-	return &Generator{eng: eng, sys: sys, src: src, draw: draw, rng: rng, until: until}
+	g := &Generator{eng: eng, sys: sys, src: src, draw: draw, rng: rng, until: until}
+	g.onArrival = g.arrive
+	return g
 }
 
 // Issued returns the number of queries submitted so far.
@@ -187,10 +195,7 @@ func (g *Generator) Start() {
 // new ones arrive. Used by the multi-tenant harness when a tenant is
 // evicted mid-run. Safe to call repeatedly.
 func (g *Generator) Pause() {
-	if g.pending != nil {
-		g.eng.Cancel(g.pending)
-		g.pending = nil
-	}
+	g.eng.Cancel(&g.arrival)
 	g.paused = true
 }
 
@@ -205,30 +210,32 @@ func (g *Generator) Resume() {
 }
 
 func (g *Generator) scheduleNext() {
-	maxRate := g.src.MaxRate()
-	if maxRate <= 0 {
+	g.maxRate = g.src.MaxRate()
+	if g.maxRate <= 0 {
 		return
 	}
 	// Thinning: candidate arrivals at the max rate, accepted with
 	// probability rate(t)/maxRate.
-	delay := time.Duration(g.rng.ExpFloat64() / maxRate * float64(time.Second))
+	delay := time.Duration(g.rng.ExpFloat64() / g.maxRate * float64(time.Second))
 	if delay <= 0 {
 		delay = time.Nanosecond
 	}
-	g.pending = g.eng.Schedule(delay, func() {
-		g.pending = nil
-		now := g.eng.Now()
-		if now > g.until {
-			return
-		}
-		if accept := g.src.RateAt(now) / maxRate; g.rng.Float64() < accept {
-			g.nextID++
-			q := query.New(g.nextID, now, g.draw(g.rng))
-			g.issued++
-			g.sys.Submit(q)
-		}
-		g.scheduleNext()
-	})
+	g.eng.Arm(&g.arrival, delay, g.onArrival)
+}
+
+// arrive handles one candidate arrival.
+func (g *Generator) arrive() {
+	now := g.eng.Now()
+	if now > g.until {
+		return
+	}
+	if accept := g.src.RateAt(now) / g.maxRate; g.rng.Float64() < accept {
+		g.nextID++
+		q := query.New(g.nextID, now, g.draw(g.rng))
+		g.issued++
+		g.sys.Submit(q)
+	}
+	g.scheduleNext()
 }
 
 // RateForUtilization converts a target utilization of a configuration's

@@ -250,3 +250,50 @@ func TestFigure11TraceShape(t *testing.T) {
 		t.Error("trace should exceed the base rate at peak")
 	}
 }
+
+func TestGeneratorPauseWithArmedArrivalThenResume(t *testing.T) {
+	eng, sys, a := buildSystem(t)
+	rng := rand.New(rand.NewSource(5))
+	gen := NewGenerator(eng, sys, Constant(10), func(r *rand.Rand) [][]time.Duration {
+		return a.DrawWork(r, []int{1, 1, 1})
+	}, rng, 300*time.Second)
+	gen.Start()
+	eng.RunUntil(100 * time.Second)
+	issued := gen.Issued()
+	if issued == 0 || eng.Pending() == 0 {
+		t.Fatalf("issued %d with %d events pending at 100s, want a running arrival process", issued, eng.Pending())
+	}
+
+	// The next candidate arrival is armed; Pause takes exactly that event
+	// off the engine, a second Pause finds nothing to take.
+	before := eng.Pending()
+	gen.Pause()
+	if eng.Pending() != before-1 {
+		t.Fatalf("Pause removed %d events, want 1", before-eng.Pending())
+	}
+	gen.Pause()
+	if eng.Pending() != before-1 {
+		t.Fatal("second Pause removed another event")
+	}
+	eng.RunUntil(200 * time.Second)
+	if gen.Issued() != issued {
+		t.Fatalf("paused generator issued %d queries", gen.Issued()-issued)
+	}
+
+	// Resume re-arms the same event from the current instant; a second
+	// Resume must not arm it twice.
+	before = eng.Pending()
+	gen.Resume()
+	gen.Resume()
+	if eng.Pending() != before+1 {
+		t.Fatalf("Resume armed %d events, want 1", eng.Pending()-before)
+	}
+	eng.Run()
+	resumed := float64(gen.Issued() - issued)
+	if want := 10.0 * 100; math.Abs(resumed-want)/want > 0.15 {
+		t.Errorf("issued %.0f queries over the resumed 100s at 10 qps, want ≈%.0f", resumed, want)
+	}
+	if sys.Submitted() != gen.Issued() {
+		t.Errorf("system received %d, generator issued %d", sys.Submitted(), gen.Issued())
+	}
+}
