@@ -3,12 +3,16 @@ GO ?= go
 # Pinned staticcheck version, matching .github/workflows/ci.yml.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build vet staticcheck test bench-test race docs-lint check ci
+.PHONY: all build fmt vet staticcheck test bench-test race docs-lint check ci
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: gofmt must have nothing to rewrite, in either module.
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -104,6 +108,6 @@ bench-replay:
 		-policy powerchief,fairness,marginal -json bench-replay.json
 
 # The full local gate: what CI runs.
-check: vet staticcheck build test bench-test race docs-lint
+check: fmt vet staticcheck build test bench-test race docs-lint
 
 ci: check

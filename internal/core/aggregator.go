@@ -206,11 +206,17 @@ func (a *Aggregator) WindowLatency() (time.Duration, bool) {
 	return a.e2e.Mean(a.now())
 }
 
-// WindowTail returns the moving-window p-quantile end-to-end latency,
-// merged across the lock stripes (exact windows rank the union of samples;
-// bucketed windows merge their latency bins).
+// WindowTail returns the moving-window p-quantile end-to-end latency: the
+// one-element case of WindowTails.
 func (a *Aggregator) WindowTail(p float64) (time.Duration, bool) {
 	return a.e2e.Percentile(a.now(), p)
+}
+
+// WindowTails implements StatsReader: the stripes are merged once for the
+// whole grid (exact windows rank the union of samples; bucketed windows
+// merge their latency bins).
+func (a *Aggregator) WindowTails(ps []float64, out []time.Duration) bool {
+	return a.e2e.Percentiles(a.now(), ps, out)
 }
 
 // Forget removes a withdrawn instance's statistics so stale history cannot

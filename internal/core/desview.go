@@ -12,7 +12,8 @@ import (
 // interfaces. *stage.Instance satisfies Instance directly; stages need a
 // thin wrapper to narrow the clone/withdraw signatures.
 type desView struct {
-	sys *stage.System
+	sys    *stage.System
+	stages []StageControl // a stage.System's stage set is fixed at construction
 }
 
 // NewDESView wraps a discrete-event system for the Command Center.
@@ -20,7 +21,11 @@ func NewDESView(sys *stage.System) System {
 	if sys == nil {
 		panic("core: NewDESView requires a system")
 	}
-	return &desView{sys: sys}
+	v := &desView{sys: sys}
+	for _, st := range sys.Stages() {
+		v.stages = append(v.stages, desStage{st: st})
+	}
+	return v
 }
 
 func (v *desView) Now() time.Duration         { return v.sys.Engine().Now() }
@@ -34,14 +39,8 @@ func (v *desView) FreeCores() int             { return v.sys.Chip().Free() }
 // level; nothing is ever quarantined.
 func (v *desView) Quarantined() []StageControl { return nil }
 
-func (v *desView) Stages() []StageControl {
-	stages := v.sys.Stages()
-	out := make([]StageControl, len(stages))
-	for i, st := range stages {
-		out[i] = desStage{st: st}
-	}
-	return out
-}
+// Stages implements System.
+func (v *desView) Stages() []StageControl { return v.stages }
 
 // desStage adapts *stage.Stage to StageControl.
 type desStage struct {

@@ -18,5 +18,7 @@
 // Policy's Adjust runs once per control interval against a System view.
 // EstimateInstBoost and EstimateFreqBoost are the paper's Equation 2/3
 // speedup predictions that Algorithm 1 compares. ARCHITECTURE.md diagrams
-// how the Command Center sits between the engines and the chip model.
+// how the Command Center sits between the engines and the chip model, and
+// what one control tick runs and how often (DESIGN.md §5n); BenchmarkRank,
+// BenchmarkCaptureSnapshot and BenchmarkPowerChiefTick measure it here.
 package core

@@ -18,6 +18,7 @@ type fakeInstance struct {
 	util     float64
 	sys      *fakeSystem
 
+	queueReads    int // QueueLen calls: every ranking reads each instance once
 	setLevelCalls int
 	epochResets   int
 	setLevelErr   error // injected actuation failure (a dead RPC peer)
@@ -25,8 +26,12 @@ type fakeInstance struct {
 
 func (f *fakeInstance) Name() string      { return f.name }
 func (f *fakeInstance) StageName() string { return f.stage }
-func (f *fakeInstance) QueueLen() int     { return f.queueLen }
 func (f *fakeInstance) Level() cmp.Level  { return f.level }
+
+func (f *fakeInstance) QueueLen() int {
+	f.queueReads++
+	return f.queueLen
+}
 
 func (f *fakeInstance) SetLevel(l cmp.Level) error {
 	if f.setLevelErr != nil {

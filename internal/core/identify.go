@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -58,38 +59,59 @@ type Identifier struct {
 }
 
 // Rank evaluates the metric over all instances. The result is sorted
-// descending by metric; ties break by stage order then instance name so the
-// ranking is deterministic. Draining instances are excluded — they are
-// already leaving.
+// descending by metric; ties break by instance name, then by stage and
+// instance order, so the ranking is deterministic. Draining instances are
+// excluded — they are already leaving.
 func (id Identifier) Rank(sys System, stats StatsReader) []Ranked {
-	var out []Ranked
-	for _, st := range sys.Stages() {
-		for _, in := range st.Instances() {
+	// Every stage's instance list is read once, up front, so the ranking is
+	// allocated at its final size; the list of lists stays on the stack for
+	// deployments of up to eight stages.
+	stages := sys.Stages()
+	var buf [8][]Instance
+	lists := buf[:0]
+	n := 0
+	for _, st := range stages {
+		ins := st.Instances()
+		lists = append(lists, ins)
+		n += len(ins)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Ranked, 0, n)
+	for i, st := range stages {
+		for _, in := range lists[i] {
 			q, s, _ := stats.InstStats(in.Name())
+			L := in.QueueLen()
 			out = append(out, Ranked{
 				Instance: in,
 				Stage:    st,
-				Metric:   id.eval(in, q, s),
+				Metric:   id.eval(L, q, s),
 				Queuing:  q,
 				Serving:  s,
-				QueueLen: in.QueueLen(),
+				QueueLen: L,
 			})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Metric != out[j].Metric {
-			return out[i].Metric > out[j].Metric
+	// A typed stable sort: the order sort.SliceStable gave, without its
+	// reflective swapper. Names are consulted only when two metrics tie.
+	slices.SortStableFunc(out, func(a, b Ranked) int {
+		switch {
+		case a.Metric > b.Metric:
+			return -1
+		case a.Metric < b.Metric:
+			return 1
 		}
-		return out[i].Instance.Name() < out[j].Instance.Name()
+		return strings.Compare(a.Instance.Name(), b.Instance.Name())
 	})
 	return out
 }
 
 // eval computes the chosen latency metric for one instance.
-func (id Identifier) eval(in Instance, q, s time.Duration) time.Duration {
+func (id Identifier) eval(queueLen int, q, s time.Duration) time.Duration {
 	switch id.Metric {
 	case MetricExpectedDelay:
-		return time.Duration(in.QueueLen())*q + s
+		return time.Duration(queueLen)*q + s
 	case MetricAvgQueuing:
 		return q
 	case MetricAvgServing:
@@ -99,16 +121,6 @@ func (id Identifier) eval(in Instance, q, s time.Duration) time.Duration {
 	default:
 		panic("core: unknown latency metric")
 	}
-}
-
-// Bottleneck returns the instance with the largest metric, or a zero Ranked
-// with ok=false when the system has no instances.
-func (id Identifier) Bottleneck(sys System, stats StatsReader) (Ranked, bool) {
-	ranked := id.Rank(sys, stats)
-	if len(ranked) == 0 {
-		return Ranked{}, false
-	}
-	return ranked[0], true
 }
 
 // Spread returns the metric difference between the bottleneck and the

@@ -105,8 +105,11 @@ func TestMetricStrings(t *testing.T) {
 func TestBottleneckEmptySystem(t *testing.T) {
 	sys := &fakeSystem{model: cmp.DefaultModel(), budget: 10}
 	agg := aggWith(sys, time.Second)
-	if _, ok := (Identifier{}).Bottleneck(sys, agg); ok {
-		t.Error("empty system reported a bottleneck")
+	if ranked := (Identifier{}).Rank(sys, agg); len(ranked) != 0 {
+		t.Errorf("empty system ranked %d instances", len(ranked))
+	}
+	if out := NewPowerChief(DefaultConfig()).Adjust(sys, agg); out.Kind != BoostNone {
+		t.Errorf("empty system boosted: %+v", out)
 	}
 	if got := Spread(nil); got != 0 {
 		t.Errorf("Spread(nil) = %v", got)

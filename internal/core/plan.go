@@ -16,9 +16,12 @@ import (
 // against the live chip, which is what keeps the DES golden figures stable
 // across the plan/apply split.
 //
-// Wrappers are cached: the same underlying instance always yields the same
+// Wrappers are unique: the same underlying instance always yields the same
 // planInstance, so the interface-identity comparisons the decision kernel
-// relies on (donor exclusion, bottleneck checks) keep working.
+// relies on (donor exclusion, bottleneck checks) keep working. They live in
+// slabs — one planStage array per view, one planInstance array per stage —
+// and a reference to an underlying instance is resolved by a linear identity
+// scan: a view never holds more instances than the chip has cores.
 type PlanView struct {
 	base   System
 	model  cmp.PowerModel
@@ -29,7 +32,7 @@ type PlanView struct {
 	plan   *ActionPlan
 	reason ActionReason
 	stages []StageControl
-	insts  map[Instance]*planInstance
+	slab   []planStage // backs stages
 }
 
 // NewPlanView snapshots the system's power accounting and stage list and
@@ -42,10 +45,13 @@ func NewPlanView(sys System) *PlanView {
 		drawn:  sys.Draw(),
 		free:   sys.FreeCores(),
 		plan:   &ActionPlan{},
-		insts:  make(map[Instance]*planInstance),
 	}
-	for _, st := range sys.Stages() {
-		pv.stages = append(pv.stages, &planStage{pv: pv, under: st})
+	under := sys.Stages()
+	pv.slab = make([]planStage, len(under))
+	pv.stages = make([]StageControl, len(under))
+	for i, st := range under {
+		pv.slab[i] = planStage{pv: pv, under: st}
+		pv.stages[i] = &pv.slab[i]
 	}
 	return pv
 }
@@ -101,20 +107,6 @@ func (pv *PlanView) Stages() []StageControl { return pv.stages }
 // Quarantined implements System.
 func (pv *PlanView) Quarantined() []StageControl { return pv.base.Quarantined() }
 
-// adopt returns the cached wrapper for an underlying instance, creating it
-// on first sight. Plan-created instances pass through unchanged.
-func (pv *PlanView) adopt(in Instance, st *planStage) *planInstance {
-	if pi, ok := in.(*planInstance); ok {
-		return pi
-	}
-	if pi, ok := pv.insts[in]; ok {
-		return pi
-	}
-	pi := &planInstance{pv: pv, under: in, stage: st, level: in.Level()}
-	pv.insts[in] = pi
-	return pi
-}
-
 // planStage wraps one real stage. The instance list is snapshotted on first
 // access and then tracks planned clones and withdraws.
 type planStage struct {
@@ -128,9 +120,11 @@ func (ps *planStage) ensure() {
 		return
 	}
 	under := ps.under.Instances()
-	ps.ins = make([]*planInstance, 0, len(under))
-	for _, in := range under {
-		ps.ins = append(ps.ins, ps.pv.adopt(in, ps))
+	slab := make([]planInstance, len(under))
+	ps.ins = make([]*planInstance, len(under))
+	for i, in := range under {
+		slab[i] = planInstance{pv: ps.pv, under: in, stage: ps, level: in.Level()}
+		ps.ins[i] = &slab[i]
 	}
 }
 
@@ -156,14 +150,20 @@ func (ps *planStage) Instances() []Instance {
 	return out
 }
 
-// lookup resolves an instance reference against the stage's planned list.
+// lookup resolves an instance reference to its wrapper: a wrapper resolves
+// to itself, an underlying instance to the wrapper some stage of the view
+// (this one included) snapshotted it into, anything else to nil.
 func (ps *planStage) lookup(in Instance) *planInstance {
 	ps.ensure()
 	if pi, ok := in.(*planInstance); ok {
 		return pi
 	}
-	if pi, ok := ps.pv.insts[in]; ok {
-		return pi
+	for i := range ps.pv.slab {
+		for _, pi := range ps.pv.slab[i].ins {
+			if pi.under == in {
+				return pi
+			}
+		}
 	}
 	return nil
 }

@@ -236,13 +236,14 @@ func (p *PowerChief) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutc
 	return pv.Take(), out
 }
 
-// Adjust implements Policy.
+// Adjust implements Policy. The live system is ranked only on the tick whose
+// withdraw epoch is due — PlanWithdrawEpoch needs live instances to pick
+// redirect targets; on every other tick the one ranking is Plan's.
 func (p *PowerChief) Adjust(sys System, agg *Aggregator) BoostOutcome {
-	now := sys.Now()
-	ranked := Identifier{Metric: p.Cfg.Metric}.Rank(sys, agg)
-	if len(ranked) == 0 {
+	if !hasInstances(sys) {
 		return BoostOutcome{Kind: BoostNone}
 	}
+	now := sys.Now()
 	x := Executor{Audit: p.audit}
 
 	if !p.withdrawInit {
@@ -250,6 +251,7 @@ func (p *PowerChief) Adjust(sys System, agg *Aggregator) BoostOutcome {
 		p.withdrawInit = true
 		p.lastWithdraw = now
 	} else if p.Cfg.WithdrawInterval > 0 && now-p.lastWithdraw >= p.Cfg.WithdrawInterval {
+		ranked := Identifier{Metric: p.Cfg.Metric}.Rank(sys, agg)
 		res := x.Apply(sys, agg, PlanWithdrawEpoch(sys, ranked, p.Cfg.WithdrawThreshold))
 		p.Withdrawn += res.Withdrawn
 		p.lastWithdraw = now
@@ -262,4 +264,14 @@ func (p *PowerChief) Adjust(sys System, agg *Aggregator) BoostOutcome {
 	out = applyPlan(x, sys, agg, plan, out)
 	p.record(snap, plan, out)
 	return out
+}
+
+// hasInstances reports whether any stage of the system has a live instance.
+func hasInstances(sys System) bool {
+	for _, st := range sys.Stages() {
+		if len(st.Instances()) > 0 {
+			return true
+		}
+	}
+	return false
 }

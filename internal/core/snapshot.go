@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -64,6 +65,9 @@ type Snapshot struct {
 	Window      WindowSnap     `json:"window"`
 }
 
+// snapshotGrid is the quantile grid of WindowSnap, in field order.
+var snapshotGrid = [...]float64{0.5, 0.9, 0.99, 0.999}
+
 // CaptureSnapshot captures the decision inputs of one control tick. The
 // stats reader may be nil (topology-only capture: StatsOK false everywhere).
 func CaptureSnapshot(sys System, stats StatsReader) *Snapshot {
@@ -78,13 +82,17 @@ func CaptureSnapshot(sys System, stats StatsReader) *Snapshot {
 	for l := cmp.Level(0); l < cmp.NumLevels; l++ {
 		snap.Power[l] = model.Power(l)
 	}
-	for _, st := range sys.Stages() {
+	stages := sys.Stages()
+	snap.Stages = slices.Grow(snap.Stages, len(stages)) // nil stays nil: empty captures encode as before
+	for _, st := range stages {
 		ss := StageSnap{Name: st.Name(), CanScale: st.CanScale()}
 		profile := st.Profile()
 		for l := cmp.Level(0); l < cmp.NumLevels; l++ {
 			ss.Profile[l] = profile.ExecRatio(l)
 		}
-		for _, in := range st.Instances() {
+		ins := st.Instances()
+		ss.Instances = slices.Grow(ss.Instances, len(ins))
+		for _, in := range ins {
 			is := InstanceSnap{
 				Name:        in.Name(),
 				QueueLen:    in.QueueLen(),
@@ -92,7 +100,7 @@ func CaptureSnapshot(sys System, stats StatsReader) *Snapshot {
 				Utilization: in.Utilization(),
 			}
 			if stats != nil {
-				is.Queuing, is.Serving, is.StatsOK = stats.InstStats(in.Name())
+				is.Queuing, is.Serving, is.StatsOK = stats.InstStats(is.Name)
 			}
 			ss.Instances = append(ss.Instances, is)
 		}
@@ -103,11 +111,10 @@ func CaptureSnapshot(sys System, stats StatsReader) *Snapshot {
 	}
 	sort.Strings(snap.Quarantined)
 	if stats != nil {
+		var tails [len(snapshotGrid)]time.Duration
 		snap.Window.Latency, snap.Window.OK = stats.WindowLatency()
-		snap.Window.P50, _ = stats.WindowTail(0.5)
-		snap.Window.P90, _ = stats.WindowTail(0.9)
-		snap.Window.P99, _ = stats.WindowTail(0.99)
-		snap.Window.P999, _ = stats.WindowTail(0.999)
+		stats.WindowTails(snapshotGrid[:], tails[:])
+		snap.Window.P50, snap.Window.P90, snap.Window.P99, snap.Window.P999 = tails[0], tails[1], tails[2], tails[3]
 	}
 	return snap
 }
@@ -137,6 +144,7 @@ type SnapshotView struct {
 	snap   *Snapshot
 	model  cmp.TableModel
 	stages []*shadowStage
+	ctl    []StageControl // the same stages as the System surface hands them out
 	draw   cmp.Watts
 	free   int
 	clones int
@@ -150,14 +158,19 @@ func NewSnapshotView(snap *Snapshot) *SnapshotView {
 		model: snap.Power,
 		draw:  snap.Draw,
 		free:  snap.FreeCores,
+
+		stages: make([]*shadowStage, 0, len(snap.Stages)),
+		ctl:    make([]StageControl, 0, len(snap.Stages)),
 	}
 	for i := range snap.Stages {
 		ss := &snap.Stages[i]
 		st := &shadowStage{view: v, name: ss.Name, canScale: ss.CanScale, profile: ss.Profile}
+		st.ins = make([]*shadowInstance, 0, len(ss.Instances))
 		for _, is := range ss.Instances {
 			st.ins = append(st.ins, &shadowInstance{stage: st, InstanceSnap: is})
 		}
 		v.stages = append(v.stages, st)
+		v.ctl = append(v.ctl, st)
 	}
 	return v
 }
@@ -166,13 +179,7 @@ func NewSnapshotView(snap *Snapshot) *SnapshotView {
 func (v *SnapshotView) Now() time.Duration { return v.snap.Now }
 
 // Stages implements System.
-func (v *SnapshotView) Stages() []StageControl {
-	out := make([]StageControl, len(v.stages))
-	for i, st := range v.stages {
-		out[i] = st
-	}
-	return out
-}
+func (v *SnapshotView) Stages() []StageControl { return v.ctl }
 
 // Quarantined implements System. Quarantined stages were captured by name
 // only — their instances were unreachable at record time — so the shadow
@@ -235,6 +242,14 @@ func (v *SnapshotView) WindowTail(p float64) (time.Duration, bool) {
 	default:
 		return w.P999, true
 	}
+}
+
+// WindowTails implements StatsReader over the same captured grid.
+func (v *SnapshotView) WindowTails(ps []float64, out []time.Duration) bool {
+	for i, p := range ps {
+		out[i], _ = v.WindowTail(p)
+	}
+	return v.snap.Window.OK
 }
 
 // shadowStage is the in-memory StageControl of a SnapshotView.

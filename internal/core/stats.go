@@ -17,4 +17,9 @@ type StatsReader interface {
 	// WindowTail returns the windowed end-to-end latency percentile
 	// (p in (0,1], e.g. 0.99).
 	WindowTail(p float64) (time.Duration, bool)
+	// WindowTails writes the ps[i]-percentile into out[i] for a whole
+	// quantile grid from one read of the window — exactly what len(ps)
+	// WindowTail calls would return — and reports false when the window is
+	// empty.
+	WindowTails(ps []float64, out []time.Duration) bool
 }

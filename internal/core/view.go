@@ -51,7 +51,8 @@ type System interface {
 	Now() time.Duration
 	// Stages returns the pipeline stages in order. Quarantined stages are
 	// excluded: the policy must never boost, deboost, clone or withdraw an
-	// instance it cannot reach.
+	// instance it cannot reach. Callers must not modify the returned slice:
+	// views whose stage set is fixed hand out the same one every call.
 	Stages() []StageControl
 	// Quarantined returns stages currently quarantined by fault handling —
 	// unreachable deployments whose instances are excluded from Stages() and

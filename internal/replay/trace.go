@@ -40,8 +40,8 @@ type Header struct {
 
 // Frame is one recorded control tick.
 type Frame struct {
-	Tick     int            `json:"tick"`
-	Snapshot *core.Snapshot `json:"snapshot"`
+	Tick     int                 `json:"tick"`
+	Snapshot *core.Snapshot      `json:"snapshot"`
 	Plan     []core.ActionRecord `json:"plan"`
 	Outcome  core.BoostOutcome   `json:"outcome"`
 }

@@ -4,7 +4,9 @@
 // streaming summaries with exact percentiles, utilization accounting, and
 // time-series recorders for the runtime-behaviour figures.
 //
-// Entry points: Window is the §4.2 moving window; Summary keeps every
+// Entry points: Window is the §4.2 moving window (Striped shards one across
+// lock stripes and merges on read — Percentiles answers a whole quantile
+// grid from one merge); Summary keeps every
 // sample for exact percentiles (experiment-scale); NewHistogram builds the
 // log-bucketed histogram internal/loadgen records into (bounded memory at
 // benchmark scale, quantile error set by the growth factor); TimeSeries

@@ -1,7 +1,7 @@
 package stats
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -179,18 +179,23 @@ func (s *Striped) Max(now time.Duration) (time.Duration, bool) {
 }
 
 // Percentile advances every stripe to now and returns the p-quantile over
-// the union of their samples. Exact stripes merge their raw values (nearest
-// rank over the sorted union — identical to a single exact window);
-// bucketed stripes merge their latency bins (interpolated, same error bound
-// as a single BucketWindow). Mixed or foreign MovingWindow kinds fall back
-// to the largest per-stripe percentile, an upper-biased approximation.
+// the union of their samples: the one-element case of Percentiles.
 func (s *Striped) Percentile(now time.Duration, p float64) (time.Duration, bool) {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
+	var out [1]time.Duration
+	ok := s.Percentiles(now, []float64{p}, out[:])
+	return out[0], ok
+}
+
+// Percentiles advances every stripe to now and writes the ps[i]-quantile
+// (clamped to [0,1]) over the union of their samples into out[i], reading
+// and merging the stripes once for the whole grid. It reports false, with
+// out holding nothing useful, when every stripe is empty. Exact stripes
+// merge their raw values (nearest rank over the union, sorted once —
+// identical to a single exact window); bucketed stripes merge their latency
+// bins (interpolated, same error bound as a single BucketWindow). Mixed or
+// foreign MovingWindow kinds fall back to the largest per-stripe percentile,
+// an upper-biased approximation.
+func (s *Striped) Percentiles(now time.Duration, ps []float64, out []time.Duration) bool {
 	// Exact path: gather the union of retained samples.
 	if _, exact := s.stripes[0].w.(*Window); exact {
 		var vals []time.Duration
@@ -208,11 +213,13 @@ func (s *Striped) Percentile(now time.Duration, p float64) (time.Duration, bool)
 		}
 		if allExact {
 			if len(vals) == 0 {
-				return 0, false
+				return false
 			}
-			sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-			idx := int(p*float64(len(vals)-1) + 0.5)
-			return vals[idx], true
+			slices.Sort(vals)
+			for i, p := range ps {
+				out[i] = nearestRank(vals, p)
+			}
+			return true
 		}
 	}
 	// Bucketed path: merge fixed latency bins across stripes.
@@ -231,23 +238,35 @@ func (s *Striped) Percentile(now time.Duration, p float64) (time.Duration, bool)
 			st.mu.Unlock()
 		}
 		if allBucketed {
-			return acc.quantile(p)
+			for i, p := range ps {
+				out[i], _ = acc.quantile(p) // clamps p itself
+			}
+			return acc.count > 0
 		}
 	}
 	// Fallback for foreign implementations: upper-biased merge.
-	var max time.Duration
 	found := false
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		st.advanceLocked(now)
-		if v, ok := st.w.Percentile(p); ok && (!found || v > max) {
-			max = v
+		if st.w.Len() > 0 {
+			for j, p := range ps {
+				if v, _ := st.w.Percentile(min(max(p, 0), 1)); !found || v > out[j] {
+					out[j] = v
+				}
+			}
 			found = true
 		}
 		st.mu.Unlock()
 	}
-	return max, found
+	return found
+}
+
+// nearestRank returns the p-quantile (p clamped to [0,1]) of a non-empty
+// ascending slice by nearest rank.
+func nearestRank(sorted []time.Duration, p float64) time.Duration {
+	return sorted[int(min(max(p, 0), 1)*float64(len(sorted)-1)+0.5)]
 }
 
 // Reset discards all samples in every stripe; spans and time floors persist.

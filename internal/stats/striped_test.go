@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -92,6 +93,72 @@ func TestStripedBucketedPercentile(t *testing.T) {
 	}
 	if m, _ := s.Mean(now); m != 50500*time.Microsecond {
 		t.Errorf("Mean = %v, want 50.5ms", m)
+	}
+}
+
+// foreignWindow hides a Window's concrete type, so Striped takes its
+// fallback merge.
+type foreignWindow struct{ MovingWindow }
+
+// TestStripedPercentilesGrid: one merged read of a quantile grid returns
+// what one Percentile call per point does — and, for exact stripes, what
+// nearest rank over the independently sorted union does — on exact,
+// bucketed and foreign stripes, one stripe and many, from an empty window
+// through a single sample to one that evicts.
+func TestStripedPercentilesGrid(t *testing.T) {
+	grid := []float64{0.5, 0.9, 0.99, 0.999, 0, 1, -0.5, 1.5}
+	span := 20 * time.Second
+	kinds := map[string]func() MovingWindow{
+		"exact":    func() MovingWindow { return NewWindow(span) },
+		"bucketed": func() MovingWindow { return NewBucketWindow(span, 16) },
+		"foreign":  func() MovingWindow { return foreignWindow{NewWindow(span)} },
+	}
+	for kind, mk := range kinds {
+		for _, stripes := range []int{1, 8} {
+			for _, samples := range []int{0, 1, 2, 7, 600} {
+				s := NewStriped(stripes, mk)
+				rng := rand.New(rand.NewSource(int64(samples)))
+				now := time.Duration(0)
+				type sample struct{ at, v time.Duration }
+				var fed []sample
+				for i := 0; i < samples; i++ {
+					now += time.Duration(rng.Intn(100)) * time.Millisecond
+					v := time.Duration(1+rng.Intn(3000)) * time.Millisecond
+					s.Add(uint64(i), now, v)
+					fed = append(fed, sample{now, v})
+				}
+				got := make([]time.Duration, len(grid))
+				ok := s.Percentiles(now, grid, got)
+				if ok != (samples > 0) {
+					t.Fatalf("%s/%d stripes/%d samples: ok = %v", kind, stripes, samples, ok)
+				}
+				var live []time.Duration
+				for _, f := range fed {
+					if f.at >= now-span {
+						live = append(live, f.v)
+					}
+				}
+				sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+				for i, p := range grid {
+					one, oneOK := s.Percentile(now, p)
+					if oneOK != ok || (ok && one != got[i]) {
+						t.Errorf("%s/%d stripes/%d samples: p=%v: grid %v, single %v,%v", kind, stripes, samples, p, got[i], one, oneOK)
+					}
+					if kind == "exact" && ok {
+						q := p
+						if q < 0 {
+							q = 0
+						}
+						if q > 1 {
+							q = 1
+						}
+						if want := live[int(q*float64(len(live)-1)+0.5)]; got[i] != want {
+							t.Errorf("exact/%d stripes/%d samples: p=%v: grid %v, sorted union %v", stripes, samples, p, got[i], want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -44,7 +44,7 @@ func (s *Summary) Sum() time.Duration { return s.sum }
 
 func (s *Summary) sort() {
 	if !s.sorted {
-		sort.Slice(s.values, func(i, j int) bool { return s.values[i] < s.values[j] })
+		slices.Sort(s.values)
 		s.sorted = true
 	}
 }

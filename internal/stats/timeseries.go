@@ -3,7 +3,7 @@ package stats
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -101,7 +101,7 @@ func (ts *TimeSeries) WriteCSV(w io.Writer) error {
 	for at := range stampSet {
 		stamps = append(stamps, at)
 	}
-	sort.Slice(stamps, func(i, j int) bool { return stamps[i] < stamps[j] })
+	slices.Sort(stamps)
 
 	header := append([]string{"time_s"}, names...)
 	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -136,16 +137,9 @@ func (w *Window) Percentile(p float64) (time.Duration, bool) {
 	if w.Len() == 0 {
 		return 0, false
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
 	vals := w.appendValues(make([]time.Duration, 0, w.Len()))
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	idx := int(p*float64(len(vals)-1) + 0.5)
-	return vals[idx], true
+	slices.Sort(vals)
+	return nearestRank(vals, p), true
 }
 
 // Max returns the largest sample in the window, and false when empty.
