@@ -3,7 +3,7 @@ GO ?= go
 # Pinned staticcheck version, matching .github/workflows/ci.yml.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build fmt vet staticcheck test bench-test race docs-lint check ci
+.PHONY: all build fmt vet staticcheck test bench-test race docs-lint loc check ci
 
 all: check
 
@@ -40,6 +40,11 @@ bench-test:
 # and every internal/* package must carry a non-empty doc.go.
 docs-lint:
 	sh scripts/docs-lint.sh
+
+# Go lines per package — non-test, test, bench/ — the figures ROADMAP.md
+# quotes. Quote it before and after in a PR that claims to subtract.
+loc:
+	@sh scripts/loc.sh
 
 # Race-focused pass over the concurrency-heavy packages: the RPC transport,
 # the distributed control plane (including the chaos tests), the fleet

@@ -48,6 +48,9 @@ func TestFiguresGolden(t *testing.T) {
 			}
 			return harness.WriteFigure(w, res)
 		}},
+		// The audit timeline: pins every identify, recycle, withdraw and
+		// outcome event, in order, through the one control tick.
+		{"decisions.txt", func(w io.Writer) error { return writeDecisions(w, seed) }},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.golden))

@@ -216,31 +216,7 @@ func main() {
 	})
 
 	run("decisions", func() error {
-		// An audited PowerChief run: the full decision timeline — every
-		// bottleneck identification with its Equation 1 inputs, the
-		// Equation 2/3 estimates behind each boost, recycle donor lists and
-		// withdraws — dumped as text. The companion of Figure 11's runtime
-		// traces, from the controller's point of view.
-		audit := telemetry.NewAuditLog(0)
-		sc := harness.Scenario{
-			Name:   "sirius-decisions",
-			App:    mustApp("sirius"),
-			Level:  cmp.MidLevel,
-			Budget: 13.56,
-			Policy: func() core.Policy { return core.NewPowerChief(core.DefaultConfig()) },
-			Source: func(capacity float64) workload.Source {
-				return workload.Constant(workload.RateForUtilization(capacity, workload.High.Utilization()))
-			},
-			Duration: 900 * time.Second,
-			Seed:     *seed,
-			Audit:    audit,
-		}
-		if _, err := harness.Run(sc); err != nil {
-			return err
-		}
-		return writeTo(*out, "decisions.txt", func(w io.Writer) error {
-			return telemetry.WriteDecisions(w, audit.Events())
-		})
+		return writeTo(*out, "decisions.txt", func(w io.Writer) error { return writeDecisions(w, *seed) })
 	})
 
 	if *fig == "all" && f10 != nil && f12 != nil && f13 != nil && f14 != nil {
@@ -255,6 +231,32 @@ func main() {
 	}
 	fmt.Printf("all experiments finished in %v; results in %s/\n",
 		time.Since(start).Round(time.Millisecond), *out)
+}
+
+// writeDecisions renders an audited PowerChief run: the full decision
+// timeline — every bottleneck identification with its Equation 1 inputs, the
+// Equation 2/3 estimates behind each boost, recycle donor lists and
+// withdraws — dumped as text. The companion of Figure 11's runtime traces,
+// from the controller's point of view.
+func writeDecisions(w io.Writer, seed int64) error {
+	audit := telemetry.NewAuditLog(0)
+	sc := harness.Scenario{
+		Name:   "sirius-decisions",
+		App:    mustApp("sirius"),
+		Level:  cmp.MidLevel,
+		Budget: 13.56,
+		Policy: func() core.Policy { return core.NewPowerChief(core.DefaultConfig()) },
+		Source: func(capacity float64) workload.Source {
+			return workload.Constant(workload.RateForUtilization(capacity, workload.High.Utilization()))
+		},
+		Duration: 900 * time.Second,
+		Seed:     seed,
+		Audit:    audit,
+	}
+	if _, err := harness.Run(sc); err != nil {
+		return err
+	}
+	return telemetry.WriteDecisions(w, audit.Events())
 }
 
 func mustApp(name string) app.App {

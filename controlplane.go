@@ -24,7 +24,8 @@ type (
 	Adjuster = controlplane.Adjuster
 	// ActionPlan is a policy decision as typed actions, before actuation.
 	ActionPlan = core.ActionPlan
-	// Planner is a Policy whose decision path is exposed as a plan.
+	// Planner is a decision as one pure function: Plan returns the action
+	// plan and the outcome it would report, and actuates nothing.
 	Planner = core.Planner
 	// Executor validates, applies, audits and rolls back action plans.
 	Executor = core.Executor

@@ -17,7 +17,8 @@
 // bottleneck stage protrudes over the rest of its pipeline (the per-stage
 // Equation 1 breakdown carried in Member.Breakdown).
 //
-// internal/fleet's Rebalance is this planner at the cluster→node level; the
-// multi-tenant harness runs it at the chip→app level over a
-// core.BudgetDomain hierarchy. See DESIGN.md §5k.
+// fleet.NewRebalance is this planner at the cluster→node level, planning
+// against the fleet Coordinator as its View; the multi-tenant harness runs
+// it at the chip→app level over a core.BudgetDomain hierarchy. Its Adjust is
+// core.Tick. See DESIGN.md §5k.
 package arbiter

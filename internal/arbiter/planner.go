@@ -3,7 +3,6 @@ package arbiter
 import (
 	"powerchief/internal/cmp"
 	"powerchief/internal/core"
-	"powerchief/internal/telemetry"
 )
 
 // Planner is the redistribution mechanism, implemented as a core.Planner
@@ -20,7 +19,7 @@ import (
 type Planner struct {
 	strategy Strategy
 	label    string
-	audit    *telemetry.AuditLog
+	core.Audited
 }
 
 // New builds a planner over the strategy. The policy name defaults to
@@ -32,8 +31,8 @@ func New(strategy Strategy) *Planner {
 	return &Planner{strategy: strategy, label: "arbiter-" + strategy.Name()}
 }
 
-// WithName overrides the policy name (fleet.Rebalance keeps its historical
-// "fleet-rebalance") and returns the planner for chaining.
+// WithName overrides the policy name (fleet.NewRebalance keeps the
+// historical "fleet-rebalance") and returns the planner for chaining.
 func (p *Planner) WithName(name string) *Planner {
 	p.label = name
 	return p
@@ -44,9 +43,6 @@ func (p *Planner) Name() string { return p.label }
 
 // Strategy returns the weighting strategy.
 func (p *Planner) Strategy() Strategy { return p.strategy }
-
-// SetAudit implements core.AuditSetter.
-func (p *Planner) SetAudit(a *telemetry.AuditLog) { p.audit = a }
 
 // Plan implements core.Planner. sys must be a View; anything else yields an
 // empty plan.
@@ -185,21 +181,18 @@ func (p *Planner) Plan(sys core.System, _ core.StatsReader) (*core.ActionPlan, c
 	return plan, none
 }
 
-// Adjust implements core.Policy: plan, then actuate through the validating,
-// rolling-back executor. A mid-plan grant failure (a member dying between
-// the report and its grant, a hung app loop refusing its new budget) rolls
-// the applied prefix back, so the ledger never straddles two allocations.
+// Adjust implements core.Policy: the tick. A mid-plan grant failure (a
+// member dying between the report and its grant, a hung app loop refusing
+// its new budget) rolls the applied prefix back, so the ledger never
+// straddles two allocations.
 func (p *Planner) Adjust(sys core.System, agg *core.Aggregator) core.BoostOutcome {
-	plan, out := p.Plan(sys, agg)
-	res := core.Executor{Audit: p.audit}.Apply(sys, agg, plan)
-	if res.Err != nil {
-		return core.BoostOutcome{Kind: core.BoostNone}
-	}
+	out, _ := core.Tick(p, p.Executor(), nil, sys, agg)
 	return out
 }
 
 // Interface conformance.
 var (
+	_ core.Policy      = (*Planner)(nil)
 	_ core.Planner     = (*Planner)(nil)
 	_ core.AuditSetter = (*Planner)(nil)
 )

@@ -7,8 +7,8 @@
 //
 // The pieces compose as decision → actuation → cadence:
 //
-//   - core.Planner/core.Executor split one interval into a pure decision
-//     (an ActionPlan) and a validated, audited, rollback-capable apply;
+//   - core.Tick runs one interval: a pure Planner.Plan (an ActionPlan),
+//     then a validated, audited, rollback-capable Executor.Apply;
 //   - an Adjuster runs one interval against a backend (core.System +
 //     Aggregator for DES/live, dist.Center for the distributed runtime);
 //   - the Loop schedules Adjuster calls on a Clock and keeps the history.

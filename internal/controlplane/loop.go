@@ -53,12 +53,12 @@ type Options struct {
 	// for the ticks it made, and the ring plus the Total counter hold
 	// week-long runs in constant memory.
 	History int
-	// Audit, when set, is attached to the policy (if it accepts one) so the
-	// decision trail lands in the telemetry log.
+	// Audit, when set, is attached to the policy if it is a core.AuditSetter:
+	// core.Tick's executor then writes the decision trail to it.
 	Audit *telemetry.AuditLog
-	// Tap, when set, is attached to the policy (if it accepts one, i.e. it
-	// implements core.TapSetter) so every adjust interval's decision —
-	// snapshot, plan, outcome — is recorded for offline replay.
+	// Tap, when set, is attached to the policy if it is a core.TapSetter:
+	// core.Tick then hands it one record per adjust interval — snapshot,
+	// plan, outcome — for offline replay.
 	Tap core.DecisionTap
 	// OnOutcome observes every successful adjust (after recording).
 	OnOutcome func(core.BoostOutcome)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"powerchief/internal/cmp"
 )
@@ -135,6 +136,15 @@ func (a *SetBudgetAction) Describe() string {
 	return fmt.Sprintf("set-budget %s %.2fW→%.2fW", a.Node.Name(), float64(a.From), float64(a.To))
 }
 
+// identification is one bottleneck identification as the plan carries it:
+// the slowest ranked instance with its Equation 1 inputs, and the spread the
+// balance threshold was compared against.
+type identification struct {
+	at     time.Duration
+	bn     Ranked
+	spread time.Duration
+}
+
 // recycleSpan marks a contiguous run of plan actions produced by one power
 // recycling pass, so the Executor can emit a single EventRecycle listing the
 // donors once that run has been actuated — the same grouping the direct
@@ -151,11 +161,12 @@ type recycleSpan struct {
 type ActionPlan struct {
 	Actions []Action
 
-	// Outcome, when set, is the decision summary the Executor audits after a
-	// successful apply (policies leave it nil on paths that never audited an
-	// outcome). For instance boosts the Executor patches the realized clone
-	// name in.
-	Outcome *BoostOutcome
+	// identified is the Equation 1 identification the plan was decided on;
+	// the Executor audits it ahead of the actions. Zero when nothing ranked.
+	identified identification
+	// decided (PlanView.Decided) marks a boosting decision, whose outcome
+	// Tick audits once the plan applied.
+	decided bool
 
 	recycles []recycleSpan
 }

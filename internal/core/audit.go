@@ -7,8 +7,9 @@ import (
 	"powerchief/internal/telemetry"
 )
 
-// AuditSetter is implemented by the policies that can narrate their
-// decisions into a telemetry audit log. Callers attach a log with
+// AuditSetter is implemented by the planners that narrate their decisions
+// into a telemetry audit log — every one of them through an embedded
+// Audited. Callers attach a log with
 //
 //	if as, ok := policy.(AuditSetter); ok {
 //		as.SetAudit(log)
@@ -21,24 +22,36 @@ type AuditSetter interface {
 	SetAudit(*telemetry.AuditLog)
 }
 
+// Audited is the embedded audit half of a planner: it holds the log and
+// builds the Executor its Adjust hands to Tick. The planner's Plan never
+// sees the log.
+type Audited struct {
+	log *telemetry.AuditLog
+}
+
+// SetAudit implements AuditSetter.
+func (a *Audited) SetAudit(log *telemetry.AuditLog) { a.log = log }
+
+// Executor returns an executor writing to the attached log.
+func (a *Audited) Executor() Executor { return Executor{Audit: a.log} }
+
 // auditIdentify records one bottleneck identification: the slowest ranked
 // instance with the Equation 1 inputs (L, q̄, s̄) and the spread the
 // balance threshold is compared against.
-func auditIdentify(a *telemetry.AuditLog, now time.Duration, ranked []Ranked) {
-	if !a.Enabled() || len(ranked) == 0 {
+func auditIdentify(a *telemetry.AuditLog, id identification) {
+	if !a.Enabled() || id.bn.Instance == nil {
 		return
 	}
-	bn := ranked[0]
 	a.Record(telemetry.Event{
-		Time:     now,
+		Time:     id.at,
 		Kind:     telemetry.EventIdentify,
-		Stage:    bn.Stage.Name(),
-		Instance: bn.Instance.Name(),
-		QueueLen: bn.QueueLen,
-		Queuing:  bn.Queuing,
-		Serving:  bn.Serving,
-		Metric:   bn.Metric,
-		Spread:   Spread(ranked),
+		Stage:    id.bn.Stage.Name(),
+		Instance: id.bn.Instance.Name(),
+		QueueLen: id.bn.QueueLen,
+		Queuing:  id.bn.Queuing,
+		Serving:  id.bn.Serving,
+		Metric:   id.bn.Metric,
+		Spread:   id.spread,
 	})
 }
 
@@ -85,47 +98,16 @@ func auditWithdraw(a *telemetry.AuditLog, now time.Duration, stage, victim, targ
 	})
 }
 
-// recycle runs the engine's recycler and, when auditing, records the pass
-// with the per-donor level steps and watts freed. Donor levels are
-// snapshotted around the call because the recycler reports only the total.
-//
-// Against a PlanView the pass only marks a recycle span on the plan — the
-// Executor emits the grouped event once the donor steps actually apply.
+// recycle runs the engine's recycler. Against a PlanView the pass marks a
+// recycle span on the plan, and the Executor audits the grouped donor steps
+// once they actually apply.
 func (e Engine) recycle(sys System, model cmp.PowerModel, donors []Instance, need cmp.Watts) cmp.Watts {
-	if pv, ok := sys.(*PlanView); ok {
-		start := pv.beginRecycle()
-		recycled := e.Recycler.Recycle(model, donors, need)
-		pv.endRecycle(start, recycled)
-		return recycled
-	}
-	if !e.Audit.Enabled() {
+	pv, ok := sys.(*PlanView)
+	if !ok {
 		return e.Recycler.Recycle(model, donors, need)
 	}
-	before := make([]cmp.Level, len(donors))
-	for i, d := range donors {
-		before[i] = d.Level()
-	}
+	start := pv.beginRecycle()
 	recycled := e.Recycler.Recycle(model, donors, need)
-	if recycled <= 0 {
-		return recycled
-	}
-	var ds []telemetry.Donor
-	for i, d := range donors {
-		if l := d.Level(); l != before[i] {
-			ds = append(ds, telemetry.Donor{
-				Instance:   d.Name(),
-				FromLevel:  int(before[i]),
-				ToLevel:    int(l),
-				FreedWatts: float64(model.Power(before[i]) - model.Power(l)),
-			})
-		}
-	}
-	e.Audit.Record(telemetry.Event{
-		Time:          sys.Now(),
-		Kind:          telemetry.EventRecycle,
-		RecycledWatts: float64(recycled),
-		HeadroomWatts: float64(sys.Headroom()),
-		Donors:        ds,
-	})
+	pv.endRecycle(start, recycled)
 	return recycled
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"powerchief/internal/cmp"
-	"powerchief/internal/telemetry"
 )
 
 // BoostKind names the boosting technique applied at one control interval.
@@ -86,10 +85,6 @@ type Engine struct {
 	// trySplitClone), restoring the literal Algorithm 1 behaviour. Used by
 	// the ablation benchmarks.
 	DisableSplitClone bool
-
-	// Audit, when set, receives a recycle event for every pass that freed
-	// power, listing the donor instances and their level steps.
-	Audit *telemetry.AuditLog
 }
 
 // SelectBoosting runs Algorithm 1 against the current ranking (bottleneck

@@ -14,8 +14,10 @@
 // windowed per-instance statistics of §4.2 — record by record (Ingest) or
 // as batched stats.Delta summaries shipped across a process boundary
 // (IngestDelta, exact for bucketed windows; DESIGN.md §5j); NewPowerChief, NewFreqBoost,
-// NewInstBoost, NewPegasus and NewPowerChiefSaver construct the policies; a
-// Policy's Adjust runs once per control interval against a System view.
+// NewInstBoost, NewPegasus and NewPowerChiefSaver construct the policies. A
+// Planner's Plan is the decision, a pure function of the System and
+// StatsReader it is handed; Tick is the one control tick — capture, plan,
+// apply, audit, record — and every Policy's Adjust is a call to it.
 // EstimateInstBoost and EstimateFreqBoost are the paper's Equation 2/3
 // speedup predictions that Algorithm 1 compares. ARCHITECTURE.md diagrams
 // how the Command Center sits between the engines and the chip model, and

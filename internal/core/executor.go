@@ -14,8 +14,9 @@ import (
 // order so the deployment lands on a consistent, budget-respecting level
 // assignment instead of somewhere between two plans.
 type Executor struct {
-	// Audit, when set, receives the decision trail: recycle passes,
-	// withdraws, deboosts, relaunches, the outcome summary, and rollbacks.
+	// Audit, when set, receives the decision trail: the identification the
+	// plan carries, recycle passes, withdraws, deboosts, relaunches, budget
+	// grants and rollbacks.
 	Audit *telemetry.AuditLog
 }
 
@@ -108,6 +109,7 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 	if plan == nil {
 		return res
 	}
+	auditIdentify(x.Audit, plan.identified)
 	if err := x.Validate(sys, plan); err != nil {
 		res.Err = err
 		return res
@@ -232,15 +234,6 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 		}
 	}
 	emitSpans(len(plan.Actions))
-
-	if plan.Outcome != nil {
-		out := *plan.Outcome
-		if out.Kind == BoostInstance && len(res.Clones) > 0 {
-			out.NewInstance = res.Clones[len(res.Clones)-1]
-			plan.Outcome.NewInstance = out.NewInstance
-		}
-		auditOutcome(x.Audit, sys, out)
-	}
 	return res
 }
 

@@ -28,12 +28,17 @@ func TestPlanDoesNotMutateSystem(t *testing.T) {
 	sys.inst("A_1").queueLen = 4
 
 	p := NewFreqBoost(DefaultConfig())
+	log := telemetry.NewAuditLog(16)
+	p.SetAudit(log)
 	before := levelsOf(sys)
 	drawBefore := sys.draw
 	plan, out := p.Plan(sys, agg)
 
 	if out.Kind != BoostFrequency {
 		t.Fatalf("planned kind = %v, want freq boost", out.Kind)
+	}
+	if n := len(log.Events()); n != 0 {
+		t.Errorf("planning audited %d events; the trail belongs to apply", n)
 	}
 	if plan.Empty() {
 		t.Fatal("plan is empty despite a planned boost")

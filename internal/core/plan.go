@@ -60,9 +60,19 @@ func NewPlanView(sys System) *PlanView {
 // keep appending to the same plan.
 func (pv *PlanView) Take() *ActionPlan { return pv.plan }
 
-// SetOutcome attaches the decision summary the Executor should audit after
-// a successful apply.
-func (pv *PlanView) SetOutcome(out BoostOutcome) { pv.plan.Outcome = &out }
+// Rank runs bottleneck identification (Equation 1) over the view and notes
+// the result on the plan, for the Executor to audit ahead of the actions.
+func (pv *PlanView) Rank(m Metric, stats StatsReader) []Ranked {
+	ranked := Identifier{Metric: m}.Rank(pv, stats)
+	if len(ranked) > 0 {
+		pv.plan.identified = identification{at: pv.Now(), bn: ranked[0], spread: Spread(ranked)}
+	}
+	return ranked
+}
+
+// Decided marks the plan a boosting decision, whose outcome Tick audits once
+// the plan applied; balanced and no-data intervals leave it unmarked.
+func (pv *PlanView) Decided() { pv.plan.decided = true }
 
 // setReason switches the intent tag recorded on subsequent actions,
 // returning the previous tag so callers can restore it.

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"time"
-
-	"powerchief/internal/telemetry"
 )
 
 // Config carries the runtime parameters of the control loop (Table 2 /
@@ -52,9 +50,7 @@ func (c Config) Validate() error {
 }
 
 // Policy is one latency-mitigation strategy invoked at every adjust
-// interval. Implementations decide against a PlanView and actuate through
-// the Executor (plan/apply, DESIGN.md §5g); Adjust is the thin wrapper that
-// runs both and reports what was done.
+// interval. Every Adjust in the tree is a call to Tick.
 type Policy interface {
 	// Name identifies the policy in experiment output.
 	Name() string
@@ -62,31 +58,58 @@ type Policy interface {
 	Adjust(sys System, agg *Aggregator) BoostOutcome
 }
 
-// Planner is the pure decision half of a policy: Plan computes one
-// interval's decision against a PlanView of the system and returns the
-// mutation program plus the outcome the policy would report, without
-// touching the deployment. Callers can inspect or dry-run the plan, or hand
-// it to an Executor.
+// Planner is the decision itself: Plan computes one interval's mutation
+// program, and the outcome it would report, as a pure function of what it
+// reads through sys and stats — it actuates nothing, audits nothing and
+// needs no setter. Callers inspect, dry-run or replay the plan, or hand it
+// to Tick.
 //
 // PowerChief's periodic withdraw epoch fires only through Adjust — a Plan
 // call at an epoch boundary captures the boost decision alone.
 type Planner interface {
-	Policy
+	Name() string
 	Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutcome)
 }
 
-// applyPlan actuates a decision and folds the apply result back into the
-// outcome: a failed (rolled-back) plan reports BoostNone, and an instance
-// boost picks up the realized clone's name.
-func applyPlan(x Executor, sys System, agg *Aggregator, plan *ActionPlan, out BoostOutcome) BoostOutcome {
+// Tick is the one control tick: capture the decision inputs when a tap is
+// attached, plan, apply through the validating, rolling-back executor, fold
+// the apply result into the outcome — a failed plan reports BoostNone, an
+// instance boost picks up the realized clone's name — audit the outcome of
+// a boosting decision, and hand the tap its record.
+func Tick(p Planner, x Executor, tap DecisionTap, sys System, agg *Aggregator) (BoostOutcome, ApplyResult) {
+	var snap *Snapshot
+	if tap != nil {
+		snap = CaptureSnapshot(sys, agg)
+	}
+	plan, out := p.Plan(sys, agg)
 	res := x.Apply(sys, agg, plan)
 	if res.Err != nil {
-		return BoostOutcome{Kind: BoostNone, Target: out.Target}
+		out = BoostOutcome{Kind: BoostNone, Target: out.Target}
+	} else {
+		if out.Kind == BoostInstance && len(res.Clones) > 0 {
+			out.NewInstance = res.Clones[len(res.Clones)-1]
+		}
+		if plan != nil && plan.decided {
+			auditOutcome(x.Audit, sys, out)
+		}
 	}
-	if out.Kind == BoostInstance && len(res.Clones) > 0 {
-		out.NewInstance = res.Clones[len(res.Clones)-1]
+	if tap != nil {
+		tap.RecordDecision(DecisionRecord{Snapshot: snap, Plan: EncodePlan(plan), Outcome: out})
 	}
-	return out
+	return out, res
+}
+
+// planBoost is the decision the three boosting policies share: identify
+// (Equation 1), stop when the system is balanced, otherwise let decide plan
+// the boost against the overlay.
+func planBoost(sys System, stats StatsReader, cfg Config, decide func(System, []Ranked) BoostOutcome) (*ActionPlan, BoostOutcome) {
+	pv := NewPlanView(sys)
+	ranked := pv.Rank(cfg.Metric, stats)
+	if len(ranked) == 0 || Spread(ranked) < cfg.BalanceThreshold {
+		return pv.Take(), BoostOutcome{Kind: BoostNone}
+	}
+	pv.Decided()
+	return pv.Take(), decide(pv, ranked)
 }
 
 // Static is the stage-agnostic baseline: the power budget is divided equally
@@ -102,14 +125,16 @@ func (Static) Plan(System, StatsReader) (*ActionPlan, BoostOutcome) {
 }
 
 // Adjust implements Policy.
-func (Static) Adjust(System, *Aggregator) BoostOutcome { return BoostOutcome{Kind: BoostNone} }
+func (s Static) Adjust(sys System, agg *Aggregator) BoostOutcome {
+	out, _ := Tick(s, Executor{}, nil, sys, agg)
+	return out
+}
 
 // FreqBoost is the pure frequency-boosting policy: every interval it raises
 // the bottleneck's frequency as far as recycled power allows.
 type FreqBoost struct {
-	Cfg    Config
-	engine Engine
-	audit  *telemetry.AuditLog
+	Cfg Config
+	Audited
 	tapHolder
 }
 
@@ -119,40 +144,22 @@ func NewFreqBoost(cfg Config) *FreqBoost { return &FreqBoost{Cfg: cfg} }
 // Name implements Policy.
 func (*FreqBoost) Name() string { return "freq-boost" }
 
-// SetAudit implements AuditSetter.
-func (f *FreqBoost) SetAudit(a *telemetry.AuditLog) {
-	f.audit = a
-	f.engine.Audit = a
-}
-
 // Plan implements Planner.
 func (f *FreqBoost) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutcome) {
-	pv := NewPlanView(sys)
-	ranked := Identifier{Metric: f.Cfg.Metric}.Rank(pv, stats)
-	auditIdentify(f.audit, pv.Now(), ranked)
-	if len(ranked) == 0 || Spread(ranked) < f.Cfg.BalanceThreshold {
-		return pv.Take(), BoostOutcome{Kind: BoostNone}
-	}
-	out := f.engine.FreqBoostToMax(pv, ranked)
-	pv.SetOutcome(out)
-	return pv.Take(), out
+	return planBoost(sys, stats, f.Cfg, Engine{}.FreqBoostToMax)
 }
 
 // Adjust implements Policy.
 func (f *FreqBoost) Adjust(sys System, agg *Aggregator) BoostOutcome {
-	snap := f.capture(sys, agg)
-	plan, out := f.Plan(sys, agg)
-	out = applyPlan(Executor{Audit: f.audit}, sys, agg, plan, out)
-	f.record(snap, plan, out)
+	out, _ := Tick(f, f.Executor(), f.tap, sys, agg)
 	return out
 }
 
 // InstBoost is the pure instance-boosting policy: every interval it tries to
 // clone the bottleneck, recycling power by slowing other instances down.
 type InstBoost struct {
-	Cfg    Config
-	engine Engine
-	audit  *telemetry.AuditLog
+	Cfg Config
+	Audited
 	tapHolder
 }
 
@@ -162,31 +169,14 @@ func NewInstBoost(cfg Config) *InstBoost { return &InstBoost{Cfg: cfg} }
 // Name implements Policy.
 func (*InstBoost) Name() string { return "inst-boost" }
 
-// SetAudit implements AuditSetter.
-func (i *InstBoost) SetAudit(a *telemetry.AuditLog) {
-	i.audit = a
-	i.engine.Audit = a
-}
-
 // Plan implements Planner.
 func (i *InstBoost) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutcome) {
-	pv := NewPlanView(sys)
-	ranked := Identifier{Metric: i.Cfg.Metric}.Rank(pv, stats)
-	auditIdentify(i.audit, pv.Now(), ranked)
-	if len(ranked) == 0 || Spread(ranked) < i.Cfg.BalanceThreshold {
-		return pv.Take(), BoostOutcome{Kind: BoostNone}
-	}
-	out := i.engine.InstBoostAlways(pv, ranked)
-	pv.SetOutcome(out)
-	return pv.Take(), out
+	return planBoost(sys, stats, i.Cfg, Engine{}.InstBoostAlways)
 }
 
 // Adjust implements Policy.
 func (i *InstBoost) Adjust(sys System, agg *Aggregator) BoostOutcome {
-	snap := i.capture(sys, agg)
-	plan, out := i.Plan(sys, agg)
-	out = applyPlan(Executor{Audit: i.audit}, sys, agg, plan, out)
-	i.record(snap, plan, out)
+	out, _ := Tick(i, i.Executor(), i.tap, sys, agg)
 	return out
 }
 
@@ -195,10 +185,9 @@ func (i *InstBoost) Adjust(sys System, agg *Aggregator) BoostOutcome {
 // recycling and instance withdraw, all under the power constraint.
 type PowerChief struct {
 	Cfg          Config
-	engine       Engine
-	audit        *telemetry.AuditLog
 	lastWithdraw time.Duration
 	withdrawInit bool
+	Audited
 	tapHolder
 
 	// Withdrawn counts instances withdrawn over the run.
@@ -206,18 +195,10 @@ type PowerChief struct {
 }
 
 // NewPowerChief builds the policy with the given configuration.
-func NewPowerChief(cfg Config) *PowerChief {
-	return &PowerChief{Cfg: cfg, engine: Engine{DisableSplitClone: cfg.DisableSplitClone}}
-}
+func NewPowerChief(cfg Config) *PowerChief { return &PowerChief{Cfg: cfg} }
 
 // Name implements Policy.
 func (*PowerChief) Name() string { return "powerchief" }
-
-// SetAudit implements AuditSetter.
-func (p *PowerChief) SetAudit(a *telemetry.AuditLog) {
-	p.audit = a
-	p.engine.Audit = a
-}
 
 // Plan implements Planner: the adaptive boosting decision (identify, then
 // Algorithm 1 with recycling) captured as a plan. The periodic withdraw
@@ -225,44 +206,31 @@ func (p *PowerChief) SetAudit(a *telemetry.AuditLog) {
 // decision must see the post-withdraw system — so it runs as its own plan
 // inside Adjust, not here.
 func (p *PowerChief) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutcome) {
-	pv := NewPlanView(sys)
-	ranked := Identifier{Metric: p.Cfg.Metric}.Rank(pv, stats)
-	auditIdentify(p.audit, pv.Now(), ranked)
-	if len(ranked) == 0 || Spread(ranked) < p.Cfg.BalanceThreshold {
-		return pv.Take(), BoostOutcome{Kind: BoostNone}
-	}
-	out := p.engine.SelectBoosting(pv, ranked)
-	pv.SetOutcome(out)
-	return pv.Take(), out
+	return planBoost(sys, stats, p.Cfg, Engine{DisableSplitClone: p.Cfg.DisableSplitClone}.SelectBoosting)
 }
 
-// Adjust implements Policy. The live system is ranked only on the tick whose
-// withdraw epoch is due — PlanWithdrawEpoch needs live instances to pick
-// redirect targets; on every other tick the one ranking is Plan's.
+// Adjust implements Policy: the §6.2 withdraw epoch when one is due, then
+// the tick. The epoch goes first because the snapshot the tick records must
+// be what Plan saw, and withdraws redistribute queues. The live system is
+// ranked only on the tick whose epoch is due — PlanWithdrawEpoch needs live
+// instances to pick redirect targets; on every other tick the one ranking
+// is Plan's.
 func (p *PowerChief) Adjust(sys System, agg *Aggregator) BoostOutcome {
 	if !hasInstances(sys) {
 		return BoostOutcome{Kind: BoostNone}
 	}
 	now := sys.Now()
-	x := Executor{Audit: p.audit}
-
 	if !p.withdrawInit {
 		// Anchor the first withdraw epoch at the first adjust.
 		p.withdrawInit = true
 		p.lastWithdraw = now
 	} else if p.Cfg.WithdrawInterval > 0 && now-p.lastWithdraw >= p.Cfg.WithdrawInterval {
 		ranked := Identifier{Metric: p.Cfg.Metric}.Rank(sys, agg)
-		res := x.Apply(sys, agg, PlanWithdrawEpoch(sys, ranked, p.Cfg.WithdrawThreshold))
+		res := p.Executor().Apply(sys, agg, PlanWithdrawEpoch(sys, ranked, p.Cfg.WithdrawThreshold))
 		p.Withdrawn += res.Withdrawn
 		p.lastWithdraw = now
 	}
-
-	// Snapshot after the withdraw epoch: withdraws redistribute queues, and
-	// the recorded decision inputs must be what Plan actually saw.
-	snap := p.capture(sys, agg)
-	plan, out := p.Plan(sys, agg)
-	out = applyPlan(x, sys, agg, plan, out)
-	p.record(snap, plan, out)
+	out, _ := Tick(p, p.Executor(), p.tap, sys, agg)
 	return out
 }
 

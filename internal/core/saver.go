@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"powerchief/internal/cmp"
-	"powerchief/internal/telemetry"
 )
 
 // The QoS power-conservation policies of §8.4: resources are over-
@@ -98,10 +97,7 @@ func (p *Pegasus) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutcome
 
 // Adjust implements Policy.
 func (p *Pegasus) Adjust(sys System, agg *Aggregator) BoostOutcome {
-	snap := p.capture(sys, agg)
-	plan, out := p.Plan(sys, agg)
-	out = applyPlan(Executor{}, sys, agg, plan, out)
-	p.record(snap, plan, out)
+	out, _ := Tick(p, Executor{}, p.tap, sys, agg)
 	return out
 }
 
@@ -118,7 +114,7 @@ type PowerChiefSaver struct {
 
 	// SafeUtilization caps the projected per-instance utilization after a
 	// withdraw: an instance is withdrawn only when the survivors of its
-	// stage stay below this busy fraction. Zero defaults to 0.6.
+	// stage stay below this busy fraction. Zero defaults to 0.5.
 	SafeUtilization float64
 
 	// Withdrawn counts instances withdrawn over the run.
@@ -127,8 +123,7 @@ type PowerChiefSaver struct {
 	Relaunched int
 
 	cooldown int // intervals left before withdraws may resume
-	engine   Engine
-	audit    *telemetry.AuditLog
+	Audited
 	tapHolder
 }
 
@@ -143,12 +138,6 @@ func NewPowerChiefSaver(qos time.Duration, cfg Config) *PowerChiefSaver {
 // Name implements Policy.
 func (*PowerChiefSaver) Name() string { return "powerchief" }
 
-// SetAudit implements AuditSetter.
-func (s *PowerChiefSaver) SetAudit(a *telemetry.AuditLog) {
-	s.audit = a
-	s.engine.Audit = a
-}
-
 // Plan implements Planner: one conservation interval decided against a
 // PlanView. State the decision itself depends on (cooldown, hold bands) is
 // advanced here; the withdraw/relaunch counters advance in Adjust once the
@@ -159,12 +148,10 @@ func (s *PowerChiefSaver) Plan(sys System, stats StatsReader) (*ActionPlan, Boos
 	if !ok {
 		return pv.Take(), BoostOutcome{Kind: BoostNone}
 	}
-	id := Identifier{Metric: s.Cfg.Metric}
-	ranked := id.Rank(pv, stats)
+	ranked := pv.Rank(s.Cfg.Metric, stats)
 	if len(ranked) == 0 {
 		return pv.Take(), BoostOutcome{Kind: BoostNone}
 	}
-	auditIdentify(s.audit, pv.Now(), ranked)
 	frac := float64(lat) / float64(s.QoS)
 	switch {
 	case frac >= 1.0:
@@ -194,7 +181,7 @@ func (s *PowerChiefSaver) Plan(sys System, stats StatsReader) (*ActionPlan, Boos
 			pv.setReason(old)
 		}
 		s.cooldown = 6
-		pv.SetOutcome(out)
+		pv.Decided()
 		return pv.Take(), out
 	case frac >= 0.90:
 		// Near the target: give the bottleneck stage one step back.
@@ -275,24 +262,15 @@ func (s *PowerChiefSaver) Plan(sys System, stats StatsReader) (*ActionPlan, Boos
 	return pv.Take(), out
 }
 
-// Adjust implements Policy.
+// Adjust implements Policy: the tick, then the run counters.
 func (s *PowerChiefSaver) Adjust(sys System, agg *Aggregator) BoostOutcome {
-	snap := s.capture(sys, agg)
-	plan, out := s.Plan(sys, agg)
-	res := Executor{Audit: s.audit}.Apply(sys, agg, plan)
-	if res.Err != nil {
-		out = BoostOutcome{Kind: BoostNone, Target: out.Target}
-		s.record(snap, plan, out)
-		return out
-	}
-	s.Withdrawn += res.Withdrawn
-	if len(res.Clones) > 0 {
-		s.Relaunched++
-		if out.Kind == BoostInstance {
-			out.NewInstance = res.Clones[len(res.Clones)-1]
+	out, res := Tick(s, s.Executor(), s.tap, sys, agg)
+	if res.Err == nil {
+		s.Withdrawn += res.Withdrawn
+		if len(res.Clones) > 0 {
+			s.Relaunched++
 		}
 	}
-	s.record(snap, plan, out)
 	return out
 }
 

@@ -123,7 +123,7 @@ func TestSaverWithdrawsWhenSurvivorsStaySafe(t *testing.T) {
 	st := sys.stage("A")
 	st.ins = append(st.ins, &fakeInstance{name: "A_2", stage: "A", level: cmp.MaxLevel, util: 0.1, sys: sys})
 	sys.draw += sys.model.Power(cmp.MaxLevel)
-	st.ins[0].util = 0.3 // projected survivor utilization 0.4 < 0.6 cap
+	st.ins[0].util = 0.3 // projected survivor utilization 0.4 < 0.5 cap
 	agg := aggWith(sys, 25*time.Second)
 	ingestQoS(agg, map[string]instSample{
 		"A_1": {0, 200 * time.Millisecond},
@@ -152,7 +152,7 @@ func TestSaverRefusesUnsafeWithdraw(t *testing.T) {
 	st := sys.stage("A")
 	st.ins = append(st.ins, &fakeInstance{name: "A_2", stage: "A", level: cmp.MaxLevel, util: 0.45, sys: sys})
 	sys.draw += sys.model.Power(cmp.MaxLevel)
-	st.ins[0].util = 0.4 // projected survivor utilization 0.85 ≥ 0.6 cap
+	st.ins[0].util = 0.4 // projected survivor utilization 0.85 ≥ 0.5 cap
 	agg := aggWith(sys, 25*time.Second)
 	ingestQoS(agg, map[string]instSample{
 		"A_1": {0, 200 * time.Millisecond},

@@ -24,28 +24,10 @@ type TapSetter interface {
 }
 
 // tapHolder is the embedded recording half of the planning policies: it
-// captures the snapshot immediately before Plan and emits the record after
-// apply, leaving the untapped path byte-identical to the pre-tap code.
+// holds the tap their Adjust hands to Tick.
 type tapHolder struct {
 	tap DecisionTap
 }
 
 // SetTap implements TapSetter.
 func (t *tapHolder) SetTap(tp DecisionTap) { t.tap = tp }
-
-// capture snapshots the decision inputs when a tap is attached; nil
-// otherwise, so the untapped path never pays for a capture.
-func (t *tapHolder) capture(sys System, stats StatsReader) *Snapshot {
-	if t.tap == nil {
-		return nil
-	}
-	return CaptureSnapshot(sys, stats)
-}
-
-// record emits the frame to the tap when one is attached.
-func (t *tapHolder) record(snap *Snapshot, plan *ActionPlan, out BoostOutcome) {
-	if t.tap == nil || snap == nil {
-		return
-	}
-	t.tap.RecordDecision(DecisionRecord{Snapshot: snap, Plan: EncodePlan(plan), Outcome: out})
-}

@@ -227,7 +227,7 @@ func runArbiterStrategy(p ArbiterBenchParams, name string, strat arbiter.Strateg
 		return ArbiterStrategyResult{}, err
 	}
 	loop, err := controlplane.Start(controlplane.SimClock(eng), coord, controlplane.Options{
-		Policy:   NewRebalanceWith(strat),
+		Policy:   arbiter.New(strat).WithName("fleet-rebalance"),
 		Interval: p.Interval,
 	})
 	if err != nil {

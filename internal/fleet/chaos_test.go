@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"powerchief/internal/arbiter"
 	"powerchief/internal/cmp"
 	"powerchief/internal/dist"
 	"powerchief/internal/fault"
@@ -31,7 +32,7 @@ type fleetHarness struct {
 	coord   *Coordinator
 	svcs    []*NodeService
 	proxies []*dist.ChaosProxy
-	reb     *Rebalance
+	reb     *arbiter.Planner
 	audit   *telemetry.AuditLog
 	budget  cmp.Watts
 }

@@ -9,8 +9,9 @@
 //     granted node budgets and Budget() the cluster cap, so the existing
 //     Executor validates SetBudgetActions with the same budget replay that
 //     guards DVFS plans — Σ granted ≤ cap holds at every intermediate state.
-//   - Rebalance is a core.Planner: the decision is a pure plan (decreases
-//     before increases), actuation goes through the validating, rolling-back
+//   - The Coordinator is also the arbiter.View that NewRebalance's
+//     arbiter.Planner reads: the decision is a pure plan (decreases before
+//     increases), core.Tick actuates it through the validating, rolling-back
 //     Executor, and every grant lands in the audit log as an EventSetBudget.
 //   - The controlplane.Loop drives Adjust epochs, so the same coordinator
 //     runs deterministically over sim.Engine virtual time (SimNode,

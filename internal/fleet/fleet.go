@@ -129,35 +129,6 @@ func (n *nodeState) SetBudget(w cmp.Watts) error {
 	return nil
 }
 
-// NodeView is one healthy node as the rebalance planner sees it.
-type NodeView struct {
-	// Control actuates the node (emit it in SetBudgetActions).
-	Control core.NodeControl
-	// Granted is the node's current grant in the ledger.
-	Granted cmp.Watts
-	// Metric is the node's last fenced-and-accepted bottleneck metric.
-	Metric time.Duration
-	// Breakdown is the per-stage Equation 1 breakdown behind Metric, when
-	// the node forwards one in its Reports; nil for scalar-only nodes.
-	Breakdown []arbiter.StageMetric
-	// Pinned marks a freshly re-admitted node still in cooldown: it holds
-	// the floor and does not compete for extra watts.
-	Pinned bool
-}
-
-// ClusterView is the planner's view of the coordinator: core.System for the
-// budget arithmetic plus the per-node state the redistribution weighs.
-type ClusterView interface {
-	core.System
-	// HealthyNodes returns the nodes participating in redistribution
-	// (healthy and suspect), in stable registration order.
-	HealthyNodes() []NodeView
-	// Floor is the minimum per-node grant.
-	Floor() cmp.Watts
-	// Hysteresis is the minimum re-grant worth actuating.
-	Hysteresis() cmp.Watts
-}
-
 // Coordinator owns a cluster-wide power budget and a ledger of per-node
 // grants. It is the fleet-level twin of dist.Center: heartbeats feed the
 // shared fault.Health state machine, quarantined nodes' watts are reclaimed
@@ -229,7 +200,7 @@ func (c *Coordinator) now() time.Duration {
 
 // Adjust runs one fleet control epoch: heartbeat every node, reclaim watts
 // stranded on freshly quarantined nodes, then hand the policy (normally
-// Rebalance) the cluster view to redistribute. It implements
+// the NewRebalance planner) the cluster view to redistribute. It implements
 // controlplane.Adjuster; with every node quarantined it returns
 // fault.ErrNoHealthyNodes, which the loop counts as a degraded epoch and
 // keeps ticking through.
@@ -586,21 +557,7 @@ func (c *Coordinator) Stages() []core.StageControl { return nil }
 // Healths, not the stage view.
 func (c *Coordinator) Quarantined() []core.StageControl { return nil }
 
-// ---- ClusterView (the planner's state) ----
-
-// HealthyNodes implements ClusterView.
-func (c *Coordinator) HealthyNodes() []NodeView {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []NodeView
-	for _, n := range c.nodes {
-		if n.health != fault.Healthy && n.health != fault.Suspect {
-			continue
-		}
-		out = append(out, NodeView{Control: n, Granted: n.granted, Metric: n.metric, Breakdown: n.breakdown, Pinned: n.cooldown > 0})
-	}
-	return out
-}
+// ---- arbiter.View (the planner's state) ----
 
 // Members implements arbiter.View: the healthy nodes as budget-arbitration
 // members with no QoS target and unit fairness weight — cluster→node is the
@@ -624,10 +581,10 @@ func (c *Coordinator) Members() []arbiter.Member {
 	return out
 }
 
-// Floor implements ClusterView.
+// Floor implements arbiter.View.
 func (c *Coordinator) Floor() cmp.Watts { return c.opts.Floor }
 
-// Hysteresis implements ClusterView.
+// Hysteresis implements arbiter.View.
 func (c *Coordinator) Hysteresis() cmp.Watts { return c.opts.Hysteresis }
 
 // ---- introspection ----
@@ -731,7 +688,6 @@ func (c *Coordinator) RegisterMetrics(reg *telemetry.Registry) {
 // Interface conformance.
 var (
 	_ core.System      = (*Coordinator)(nil)
-	_ ClusterView      = (*Coordinator)(nil)
 	_ arbiter.View     = (*Coordinator)(nil)
 	_ core.NodeControl = (*nodeState)(nil)
 )

@@ -1,93 +1,13 @@
 package fleet
 
-import (
-	"powerchief/internal/arbiter"
-	"powerchief/internal/core"
-	"powerchief/internal/telemetry"
-)
+import "powerchief/internal/arbiter"
 
-// Rebalance is the fleet's redistribution policy: the level-agnostic
-// arbiter.Planner applied at the cluster→node level with the proportional
-// (feed-the-bottleneck) strategy. Every control epoch it computes per-node
-// budget targets from the reported bottleneck metrics and emits a plan of
-// SetBudgetActions — decreases before increases, so the executor's budget
-// replay holds Σ granted ≤ cap at every intermediate state. Floors, pinned
-// (freshly re-admitted) nodes, hysteresis with leftover redistribution and
-// the feasibility scale-down all live in the shared planner; see
-// internal/arbiter.
-type Rebalance struct {
-	inner *arbiter.Planner
-	audit *telemetry.AuditLog
+// NewRebalance builds the fleet's redistribution policy: the level-agnostic
+// arbiter.Planner at the cluster→node level with the proportional
+// (feed-the-bottleneck) strategy, under its historical name. The Coordinator
+// is the arbiter.View it plans against; floors, pinned (freshly re-admitted)
+// nodes, hysteresis with leftover redistribution and the feasibility
+// scale-down all live in internal/arbiter.
+func NewRebalance() *arbiter.Planner {
+	return arbiter.New(arbiter.Proportional{}).WithName("fleet-rebalance")
 }
-
-// NewRebalance builds the policy.
-func NewRebalance() *Rebalance {
-	return &Rebalance{inner: arbiter.New(arbiter.Proportional{}).WithName("fleet-rebalance")}
-}
-
-// NewRebalanceWith builds the policy over a custom weighting strategy —
-// arbiter.Marginal weights by the per-stage Equation 1 breakdown nodes
-// forward in their Reports, arbiter.Fairness divides FastCap-style.
-func NewRebalanceWith(s arbiter.Strategy) *Rebalance {
-	return &Rebalance{inner: arbiter.New(s).WithName("fleet-rebalance")}
-}
-
-// Name implements core.Policy.
-func (*Rebalance) Name() string { return "fleet-rebalance" }
-
-// SetAudit implements core.AuditSetter.
-func (r *Rebalance) SetAudit(a *telemetry.AuditLog) {
-	r.audit = a
-	r.inner.SetAudit(a)
-}
-
-// Plan implements core.Planner. sys must be an arbiter.View (the
-// Coordinator) or a ClusterView (adapted on the fly); anything else yields
-// an empty plan.
-func (r *Rebalance) Plan(sys core.System, stats core.StatsReader) (*core.ActionPlan, core.BoostOutcome) {
-	if _, ok := sys.(arbiter.View); ok {
-		return r.inner.Plan(sys, stats)
-	}
-	if cv, ok := sys.(ClusterView); ok {
-		return r.inner.Plan(clusterLens{cv}, stats)
-	}
-	return &core.ActionPlan{}, core.BoostOutcome{Kind: core.BoostNone}
-}
-
-// Adjust implements core.Policy: plan, then actuate through the validating,
-// rolling-back executor. A mid-plan grant failure (a node dying between the
-// heartbeat and its grant) rolls the applied prefix back, so the ledger
-// never straddles two allocations.
-func (r *Rebalance) Adjust(sys core.System, agg *core.Aggregator) core.BoostOutcome {
-	plan, out := r.Plan(sys, agg)
-	res := core.Executor{Audit: r.audit}.Apply(sys, agg, plan)
-	if res.Err != nil {
-		return core.BoostOutcome{Kind: core.BoostNone}
-	}
-	return out
-}
-
-// clusterLens adapts a bare ClusterView (hand-built test clusters, foreign
-// coordinators) to the arbiter's view: healthy nodes become members with no
-// QoS target and unit fairness weight.
-type clusterLens struct {
-	ClusterView
-}
-
-// Members implements arbiter.View.
-func (l clusterLens) Members() []arbiter.Member {
-	nodes := l.HealthyNodes()
-	out := make([]arbiter.Member, len(nodes))
-	for i, n := range nodes {
-		out[i] = arbiter.Member{
-			Control:   n.Control,
-			Granted:   n.Granted,
-			Metric:    n.Metric,
-			Pinned:    n.Pinned,
-			Breakdown: n.Breakdown,
-		}
-	}
-	return out
-}
-
-var _ core.Planner = (*Rebalance)(nil)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"powerchief/internal/arbiter"
 	"powerchief/internal/cmp"
 	"powerchief/internal/core"
 )
@@ -29,7 +30,7 @@ func (f *fakeNodeCtl) SetBudget(w cmp.Watts) error {
 	return nil
 }
 
-// fakeCluster is a hand-built ClusterView.
+// fakeCluster is a hand-built arbiter.View.
 type fakeCluster struct {
 	budget, floor, hyst cmp.Watts
 	nodes               []*fakeNodeCtl
@@ -55,13 +56,15 @@ func (f *fakeCluster) Stages() []core.StageControl      { return nil }
 func (f *fakeCluster) Quarantined() []core.StageControl { return nil }
 func (f *fakeCluster) Floor() cmp.Watts                 { return f.floor }
 func (f *fakeCluster) Hysteresis() cmp.Watts            { return f.hyst }
-func (f *fakeCluster) HealthyNodes() []NodeView {
-	out := make([]NodeView, len(f.nodes))
+func (f *fakeCluster) Members() []arbiter.Member {
+	out := make([]arbiter.Member, len(f.nodes))
 	for i, n := range f.nodes {
-		out[i] = NodeView{Control: n, Granted: n.granted, Metric: f.metrics[i], Pinned: f.pinned[i]}
+		out[i] = arbiter.Member{Control: n, Granted: n.granted, Metric: f.metrics[i], Pinned: f.pinned[i]}
 	}
 	return out
 }
+
+var _ arbiter.View = (*fakeCluster)(nil)
 
 func newFakeCluster(budget, floor, hyst cmp.Watts, grants []cmp.Watts, metrics []time.Duration) *fakeCluster {
 	f := &fakeCluster{budget: budget, floor: floor, hyst: hyst, metrics: metrics, pinned: make([]bool, len(grants))}

@@ -60,7 +60,7 @@ func TestReportCarriesStageBreakdown(t *testing.T) {
 
 // TestCoordinatorIngestsBreakdown proves the coordinator stores a node's
 // forwarded breakdown (epoch-fenced, like the scalar metric) and exposes it
-// through both HealthyNodes and the arbiter.View Members.
+// through the arbiter.View Members.
 func TestCoordinatorIngestsBreakdown(t *testing.T) {
 	nowFn := func() time.Duration { return 0 }
 	n := NewSimNode("node-0", nowFn, 1.5)
@@ -76,16 +76,12 @@ func TestCoordinatorIngestsBreakdown(t *testing.T) {
 	if _, err := coord.Adjust(NewRebalance()); err != nil {
 		t.Fatal(err)
 	}
-	nodes := coord.HealthyNodes()
-	if len(nodes) != 1 || len(nodes[0].Breakdown) == 0 {
-		t.Fatalf("HealthyNodes missing breakdown: %+v", nodes)
-	}
 	members := coord.Members()
-	if len(members) != 1 || len(members[0].Breakdown) != len(nodes[0].Breakdown) {
+	if len(members) != 1 || len(members[0].Breakdown) == 0 {
 		t.Fatalf("Members missing breakdown: %+v", members)
 	}
-	if members[0].Breakdown[len(members[0].Breakdown)-1].Metric != nodes[0].Metric {
+	if members[0].Breakdown[len(members[0].Breakdown)-1].Metric != members[0].Metric {
 		t.Fatalf("bottleneck stage %v does not match scalar metric %v",
-			members[0].Breakdown, nodes[0].Metric)
+			members[0].Breakdown, members[0].Metric)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"powerchief/internal/arbiter"
 	"powerchief/internal/cmp"
 	"powerchief/internal/fault"
 	"powerchief/internal/telemetry"
@@ -95,7 +96,7 @@ func (n *capNode) tick() {
 type capHarness struct {
 	coord  *Coordinator
 	nodes  []*capNode
-	reb    *Rebalance
+	reb    *arbiter.Planner
 	audit  *telemetry.AuditLog
 	budget cmp.Watts
 }

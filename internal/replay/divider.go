@@ -16,8 +16,8 @@ import (
 // and every instance is set to the highest level its stage share affords.
 // With arbiter.Fairness this is the FastCap-style fairness divider as a
 // stage-level policy; with Proportional it is feed-the-bottleneck as a full
-// reallocation. Built for the replay arena, but a full core.Planner — it
-// runs anywhere PowerChief does.
+// reallocation. A plain core.Planner: one Plan function, no setter, no
+// wrapper, no live-system access.
 type Divider struct {
 	strategy arbiter.Strategy
 	cfg      core.Config
@@ -28,14 +28,14 @@ func NewDivider(s arbiter.Strategy, cfg core.Config) *Divider {
 	return &Divider{strategy: s, cfg: cfg}
 }
 
-// Name implements core.Policy.
+// Name implements core.Planner.
 func (d *Divider) Name() string { return "divider-" + d.strategy.Name() }
 
 // Plan implements core.Planner.
 func (d *Divider) Plan(sys core.System, stats core.StatsReader) (*core.ActionPlan, core.BoostOutcome) {
 	none := core.BoostOutcome{Kind: core.BoostNone}
 	pv := core.NewPlanView(sys)
-	ranked := core.Identifier{Metric: d.cfg.Metric}.Rank(pv, stats)
+	ranked := pv.Rank(d.cfg.Metric, stats)
 	if len(ranked) == 0 || core.Spread(ranked) < d.cfg.BalanceThreshold {
 		return pv.Take(), none
 	}
@@ -138,19 +138,9 @@ func (d *Divider) Plan(sys core.System, stats core.StatsReader) (*core.ActionPla
 		}
 	}
 	if out.Kind != core.BoostNone {
-		pv.SetOutcome(out)
+		pv.Decided()
 	}
 	return pv.Take(), out
-}
-
-// Adjust implements core.Policy.
-func (d *Divider) Adjust(sys core.System, agg *core.Aggregator) core.BoostOutcome {
-	plan, out := d.Plan(sys, agg)
-	res := core.Executor{}.Apply(sys, agg, plan)
-	if res.Err != nil {
-		return core.BoostOutcome{Kind: core.BoostNone, Target: out.Target}
-	}
-	return out
 }
 
 var _ core.Planner = (*Divider)(nil)
