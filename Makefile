@@ -3,7 +3,7 @@ GO ?= go
 # Pinned staticcheck version, matching .github/workflows/ci.yml.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build fmt vet staticcheck test bench-test race docs-lint loc check ci
+.PHONY: all build fmt vet staticcheck test bench-test race fuzz-smoke docs-lint loc check ci
 
 all: check
 
@@ -55,6 +55,18 @@ loc:
 # harness.
 race:
 	$(GO) test -race ./internal/rpc/... ./internal/dist/... ./internal/fleet/... ./internal/arbiter/... ./internal/stage/... ./internal/telemetry/... ./internal/core/... ./internal/stats/... ./internal/replay/... ./internal/controlplane/... ./internal/live/... ./internal/benchnet/... ./internal/harness/...
+
+# Every Fuzz* target (the frame layer and each hand-written body decoder) for
+# five seconds, one `go test -fuzz` invocation per target because the tool
+# fuzzes one at a time. Plain `go test` runs the same targets over their seed
+# corpora only.
+fuzz-smoke:
+	@for pkg in $$($(GO) list ./internal/...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s $$pkg || exit 1; \
+		done; \
+	done
 
 # The fleet chaos smoke: a coordinator over three proxied node services,
 # kill one mid-run, assert Σ granted ≤ budget at every epoch plus reclaim
@@ -113,6 +125,6 @@ bench-replay:
 		-policy powerchief,fairness,marginal -json bench-replay.json
 
 # The full local gate: what CI runs.
-check: fmt vet staticcheck build test bench-test race docs-lint
+check: fmt vet staticcheck build test bench-test race fuzz-smoke docs-lint
 
 ci: check

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -199,22 +198,17 @@ func main() {
 		fmt.Printf("control loop: %d failed adjusts (%d degraded intervals)\n", n, loop.Degraded())
 	}
 
-	lats := center.Latencies()
-	if len(lats) == 0 {
+	lat := center.Latency()
+	if lat.Count() == 0 {
 		fmt.Println("no queries completed")
 		return
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	var sum time.Duration
-	for _, l := range lats {
-		sum += l
 	}
 	sub, comp := center.Counts()
 	fmt.Printf("completed %d/%d queries: avg=%v p50=%v p99=%v\n",
 		comp, sub,
-		(sum / time.Duration(len(lats))).Round(time.Millisecond),
-		lats[len(lats)/2].Round(time.Millisecond),
-		lats[len(lats)*99/100].Round(time.Millisecond))
+		lat.Mean().Round(time.Millisecond),
+		lat.Quantile(0.5).Round(time.Millisecond),
+		lat.Quantile(0.99).Round(time.Millisecond))
 }
 
 // instanceCounts returns a single branch per stage — the center sends one

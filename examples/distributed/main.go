@@ -12,7 +12,6 @@ import (
 	"log"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -93,21 +92,16 @@ func main() {
 	wg.Wait()
 	loop.Stop()
 
-	lats := center.Latencies()
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	var sum time.Duration
-	for _, l := range lats {
-		sum += l
-	}
-	if len(lats) == 0 {
+	lat := center.Latency()
+	if lat.Count() == 0 {
 		log.Fatal("no queries completed")
 	}
 	// Latencies are wall-clock; scale back to virtual for reporting.
 	virt := func(d time.Duration) time.Duration { return time.Duration(float64(d) / scale) }
 	fmt.Printf("\ndistributed run: %d queries, avg=%v p99=%v (virtual)\n",
 		sent,
-		virt(sum/time.Duration(len(lats))).Round(time.Millisecond),
-		virt(lats[len(lats)*99/100]).Round(time.Millisecond))
+		virt(lat.Mean()).Round(time.Millisecond),
+		virt(lat.Quantile(0.99)).Round(time.Millisecond))
 }
 
 func draw(rng *rand.Rand, median time.Duration, sigma float64) time.Duration {

@@ -10,6 +10,7 @@ import (
 	"powerchief/internal/core"
 	"powerchief/internal/query"
 	"powerchief/internal/rpc"
+	"powerchief/internal/stats"
 	"powerchief/internal/telemetry"
 )
 
@@ -39,7 +40,7 @@ type Center struct {
 
 	submitted uint64
 	completed uint64
-	latency   []time.Duration
+	latency   *stats.Histogram // end-to-end, constant size however long the center runs
 
 	probeStop chan struct{}
 	probeWG   sync.WaitGroup
@@ -75,6 +76,7 @@ func NewCenterOptions(budget cmp.Watts, window time.Duration, addrs []string, op
 		model:     cmp.DefaultModel(),
 		start:     time.Now(),
 		opts:      opts,
+		latency:   stats.NewBinHistogram(),
 		probeStop: make(chan struct{}),
 	}
 	// The center runs against wall clocks for unbounded stretches, so the
@@ -160,7 +162,7 @@ func (c *Center) finishQuery(q *query.Query) {
 	c.agg.Ingest(q)
 	c.mu.Lock()
 	c.completed++
-	c.latency = append(c.latency, q.Latency())
+	c.latency.Observe(q.Latency())
 	c.mu.Unlock()
 	c.opts.Tracer.ObserveQuery(q)
 }
@@ -220,13 +222,14 @@ func (c *Center) Counts() (submitted, completed uint64) {
 	return c.submitted, c.completed
 }
 
-// Latencies returns a copy of the observed end-to-end latencies.
-func (c *Center) Latencies() []time.Duration {
+// Latency returns a snapshot of the end-to-end latency distribution of every
+// completed query: count, mean and quantiles to within one log-spaced bin.
+func (c *Center) Latency() *stats.Histogram {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]time.Duration, len(c.latency))
-	copy(out, c.latency)
-	return out
+	snap := stats.NewBinHistogram()
+	_ = snap.Merge(c.latency) // same bin layout: cannot fail
+	return snap
 }
 
 // Adjust refreshes the remote snapshots and runs one control interval of the

@@ -54,15 +54,17 @@ type ChaosProxy struct {
 	mode    ChaosMode
 	delay   time.Duration
 	ln      net.Listener
-	conns   map[net.Conn]struct{}
-	closed  bool
-	wg      sync.WaitGroup
+	// conns maps both ends of every relayed connection to the channel its
+	// relay closes once it has exited and untracked them.
+	conns  map[net.Conn]chan struct{}
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewChaosProxy creates a proxy for the given backend address in ChaosPass
 // mode.
 func NewChaosProxy(backend string) *ChaosProxy {
-	return &ChaosProxy{backend: backend, conns: make(map[net.Conn]struct{})}
+	return &ChaosProxy{backend: backend, conns: make(map[net.Conn]chan struct{})}
 }
 
 // Listen starts accepting on addr and returns the bound address. Dial the
@@ -117,14 +119,21 @@ func (p *ChaosProxy) SetBackend(addr string) {
 }
 
 // SeverConns closes every established connection through the proxy, leaving
-// the listener up. Combined with ChaosDeny this is a kill; alone it forces
-// clients to reconnect.
+// the listener up, and returns once their relays have exited: nothing a
+// caller does next — a probe, a redial — can meet a half-torn-down relay.
+// Combined with ChaosDeny this is a kill; alone it forces clients to
+// reconnect.
 func (p *ChaosProxy) SeverConns() {
 	p.mu.Lock()
-	for conn := range p.conns {
+	relays := make([]chan struct{}, 0, len(p.conns))
+	for conn, done := range p.conns {
 		conn.Close()
+		relays = append(relays, done)
 	}
 	p.mu.Unlock()
+	for _, done := range relays {
+		<-done
+	}
 }
 
 // Kill is the canonical "stage service died" injection: refuse new
@@ -189,22 +198,23 @@ func (p *ChaosProxy) acceptLoop(ln net.Listener) {
 			conn.Close()
 			continue
 		}
-		p.conns[conn] = struct{}{}
+		done := make(chan struct{})
+		p.conns[conn] = done
 		p.mu.Unlock()
 
 		p.wg.Add(1)
-		go p.serve(conn, backend)
+		go p.serve(conn, backend, done)
 	}
 }
 
-// track registers an auxiliary (backend-side) connection for severing.
-func (p *ChaosProxy) track(conn net.Conn) bool {
+// track registers a relay's backend-side connection for severing.
+func (p *ChaosProxy) track(conn net.Conn, done chan struct{}) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return false
 	}
-	p.conns[conn] = struct{}{}
+	p.conns[conn] = done
 	return true
 }
 
@@ -214,8 +224,11 @@ func (p *ChaosProxy) untrack(conn net.Conn) {
 	p.mu.Unlock()
 }
 
-func (p *ChaosProxy) serve(client net.Conn, backend string) {
+// serve relays one client connection; done is closed last, after both ends
+// are closed and untracked.
+func (p *ChaosProxy) serve(client net.Conn, backend string, done chan struct{}) {
 	defer p.wg.Done()
+	defer close(done)
 	defer func() {
 		client.Close()
 		p.untrack(client)
@@ -230,7 +243,7 @@ func (p *ChaosProxy) serve(client net.Conn, backend string) {
 		return
 	}
 	defer server.Close()
-	if !p.track(server) {
+	if !p.track(server, done) {
 		return
 	}
 	defer p.untrack(server)

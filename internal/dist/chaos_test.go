@@ -2,6 +2,8 @@ package dist
 
 import (
 	"errors"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -359,5 +361,54 @@ func TestChaosDegradedSubmitServesSurvivors(t *testing.T) {
 	}
 	if _, _, ok := center.Aggregator().InstStats("QA_1"); !ok {
 		t.Error("survivor QA_1 has no stats")
+	}
+}
+
+// TestChaosSeverConnsWaitsForRelays: when SeverConns returns, every relay it
+// severed has exited and untracked both of its connections — Kill and
+// Partition leave nothing half torn down behind them — in every mode.
+func TestChaosSeverConnsWaitsForRelays(t *testing.T) {
+	backend, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	go func() {
+		for {
+			conn, err := backend.Accept()
+			if err != nil {
+				return
+			}
+			go io.Copy(conn, conn) // echo
+		}
+	}()
+	proxy := NewChaosProxy(backend.Addr().String())
+	front, err := proxy.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	for _, mode := range []ChaosMode{ChaosPass, ChaosHang, ChaosSlow} {
+		proxy.SetMode(ChaosPass)
+		for i := 0; i < 8; i++ {
+			conn, err := net.Dial("tcp", front)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			// One echo, so the relay is known to be up and tracked.
+			conn.Write([]byte("ping"))
+			if _, err := io.ReadFull(conn, make([]byte, 4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		proxy.SetMode(mode)
+		proxy.SeverConns()
+		proxy.mu.Lock()
+		left := len(proxy.conns)
+		proxy.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("%v mode: %d connections still tracked after SeverConns returned", mode, left)
+		}
 	}
 }

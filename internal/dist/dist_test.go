@@ -100,7 +100,7 @@ func TestDistributedConcurrentQueries(t *testing.T) {
 	if _, comp := center.Counts(); comp != 40 {
 		t.Errorf("completed = %d", comp)
 	}
-	if got := len(center.Latencies()); got != 40 {
+	if got := center.Latency().Count(); got != 40 {
 		t.Errorf("latencies = %d", got)
 	}
 }
@@ -251,7 +251,7 @@ func TestSubmitBookkeepingUnderRace(t *testing.T) {
 	if sub != workers*perWorker || comp != workers*perWorker {
 		t.Errorf("counts = %d/%d, want %d/%d", sub, comp, workers*perWorker, workers*perWorker)
 	}
-	if got := len(center.Latencies()); got != workers*perWorker {
+	if got := center.Latency().Count(); got != workers*perWorker {
 		t.Errorf("latencies = %d, want %d", got, workers*perWorker)
 	}
 }

@@ -5,9 +5,13 @@
 // drives the control policy — DVFS, instance boosting and withdraw — against
 // the remote stages, all under a global power budget it owns.
 //
-// The transport is internal/rpc (the Thrift stand-in). Stage services use
-// the live engine with a single stage each, so the service model is the same
-// one the simulator and the in-process live cluster run.
+// The transport is internal/rpc (the Thrift stand-in): one binary frame per
+// call, and the per-query and per-tick bodies — ProcessArgs, ProcessReply,
+// StatsReply and the stats.Delta they carry — hand-encoded in wire.go, so a
+// stage.process or stage.stats call never touches encoding/json; the rare
+// control methods keep JSON bodies (DESIGN.md §5j). Stage services use the
+// live engine with a single stage each, so the service model is the same one
+// the simulator and the in-process live cluster run.
 //
 // Entry points: NewStageService hosts one stage (cmd/stagesvc wraps it);
 // NewCenter connects to the stage addresses and exposes Submit for queries

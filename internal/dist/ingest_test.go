@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -263,45 +261,38 @@ func TestIngestNegotiationOldCenterShape(t *testing.T) {
 	}
 }
 
-// TestDeltaFrameWireBackCompat mirrors TestRecordWireDecodesLegacyFrame at
-// the frame level: a legacy ProcessReply (records only, no delta key)
-// decodes on a new center, and a new reply at the legacy state (records,
-// nil delta) encodes byte-identically to what an old stage produced.
+// TestDeltaFrameWireBackCompat: the two shapes of a ProcessReply survive the
+// binary body. A per-record reply (records, nil delta) spends one byte on the
+// absent delta and decodes with Delta still nil — the center tells the two
+// contracts apart by that — and a batched reply decodes with its digests
+// intact and valid.
 func TestDeltaFrameWireBackCompat(t *testing.T) {
-	legacy := `{"records":[{"instance":"QA_1","stage":"QA","queue_enter":1000000,"serve_start":2000000,"serve_end":9000000}]}`
+	perRecord := ProcessReply{Records: []RecordWire{{
+		Instance: "QA_1", Stage: "QA", QueueEnter: time.Millisecond, ServeStart: 2 * time.Millisecond, ServeEnd: 9 * time.Millisecond,
+	}}}
+	body := perRecord.AppendWire(nil)
+	if body[len(body)-1] != 0 {
+		t.Fatalf("per-record body does not end in the absent-delta byte: %x", body)
+	}
 	var reply ProcessReply
-	if err := json.Unmarshal([]byte(legacy), &reply); err != nil {
+	if err := reply.DecodeWire(body); err != nil {
 		t.Fatal(err)
 	}
 	if len(reply.Records) != 1 || reply.Delta != nil {
-		t.Fatalf("legacy frame decode: %+v", reply)
+		t.Fatalf("per-record body decode: %+v", reply)
 	}
 
-	data, err := json.Marshal(ProcessReply{Records: reply.Records})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), "delta") {
-		t.Fatalf("legacy-state frame leaks the delta key: %s", data)
-	}
-
-	// And the forward direction: a batched frame decodes with its digests
-	// intact.
 	acc := stats.NewDeltaAccumulator(8, time.Second)
 	acc.FoldRecord(time.Millisecond, "QA_1", "QA", time.Millisecond, 2*time.Millisecond)
 	acc.FoldCompletion(time.Millisecond)
-	batched, err := json.Marshal(ProcessReply{Delta: acc.Flush(time.Millisecond)})
-	if err != nil {
+	var batched ProcessReply
+	if err := batched.DecodeWire(ProcessReply{Delta: acc.Flush(time.Millisecond)}.AppendWire(nil)); err != nil {
 		t.Fatal(err)
 	}
-	var newReply ProcessReply
-	if err := json.Unmarshal(batched, &newReply); err != nil {
-		t.Fatal(err)
+	if batched.Delta == nil || batched.Delta.Records() != 1 || batched.Delta.V != stats.DeltaVersion {
+		t.Fatalf("batched body decode: %+v", batched.Delta)
 	}
-	if newReply.Delta == nil || newReply.Delta.Records() != 1 || newReply.Delta.V != stats.DeltaVersion {
-		t.Fatalf("batched frame decode: %+v", newReply.Delta)
-	}
-	if err := newReply.Delta.Validate(); err != nil {
+	if err := batched.Delta.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -58,16 +58,17 @@ type StatRecordArgs struct {
 }
 
 // ProcessArgs carries one query into a stage service. Work holds the
-// branch demands for this stage (one entry for pipeline stages).
+// branch demands for this stage (one entry for pipeline stages). ProcessArgs,
+// ProcessReply and StatsReply are the per-query and per-tick bodies: they
+// travel hand-encoded (wire.go); their JSON tags remain for the tests that
+// hold the two encodings equal.
 type ProcessArgs struct {
 	QueryID uint64          `json:"query_id"`
 	Work    []time.Duration `json:"work"`
 }
 
 // RecordWire is a query.Record in wire form. Level and Boosted carry the
-// serving instance's DVFS state for the telemetry tracer; they are tagged
-// omitempty so frames to old peers stay byte-identical at the zero value,
-// and old peers' frames without them decode to the zero value here.
+// serving instance's DVFS state for the telemetry tracer.
 type RecordWire struct {
 	Instance   string        `json:"instance"`
 	Stage      string        `json:"stage"`
@@ -81,9 +82,7 @@ type RecordWire struct {
 // ProcessReply returns the latency records the stage appended — the joint
 // design's query-carried statistics. Under delta-batched ingest Records is
 // empty (the statistics were folded locally) and Delta carries the batched
-// summary when this completion tripped a flush. Both fields are omitempty:
-// frames between old and new peers stay byte-identical when the feature is
-// off, the same back-compat discipline as RecordWire.
+// summary when this completion tripped a flush.
 type ProcessReply struct {
 	Records []RecordWire `json:"records,omitempty"`
 	Delta   *stats.Delta `json:"delta,omitempty"`

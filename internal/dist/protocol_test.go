@@ -3,7 +3,6 @@ package dist
 import (
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +11,9 @@ import (
 )
 
 // roundTrip marshals v, unmarshals into a fresh value of the same type, and
-// returns it — the exact path every frame takes through internal/rpc.
+// returns it — the path a JSON body takes through internal/rpc. (The hand-
+// encoded bodies have their own round-trip property in wire_test.go; they
+// stay here because their JSON form must keep agreeing with it.)
 func roundTrip(t *testing.T, v any) any {
 	t.Helper()
 	data, err := json.Marshal(v)
@@ -26,7 +27,7 @@ func roundTrip(t *testing.T, v any) any {
 	return out.Elem().Interface()
 }
 
-// Every message type of the stage-service RPC surface survives an
+// Every message type of the stage-service RPC surface survives a JSON
 // encode/decode round trip unchanged.
 func TestProtocolRoundTripAllMessages(t *testing.T) {
 	msgs := []any{
@@ -81,55 +82,8 @@ func TestRecordWireConversion(t *testing.T) {
 	}
 }
 
-// Backward compatibility, sending side: a record at the zero DVFS state
-// (base level, not boosted) must encode byte-identically to what a peer
-// predating the Level/Boosted fields produced — the omitempty tags elide
-// them entirely.
-func TestRecordWireOmitsZeroDVFSFields(t *testing.T) {
-	data, err := json.Marshal(RecordWire{
-		Instance:   "ASR_1",
-		Stage:      "ASR",
-		QueueEnter: time.Millisecond,
-		ServeStart: 2 * time.Millisecond,
-		ServeEnd:   3 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"level", "boosted"} {
-		if strings.Contains(string(data), key) {
-			t.Errorf("zero-value frame carries %q: %s", key, data)
-		}
-	}
-}
-
-// Backward compatibility, receiving side: a frame from an old peer — no
-// level/boosted keys at all — still decodes, with the new fields at their
-// zero values.
-func TestRecordWireDecodesLegacyFrame(t *testing.T) {
-	legacy := `{"instance":"QA_1","stage":"QA","queue_enter":1000000,"serve_start":2000000,"serve_end":9000000}`
-	var wire RecordWire
-	if err := json.Unmarshal([]byte(legacy), &wire); err != nil {
-		t.Fatal(err)
-	}
-	want := RecordWire{
-		Instance:   "QA_1",
-		Stage:      "QA",
-		QueueEnter: time.Millisecond,
-		ServeStart: 2 * time.Millisecond,
-		ServeEnd:   9 * time.Millisecond,
-	}
-	if wire != want {
-		t.Errorf("legacy decode: got %+v, want %+v", wire, want)
-	}
-	rec := wire.toRecord(query.ID(1))
-	if rec.Level != 0 || rec.Boosted {
-		t.Errorf("legacy record DVFS state: got level=%d boosted=%v, want zero", rec.Level, rec.Boosted)
-	}
-}
-
-// The forward direction of the same compatibility story: a new frame that
-// does carry the DVFS fields decodes into them.
+// The JSON form of a record — what the legacy stats.record push still
+// carries — decodes the DVFS fields.
 func TestRecordWireDecodesNewFrame(t *testing.T) {
 	data := `{"instance":"QA_1","stage":"QA","serve_end":9000000,"level":6,"boosted":true}`
 	var wire RecordWire

@@ -234,6 +234,23 @@ func TestFleetChaosHangIsBoundedAndRecovers(t *testing.T) {
 	}
 }
 
+// TestRPCNodeOutlivesSeveredConnections: an exchange issued right after the
+// peer closed the connection — before the client's read loop has seen the
+// EOF, so the client does not yet know it is broken — is retried once on a
+// fresh connection instead of failing. Without the retry this loses to the
+// read loop some of the time, which is what made the hang test above flake.
+func TestRPCNodeOutlivesSeveredConnections(t *testing.T) {
+	h := startFleet(t, []float64{1}, 60, 10)
+	h.adjust(t)
+	node := h.coord.nodes[0].t
+	for i := 0; i < 100; i++ {
+		h.proxies[0].SeverConns()
+		if _, err := node.Report(); err != nil {
+			t.Fatalf("report %d after a severed connection: %v", i, err)
+		}
+	}
+}
+
 // TestNodeServiceRejectsStaleGrant pins the grant half of fencing on the
 // wire: a grant whose epoch is behind the last accepted one is rejected
 // with fault.ErrStaleEpoch, and the sentinel survives the RPC round trip.

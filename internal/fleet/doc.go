@@ -32,6 +32,7 @@
 // delta on each report — zero extra RPCs, staleness bounded by the
 // heartbeat interval — and the coordinator merges every node's digest into
 // one exact fleet-wide latency histogram (FleetLatency), applying the same
-// epoch-fencing discipline to statistics as to the bottleneck metric. See
-// DESIGN.md §5j.
+// epoch-fencing discipline to statistics as to the bottleneck metric. Report
+// and Grant — two frames per node per epoch — are hand-encoded binary bodies
+// (wire.go). See DESIGN.md §5j.
 package fleet

@@ -45,17 +45,15 @@ type Report struct {
 	// Stages is the per-stage Equation 1 breakdown behind Metric, when the
 	// node's backend exposes one — it lets the coordinator's arbiter weight
 	// by marginal benefit (how far the bottleneck protrudes over the rest
-	// of the pipeline) instead of absolute slowness. Omitempty keeps frames
-	// from scalar-only nodes byte-identical, and old coordinators simply
-	// ignore the field — mixed fleets interoperate both directions.
+	// of the pipeline) instead of absolute slowness. Nil from a scalar-only
+	// backend.
 	Stages []arbiter.StageMetric `json:"stages,omitempty"`
 
 	// Ingest carries the node's delta-batched query statistics — everything
 	// folded locally since the last heartbeat — when the node service has
 	// ingest enabled. The heartbeat is the transport: shipping the batch
 	// here costs zero extra RPCs and bounds staleness by the heartbeat
-	// interval. Omitempty keeps frames from old nodes (and to old
-	// coordinators) byte-identical when the feature is off.
+	// interval. Nil when ingest is off.
 	Ingest *stats.Delta `json:"ingest,omitempty"`
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 
 	"powerchief/internal/rpc"
@@ -39,34 +40,38 @@ func DialNode(addr string, opts rpc.ClientOptions) (*RPCNode, error) {
 // Name implements Transport.
 func (n *RPCNode) Name() string { return n.name }
 
-// redialIfBroken restores a failed connection so the next call probes the
-// node instead of failing fast forever on a stale socket.
-func (n *RPCNode) redialIfBroken() error {
+// call runs one exchange, redialing a connection known to be broken first —
+// the probe path by which a quarantined node's recovery is detected. A
+// connection the peer has closed is only known broken once the client's read
+// loop has seen the EOF, so a call can still be written into a dead socket;
+// both fleet methods are idempotent (a grant is fenced by its epoch), so that
+// one outcome — broken under the call, not timed out — is retried once on a
+// fresh connection, as an HTTP client retries on a stale keep-alive. A dead
+// node fails the redial; a hung one still costs exactly one deadline.
+func (n *RPCNode) call(method string, params, result any) error {
 	if n.c.Broken() {
-		return n.c.Redial()
+		if err := n.c.Redial(); err != nil {
+			return err
+		}
 	}
-	return nil
+	err := n.c.Call(method, params, result)
+	if errors.Is(err, rpc.ErrBroken) && n.c.Redial() == nil {
+		err = n.c.Call(method, params, result)
+	}
+	return err
 }
 
 // Report implements Transport.
 func (n *RPCNode) Report() (Report, error) {
-	if err := n.redialIfBroken(); err != nil {
-		return Report{}, err
-	}
 	var rep Report
-	if err := n.c.Call(MethodNodeReport, nil, &rep); err != nil {
+	if err := n.call(MethodNodeReport, nil, &rep); err != nil {
 		return Report{}, err
 	}
 	return rep, nil
 }
 
 // Grant implements Transport.
-func (n *RPCNode) Grant(g Grant) error {
-	if err := n.redialIfBroken(); err != nil {
-		return err
-	}
-	return n.c.Call(MethodNodeGrant, g, nil)
-}
+func (n *RPCNode) Grant(g Grant) error { return n.call(MethodNodeGrant, g, nil) }
 
 // Close tears the connection down.
 func (n *RPCNode) Close() error { return n.c.Close() }

@@ -33,9 +33,9 @@ type Backend interface {
 
 // StageReporter is the optional Backend extension for nodes that can break
 // their bottleneck metric down per stage. A NodeService forwards the
-// breakdown in its heartbeat Reports (omitempty on the wire), letting the
-// coordinator's arbiter weight by marginal benefit; scalar-only backends
-// simply never populate the field.
+// breakdown in its heartbeat Reports, letting the coordinator's arbiter
+// weight by marginal benefit; scalar-only backends simply never populate the
+// field.
 type StageReporter interface {
 	// StageMetrics returns the per-stage Equation 1 expected delays behind
 	// Metric, bottleneck included.

@@ -8,73 +8,155 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"powerchief/internal/fault"
+	"powerchief/internal/wire"
 )
 
-// MaxMessageSize bounds a single frame (16 MiB); larger frames abort the
-// connection rather than exhausting memory.
+// MaxMessageSize bounds a single frame (16 MiB), on write as on read: a
+// larger request fails its call, a larger result is answered with an error,
+// and a larger announced length aborts the connection.
 const MaxMessageSize = 16 << 20
 
-// Request is one RPC call on the wire.
-type Request struct {
-	ID     uint64          `json:"id"`
-	Method string          `json:"method"`
-	Params json.RawMessage `json:"params,omitempty"`
+// The frame (DESIGN.md §5j) is a 4-byte big-endian length, then
+//
+//	request   kindRequest  | uvarint id | method | body tag | body
+//	response  kindResponse | uvarint id | error | code | body tag | body
+//
+// with method, error and code as uvarint-length-prefixed strings. The kind
+// byte carries the protocol version in its high nibble, so a peer speaking
+// anything else — an old JSON frame starts with '{' — fails the connection.
+const (
+	kindRequest  byte = 1<<4 | 1
+	kindResponse byte = 1<<4 | 2
+
+	bodyNone byte = 0 // no body: nil params, a nil or struct{} result
+	bodyJSON byte = 1 // encoding/json, for every type without a codec
+	bodyWire byte = 2 // the type's own AppendWire / DecodeWire
+)
+
+// A type with this pair of methods travels as a binary body, reflection-free;
+// the interfaces are structural so message packages need not import rpc.
+// AppendWire appends the encoding to b; DecodeWire must copy what it keeps.
+type (
+	wireAppender interface{ AppendWire(b []byte) []byte }
+	wireDecoder  interface{ DecodeWire(b []byte) error }
+)
+
+// errEncode marks a call whose arguments did not encode or fit a frame: it
+// failed before a byte was written, and retrying cannot help.
+var errEncode = errors.New("rpc: request not sent")
+
+// Body is a call's still-encoded argument or result. It points into the
+// connection's read buffer and is valid only until the handler returns.
+type Body struct {
+	tag  byte
+	data []byte
 }
 
-// Response answers a Request with the same ID. Code carries the stable
-// fault-sentinel wire code (fault.Code) when the handler's error wraps a
-// registered sentinel, so the client can restore sentinel identity; it is
-// omitted for plain application errors, keeping the frame layout
-// backward-compatible with peers that predate it.
-type Response struct {
-	ID     uint64          `json:"id"`
-	Error  string          `json:"error,omitempty"`
-	Code   string          `json:"code,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
+// Decode decodes the body into v, a pointer; an absent body leaves v alone.
+func (b Body) Decode(v any) error {
+	switch b.tag {
+	case bodyJSON:
+		return json.Unmarshal(b.data, v)
+	case bodyWire:
+		d, ok := v.(wireDecoder)
+		if !ok {
+			return fmt.Errorf("rpc: binary body for %T, which has no DecodeWire", v)
+		}
+		return d.DecodeWire(b.data)
+	}
+	return nil
 }
 
-// writeFrame writes one length-prefixed JSON document.
-func writeFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
+// frames recycles frame buffers; one that a large message grew is dropped
+// instead, so that it does not stay pinned at that size.
+var frames = sync.Pool{New: func() any { return new([]byte) }}
+
+func putFrame(buf *[]byte) {
+	if cap(*buf) <= readChunk {
+		frames.Put(buf)
+	}
+}
+
+// appendFrame encodes one whole frame into b[:0]: strs is the method of a
+// request, the error and its fault code (both empty on success) of a
+// response. MaxMessageSize is enforced here, before anything is written.
+func appendFrame(b []byte, kind byte, id uint64, body any, strs ...string) ([]byte, error) {
+	b = binary.AppendUvarint(append(b[:0], 0, 0, 0, 0, kind), id)
+	for _, s := range strs {
+		b = wire.AppendString(b, s)
+	}
+	switch v := body.(type) {
+	case nil:
+		b = append(b, bodyNone)
+	case wireAppender:
+		b = v.AppendWire(append(b, bodyWire))
+	default:
+		data, err := json.Marshal(v)
+		if err != nil {
+			return b, fmt.Errorf("rpc: encoding body: %w", err)
+		}
+		b = append(append(b, bodyJSON), data...)
+	}
+	if len(b)-4 > MaxMessageSize {
+		return b, fmt.Errorf("rpc: frame of %d bytes exceeds limit", len(b)-4)
+	}
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+	return b, nil
+}
+
+// readChunk is how far readFrame allocates ahead of the bytes that have
+// arrived: an announced length is four cheap bytes, not a reason to allocate.
+const readChunk = 64 << 10
+
+// readFrame reads one frame's payload into buf, growing it as bytes arrive.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(4)
 	if err != nil {
-		return fmt.Errorf("rpc: encoding frame: %w", err)
+		return buf, err
 	}
-	if len(payload) > MaxMessageSize {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
-}
-
-// readFrame reads one length-prefixed JSON document into v.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > MaxMessageSize {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+		return buf, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
+	r.Discard(4)
+	buf = buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), readChunk)
+		buf = slices.Grow(buf, step)[:len(buf)+step]
+		if _, err := io.ReadFull(r, buf[len(buf)-step:]); err != nil {
+			return buf, err
+		}
 	}
-	return json.Unmarshal(payload, v)
+	return buf, nil
 }
 
-// Handler serves one method. Params hold the caller's JSON-encoded argument;
-// the returned value is JSON-encoded as the result.
-type Handler func(params json.RawMessage) (any, error)
+// parseFrame splits a payload of the wanted kind into its id, its strings (as
+// appendFrame takes them) and its body — all views into frame.
+func parseFrame(frame []byte, kind byte, strs ...*[]byte) (id uint64, body Body, err error) {
+	if len(frame) == 0 || frame[0] != kind {
+		return 0, Body{}, fmt.Errorf("rpc: frame does not start with kind %#x: the peer does not speak this binary protocol", kind)
+	}
+	r := wire.NewReader(frame[1:])
+	id = r.Uvarint()
+	for _, s := range strs {
+		*s = r.Bytes()
+	}
+	body.tag, body.data = r.Byte(), r.Rest()
+	if r.Done() != nil || body.tag > bodyWire || (body.tag == bodyNone && len(body.data) > 0) {
+		return 0, Body{}, fmt.Errorf("rpc: malformed frame (body tag %d)", body.tag)
+	}
+	return id, body, nil
+}
+
+// Handler serves one method: it decodes the request body (Body.Decode) and
+// returns the result to encode, nil for none.
+type Handler func(params Body) (any, error)
 
 // Server dispatches framed requests to registered handlers. Each connection
 // gets a reader goroutine; each request is handled on its own goroutine so a
@@ -110,16 +192,19 @@ func (s *Server) Handle(method string, h Handler) {
 }
 
 // HandleFunc registers a typed handler: fn takes the decoded params and
-// returns the result. P must be JSON-decodable.
+// returns the result. P and R travel binary when they have the AppendWire /
+// DecodeWire pair and as JSON otherwise; a struct{} result sends no body.
 func HandleFunc[P any, R any](s *Server, method string, fn func(P) (R, error)) {
-	s.Handle(method, func(raw json.RawMessage) (any, error) {
+	s.Handle(method, func(params Body) (any, error) {
 		var p P
-		if len(raw) > 0 {
-			if err := json.Unmarshal(raw, &p); err != nil {
-				return nil, fmt.Errorf("rpc: bad params for %s: %w", method, err)
-			}
+		if err := params.Decode(&p); err != nil {
+			return nil, fmt.Errorf("rpc: bad params for %s: %w", method, err)
 		}
-		return fn(p)
+		r, err := fn(p)
+		if _, empty := any(r).(struct{}); empty || err != nil {
+			return nil, err
+		}
+		return r, nil
 	})
 }
 
@@ -174,32 +259,45 @@ func (s *Server) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	var writeMu sync.Mutex
 	for {
-		var req Request
-		if err := readFrame(r, &req); err != nil {
+		buf := frames.Get().(*[]byte)
+		var method []byte
+		var err error
+		if *buf, err = readFrame(r, *buf); err != nil {
+			putFrame(buf)
 			return
 		}
+		id, params, err := parseFrame(*buf, kindRequest, &method)
+		if err != nil {
+			putFrame(buf)
+			return // not this protocol: drop the connection
+		}
 		s.mu.RLock()
-		h, ok := s.handlers[req.Method]
+		h := s.handlers[string(method)]
 		s.mu.RUnlock()
-		go func(req Request) {
-			resp := Response{ID: req.ID}
-			if !ok {
-				resp.Error = "rpc: unknown method " + req.Method
-			} else if result, err := h(req.Params); err != nil {
-				resp.Error = err.Error()
-				resp.Code = fault.Code(err)
-			} else if result != nil {
-				payload, err := json.Marshal(result)
-				if err != nil {
-					resp.Error = "rpc: encoding result: " + err.Error()
-				} else {
-					resp.Result = payload
-				}
+		go func() {
+			var result any
+			var herr error
+			if h == nil {
+				herr = errors.New("rpc: unknown method " + string(method))
+			} else {
+				result, herr = h(params)
+			}
+			// The request is decoded; its buffer becomes the response's. A
+			// result that does not encode or fit still answers the call, with
+			// that error — its caller may have no deadline to wait out.
+			var frame []byte
+			if herr == nil {
+				frame, herr = appendFrame(*buf, kindResponse, id, result, "", "")
+			}
+			if herr != nil {
+				frame, _ = appendFrame(*buf, kindResponse, id, nil, herr.Error(), fault.Code(herr))
 			}
 			writeMu.Lock()
-			defer writeMu.Unlock()
-			_ = writeFrame(conn, resp)
-		}(req)
+			_, _ = conn.Write(frame) // a dead connection ends the read loop above
+			writeMu.Unlock()
+			*buf = frame
+			putFrame(buf)
+		}()
 	}
 }
 
@@ -254,13 +352,13 @@ func (e *ServerError) Unwrap() error { return fault.FromCode(e.Code) }
 // IsTransient reports whether err is a transport-level failure — a timeout,
 // a broken or closed connection, a dial or I/O error — for which retrying an
 // idempotent call may succeed. Application errors (*ServerError) are not
-// transient.
+// transient, and neither is a call whose arguments could not be encoded.
 func IsTransient(err error) bool {
 	if err == nil {
 		return false
 	}
 	var se *ServerError
-	return !errors.As(err, &se)
+	return !errors.As(err, &se) && !errors.Is(err, errEncode)
 }
 
 // ClientOptions tunes a client's deadlines and retry behaviour.
@@ -282,12 +380,17 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	return o
 }
 
-// callResult is what a pending call receives: a decoded response or a
-// transport error.
+// callResult is what a pending call receives: a transport error, or the
+// parsed response — views into frame, which the receiver returns to the pool.
 type callResult struct {
-	resp Response
-	err  error
+	frame     *[]byte
+	msg, code []byte // the handler's error and its fault code, empty on success
+	result    Body
+	err       error
 }
+
+// results recycles the one-slot channels calls wait on.
+var results = sync.Pool{New: func() any { return make(chan callResult, 1) }}
 
 // Client is a pipelined RPC client over one TCP connection. Safe for
 // concurrent use. A connection failure marks the client broken — every
@@ -298,7 +401,7 @@ type Client struct {
 	opts ClientOptions
 
 	writeMu sync.Mutex
-	nextID  uint64
+	nextID  atomic.Uint64
 
 	mu      sync.Mutex
 	conn    net.Conn
@@ -383,21 +486,30 @@ func (c *Client) Redial() error {
 func (c *Client) readLoop(conn net.Conn, gen int) {
 	r := bufio.NewReader(conn)
 	for {
-		var resp Response
-		if err := readFrame(r, &resp); err != nil {
+		res := callResult{frame: frames.Get().(*[]byte)}
+		var id uint64
+		var err error
+		if *res.frame, err = readFrame(r, *res.frame); err == nil {
+			id, res.result, err = parseFrame(*res.frame, kindResponse, &res.msg, &res.code)
+		}
+		if err != nil {
+			putFrame(res.frame)
 			c.fail(gen, fmt.Errorf("%w: %v", ErrBroken, err))
 			return
 		}
 		c.mu.Lock()
 		if gen != c.gen {
 			c.mu.Unlock()
+			putFrame(res.frame)
 			return // a redial superseded this connection
 		}
-		ch, ok := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
+		ch, ok := c.pending[id]
+		delete(c.pending, id)
 		c.mu.Unlock()
 		if ok {
-			ch <- callResult{resp: resp}
+			ch <- res
+		} else {
+			putFrame(res.frame) // the caller timed out
 		}
 	}
 }
@@ -410,11 +522,54 @@ func (c *Client) fail(gen int, err error) {
 	if gen != c.gen || c.err != nil {
 		return
 	}
+	if c.closed {
+		err = ErrClosed // the read loop can notice Close's teardown before Close reports it
+	}
 	c.err = err
 	for id, ch := range c.pending {
 		delete(c.pending, id)
 		ch <- callResult{err: err}
 	}
+}
+
+// send encodes the request in full, registers ch for its response and puts
+// the frame on the connection with one Write. Encoding comes first: arguments
+// that do not encode or fit fail this call alone, before a byte is written —
+// not the socket every other caller shares.
+func (c *Client) send(id uint64, method string, params any, ch chan callResult) error {
+	buf := frames.Get().(*[]byte)
+	defer putFrame(buf)
+	var err error
+	if *buf, err = appendFrame(*buf, kindRequest, id, params, method); err != nil {
+		return fmt.Errorf("%w: %w", errEncode, err)
+	}
+
+	c.mu.Lock()
+	if c.err != nil {
+		err := c.err
+		c.mu.Unlock()
+		return err
+	}
+	conn := c.conn
+	gen := c.gen
+	c.pending[id] = ch
+	c.mu.Unlock()
+
+	c.writeMu.Lock()
+	_, err = conn.Write(*buf)
+	c.writeMu.Unlock()
+	if err != nil {
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
+		// A failed write means the connection is dead for everyone, not just
+		// this call: mark the client broken immediately (scoped to this
+		// connection's generation) so the caller's next exchange redials
+		// instead of writing into the same dead socket.
+		err = fmt.Errorf("%w: %v", ErrBroken, err)
+		c.fail(gen, err)
+	}
+	return err
 }
 
 // Call invokes method with params and decodes the result into result (which
@@ -428,43 +583,10 @@ func (c *Client) Call(method string, params any, result any) error {
 // means no deadline. On timeout the call returns an error wrapping
 // ErrTimeout; the connection stays open and a late response is discarded.
 func (c *Client) CallDeadline(method string, params any, result any, timeout time.Duration) error {
-	var raw json.RawMessage
-	if params != nil {
-		payload, err := json.Marshal(params)
-		if err != nil {
-			return fmt.Errorf("rpc: encoding params: %w", err)
-		}
-		raw = payload
-	}
-	ch := make(chan callResult, 1)
-
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
+	id := c.nextID.Add(1)
+	ch := results.Get().(chan callResult)
+	if err := c.send(id, method, params, ch); err != nil {
 		return err
-	}
-	conn := c.conn
-	gen := c.gen
-	c.nextID++
-	id := c.nextID
-	c.pending[id] = ch
-	c.mu.Unlock()
-
-	c.writeMu.Lock()
-	err := writeFrame(conn, Request{ID: id, Method: method, Params: raw})
-	c.writeMu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		// A failed write means the connection is dead for everyone, not just
-		// this call: mark the client broken immediately (scoped to this
-		// connection's generation) so the caller's next exchange redials
-		// instead of writing into the same dead socket.
-		werr := fmt.Errorf("%w: %v", ErrBroken, err)
-		c.fail(gen, werr)
-		return werr
 	}
 
 	var res callResult
@@ -488,17 +610,22 @@ func (c *Client) CallDeadline(method string, params any, result any, timeout tim
 	} else {
 		res = <-ch
 	}
+	// Whoever sends on a pending channel removes it from pending first, so it
+	// is sent on once: having received, nobody else holds ch. (A call that
+	// gave up above may still be answered; its channel is not reused.)
+	results.Put(ch)
 
 	if res.err != nil {
 		return res.err
 	}
-	if res.resp.Error != "" {
-		return &ServerError{Msg: res.resp.Error, Code: res.resp.Code}
+	defer putFrame(res.frame)
+	if len(res.msg) > 0 {
+		return &ServerError{Msg: string(res.msg), Code: string(res.code)}
 	}
-	if result != nil && len(res.resp.Result) > 0 {
-		return json.Unmarshal(res.resp.Result, result)
+	if result == nil {
+		return nil
 	}
-	return nil
+	return res.result.Decode(result)
 }
 
 // Close tears the connection down, failing pending calls. The client cannot

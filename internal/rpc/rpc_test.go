@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -236,13 +235,13 @@ func TestClientCloseFailsCalls(t *testing.T) {
 
 func TestDuplicateHandlerPanics(t *testing.T) {
 	s := NewServer()
-	s.Handle("x", func(p json.RawMessage) (any, error) { return nil, nil })
+	s.Handle("x", func(Body) (any, error) { return nil, nil })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate handler did not panic")
 		}
 	}()
-	s.Handle("x", func(p json.RawMessage) (any, error) { return nil, nil })
+	s.Handle("x", func(Body) (any, error) { return nil, nil })
 }
 
 func TestDialFailure(t *testing.T) {

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -99,24 +98,5 @@ func TestSentinelUnknownCode(t *testing.T) {
 	}
 	if fault.IsDegraded(se) {
 		t.Fatalf("unknown code misclassified as degraded")
-	}
-}
-
-// TestResponseWireCompat pins the frame layout: Code is omitted when empty so
-// old peers see byte-identical error responses.
-func TestResponseWireCompat(t *testing.T) {
-	payload, err := json.Marshal(Response{ID: 7, Error: "boom"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := `{"id":7,"error":"boom"}`; string(payload) != want {
-		t.Fatalf("uncoded response encodes as %s, want %s", payload, want)
-	}
-	var resp Response
-	if err := json.Unmarshal([]byte(`{"id":7,"error":"down","code":"node-down"}`), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(&ServerError{Msg: resp.Error, Code: resp.Code}, fault.ErrNodeDown) {
-		t.Fatalf("coded response did not restore sentinel identity")
 	}
 }
