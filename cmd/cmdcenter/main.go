@@ -44,9 +44,9 @@ func main() {
 		suspectAfter  = flag.Int("suspectafter", 2, "consecutive failures before a stage is quarantined")
 		degraded      = flag.Bool("degraded", false, "serve queries from surviving stages when a stage is quarantined (skip it) instead of failing submits fast")
 
-		// Delta-batched statistics ingest.
-		ingestBatch = flag.Int("ingest.batch", 0, "negotiate delta-batched stat ingest with the stages, this many completions per batch (0: per-record)")
-		ingestIvl   = flag.Duration("ingest.interval", 0, "delta flush interval for partial batches (0: stats default)")
+		// Statistics ingest: how the stages batch their stat deltas.
+		ingestBatch = flag.Int("ingest.batch", 0, "completions per stat delta (0: stats default 256)")
+		ingestIvl   = flag.Duration("ingest.interval", 0, "delta flush interval for partial batches (0: stats default 100ms)")
 
 		// Telemetry.
 		metricsAddr = flag.String("metrics.addr", "", "serve /metrics, /debug/trace and /debug/decisions on this address (empty disables)")
@@ -97,10 +97,6 @@ func main() {
 	defer center.Close()
 	fmt.Printf("command center connected to %d stages, policy %s, budget %.2fW\n",
 		len(addrs), *policy, *budget)
-	if *ingestBatch > 0 {
-		fmt.Printf("delta ingest negotiated with %d/%d stages (batch %d)\n",
-			center.DeltaIngestStages(), len(addrs), *ingestBatch)
-	}
 
 	if *metricsAddr != "" {
 		reg := powerchief.NewMetricsRegistry()
@@ -121,8 +117,8 @@ func main() {
 		// Health machine: per-stage state gauges, the quarantined count and
 		// lifetime quarantine/re-admission counters.
 		center.RegisterMetrics(reg)
-		// Delta-ingest fold counters, negotiated-stage gauge and the
-		// staleness gauge (age of the newest folded delta).
+		// Delta fold counters, lost flushes and the staleness gauge (age of
+		// the newest folded delta).
 		center.RegisterIngestMetrics(reg)
 		reg.CounterFunc("powerchief_decisions_total", "decision audit events recorded", func() float64 {
 			return float64(audit.LastSeq())

@@ -131,9 +131,9 @@ func main() {
 	fmt.Printf("Σ granted %.2fW of %.2fW; %d quarantines, %d re-admissions, %d fenced reports\n",
 		float64(coord.Draw()), *budget, q, r, f)
 	if count, mean, p99, ok := coord.FleetLatency(0.99); ok {
-		deltas, _, gaps := coord.IngestCounts()
-		fmt.Printf("fleet latency over %d completions (from %d heartbeat deltas, %d gaps): mean=%v p99=%v\n",
-			count, deltas, gaps, mean.Round(time.Millisecond), p99.Round(time.Millisecond))
+		deltas, _, lost := coord.IngestCounts()
+		fmt.Printf("fleet latency over %d completions (from %d heartbeat deltas, %d lost): mean=%v p99=%v\n",
+			count, deltas, lost, mean.Round(time.Millisecond), p99.Round(time.Millisecond))
 	}
 	if n, err := loop.Errors(); n > 0 {
 		fmt.Printf("control loop: %d degraded/failed epochs (last: %v)\n", n, err)

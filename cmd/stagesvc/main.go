@@ -41,10 +41,10 @@ func main() {
 		cores     = flag.Int("cores", 16, "cores available to this stage service")
 		timeScale = flag.Float64("timescale", 1, "virtual-to-wall time scale for simulated work")
 
-		// Delta-batched statistics ingest: the center negotiates batching via
-		// the stage.ingest RPC; these bounds clamp whatever it asks for.
-		ingestBatch = flag.Int("ingest.batch", 0, "max completions per negotiated stat delta (0: accept the center's choice)")
-		ingestIvl   = flag.Duration("ingest.interval", 0, "max negotiated delta flush interval (0: accept the center's choice)")
+		// Statistics ingest: the center sets the delta batch sizes via the
+		// stage.ingest RPC; these bounds clamp whatever it asks for.
+		ingestBatch = flag.Int("ingest.batch", 0, "max completions per stat delta (0: accept the center's choice)")
+		ingestIvl   = flag.Duration("ingest.interval", 0, "max delta flush interval (0: accept the center's choice)")
 
 		// Fault injection (chaos harness).
 		chaos      = flag.String("chaos", "", "serve through the fault-injection proxy: pass, hang, slow or deny")
@@ -130,22 +130,14 @@ func main() {
 		reg.CounterFunc("powerchief_stage_queries_completed_total", "queries served by this stage", func() float64 {
 			return float64(cluster.Completed())
 		})
-		// Delta-ingest state: whether a center negotiated batching, flushes
-		// shipped, and the unflushed backlog (the at-risk window if this
-		// process dies before the next flush).
-		reg.GaugeFunc("powerchief_stage_ingest_enabled", "1 when delta-batched stat ingest is negotiated", func() float64 {
-			on, _, _, _ := svc.IngestStats()
-			if on {
-				return 1
-			}
-			return 0
-		})
+		// Statistics accumulator: flushes shipped and the unflushed backlog
+		// (the at-risk window if this process dies before the next flush).
 		reg.CounterFunc("powerchief_stage_ingest_flushes_total", "stat deltas flushed to the center", func() float64 {
-			_, flushes, _, _ := svc.IngestStats()
+			flushes, _ := svc.IngestStats()
 			return float64(flushes)
 		})
 		reg.GaugeFunc("powerchief_stage_ingest_pending_queries", "completions folded but not yet flushed", func() float64 {
-			_, _, pending, _ := svc.IngestStats()
+			_, pending := svc.IngestStats()
 			return float64(pending)
 		})
 		srv, err := telemetry.Serve(*metricsAddr, telemetry.Handler(reg, nil, tracer))

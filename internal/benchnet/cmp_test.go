@@ -114,9 +114,9 @@ func TestCompareForceDowngradesToWarnings(t *testing.T) {
 	}
 }
 
-// TestCompareWarnsOnIngestBatchingDrift: a baseline measured with per-record
-// ingest against a candidate with delta batching (or different batching) has
-// different statistic-staleness bounds — cmp warns instead of comparing
+// TestCompareWarnsOnIngestBatchingDrift: a baseline measured at the default
+// stat-delta sizes against a candidate with explicit (or different) batching
+// has different statistic-staleness bounds — cmp warns instead of comparing
 // silently.
 func TestCompareWarnsOnIngestBatchingDrift(t *testing.T) {
 	old := baselineSummary()

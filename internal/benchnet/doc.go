@@ -19,8 +19,8 @@
 // second-half throughputs agree within -autoterm.pct) and run comparison
 // (Compare; per-metric regression thresholds over achieved QPS, p50/p99/
 // p999 and error rate, refusing to compare summaries whose config or agent
-// count differ — the `powerbench cmp` CI gate). Dist-target specs can
-// enable delta-batched stat ingest (RunSpec.IngestBatch); the batching
-// configuration is stamped into the summary's provenance so cmp warns when
-// a baseline and a candidate ran with different statistic-staleness bounds.
+// count differ — the `powerbench cmp` CI gate). Dist-target specs can size
+// the stages' stat-delta batches (RunSpec.IngestBatch); the sizes are
+// stamped into the summary's provenance so cmp warns when a baseline and a
+// candidate ran with different statistic-staleness bounds.
 package benchnet

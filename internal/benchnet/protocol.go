@@ -65,11 +65,10 @@ type RunSpec struct {
 	// default). All agents must share it or the digests cannot merge.
 	HistGrowth float64 `json:"hist_growth,omitempty"`
 
-	// IngestBatch, for the dist target, enables delta-batched statistics
-	// ingest: the Center negotiates stats.Delta shipping with every stage
-	// service, batching this many completions per frame (0: legacy
-	// per-record ingest). Part of the spec so every agent's Center makes the
-	// same choice and the summary provenance records it.
+	// IngestBatch, for the dist target, is how many completions every stage
+	// service batches per stats.Delta frame (0: the stats default). Part of
+	// the spec so every agent's Center sets the same sizes and the summary
+	// provenance records them.
 	IngestBatch int `json:"ingest_batch,omitempty"`
 	// IngestInterval bounds delta staleness: a partial batch is flushed once
 	// it is this old (0: the stats default).
@@ -98,7 +97,8 @@ func (s RunSpec) Validate() error {
 // StampProvenance records the spec's ingest batching configuration on a
 // summary's provenance, so `powerbench cmp` can warn when a baseline and a
 // candidate ran with different statistic-staleness bounds. A no-op unless
-// the spec enables batching on a dist target.
+// the spec sets a batch size on a dist target: zero is the default on both
+// sides of a comparison.
 func (s RunSpec) StampProvenance(sum *loadgen.Summary) {
 	if s.Target != "dist" || s.IngestBatch <= 0 {
 		return

@@ -6,10 +6,12 @@ import (
 
 // IngestDelta folds a batched statistics commit into the aggregator: every
 // per-instance digest lands in that instance's queuing/serving windows (the
-// exact O(bins) merge on bucketed windows), the optional end-to-end digest
-// lands in the striped e2e window, and the lifetime fallback counters absorb
-// the digest totals — so Eq. 1/2/3 read the same numbers whether the source
-// shipped one record per completion or one delta per batch.
+// exact O(bins) merge), the optional end-to-end digest lands in the striped
+// e2e window, and the lifetime fallback counters absorb the digest totals —
+// so Eq. 1/2/3 read the same numbers as from per-record Ingest. A digest is
+// bins on the shared layout, so the aggregator must keep bucketed windows
+// (AggregatorOptions.Window = WindowBucketed); exact windows refuse the first
+// digest (stats.FoldDigest), before anything is folded.
 //
 // All samples in the delta are folded at the aggregator's current clock
 // reading: the receiver trusts no remote timestamps (the same

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,22 +113,18 @@ func TestIngestDeltaRejectsBadFrames(t *testing.T) {
 	if err := a.IngestDelta(&stats.Delta{V: stats.DeltaVersion}); err != nil {
 		t.Fatalf("empty delta must be a no-op, got %v", err)
 	}
-}
 
-// TestIngestDeltaExactWindowExpansion: delta folds also work on the exact
-// window kind (count conserved), so a misconfigured deployment degrades to
-// approximate values instead of dropping statistics.
-func TestIngestDeltaExactWindowExpansion(t *testing.T) {
-	a := NewAggregator(time.Minute, func() time.Duration { return 0 })
+	// Exact windows keep samples, not bins: the delta is refused with the
+	// layout requirement named, and nothing of it is folded.
+	exact := NewAggregator(time.Minute, func() time.Duration { return 0 })
 	acc := stats.NewDeltaAccumulator(10, time.Hour)
-	for i := 0; i < 5; i++ {
-		acc.FoldRecord(0, "web-0", "web", time.Millisecond, 2*time.Millisecond)
+	acc.FoldRecord(0, "web-0", "web", time.Millisecond, 2*time.Millisecond)
+	acc.FoldCompletion(0)
+	err := exact.IngestDelta(acc.Flush(0))
+	if err == nil || !strings.Contains(err.Error(), "BucketWindow") {
+		t.Fatalf("delta into exact windows: err = %v, want one naming the BucketWindow layout", err)
 	}
-	if err := a.IngestDelta(acc.Flush(0)); err != nil {
-		t.Fatal(err)
-	}
-	q, s, ok := a.InstStats("web-0")
-	if !ok || q <= 0 || s <= 0 {
-		t.Fatalf("exact-window delta fold lost samples: (%v, %v, %v)", q, s, ok)
+	if _, _, ok := exact.InstStats("web-0"); ok || exact.Ingested() != 0 {
+		t.Fatal("refused delta left statistics behind")
 	}
 }

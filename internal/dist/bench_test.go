@@ -1,20 +1,30 @@
 package dist
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"powerchief/internal/cmp"
 	"powerchief/internal/stage"
+	"powerchief/internal/stats"
 )
 
 // BenchmarkCenterSubmit is one query through the deployment the repository
 // benchmark's dist-closed workload assembles (bench/wall.go): Sirius behind
-// three loopback stage services of 2, 2 and 4 instances, delta-batched
-// ingest at 64, work compressed to ~70 ns so that three sequential rpc hops
-// are the round trip. On the 2-vCPU host of EXPERIMENTS.md, -cpu=1:
-// 35–50 µs / 54 allocs per query (106 µs / 166 on the JSON-in-JSON frame).
+// three loopback stage services of 2, 2 and 4 instances, work compressed to
+// ~70 ns so that three sequential rpc hops are the round trip — at the stat
+// batch size the workload runs (64), at the default (0 = 256) and at one
+// flush per completion. On the 2-vCPU host of EXPERIMENTS.md, -cpu=1:
+// 31–33 µs / 53 allocs per query at 64 (106 µs / 166 on the JSON-in-JSON
+// frame); the per-size table is in EXPERIMENTS.md, "One stat contract".
 func BenchmarkCenterSubmit(b *testing.B) {
+	for _, batch := range []int{64, 0, 1} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) { benchCenterSubmit(b, batch) })
+	}
+}
+
+func benchCenterSubmit(b *testing.B, batch int) {
 	const timeScale = 1e-7
 	var addrs []string
 	for _, so := range []StageOptions{
@@ -35,7 +45,7 @@ func BenchmarkCenterSubmit(b *testing.B) {
 		addrs = append(addrs, addr)
 	}
 	center, err := NewCenterOptions(8*cmp.DefaultModel().Power(cmp.MidLevel), time.Second, addrs, CenterOptions{
-		IngestBatch:    64,
+		IngestBatch:    batch,
 		IngestInterval: time.Duration(float64(10*time.Millisecond) / timeScale),
 	})
 	if err != nil {
@@ -51,7 +61,7 @@ func BenchmarkCenterSubmit(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if deltas, _, records, _ := center.IngestCounts(); records != 0 || (b.N >= 64 && deltas == 0) {
-		b.Fatalf("ingest: %d deltas, %d per-record frames after %d queries", deltas, records, b.N)
+	if deltas, _, records, _ := center.IngestCounts(); records != 0 || (b.N >= stats.DefaultDeltaBatch && deltas == 0) {
+		b.Fatalf("ingest: %d deltas, %d records after %d queries", deltas, records, b.N)
 	}
 }

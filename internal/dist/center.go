@@ -16,7 +16,7 @@ import (
 
 // Center is the distributed Command Center: it owns the application's power
 // budget, dispatches queries through the remote stage services in order,
-// folds the returned query-carried records into the aggregator, and drives a
+// folds the statistics deltas they return into the aggregator, and drives a
 // control policy against a remote view of the deployment.
 //
 // The center is fault tolerant: every RPC carries a deadline, call outcomes
@@ -51,7 +51,7 @@ type Center struct {
 	quarantines  atomic.Uint64
 	readmissions atomic.Uint64
 
-	// ingest tracks delta-batched statistics folds (see ingest.go).
+	// ingest tracks the statistics folds (see ingest.go).
 	ingest ingestState
 }
 
@@ -80,8 +80,8 @@ func NewCenterOptions(budget cmp.Watts, window time.Duration, addrs []string, op
 		probeStop: make(chan struct{}),
 	}
 	// The center runs against wall clocks for unbounded stretches, so the
-	// aggregator uses constant-memory bucketed windows: per-record ingest is
-	// O(1) and memory does not grow with query rate.
+	// aggregator uses constant-memory bucketed windows — the layout the
+	// stages' deltas fold into bin for bin.
 	c.agg = core.NewAggregatorOptions(window, c.Now, core.AggregatorOptions{
 		Window: core.WindowBucketed,
 	})
@@ -107,17 +107,15 @@ func NewCenterOptions(budget cmp.Watts, window time.Duration, addrs []string, op
 			canScale: info.CanScale,
 			profile:  cmp.NewRooflineProfile(info.MemBound),
 		}
+		if err := c.configureIngest(st); err != nil {
+			client.Close()
+			c.Close()
+			return nil, fmt.Errorf("dist: stage %s ingest sizes: %w", addr, err)
+		}
 		if err := st.refresh(); err != nil {
 			client.Close()
 			c.Close()
 			return nil, fmt.Errorf("dist: stage %s stats: %w", addr, err)
-		}
-		if opts.IngestBatch > 0 {
-			if err := c.negotiateIngest(st); err != nil {
-				client.Close()
-				c.Close()
-				return nil, fmt.Errorf("dist: stage %s ingest negotiation: %w", addr, err)
-			}
 		}
 		c.stages = append(c.stages, st)
 	}
@@ -155,15 +153,18 @@ func (c *Center) beginQuery(work [][]time.Duration) (qid uint64, stages []*remot
 	return c.nextQID, stages, nil
 }
 
-// finishQuery records a completed query's statistics and offers it to the
-// telemetry tracer (nil-safe no-op when tracing is off).
-func (c *Center) finishQuery(q *query.Query) {
+// finishQuery counts a completed query and its end-to-end latency, then
+// offers it with its trace records to the telemetry tracer (nil-safe no-op
+// when tracing is off). The aggregator sees the query without records: the
+// per-instance statistics arrive as deltas and must not be counted twice.
+func (c *Center) finishQuery(q *query.Query, trace []query.Record) {
 	q.Done = c.Now()
 	c.agg.Ingest(q)
 	c.mu.Lock()
 	c.completed++
 	c.latency.Observe(q.Latency())
 	c.mu.Unlock()
+	q.Records = trace
 	c.opts.Tracer.ObserveQuery(q)
 }
 
@@ -183,7 +184,12 @@ func (c *Center) Submit(work [][]time.Duration) (time.Duration, error) {
 	}
 
 	arrival := c.Now()
-	q := query.New(query.ID(qid), arrival, work)
+	q := &query.Query{ID: query.ID(qid), Arrival: arrival, Work: work}
+	args := ProcessArgs{QueryID: qid, Trace: c.opts.Tracer.Enabled()}
+	var trace []query.Record
+	if args.Trace {
+		trace = make([]query.Record, 0, len(stages))
+	}
 	for i, st := range stages {
 		if st.quarantined() {
 			if c.opts.DegradedSubmit {
@@ -192,18 +198,19 @@ func (c *Center) Submit(work [][]time.Duration) (time.Duration, error) {
 			return 0, fmt.Errorf("dist: stage %s: %w", st.name, ErrStageDown)
 		}
 		var reply ProcessReply
-		if err := st.client.CallDeadline(MethodProcess, ProcessArgs{QueryID: qid, Work: work[i]}, &reply, c.opts.SubmitTimeout); err != nil {
+		args.Work = work[i]
+		if err := st.client.CallDeadline(MethodProcess, args, &reply, c.opts.SubmitTimeout); err != nil {
 			if rpc.IsTransient(err) {
 				st.noteFailure(err)
 			}
 			return 0, fmt.Errorf("dist: stage %s: %w", st.name, err)
 		}
 		st.noteSuccess()
-		for _, rec := range reply.Records {
-			q.Append(rec.toRecord(q.ID))
-		}
 		if len(reply.Records) > 0 {
-			c.ingest.recordsIn.Add(uint64(len(reply.Records)))
+			for _, rec := range reply.Records {
+				trace = append(trace, rec.toRecord(q.ID))
+			}
+			c.ingest.traceRecords.Add(uint64(len(reply.Records)))
 		}
 		if reply.Delta != nil {
 			// A completion on this stage tripped a flush: fold the batch.
@@ -211,7 +218,7 @@ func (c *Center) Submit(work [][]time.Duration) (time.Duration, error) {
 			_ = c.foldDelta(st, reply.Delta)
 		}
 	}
-	c.finishQuery(q)
+	c.finishQuery(q, trace)
 	return q.Latency(), nil
 }
 
@@ -417,19 +424,12 @@ type remoteStage struct {
 	health   HealthState
 	fails    int // consecutive failed calls
 	lastErr  error
-
-	// deltaIngest marks that this stage negotiated delta-batched statistics
-	// ingest; deltaSeq is the last delta sequence number folded from it
-	// (gaps mean lost flush windows).
-	deltaIngest bool
-	deltaSeq    uint64
 }
 
 // refresh pulls a fresh instance snapshot from the service. stage.stats is
-// idempotent, so transient failures are retried with backoff. Under
-// delta-batched ingest the reply also drains the stage's pending batch —
-// the staleness backstop that keeps Eq. 1/2/3 inputs no staler than
-// max(flush interval, control interval).
+// idempotent, so transient failures are retried with backoff. The reply also
+// drains the stage's pending batch — the staleness backstop that keeps Eq.
+// 1/2/3 inputs no staler than max(flush interval, control interval).
 func (st *remoteStage) refresh() error {
 	var reply StatsReply
 	if err := st.client.CallRetry(MethodStats, nil, &reply); err != nil {

@@ -66,7 +66,11 @@ func TestDistributedQueryFlow(t *testing.T) {
 	if center.Aggregator().Ingested() != 1 {
 		t.Error("aggregator did not receive the query")
 	}
-	// The query carried records from both stages back to the center.
+	// The stages folded the query's records; a stats refresh carries them
+	// back to the center.
+	if err := center.stages[0].refresh(); err != nil {
+		t.Fatal(err)
+	}
 	q, s, ok := center.Aggregator().InstStats("ASR_1")
 	if !ok {
 		t.Fatal("no stats for ASR_1")

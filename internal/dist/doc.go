@@ -1,7 +1,7 @@
 // Package dist implements the distributed real-system prototype (§7 of the
 // paper): each processing stage runs as its own process hosting a pool of
 // service instances, and a Command Center process dispatches queries through
-// the stages over RPC, collects the query-carried latency records, and
+// the stages over RPC, collects the query-carried latency statistics, and
 // drives the control policy — DVFS, instance boosting and withdraw — against
 // the remote stages, all under a global power budget it owns.
 //
@@ -21,12 +21,10 @@
 // counting errors rather than hanging — ChaosProxy exists to prove those
 // paths in tests. See DESIGN.md for the failure model.
 //
-// Statistics cross the stage→center boundary under one of two contracts
-// (DESIGN.md §5j): per-record (the default — latency records ride every
-// ProcessReply) or delta-batched (CenterOptions.IngestBatch — stages fold
-// completions locally and ship one stats.Delta per batch, negotiated via
-// MethodIngest with silent per-record fallback for old peers on either
-// side). StatSink is a standalone ingest endpoint serving both contracts;
-// `powerbench ingest` races them against each other
-// (results/BENCH_ingest.json).
+// Statistics cross the stage→center boundary one way (DESIGN.md §5j): every
+// stage service folds its completions locally and ships a stats.Delta per
+// batch — on the ProcessReply that trips the flush, and on every StatsReply.
+// CenterOptions.IngestBatch / IngestInterval are the batch sizes, sent by
+// MethodIngest. Full records travel only as the query tracer's side channel
+// (ProcessArgs.Trace) and never reach the aggregator.
 package dist

@@ -76,18 +76,15 @@ type CenterOptions struct {
 	// ErrStageDown.
 	DegradedSubmit bool
 
-	// IngestBatch > 0 negotiates delta-batched statistics ingest with every
-	// stage service (MethodIngest): stages fold completions locally and ship
-	// one stats.Delta per IngestBatch completed queries or IngestInterval,
-	// whichever comes first, instead of records on every ProcessReply.
-	// Stages that answer "unknown method" (old binaries) silently keep the
-	// legacy per-record contract — a mixed deployment works. Zero keeps
-	// per-record ingest everywhere.
-	IngestBatch int
-	// IngestInterval is the batched-ingest flush interval (zero applies
-	// stats.DefaultDeltaInterval). Together with the control-loop stats
-	// refresh — which drains pending batches — it bounds how stale the
-	// planner's Eq. 1/2/3 inputs can be.
+	// IngestBatch and IngestInterval size the stages' statistics batches:
+	// every stage service folds completions locally and ships one
+	// stats.Delta per IngestBatch completed queries or IngestInterval of
+	// stage-local time, whichever comes first (zeros apply
+	// stats.DefaultDeltaBatch / DefaultDeltaInterval). Sent to each stage by
+	// MethodIngest at connect and at re-admission. Together with the
+	// control-loop stats refresh — which drains pending batches — the
+	// interval bounds how stale the planner's Eq. 1/2/3 inputs can be.
+	IngestBatch    int
 	IngestInterval time.Duration
 
 	// Audit, when set, receives a structured event for every health
@@ -96,7 +93,8 @@ type CenterOptions struct {
 	// decisions recorded through core.AuditSetter.
 	Audit *telemetry.AuditLog
 	// Tracer, when set, samples completed queries into span trees built
-	// from the RPC-carried joint-design records.
+	// from the joint-design records, which the stages then return in full
+	// on every reply (ProcessArgs.Trace) next to the statistics deltas.
 	Tracer *telemetry.Tracer
 }
 
@@ -302,8 +300,9 @@ func (c *Center) tryReadmit(st *remoteStage) {
 			return // still unreachable; stays down
 		}
 	}
-	var reply StatsReply
-	if err := st.client.CallDeadline(MethodStats, nil, &reply, c.opts.CallTimeout); err != nil {
+	// stage.info, not stage.stats: a probe must not drain (and drop) the
+	// stage's pending statistics; readmit's refresh folds them.
+	if err := st.client.CallDeadline(MethodInfo, nil, nil, c.opts.CallTimeout); err != nil {
 		return // reachable check failed; stays down
 	}
 	st.setHealth(Recovering)
@@ -319,20 +318,12 @@ func (c *Center) readmit(st *remoteStage) error {
 	c.adjustMu.Lock()
 	defer c.adjustMu.Unlock()
 
+	// Re-send the flush sizes first, so that the frames refresh folds next
+	// are tracked as a restarted process's. A failure never blocks
+	// re-admission: the stage keeps flushing at the sizes it has.
+	_ = c.configureIngest(st)
 	if err := st.refresh(); err != nil {
 		return fmt.Errorf("dist: readmit refresh: %w", err)
-	}
-
-	// Re-offer delta-batched ingest: a restarted stage process comes up
-	// disarmed and would otherwise stay per-record for the rest of the run.
-	// A failed offer never blocks re-admission — the per-record fallback
-	// keeps its statistics flowing, and the next readmit retries.
-	if c.opts.IngestBatch > 0 {
-		if err := c.negotiateIngest(st); err != nil {
-			st.mu.Lock()
-			st.deltaIngest = false
-			st.mu.Unlock()
-		}
 	}
 
 	const eps = 1e-9

@@ -1,129 +1,62 @@
 package dist
 
 import (
-	"errors"
-	"strings"
 	"sync/atomic"
 	"time"
 
-	"powerchief/internal/core"
-	"powerchief/internal/query"
-	"powerchief/internal/rpc"
 	"powerchief/internal/stats"
 	"powerchief/internal/telemetry"
 )
 
-// ingestState is the center's side of delta-batched ingest: negotiation
-// results and fold accounting, embedded in Center.
+// ingestState is the center's side of statistics ingest, embedded in Center.
 type ingestState struct {
-	// deltasIn counts delta frames folded; recordsIn counts legacy per-record
-	// folds. Their ratio is the wire-traffic reduction the batching bought.
-	deltasIn  atomic.Uint64
-	recordsIn atomic.Uint64
-	// deltaQueries counts completed queries summarized by folded deltas.
-	deltaQueries atomic.Uint64
-	// seqGaps counts sequence-number discontinuities across folded deltas —
-	// each one is at most a flush window of statistics lost with a killed or
-	// restarted stage process.
-	seqGaps atomic.Uint64
+	// recv books the folded deltas, per stage.
+	recv stats.DeltaReceiver
+	// traceRecords counts records received on the trace side channel: zero
+	// unless a tracer is attached.
+	traceRecords atomic.Uint64
 	// lastDeltaNS is the center clock (ns) at the last delta fold, for the
 	// staleness gauge.
 	lastDeltaNS atomic.Int64
 }
 
-// negotiateIngest offers delta-batched ingest to one stage service. Old
-// services answer "unknown method" — the legacy per-record contract — which
-// is not an error; anything else is. Run at startup and again on every
-// re-admission: a restarted stage process comes up disarmed (per-record),
-// so without the re-offer one crash would silently degrade that stage's
-// wire traffic for the rest of the run. Arming resets the sequence
-// high-water mark — the new process numbers its flushes from 1, and holding
-// the old mark would count a spurious gap on every frame until it caught up.
-func (c *Center) negotiateIngest(st *remoteStage) error {
-	args := IngestArgs{
-		Version:    stats.DeltaVersion,
+// configureIngest sends one stage service the center's flush sizes, at
+// connect and again at every re-admission: what answers then may be a
+// restarted process, flushing at the defaults and numbering from 1, so the
+// stage's sequence tracking is re-armed with it.
+func (c *Center) configureIngest(st *remoteStage) error {
+	c.ingest.recv.Rearm(st.name)
+	return st.client.CallRetry(MethodIngest, IngestArgs{
 		Batch:      c.opts.IngestBatch,
 		IntervalNS: int64(c.opts.IngestInterval),
-	}
-	var reply IngestReply
-	err := st.client.CallRetry(MethodIngest, args, &reply)
-	if err != nil {
-		var se *rpc.ServerError
-		if errors.As(err, &se) && strings.Contains(se.Msg, "unknown method") {
-			st.mu.Lock()
-			st.deltaIngest = false
-			st.mu.Unlock()
-			return nil // old stage binary: stays per-record
-		}
-		return err
-	}
-	st.mu.Lock()
-	st.deltaIngest = reply.Accepted
-	st.deltaSeq = 0
-	st.mu.Unlock()
-	return nil
+	}, nil)
 }
 
-// DeltaIngestStages returns how many live (non-quarantined) stages have
-// delta-batched ingest negotiated (0 when the feature is off or every peer
-// is legacy). A quarantined stage is excluded — it is not shipping deltas —
-// so the gauge dips when a stage dies and recovers on re-admission.
-func (c *Center) DeltaIngestStages() int {
-	c.mu.Lock()
-	stages := make([]*remoteStage, len(c.stages))
-	copy(stages, c.stages)
-	c.mu.Unlock()
-	n := 0
-	for _, st := range stages {
-		if st.quarantined() {
-			continue
-		}
-		st.mu.Lock()
-		if st.deltaIngest {
-			n++
-		}
-		st.mu.Unlock()
-	}
-	return n
-}
-
-// foldDelta folds one stage-shipped delta into the aggregator, tracking
-// sequence gaps and staleness. The center already counted each completion
-// through finishQuery (and measures end-to-end latency itself), so the
-// delta's query count feeds only the metrics, never the aggregator's
-// ingested total.
+// foldDelta folds one stage-shipped delta into the aggregator. The center
+// already counted each completion through finishQuery (and measures
+// end-to-end latency itself), so the delta's query count feeds only the
+// metrics, never the aggregator's ingested total.
 func (c *Center) foldDelta(st *remoteStage, d *stats.Delta) error {
 	if d.Empty() {
 		return nil
 	}
-	st.mu.Lock()
-	if st.deltaSeq != 0 && d.Seq != st.deltaSeq+1 {
-		c.ingest.seqGaps.Add(1)
-	}
-	if d.Seq > st.deltaSeq {
-		st.deltaSeq = d.Seq
-	}
-	st.mu.Unlock()
-
-	c.ingest.deltaQueries.Add(d.Queries)
 	queries := d.Queries
 	d.Queries = 0 // completions were already counted at finishQuery
 	err := c.agg.IngestDelta(d)
 	d.Queries = queries
-	if err != nil {
-		return err
+	c.ingest.recv.Note(st.name, d, err == nil)
+	if err == nil {
+		c.ingest.lastDeltaNS.Store(int64(c.Now()))
 	}
-	c.ingest.deltasIn.Add(1)
-	c.ingest.lastDeltaNS.Store(int64(c.Now()))
-	return nil
+	return err
 }
 
-// IngestCounts returns the lifetime fold counters: delta frames folded,
-// completed queries they summarized, legacy per-record folds, and sequence
-// gaps observed (lost flush windows).
-func (c *Center) IngestCounts() (deltas, deltaQueries, records, seqGaps uint64) {
-	return c.ingest.deltasIn.Load(), c.ingest.deltaQueries.Load(),
-		c.ingest.recordsIn.Load(), c.ingest.seqGaps.Load()
+// IngestCounts returns the lifetime counters: delta frames folded, completed
+// queries they summarized, trace records received (zero without a tracer:
+// statistics never travel as records), and lost flushes.
+func (c *Center) IngestCounts() (deltas, deltaQueries, records, lost uint64) {
+	deltas, deltaQueries, lost = c.ingest.recv.Counts()
+	return deltas, deltaQueries, c.ingest.traceRecords.Load(), lost
 }
 
 // IngestStaleness returns the center-clock age of the newest folded delta,
@@ -136,25 +69,24 @@ func (c *Center) IngestStaleness() (time.Duration, bool) {
 	return c.Now() - time.Duration(last), true
 }
 
-// RegisterIngestMetrics exports the delta-ingest telemetry on reg: fold
-// counters, sequence gaps, the number of delta-negotiated stages, and the
-// staleness gauge (seconds since the newest folded delta; 0 before the
-// first fold).
+// RegisterIngestMetrics exports the ingest telemetry on reg: fold counters,
+// lost flushes, and the staleness gauge (seconds since the newest folded
+// delta; 0 before the first fold).
 func (c *Center) RegisterIngestMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("powerchief_ingest_deltas_total", "delta frames folded into the aggregator", func() float64 {
-		return float64(c.ingest.deltasIn.Load())
+		deltas, _, _, _ := c.IngestCounts()
+		return float64(deltas)
 	})
 	reg.CounterFunc("powerchief_ingest_delta_queries_total", "completed queries summarized by folded deltas", func() float64 {
-		return float64(c.ingest.deltaQueries.Load())
+		_, queries, _, _ := c.IngestCounts()
+		return float64(queries)
 	})
-	reg.CounterFunc("powerchief_ingest_records_total", "legacy per-record statistic folds", func() float64 {
-		return float64(c.ingest.recordsIn.Load())
+	reg.CounterFunc("powerchief_ingest_records_total", "trace records received (0 without a tracer)", func() float64 {
+		return float64(c.ingest.traceRecords.Load())
 	})
-	reg.CounterFunc("powerchief_ingest_seq_gaps_total", "delta sequence gaps (lost flush windows)", func() float64 {
-		return float64(c.ingest.seqGaps.Load())
-	})
-	reg.GaugeFunc("powerchief_ingest_stages", "stages with delta-batched ingest negotiated", func() float64 {
-		return float64(c.DeltaIngestStages())
+	reg.CounterFunc("powerchief_ingest_seq_gaps_total", "lost flushes (delta sequence numbers that never arrived)", func() float64 {
+		_, _, _, lost := c.IngestCounts()
+		return float64(lost)
 	})
 	reg.GaugeFunc("powerchief_ingest_staleness_seconds", "age of the newest folded delta", func() float64 {
 		s, ok := c.IngestStaleness()
@@ -164,59 +96,3 @@ func (c *Center) RegisterIngestMetrics(reg *telemetry.Registry) {
 		return s.Seconds()
 	})
 }
-
-// StatSink is a standalone statistics ingest endpoint: an RPC server folding
-// pushed query statistics into a core.Aggregator. Producers push either one
-// MethodStatRecord call per completion (the legacy contract) or one
-// MethodStatDelta call per batch — the wire shapes the ingest benchmark
-// race-tests against each other, and the building block for stat pipelines
-// that decouple statistics from the query path entirely.
-type StatSink struct {
-	agg    *core.Aggregator
-	server *rpc.Server
-
-	calls   atomic.Uint64 // stat-carrying RPCs served
-	queries atomic.Uint64 // completed queries represented
-	seqGaps atomic.Uint64
-	lastSeq atomic.Uint64
-}
-
-// NewStatSink builds a sink folding into agg and registers both handlers.
-func NewStatSink(agg *core.Aggregator) *StatSink {
-	s := &StatSink{agg: agg, server: rpc.NewServer()}
-	rpc.HandleFunc(s.server, MethodStatRecord, func(a StatRecordArgs) (struct{}, error) {
-		q := &query.Query{ID: query.ID(a.QueryID), Done: time.Duration(a.LatencyNS)}
-		for _, rw := range a.Records {
-			q.Records = append(q.Records, rw.toRecord(q.ID))
-		}
-		s.agg.Ingest(q)
-		s.calls.Add(1)
-		s.queries.Add(1)
-		return struct{}{}, nil
-	})
-	rpc.HandleFunc(s.server, MethodStatDelta, func(d stats.Delta) (struct{}, error) {
-		if err := s.agg.IngestDelta(&d); err != nil {
-			return struct{}{}, err
-		}
-		last := s.lastSeq.Swap(d.Seq)
-		if last != 0 && d.Seq != last+1 {
-			s.seqGaps.Add(1)
-		}
-		s.calls.Add(1)
-		s.queries.Add(d.Queries)
-		return struct{}{}, nil
-	})
-	return s
-}
-
-// Listen starts serving on addr and returns the bound address.
-func (s *StatSink) Listen(addr string) (string, error) { return s.server.Listen(addr) }
-
-// Counts returns stat-carrying RPCs served and completed queries they
-// represented — the before/after numbers of the ingest benchmark.
-func (s *StatSink) Counts() (calls, queries, seqGaps uint64) {
-	return s.calls.Load(), s.queries.Load(), s.seqGaps.Load()
-}
-
-// Close stops the RPC server.
-func (s *StatSink) Close() { s.server.Close() }

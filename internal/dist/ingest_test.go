@@ -1,21 +1,21 @@
 package dist
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"powerchief/internal/cmp"
 	"powerchief/internal/core"
-	"powerchief/internal/query"
 	"powerchief/internal/rpc"
 	"powerchief/internal/stage"
 	"powerchief/internal/stats"
 )
 
-// startIngestPipeline spins up a two-stage pipeline with delta-batched
-// ingest negotiated at the given batch/interval.
-func startIngestPipeline(t *testing.T, batch int, interval time.Duration) (*Center, []*StageService) {
+// startIngestPipeline spins up a two-stage pipeline whose stages batch their
+// statistics at the given batch/interval.
+func startIngestPipeline(t *testing.T, batch int, interval time.Duration) (*Center, []*StageService, []string) {
 	t.Helper()
 	specs := []StageOptions{
 		{Name: "ASR", Kind: stage.Pipeline, MemBound: 0.15, Instances: 1, Level: cmp.MidLevel, TimeScale: testScale},
@@ -49,21 +49,18 @@ func startIngestPipeline(t *testing.T, batch int, interval time.Duration) (*Cent
 			s.Close()
 		}
 	})
-	return center, svcs
+	return center, svcs, addrs
 }
 
-// TestDeltaIngestEndToEnd drives real queries through a delta-negotiated
-// pipeline: no records travel on the wire, the batched deltas land in the
-// aggregator, and the per-instance stats match what the queries did.
+// TestDeltaIngestEndToEnd drives real queries through a pipeline: no records
+// travel on the wire, the batched deltas land in the aggregator, and the
+// per-instance stats match what the queries did.
 func TestDeltaIngestEndToEnd(t *testing.T) {
 	const batch = 4
-	center, svcs := startIngestPipeline(t, batch, time.Hour)
-	if got := center.DeltaIngestStages(); got != 2 {
-		t.Fatalf("DeltaIngestStages = %d, want 2", got)
-	}
+	center, svcs, _ := startIngestPipeline(t, batch, time.Hour)
 	for _, svc := range svcs {
-		if enabled, _, _, _ := svc.IngestStats(); !enabled {
-			t.Fatal("stage did not arm its accumulator")
+		if b, ivl := svc.ingest.Sizes(); b != batch || ivl != time.Hour {
+			t.Fatalf("stage flushes at (%d, %v), want the center's (%d, %v)", b, ivl, batch, time.Hour)
 		}
 	}
 
@@ -79,7 +76,7 @@ func TestDeltaIngestEndToEnd(t *testing.T) {
 
 	deltas, deltaQueries, records, seqGaps := center.IngestCounts()
 	if records != 0 {
-		t.Fatalf("legacy records traveled on a delta-negotiated pipeline: %d", records)
+		t.Fatalf("records traveled without a tracer: %d", records)
 	}
 	if want := uint64(n / batch * 2); deltas != want {
 		t.Fatalf("deltas folded = %d, want %d", deltas, want)
@@ -112,7 +109,7 @@ func TestDeltaIngestEndToEnd(t *testing.T) {
 // partial batch (below the count threshold, interval not yet reached) is
 // flushed by the control-interval stats refresh.
 func TestDeltaIngestStatsRefreshDrainsPending(t *testing.T) {
-	center, svcs := startIngestPipeline(t, 1000, time.Hour)
+	center, svcs, _ := startIngestPipeline(t, 1000, time.Hour)
 	if _, err := center.Submit([][]time.Duration{
 		{20 * time.Millisecond},
 		{10 * time.Millisecond},
@@ -122,7 +119,7 @@ func TestDeltaIngestStatsRefreshDrainsPending(t *testing.T) {
 	if deltas, _, _, _ := center.IngestCounts(); deltas != 0 {
 		t.Fatalf("partial batch flushed early: %d deltas", deltas)
 	}
-	if _, _, pendingQ, _ := svcs[0].IngestStats(); pendingQ != 1 {
+	if _, pendingQ := svcs[0].IngestStats(); pendingQ != 1 {
 		t.Fatalf("stage pending queries = %d, want 1", pendingQ)
 	}
 	// One control interval: Adjust refreshes every stage, draining batches.
@@ -133,7 +130,7 @@ func TestDeltaIngestStatsRefreshDrainsPending(t *testing.T) {
 	if deltas != 2 || deltaQueries != 2 {
 		t.Fatalf("after refresh: deltas = %d queries = %d, want 2/2", deltas, deltaQueries)
 	}
-	if _, _, pendingQ, _ := svcs[0].IngestStats(); pendingQ != 0 {
+	if _, pendingQ := svcs[0].IngestStats(); pendingQ != 0 {
 		t.Fatalf("stage still holds %d pending queries after refresh", pendingQ)
 	}
 	if _, s, ok := center.Aggregator().InstStats("ASR_1"); !ok || s <= 0 {
@@ -141,145 +138,65 @@ func TestDeltaIngestStatsRefreshDrainsPending(t *testing.T) {
 	}
 }
 
-// oldStageService is a stage service predating delta ingest: it registers
-// only the legacy methods (no MethodIngest) and ships records on every
-// ProcessReply — the wire behavior of an old binary, for the mixed-
-// deployment interop test.
-type oldStageService struct {
-	server *rpc.Server
-	name   string
-}
-
-func startOldStageService(t *testing.T, name string) string {
-	t.Helper()
-	s := &oldStageService{server: rpc.NewServer(), name: name}
-	rpc.HandleFunc(s.server, MethodInfo, func(struct{}) (InfoReply, error) {
-		return InfoReply{Name: name, CanScale: true, MemBound: 0.2}, nil
-	})
-	rpc.HandleFunc(s.server, MethodStats, func(struct{}) (StatsReply, error) {
-		return StatsReply{Instances: []InstanceStats{{Name: name + "_1", Level: cmp.MidLevel}}}, nil
-	})
-	rpc.HandleFunc(s.server, MethodProcess, func(a ProcessArgs) (ProcessReply, error) {
-		return ProcessReply{Records: []RecordWire{{
-			Instance:   name + "_1",
-			Stage:      name,
-			QueueEnter: 0,
-			ServeStart: time.Millisecond,
-			ServeEnd:   3 * time.Millisecond,
-		}}}, nil
-	})
-	addr, err := s.server.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.server.Close() })
-	return addr
-}
-
-// TestMixedDeploymentOldStageNewCenter is the wire back-compat satellite: a
-// new center with delta ingest enabled drives one old-binary stage (answers
-// "unknown method" to the negotiation) and one new stage in a single
-// deployment. The old stage keeps the per-record contract, the new stage
-// ships deltas, and both streams land in one aggregator.
-func TestMixedDeploymentOldStageNewCenter(t *testing.T) {
-	oldAddr := startOldStageService(t, "OLD")
-
-	svc, err := NewStageService(StageOptions{
-		Name: "NEW", Kind: stage.Pipeline, MemBound: 0.25,
-		Instances: 1, Level: cmp.MidLevel, TimeScale: testScale,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newAddr, err := svc.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const batch = 2
-	center, err := NewCenterOptions(100, 25*time.Second, []string{oldAddr, newAddr}, CenterOptions{
-		IngestBatch:    batch,
-		IngestInterval: time.Hour,
-		ProbeInterval:  -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		center.Close()
-		svc.Close()
-	})
-
-	if got := center.DeltaIngestStages(); got != 1 {
-		t.Fatalf("DeltaIngestStages = %d, want only the new stage", got)
-	}
-
-	const n = 4
-	for i := 0; i < n; i++ {
-		if _, err := center.Submit([][]time.Duration{
-			{5 * time.Millisecond},
-			{10 * time.Millisecond},
-		}); err != nil {
+// TestDefaultCenterShipsNoRecords: statistics cross the process boundary only
+// as deltas at every batch size, the zero value (the stats defaults)
+// included — without a tracer no record travels, and after one control
+// interval's refresh every instance has its Eq. 2/3 inputs.
+func TestDefaultCenterShipsNoRecords(t *testing.T) {
+	for _, batch := range []int{0, 1, 64} {
+		center, svcs, _ := startIngestPipeline(t, batch, 0)
+		want := batch
+		if want == 0 {
+			want = stats.DefaultDeltaBatch
+		}
+		for _, svc := range svcs {
+			if b, ivl := svc.ingest.Sizes(); b != want || ivl != stats.DefaultDeltaInterval {
+				t.Fatalf("batch %d: stage flushes at (%d, %v), want (%d, %v)", batch, b, ivl, want, stats.DefaultDeltaInterval)
+			}
+		}
+		const n = 6
+		for i := 0; i < n; i++ {
+			if _, err := center.Submit([][]time.Duration{{20 * time.Millisecond}, {10 * time.Millisecond}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := center.Adjust(core.NewFreqBoost(core.DefaultConfig())); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	deltas, _, records, _ := center.IngestCounts()
-	if records != n {
-		t.Fatalf("old stage shipped %d records, want %d", records, n)
-	}
-	if deltas != n/batch {
-		t.Fatalf("new stage shipped %d deltas, want %d", deltas, n/batch)
-	}
-	// Both ingest paths reach the same aggregator.
-	for _, inst := range []string{"OLD_1", "NEW_1"} {
-		if _, s, ok := center.Aggregator().InstStats(inst); !ok || s <= 0 {
-			t.Fatalf("InstStats(%q) missing: per-record and delta streams must coexist", inst)
+		deltas, deltaQueries, records, lost := center.IngestCounts()
+		if records != 0 || deltas == 0 || deltaQueries != 2*n || lost != 0 {
+			t.Fatalf("batch %d: %d deltas over %d stage completions, %d records, %d lost; want deltas > 0, %d, 0, 0",
+				batch, deltas, deltaQueries, records, lost, 2*n)
 		}
-	}
-}
-
-// TestIngestNegotiationOldCenterShape: a center without IngestBatch (an old
-// binary's wire behavior — it never calls MethodIngest) leaves a new stage
-// in per-record mode, so records keep flowing.
-func TestIngestNegotiationOldCenterShape(t *testing.T) {
-	center, svcs := startPipeline(t, 100)
-	for _, svc := range svcs {
-		if enabled, _, _, _ := svc.IngestStats(); enabled {
-			t.Fatal("stage armed batched ingest without negotiation")
+		for _, inst := range []string{"ASR_1", "QA_1"} {
+			if _, s, ok := center.Aggregator().InstStats(inst); !ok || s <= 0 {
+				t.Fatalf("batch %d: InstStats(%q) = (%v, %v) after a refresh", batch, inst, s, ok)
+			}
 		}
-	}
-	if _, err := center.Submit([][]time.Duration{
-		{5 * time.Millisecond},
-		{5 * time.Millisecond},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	_, _, records, _ := center.IngestCounts()
-	if records != 2 {
-		t.Fatalf("per-record folds = %d, want 2", records)
+		if got := center.Aggregator().Ingested(); got != n {
+			t.Fatalf("batch %d: aggregator ingested %d queries, want %d", batch, got, n)
+		}
 	}
 }
 
 // TestDeltaFrameWireBackCompat: the two shapes of a ProcessReply survive the
-// binary body. A per-record reply (records, nil delta) spends one byte on the
-// absent delta and decodes with Delta still nil — the center tells the two
-// contracts apart by that — and a batched reply decodes with its digests
-// intact and valid.
+// binary body. A traced reply between flushes (records, nil delta) spends one
+// byte on the absent delta and decodes with Delta still nil, and a flushing
+// reply decodes with its digests intact and valid.
 func TestDeltaFrameWireBackCompat(t *testing.T) {
 	perRecord := ProcessReply{Records: []RecordWire{{
 		Instance: "QA_1", Stage: "QA", QueueEnter: time.Millisecond, ServeStart: 2 * time.Millisecond, ServeEnd: 9 * time.Millisecond,
 	}}}
 	body := perRecord.AppendWire(nil)
 	if body[len(body)-1] != 0 {
-		t.Fatalf("per-record body does not end in the absent-delta byte: %x", body)
+		t.Fatalf("traced body does not end in the absent-delta byte: %x", body)
 	}
 	var reply ProcessReply
 	if err := reply.DecodeWire(body); err != nil {
 		t.Fatal(err)
 	}
 	if len(reply.Records) != 1 || reply.Delta != nil {
-		t.Fatalf("per-record body decode: %+v", reply)
+		t.Fatalf("traced body decode: %+v", reply)
 	}
 
 	acc := stats.NewDeltaAccumulator(8, time.Second)
@@ -298,9 +215,10 @@ func TestDeltaFrameWireBackCompat(t *testing.T) {
 }
 
 // TestIngestNegotiationClampsToStageBounds: a stage started with operator
-// bounds (cmd/stagesvc -ingest.batch / -ingest.interval) accepts a center's
-// negotiation but clamps the batch and interval — the local guard on
-// pending-delta memory and staleness no center configuration can override.
+// bounds (cmd/stagesvc -ingest.batch / -ingest.interval) takes a center's
+// sizes but clamps them — the defaults a zero asks for included — and an
+// impossible size is an error that leaves the accumulator as it was. The
+// setter keeps what is pending: resizing loses no statistics.
 func TestIngestNegotiationClampsToStageBounds(t *testing.T) {
 	svc, err := NewStageService(StageOptions{
 		Name: "web", MemBound: 0.2, Instances: 1, TimeScale: testScale,
@@ -320,98 +238,32 @@ func TestIngestNegotiationClampsToStageBounds(t *testing.T) {
 	}
 	t.Cleanup(func() { cli.Close() })
 
-	var reply IngestReply
-	if err := cli.Call(MethodIngest, IngestArgs{
-		Version: stats.DeltaVersion, Batch: 1024, IntervalNS: int64(time.Second),
-	}, &reply); err != nil {
-		t.Fatal(err)
+	if b, ivl := svc.ingest.Sizes(); b != stats.DefaultDeltaBatch || ivl != stats.DefaultDeltaInterval {
+		t.Fatalf("unconfigured stage flushes at (%d, %v), want the stats defaults", b, ivl)
 	}
-	if !reply.Accepted {
-		t.Fatal("bounded stage rejected the negotiation instead of clamping")
-	}
-	svc.mu.Lock()
-	acc := svc.ingest
-	svc.mu.Unlock()
-	if acc == nil || acc.Batch() != 32 || acc.Interval() != 20*time.Millisecond {
-		t.Fatalf("negotiated accumulator not clamped: batch=%d interval=%v",
-			acc.Batch(), acc.Interval())
-	}
-}
-
-// TestStatSinkRecordAndDeltaAgree pushes the same completions through both
-// sink methods: one call per completion vs one call per batch, identical
-// aggregator statistics, 10× fewer stat RPCs.
-func TestStatSinkRecordAndDeltaAgree(t *testing.T) {
-	mkAgg := func() *core.Aggregator {
-		return core.NewAggregatorOptions(10*time.Second, func() time.Duration { return time.Second },
-			core.AggregatorOptions{Window: core.WindowBucketed})
-	}
-	recAgg, delAgg := mkAgg(), mkAgg()
-	recSink, delSink := NewStatSink(recAgg), NewStatSink(delAgg)
-	recAddr, err := recSink.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	delAddr, err := delSink.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { recSink.Close(); delSink.Close() })
-
-	recCli, err := rpc.Dial(recAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delCli, err := rpc.Dial(delAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { recCli.Close(); delCli.Close() })
-
-	const n = 40
-	acc := stats.NewDeltaAccumulator(10, time.Hour)
-	for i := 0; i < n; i++ {
-		lat := time.Duration(i+1) * time.Millisecond
-		rec := RecordWire{Instance: "web-0", Stage: "web", ServeStart: time.Millisecond, ServeEnd: lat}
-		if err := recCli.Call(MethodStatRecord, StatRecordArgs{
-			QueryID: uint64(i), LatencyNS: int64(lat), Records: []RecordWire{rec},
-		}, nil); err != nil {
-			t.Fatal(err)
+	svc.ingest.FoldCompletion(0)
+	for _, ask := range []IngestArgs{
+		{Batch: 1024, IntervalNS: int64(time.Second)},
+		{}, // the defaults, 256 / 100ms, are above the bounds too
+	} {
+		if err := cli.Call(MethodIngest, ask, nil); err != nil {
+			t.Fatalf("%+v: %v", ask, err)
 		}
-		r := rec.toRecord(query.ID(i))
-		acc.FoldRecord(time.Second, "web-0", "web", r.Queuing(), r.Serving())
-		acc.FoldQuery(time.Second, lat)
-		if d := acc.FlushIfDue(time.Second); d != nil {
-			if err := delCli.Call(MethodStatDelta, d, nil); err != nil {
-				t.Fatal(err)
-			}
+		if b, ivl := svc.ingest.Sizes(); b != 32 || ivl != 20*time.Millisecond {
+			t.Fatalf("%+v not clamped: batch=%d interval=%v", ask, b, ivl)
 		}
 	}
-	recCalls, recQueries, _ := recSink.Counts()
-	delCalls, delQueries, gaps := delSink.Counts()
-	if recQueries != n || delQueries != n {
-		t.Fatalf("queries: record %d delta %d, want %d", recQueries, delQueries, n)
+	if err := cli.Call(MethodIngest, IngestArgs{Batch: 8, IntervalNS: int64(time.Millisecond)}, nil); err != nil {
+		t.Fatal(err)
 	}
-	if gaps != 0 {
-		t.Fatalf("delta sink saw %d sequence gaps", gaps)
+	if err := cli.Call(MethodIngest, IngestArgs{Batch: -1}, nil); err == nil {
+		t.Fatal("negative batch accepted")
 	}
-	if recCalls != n || delCalls != n/10 {
-		t.Fatalf("stat RPCs: record %d delta %d, want %d and %d", recCalls, delCalls, n, n/10)
+	if b, ivl := svc.ingest.Sizes(); b != 8 || ivl != time.Millisecond {
+		t.Fatalf("sizes after a refused call: batch=%d interval=%v, want 8 / 1ms", b, ivl)
 	}
-	q1, s1, _ := recAgg.InstStats("web-0")
-	q2, s2, _ := delAgg.InstStats("web-0")
-	if q1 != q2 || s1 != s2 {
-		t.Fatalf("InstStats: record (%v,%v), delta (%v,%v)", q1, s1, q2, s2)
-	}
-	l1, _ := recAgg.WindowLatency()
-	l2, _ := delAgg.WindowLatency()
-	if l1 != l2 {
-		t.Fatalf("WindowLatency: record %v, delta %v", l1, l2)
-	}
-	p1, _ := recAgg.WindowTail(0.99)
-	p2, _ := delAgg.WindowTail(0.99)
-	if p1 != p2 {
-		t.Fatalf("WindowTail: record %v, delta %v", p1, p2)
+	if _, pending := svc.IngestStats(); pending != 1 {
+		t.Fatalf("resizing dropped the pending batch: %d pending, want 1", pending)
 	}
 }
 
@@ -419,7 +271,7 @@ func TestStatSinkRecordAndDeltaAgree(t *testing.T) {
 // accumulator's clamps and the center's fold path must be data-race free,
 // and no query may be lost or double counted.
 func TestDeltaIngestConcurrentSubmits(t *testing.T) {
-	center, _ := startIngestPipeline(t, 5, 50*time.Millisecond)
+	center, _, _ := startIngestPipeline(t, 5, 50*time.Millisecond)
 	const workers, each = 8, 5
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*each)
@@ -445,72 +297,106 @@ func TestDeltaIngestConcurrentSubmits(t *testing.T) {
 	if got := center.Aggregator().Ingested(); got != workers*each {
 		t.Fatalf("ingested %d queries, want %d", got, workers*each)
 	}
-	_, _, records, _ := center.IngestCounts()
-	if records != 0 {
-		t.Fatalf("records leaked onto a delta pipeline: %d", records)
+	// Concurrent submits fold one stage's frames in any order; once the
+	// refresh has drained the tails nothing may read as lost.
+	if _, err := center.Adjust(core.NewFreqBoost(core.DefaultConfig())); err != nil {
+		t.Fatal(err)
+	}
+	_, deltaQueries, records, lost := center.IngestCounts()
+	if records != 0 || lost != 0 || deltaQueries != 2*workers*each {
+		t.Fatalf("%d records, %d lost flushes, %d stage completions summarized; want 0, 0, %d",
+			records, lost, deltaQueries, 2*workers*each)
 	}
 }
 
-// TestReadmitRearmsDeltaIngest: a restarted stage process comes up disarmed
-// (per-record), so re-admission must re-offer delta ingest — otherwise one
-// crash silently degrades that stage's wire traffic for the rest of the run
-// — and reset the sequence high-water mark, or every frame from the new
-// process (numbering from 1) would count as a gap until it caught up.
-func TestReadmitRearmsDeltaIngest(t *testing.T) {
-	specs := []StageOptions{
-		{Name: "ASR", Kind: stage.Pipeline, MemBound: 0.15, Instances: 1, Level: cmp.MidLevel, TimeScale: testScale},
-		{Name: "QA", Kind: stage.Pipeline, MemBound: 0.25, Instances: 1, Level: cmp.MidLevel, TimeScale: testScale},
-	}
-	var svcs []*StageService
-	var addrs []string
-	for _, so := range specs {
-		svc, err := NewStageService(so)
-		if err != nil {
-			t.Fatal(err)
+// TestLostFlushesNotDiscontinuities: the center counts flushes that never
+// arrived, per stage — not the order they were folded in — and re-sending the
+// sizes (re-admission) starts the stage's sequence clean.
+func TestLostFlushesNotDiscontinuities(t *testing.T) {
+	center, _, _ := startIngestPipeline(t, 1000, time.Hour)
+	fold := func(st *remoteStage, seqs ...uint64) {
+		for _, seq := range seqs {
+			if err := center.foldDelta(st, &stats.Delta{V: stats.DeltaVersion, Seq: seq, Queries: 1}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		addr, err := svc.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		svcs = append(svcs, svc)
-		addrs = append(addrs, addr)
 	}
-	center, err := NewCenterOptions(100, 25*time.Second, addrs, CenterOptions{
-		IngestBatch:   32,
-		ProbeInterval: -1,
-	})
-	if err != nil {
+	lost := func() uint64 { _, _, _, n := center.IngestCounts(); return n }
+	asr, qa := center.stages[0], center.stages[1]
+	fold(asr, 1, 3, 2, 4)
+	if got := lost(); got != 0 {
+		t.Fatalf("out-of-order folds read as %d lost flushes, want 0", got)
+	}
+	fold(qa, 1, 2, 4)
+	if got := lost(); got != 1 {
+		t.Fatalf("1, 2, 4 reads as %d lost flushes, want 1", got)
+	}
+	// A delta the aggregator refuses loses its statistics: one more.
+	foreign := []stats.InstDelta{{Instance: "ASR_1", Queuing: &stats.HistogramDigest{Growth: 3, Count: 1}}}
+	if err := center.foldDelta(asr, &stats.Delta{V: stats.DeltaVersion, Seq: 5, Queries: 1, Insts: foreign}); err == nil {
+		t.Fatal("a digest on a foreign bin layout folded")
+	}
+	if got := lost(); got != 2 {
+		t.Fatalf("a refused delta reads as %d lost flushes in all, want 2", got)
+	}
+	if err := center.configureIngest(qa); err != nil {
 		t.Fatal(err)
 	}
-	restarted := svcs[1]
-	t.Cleanup(func() {
-		center.Close()
-		svcs[0].Close()
-		restarted.Close()
-	})
-
-	st := center.stages[1]
-	if !st.deltaIngest {
-		t.Fatal("precondition: delta ingest not negotiated at startup")
+	fold(qa, 2, 1)
+	if got := lost(); got != 2 {
+		t.Fatalf("re-armed stage numbering from 1: %d lost flushes, want the earlier 2", got)
 	}
+}
 
-	// "Crash" the QA process and bring a fresh one up on the same port:
-	// the new process has no negotiated accumulator and numbers any future
-	// flushes from 1. Seed a high-water mark as if deltas had been folded.
-	st.mu.Lock()
-	st.deltaSeq = 7
-	st.mu.Unlock()
+// TestReadmitRearmsDeltaIngest: a restarted stage process speaks the one
+// contract from its first completion — at the stats defaults, numbering its
+// flushes from 1 — so between the restart and its re-admission nothing is
+// shipped as records and nothing is lost; re-admission re-sends the center's
+// sizes, folds what the new process had pending, and re-arms the sequence
+// tracking so the fresh numbering does not read as lost flushes.
+func TestReadmitRearmsDeltaIngest(t *testing.T) {
+	center, svcs, addrs := startIngestPipeline(t, 32, time.Hour)
+	restarted, addr := svcs[1], addrs[1]
+	t.Cleanup(func() { restarted.Close() })
+	st := center.stages[1]
+
+	// Deltas seq 1..3 arrive from the old QA process, then it "crashes" and a
+	// fresh one comes up on the same port.
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := center.foldDelta(st, &stats.Delta{V: stats.DeltaVersion, Seq: seq, Queries: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	svcs[1].Close()
-	svc2, err := NewStageService(specs[1])
+	svc2, err := NewStageService(StageOptions{Name: "QA", Kind: stage.Pipeline, MemBound: 0.25, Instances: 1, Level: cmp.MidLevel, TimeScale: testScale})
 	if err != nil {
 		t.Fatal(err)
 	}
 	restarted = svc2
-	if _, err := svc2.Listen(addrs[1]); err != nil {
-		t.Fatalf("rebinding restarted stage on %s: %v", addrs[1], err)
+	if _, err := svc2.Listen(addr); err != nil {
+		t.Fatalf("rebinding restarted stage on %s: %v", addr, err)
 	}
-	if enabled, _, _, _ := svc2.IngestStats(); enabled {
-		t.Fatal("fresh stage process should come up disarmed")
+	if b, ivl := svc2.ingest.Sizes(); b != stats.DefaultDeltaBatch || ivl != stats.DefaultDeltaInterval {
+		t.Fatalf("fresh stage process flushes at (%d, %v), want the stats defaults", b, ivl)
+	}
+
+	// Before the center re-admits it the new process serves a query (another
+	// client's): no records on the reply, the statistics pending locally.
+	cli, err := rpc.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply ProcessReply
+	err = cli.Call(MethodProcess, ProcessArgs{QueryID: 1, Work: []time.Duration{time.Millisecond}}, &reply)
+	cli.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reply.Records) != 0 {
+		t.Fatalf("restarted stage shipped %d records before re-admission", len(reply.Records))
+	}
+	if _, pending := svc2.IngestStats(); pending != 1 {
+		t.Fatalf("restarted stage holds %d pending completions, want 1", pending)
 	}
 
 	st.setHealth(Down)
@@ -524,16 +410,39 @@ func TestReadmitRearmsDeltaIngest(t *testing.T) {
 		t.Fatalf("restarted stage never re-admitted; healths: %+v", center.Healths())
 	}
 
-	st.mu.Lock()
-	armed, seq := st.deltaIngest, st.deltaSeq
-	st.mu.Unlock()
-	if !armed {
-		t.Error("re-admission did not re-negotiate delta ingest")
+	if b, ivl := svc2.ingest.Sizes(); b != 32 || ivl != time.Hour {
+		t.Errorf("re-admitted stage flushes at (%d, %v), want the center's (32, 1h)", b, ivl)
 	}
-	if seq != 0 {
-		t.Errorf("deltaSeq = %d after re-admission, want 0 (fresh process numbers from 1)", seq)
+	// The pending completion was folded (as the new process's seq 1), not
+	// dropped by a probe, and the restart numbering reads as nothing lost.
+	deltas, deltaQueries, records, lost := center.IngestCounts()
+	if deltas != 4 || deltaQueries != 4 || records != 0 || lost != 0 {
+		t.Errorf("after re-admission: %d deltas, %d queries, %d records, %d lost; want 4, 4, 0, 0", deltas, deltaQueries, records, lost)
 	}
-	if enabled, _, _, _ := svc2.IngestStats(); !enabled {
-		t.Error("restarted stage service not re-armed for delta ingest")
+	if _, _, ok := center.Aggregator().InstStats("QA_1"); !ok {
+		t.Error("the restarted stage's pending statistics never reached the aggregator")
+	}
+}
+
+// TestReadmitSurvivesFailedIngestCall: the sizes re-sent at re-admission are
+// refused (here: made impossible after connect) — the stage is re-admitted
+// all the same and keeps flushing at the sizes it has; at connect the same
+// refusal fails the constructor, naming the stage's address.
+func TestReadmitSurvivesFailedIngestCall(t *testing.T) {
+	center, svcs, addrs := startIngestPipeline(t, 32, time.Hour)
+	st, addr := center.stages[1], addrs[1]
+	center.opts.IngestBatch = -1
+	st.setHealth(Down)
+	center.ProbeNow()
+	if st.Health() != Healthy {
+		t.Fatalf("a refused stage.ingest blocked re-admission; healths: %+v", center.Healths())
+	}
+	if b, ivl := svcs[1].ingest.Sizes(); b != 32 || ivl != time.Hour {
+		t.Errorf("stage flushes at (%d, %v) after the refused call, want its earlier (32, 1h)", b, ivl)
+	}
+
+	_, err := NewCenterOptions(100, time.Second, []string{addr}, CenterOptions{IngestBatch: -1, ProbeInterval: -1})
+	if err == nil || !strings.Contains(err.Error(), addr) {
+		t.Fatalf("connect with refused sizes: err = %v, want one naming %s", err, addr)
 	}
 }

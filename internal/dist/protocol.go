@@ -16,45 +16,19 @@ const (
 	MethodClone    = "stage.clone"
 	MethodWithdraw = "stage.withdraw"
 	MethodInfo     = "stage.info"
-	// MethodIngest configures delta-batched statistics ingest on a stage
-	// service (see IngestArgs). Old services answer "unknown method", which
-	// the center treats as the legacy per-record contract — the negotiation
-	// that lets one deployment mix old and new processes.
+	// MethodIngest sets the flush sizes of a stage service's statistics
+	// accumulator (see IngestArgs).
 	MethodIngest = "stage.ingest"
 )
 
-// Method names of the statistics-sink RPC surface (see StatSink): the
-// standalone ingest endpoint stat producers push to, one call per completion
-// (legacy) or one call per delta batch.
-const (
-	MethodStatRecord = "stats.record"
-	MethodStatDelta  = "stats.delta"
-)
-
-// IngestArgs asks a stage service to switch from per-record query-carried
-// statistics to delta-batched ingest: fold completions locally, flush a
-// merged stats.Delta every Batch completed queries or IntervalNS of local
-// time, whichever comes first. Version names the delta frame format the
-// center understands; a service refuses versions newer than its own, so a
-// mixed deployment falls back to per-record rather than misfolding.
+// IngestArgs sets how often a stage service flushes its locally folded
+// statistics as a stats.Delta: every Batch completed queries or IntervalNS of
+// stage-local time, whichever comes first. Zeros apply the stats defaults;
+// the service clamps both to its StageOptions bounds. A plain setter: the
+// pending batch and the flush sequence carry over.
 type IngestArgs struct {
-	Version    int   `json:"version"`
 	Batch      int   `json:"batch"`
 	IntervalNS int64 `json:"interval_ns"`
-}
-
-// IngestReply acknowledges the ingest configuration.
-type IngestReply struct {
-	Accepted bool `json:"accepted"`
-	Version  int  `json:"version"`
-}
-
-// StatRecordArgs is the legacy one-call-per-completion stat push: the
-// query's end-to-end latency plus its per-instance records.
-type StatRecordArgs struct {
-	QueryID   uint64       `json:"query_id"`
-	LatencyNS int64        `json:"latency_ns"`
-	Records   []RecordWire `json:"records"`
 }
 
 // ProcessArgs carries one query into a stage service. Work holds the
@@ -65,6 +39,9 @@ type StatRecordArgs struct {
 type ProcessArgs struct {
 	QueryID uint64          `json:"query_id"`
 	Work    []time.Duration `json:"work"`
+	// Trace asks for the query's records on the reply, for the center's
+	// query tracer. Statistics never travel this way.
+	Trace bool `json:"trace,omitempty"`
 }
 
 // RecordWire is a query.Record in wire form. Level and Boosted carry the
@@ -79,10 +56,10 @@ type RecordWire struct {
 	Boosted    bool          `json:"boosted,omitempty"`
 }
 
-// ProcessReply returns the latency records the stage appended — the joint
-// design's query-carried statistics. Under delta-batched ingest Records is
-// empty (the statistics were folded locally) and Delta carries the batched
-// summary when this completion tripped a flush.
+// ProcessReply carries the joint design's query-carried statistics back: the
+// stage folded this completion's records locally, and Delta is the batched
+// summary when the completion tripped a flush. Records is the trace side
+// channel — the same records in full, only when ProcessArgs.Trace asked.
 type ProcessReply struct {
 	Records []RecordWire `json:"records,omitempty"`
 	Delta   *stats.Delta `json:"delta,omitempty"`
@@ -96,11 +73,11 @@ type InstanceStats struct {
 	Utilization float64   `json:"utilization"`
 }
 
-// StatsReply is the stage's instance snapshot. Under delta-batched ingest
-// Delta carries whatever the accumulator had pending at the refresh — the
-// staleness backstop: every control-interval stats pull drains the batch, so
-// the planner's inputs are never staler than max(flush interval, control
-// interval) even at trickle traffic.
+// StatsReply is the stage's instance snapshot. Delta carries whatever the
+// accumulator had pending at the refresh — the staleness backstop: every
+// control-interval stats pull drains the batch, so the planner's inputs are
+// never staler than max(flush interval, control interval) even at trickle
+// traffic.
 type StatsReply struct {
 	Instances []InstanceStats `json:"instances"`
 	Delta     *stats.Delta    `json:"delta,omitempty"`

@@ -32,6 +32,9 @@ func roundTrip(t *testing.T, v any) any {
 func TestProtocolRoundTripAllMessages(t *testing.T) {
 	msgs := []any{
 		ProcessArgs{QueryID: 42, Work: []time.Duration{120 * time.Millisecond, 80 * time.Millisecond}},
+		ProcessArgs{QueryID: 43, Work: []time.Duration{time.Millisecond}, Trace: true},
+		IngestArgs{Batch: 64, IntervalNS: int64(50 * time.Millisecond)},
+		ProcessReply{Delta: testDelta()},
 		ProcessReply{Records: []RecordWire{
 			{
 				Instance:   "QA_1",
@@ -82,8 +85,7 @@ func TestRecordWireConversion(t *testing.T) {
 	}
 }
 
-// The JSON form of a record — what the legacy stats.record push still
-// carries — decodes the DVFS fields.
+// The JSON form of a record decodes the DVFS fields.
 func TestRecordWireDecodesNewFrame(t *testing.T) {
 	data := `{"instance":"QA_1","stage":"QA","serve_end":9000000,"level":6,"boosted":true}`
 	var wire RecordWire

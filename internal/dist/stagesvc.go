@@ -31,9 +31,9 @@ type StageOptions struct {
 	// TimeScale compresses simulated work (default 1).
 	TimeScale float64
 
-	// IngestMaxBatch and IngestMaxInterval, when positive, clamp what a
-	// center may negotiate via MethodIngest — the operator's local bound on
-	// pending-delta memory and statistic staleness (cmd/stagesvc's
+	// IngestMaxBatch and IngestMaxInterval, when positive, clamp the flush
+	// sizes a center may set via MethodIngest — the operator's local bound
+	// on pending-delta memory and statistic staleness (cmd/stagesvc's
 	// -ingest.batch / -ingest.interval flags). Zero accepts whatever the
 	// center asks for.
 	IngestMaxBatch    int
@@ -49,14 +49,15 @@ type StageService struct {
 	cluster *live.Cluster
 	server  *rpc.Server
 
+	// ingest folds every completion's records locally; its batches are the
+	// only way statistics leave the process. It starts at the stats default
+	// sizes — what a restarted process flushes at until a center's
+	// MethodIngest resizes it.
+	ingest *stats.DeltaAccumulator
+
 	mu      sync.Mutex
 	nextQID uint64
 	waiters map[*query.Query]func()
-
-	// ingest holds the delta accumulator once a center negotiated batched
-	// ingest via MethodIngest; nil means the legacy per-record contract
-	// (records ride every ProcessReply). Swapped atomically under mu.
-	ingest *stats.DeltaAccumulator
 }
 
 // NewStageService builds the pool and registers the RPC handlers.
@@ -93,6 +94,7 @@ func NewStageService(opts StageOptions) (*StageService, error) {
 		opts:    opts,
 		cluster: cluster,
 		server:  rpc.NewServer(),
+		ingest:  stats.NewDeltaAccumulator(0, 0),
 		waiters: make(map[*query.Query]func()),
 	}
 	cluster.OnComplete(func(q *query.Query) {
@@ -140,53 +142,44 @@ func (s *StageService) register() {
 			return ProcessReply{}, err
 		}
 		<-done
-		s.mu.Lock()
-		acc := s.ingest
-		s.mu.Unlock()
-		if acc != nil {
-			// Delta-batched ingest: fold the records locally instead of
-			// shipping them, and piggyback the batch when this completion
-			// tripped a flush. The center measures end-to-end latency
-			// itself, so only per-instance queuing/serving digests travel.
-			now := s.cluster.Now()
-			for i := range q.Records {
-				rec := &q.Records[i]
-				acc.FoldRecord(now, rec.Instance, rec.Stage, rec.Queuing(), rec.Serving())
-			}
-			acc.FoldCompletion(now)
-			return ProcessReply{Delta: acc.FlushIfDue(now)}, nil
+		// Fold the records locally and piggyback the batch when this
+		// completion tripped a flush. The center measures end-to-end latency
+		// itself, so only per-instance queuing/serving digests travel.
+		now := s.cluster.Now()
+		for i := range q.Records {
+			rec := &q.Records[i]
+			s.ingest.FoldRecord(now, rec.Instance, rec.Stage, rec.Queuing(), rec.Serving())
 		}
-		reply := ProcessReply{Records: make([]RecordWire, 0, len(q.Records))}
-		for _, rec := range q.Records {
-			reply.Records = append(reply.Records, fromRecord(rec))
+		s.ingest.FoldCompletion(now)
+		reply := ProcessReply{Delta: s.ingest.FlushIfDue(now)}
+		if a.Trace {
+			reply.Records = make([]RecordWire, 0, len(q.Records))
+			for _, rec := range q.Records {
+				reply.Records = append(reply.Records, fromRecord(rec))
+			}
 		}
 		return reply, nil
 	})
 
-	rpc.HandleFunc(s.server, MethodIngest, func(a IngestArgs) (IngestReply, error) {
-		if a.Version > stats.DeltaVersion {
-			return IngestReply{Version: stats.DeltaVersion}, fmt.Errorf(
-				"dist: ingest version %d newer than supported %d", a.Version, stats.DeltaVersion)
+	rpc.HandleFunc(s.server, MethodIngest, func(a IngestArgs) (struct{}, error) {
+		if a.Batch < 0 || a.IntervalNS < 0 {
+			return struct{}{}, fmt.Errorf("dist: negative ingest sizes (batch %d, interval %dns)", a.Batch, a.IntervalNS)
 		}
-		s.mu.Lock()
-		if a.Batch > 0 {
-			batch := a.Batch
-			if s.opts.IngestMaxBatch > 0 && batch > s.opts.IngestMaxBatch {
-				batch = s.opts.IngestMaxBatch
-			}
-			interval := time.Duration(a.IntervalNS)
-			if interval <= 0 {
-				interval = stats.DefaultDeltaInterval
-			}
-			if s.opts.IngestMaxInterval > 0 && interval > s.opts.IngestMaxInterval {
-				interval = s.opts.IngestMaxInterval
-			}
-			s.ingest = stats.NewDeltaAccumulator(batch, interval)
-		} else {
-			s.ingest = nil // back to the legacy per-record contract
+		batch, interval := a.Batch, time.Duration(a.IntervalNS)
+		if batch == 0 {
+			batch = stats.DefaultDeltaBatch
 		}
-		s.mu.Unlock()
-		return IngestReply{Accepted: a.Batch > 0, Version: stats.DeltaVersion}, nil
+		if interval == 0 {
+			interval = stats.DefaultDeltaInterval
+		}
+		if s.opts.IngestMaxBatch > 0 {
+			batch = min(batch, s.opts.IngestMaxBatch)
+		}
+		if s.opts.IngestMaxInterval > 0 {
+			interval = min(interval, s.opts.IngestMaxInterval)
+		}
+		s.ingest.Resize(batch, interval)
+		return struct{}{}, nil
 	})
 
 	rpc.HandleFunc(s.server, MethodStats, func(struct{}) (StatsReply, error) {
@@ -199,15 +192,10 @@ func (s *StageService) register() {
 				Utilization: in.Utilization(),
 			})
 		}
-		s.mu.Lock()
-		acc := s.ingest
-		s.mu.Unlock()
-		if acc != nil {
-			// Staleness backstop: every control-interval refresh drains the
-			// pending batch, so a trickle of traffic cannot hold statistics
-			// back past the control interval.
-			out.Delta = acc.Flush(s.cluster.Now())
-		}
+		// Staleness backstop: every control-interval refresh drains the
+		// pending batch, so a trickle of traffic cannot hold statistics back
+		// past the control interval.
+		out.Delta = s.ingest.Flush(s.cluster.Now())
 		return out, nil
 	})
 
@@ -259,18 +247,11 @@ func (s *StageService) register() {
 // via OnComplete.
 func (s *StageService) Cluster() *live.Cluster { return s.cluster }
 
-// IngestStats reports the delta-ingest state for telemetry: whether batched
-// ingest is negotiated, the lifetime flush count, and the pending unflushed
-// query/record counts.
-func (s *StageService) IngestStats() (enabled bool, flushes, pendingQueries, pendingRecords uint64) {
-	s.mu.Lock()
-	acc := s.ingest
-	s.mu.Unlock()
-	if acc == nil {
-		return false, 0, 0, 0
-	}
-	q, r := acc.Pending()
-	return true, acc.Flushes(), q, r
+// IngestStats reports the accumulator's state for telemetry: the lifetime
+// flush count and the completions folded but not yet flushed.
+func (s *StageService) IngestStats() (flushes, pending uint64) {
+	pending, _ = s.ingest.Pending()
+	return s.ingest.Flushes(), pending
 }
 
 // Listen starts serving on addr and returns the bound address.

@@ -130,41 +130,70 @@ func TestChaosKillAuditTimelineRetrievableOverHTTP(t *testing.T) {
 }
 
 // A tracer attached to the center observes completed distributed queries and
-// materializes per-instance spans from the query-carried records.
+// materializes per-instance spans from the query-carried records — at every
+// stat-batch size, because the records it reads are a side channel of their
+// own: they never reach the aggregator, whose per-instance windows fill from
+// the deltas alone.
 func TestCenterTracerObservesDistributedQueries(t *testing.T) {
-	tracer := telemetry.NewTracer(telemetry.TracerOptions{Sample: 1})
-	opts := chaosOptions()
-	opts.Tracer = tracer
-	center, _, _ := startChaosPipeline(t, opts)
-	feedQueries(t, center, 4)
+	const n = 4
+	for _, batch := range []int{0, 1, 64} {
+		tracer := telemetry.NewTracer(telemetry.TracerOptions{Sample: 1})
+		opts := chaosOptions()
+		opts.Tracer, opts.IngestBatch, opts.IngestInterval = tracer, batch, time.Hour
+		center, _, _ := startChaosPipeline(t, opts)
+		feedQueries(t, center, n)
 
-	seen, kept, _ := tracer.Stats()
-	if seen != 4 || kept != 4 {
-		t.Fatalf("tracer saw %d / kept %d, want 4/4", seen, kept)
-	}
-	traces := tracer.Traces()
-	if len(traces) != 4 {
-		t.Fatalf("traces = %d, want 4", len(traces))
-	}
-	for _, tr := range traces {
-		if tr.Latency <= 0 {
-			t.Errorf("trace %d latency = %v", tr.ID, tr.Latency)
+		seen, kept, _ := tracer.Stats()
+		if seen != n || kept != n {
+			t.Fatalf("batch %d: tracer saw %d / kept %d, want %d/%d", batch, seen, kept, n, n)
 		}
-		// One queue + one serve span per pipeline stage.
-		if len(tr.Spans) != 6 {
-			t.Errorf("trace %d has %d spans, want 6", tr.ID, len(tr.Spans))
+		traces := tracer.Traces()
+		if len(traces) != n {
+			t.Fatalf("batch %d: traces = %d, want %d", batch, len(traces), n)
 		}
-		stages := map[string]bool{}
-		for _, sp := range tr.Spans {
-			if sp.Instance == "" || sp.Stage == "" {
-				t.Errorf("trace %d span missing identity: %+v", tr.ID, sp)
+		for _, tr := range traces {
+			if tr.Latency <= 0 {
+				t.Errorf("batch %d: trace %d latency = %v", batch, tr.ID, tr.Latency)
 			}
-			stages[sp.Stage] = true
-		}
-		for _, want := range []string{"ASR", "IMM", "QA"} {
-			if !stages[want] {
-				t.Errorf("trace %d has no span for stage %s", tr.ID, want)
+			// One queue + one serve span per pipeline stage.
+			if len(tr.Spans) != 6 {
+				t.Errorf("batch %d: trace %d has %d spans, want 6", batch, tr.ID, len(tr.Spans))
 			}
+			stages := map[string]bool{}
+			for _, sp := range tr.Spans {
+				if sp.Instance == "" || sp.Stage == "" {
+					t.Errorf("batch %d: trace %d span missing identity: %+v", batch, tr.ID, sp)
+				}
+				stages[sp.Stage] = true
+			}
+			for _, want := range []string{"ASR", "IMM", "QA"} {
+				if !stages[want] {
+					t.Errorf("batch %d: trace %d has no span for stage %s", batch, tr.ID, want)
+				}
+			}
+		}
+
+		// The records were counted as trace traffic and went to the tracer
+		// only: below the batch size no delta has been flushed yet, so the
+		// aggregator must not know the instances; one refresh later it holds
+		// each completion once.
+		if _, _, records, _ := center.IngestCounts(); records != 3*n {
+			t.Errorf("batch %d: %d trace records received, want %d", batch, records, 3*n)
+		}
+		if _, _, ok := center.Aggregator().InstStats("QA_1"); ok != (batch == 1) {
+			t.Errorf("batch %d: aggregator has QA_1 statistics before a flush: %v (records must never reach it)", batch, ok)
+		}
+		if _, err := center.Adjust(core.NewFreqBoost(core.DefaultConfig())); err != nil {
+			t.Fatal(err)
+		}
+		if _, deltaQueries, _, _ := center.IngestCounts(); deltaQueries != 3*n {
+			t.Errorf("batch %d: deltas summarize %d stage completions, want %d", batch, deltaQueries, 3*n)
+		}
+		if _, s, ok := center.Aggregator().InstStats("QA_1"); !ok || s <= 0 {
+			t.Errorf("batch %d: no QA_1 statistics after a refresh", batch)
+		}
+		if got := center.Aggregator().Ingested(); got != n {
+			t.Errorf("batch %d: aggregator ingested %d queries, want %d", batch, got, n)
 		}
 	}
 }

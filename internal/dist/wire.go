@@ -13,13 +13,13 @@ import (
 // sends a type with this AppendWire / DecodeWire pair as a binary body, and
 // everything else (clone, withdraw, info, ingest, setlevel) as JSON.
 
-// AppendWire appends the query id and the work row.
+// AppendWire appends the query id, the work row and the trace bit.
 func (a ProcessArgs) AppendWire(b []byte) []byte {
 	b = wire.AppendUvarint(wire.AppendUvarint(b, a.QueryID), uint64(len(a.Work)))
 	for _, w := range a.Work {
 		b = wire.AppendVarint(b, int64(w))
 	}
-	return b
+	return wire.AppendBool(b, a.Trace)
 }
 
 // DecodeWire is AppendWire's inverse.
@@ -29,6 +29,7 @@ func (a *ProcessArgs) DecodeWire(b []byte) error {
 	for i := range a.Work {
 		a.Work[i] = time.Duration(r.Varint())
 	}
+	a.Trace = r.Bool()
 	return r.Done()
 }
 

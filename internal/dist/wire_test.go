@@ -30,7 +30,7 @@ func randDuration(rng *rand.Rand) time.Duration {
 }
 
 func randProcessArgs(rng *rand.Rand) ProcessArgs {
-	a := ProcessArgs{QueryID: rng.Uint64() >> uint(rng.Intn(64))}
+	a := ProcessArgs{QueryID: rng.Uint64() >> uint(rng.Intn(64)), Trace: rng.Intn(2) == 0}
 	for i := rng.Intn(4); i > 0; i-- {
 		a.Work = append(a.Work, randDuration(rng))
 	}
@@ -84,8 +84,10 @@ func TestWireRoundTrip(t *testing.T) {
 func FuzzProcessArgs(f *testing.F) {
 	rng := rand.New(rand.NewSource(23))
 	f.Add(ProcessArgs{}.AppendWire(nil))
+	f.Add(ProcessArgs{QueryID: 7, Work: []time.Duration{time.Millisecond}, Trace: true}.AppendWire(nil))
 	f.Add(randProcessArgs(rng).AppendWire(nil))
 	f.Add([]byte{7, 0xff, 0xff, 0xff, 0xff, 0x0f, 2}) // 4 G work entries announced, one sent
+	f.Add([]byte{7, 1, 2, 2})                         // a trace byte that is neither 0 nor 1
 	f.Fuzz(func(t *testing.T, data []byte) { wiretest.Fuzz[ProcessArgs](t, data) })
 }
 
@@ -123,7 +125,7 @@ type (
 func TestJSONAndBinaryBodiesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	args, reply, snapshot, delta := randProcessArgs(rng), randProcessReply(rng), randStatsReply(rng), testDelta()
-	reply.Delta, snapshot.Delta = testDelta(), testDelta()
+	args.Trace, reply.Delta, snapshot.Delta = true, testDelta(), testDelta()
 
 	srv := rpc.NewServer()
 	check := func(method string, got, want any) error {
@@ -195,12 +197,12 @@ func readRawFrame(conn net.Conn) ([]byte, error) {
 // call and writes for the reply.
 func TestProcessGoldenFrames(t *testing.T) {
 	const (
-		// length, kind, id, "stage.process", tag, query id, 2 work entries: 1.5 ms, 250 µs
-		goldenCall = "0000001a" + "11" + "01" + "0d73746167652e70726f63657373" + "02" + "07" + "02" + "c08db701" + "a0c21e"
+		// length, kind, id, "stage.process", tag, query id, 2 work entries: 1.5 ms, 250 µs, trace bit
+		goldenCall = "0000001b" + "11" + "01" + "0d73746167652e70726f63657373" + "02" + "07" + "02" + "c08db701" + "a0c21e" + "01"
 		// length, kind, id, no error, no code, tag, 1 record: "QA_1", "QA", 1 ms, 2 ms, 9 ms, level 6, boosted; no delta
 		goldenReply = "0000001c" + "12" + "01" + "00" + "00" + "02" + "01" + "0451415f31" + "025141" + "80897a" + "8092f401" + "80d1ca08" + "0c" + "01" + "00"
 	)
-	args := ProcessArgs{QueryID: 7, Work: []time.Duration{1500 * time.Microsecond, 250 * time.Microsecond}}
+	args := ProcessArgs{QueryID: 7, Work: []time.Duration{1500 * time.Microsecond, 250 * time.Microsecond}, Trace: true}
 	reply := ProcessReply{Records: []RecordWire{{
 		Instance: "QA_1", Stage: "QA",
 		QueueEnter: time.Millisecond, ServeStart: 2 * time.Millisecond, ServeEnd: 9 * time.Millisecond,

@@ -10,6 +10,7 @@ import (
 	"powerchief/internal/cmp"
 	"powerchief/internal/core"
 	"powerchief/internal/fault"
+	"powerchief/internal/stats"
 	"powerchief/internal/telemetry"
 )
 
@@ -174,7 +175,7 @@ func NewCoordinator(opts Options, transports ...Transport) (*Coordinator, error)
 		return nil, fmt.Errorf("fleet: %d floors of %.2fW exceed the %.2fW cluster budget",
 			len(transports), float64(opts.Floor), float64(opts.Budget))
 	}
-	c := &Coordinator{opts: opts}
+	c := &Coordinator{opts: opts, ingest: fleetIngest{hist: stats.NewBinHistogram()}}
 	names := make(map[string]bool)
 	for _, t := range transports {
 		name := t.Name()
@@ -250,9 +251,7 @@ func (c *Coordinator) Adjust(policy core.Policy) (core.BoostOutcome, error) {
 			_ = n.SetBudget(granted)
 			continue
 		}
-		if rep.Ingest != nil {
-			c.foldIngest(n.name, rep.Ingest)
-		}
+		c.foldIngest(n.name, rep.Ingest)
 		c.noteSuccess(n)
 	}
 
@@ -500,9 +499,12 @@ func (c *Coordinator) setHealth(n *nodeState, to fault.Health) {
 	c.opts.Audit.Record(e)
 }
 
-// noteFenced counts one stale-epoch report or probe.
+// noteFenced counts one stale-epoch report or probe. What answered may be a
+// restarted process numbering its deltas from 1, so the node's sequence
+// tracking is re-armed.
 func (c *Coordinator) noteFenced(n *nodeState, repEpoch uint64) {
 	c.fenced.Add(1)
+	c.ingest.recv.Rearm(n.name)
 	if !c.opts.Audit.Enabled() {
 		return
 	}

@@ -10,51 +10,40 @@ import (
 
 // fleetIngest is the coordinator's side of delta-batched node statistics:
 // heartbeat-carried deltas merge into one fleet-wide latency histogram
-// (exact — every node folds on the shared bin layout), with per-node
-// sequence tracking so lost heartbeat windows are counted, not silently
-// absorbed.
+// (exact — every node folds on the shared bin layout), booked per node so
+// lost heartbeat windows are counted, not silently absorbed.
 type fleetIngest struct {
-	mu      sync.Mutex
-	hist    *stats.Histogram
-	deltas  uint64
-	queries uint64
-	seqGaps uint64
-	lastSeq map[string]uint64
+	recv stats.DeltaReceiver
+
+	mu   sync.Mutex
+	hist *stats.Histogram
 }
 
-// foldIngest merges one node's heartbeat delta. Called from the Adjust
-// heartbeat loop for fenced-and-accepted reports only — the same ingest
-// discipline as the bottleneck metric.
+// foldIngest merges one node's heartbeat delta, if the report carried one.
+// Called from the Adjust heartbeat loop for fenced-and-accepted reports only
+// — the same ingest discipline as the bottleneck metric. A delta that does
+// not validate or merge is booked as a lost flush.
 func (c *Coordinator) foldIngest(node string, d *stats.Delta) {
-	if d.Empty() || d.Validate() != nil {
+	if d.Empty() {
 		return
 	}
-	c.ingest.mu.Lock()
-	defer c.ingest.mu.Unlock()
-	if c.ingest.hist == nil {
-		c.ingest.hist = stats.NewBinHistogram()
-		c.ingest.lastSeq = make(map[string]uint64)
-	}
-	if last, seen := c.ingest.lastSeq[node]; seen && d.Seq != last+1 {
-		c.ingest.seqGaps++
-	}
-	c.ingest.lastSeq[node] = d.Seq
-	if d.E2E != nil {
-		if merged, err := stats.MergeDigests(c.ingest.hist.Digest(), d.E2E); err == nil {
-			c.ingest.hist = merged
+	err := d.Validate()
+	if err == nil && d.E2E != nil {
+		var h *stats.Histogram
+		if h, err = stats.FromDigest(d.E2E); err == nil {
+			c.ingest.mu.Lock()
+			err = c.ingest.hist.Merge(h)
+			c.ingest.mu.Unlock()
 		}
 	}
-	c.ingest.deltas++
-	c.ingest.queries += d.Queries
+	c.ingest.recv.Note(node, d, err == nil)
 }
 
 // IngestCounts returns the heartbeat-delta fold counters: deltas folded,
-// completed queries they summarized, and per-node sequence gaps (each gap
-// is at most one heartbeat window of statistics lost).
-func (c *Coordinator) IngestCounts() (deltas, queries, seqGaps uint64) {
-	c.ingest.mu.Lock()
-	defer c.ingest.mu.Unlock()
-	return c.ingest.deltas, c.ingest.queries, c.ingest.seqGaps
+// completed queries they summarized, and flushes lost (each at most one
+// heartbeat window of statistics).
+func (c *Coordinator) IngestCounts() (deltas, queries, lost uint64) {
+	return c.ingest.recv.Counts()
 }
 
 // FleetLatency returns the fleet-wide end-to-end latency distribution
@@ -63,7 +52,7 @@ func (c *Coordinator) IngestCounts() (deltas, queries, seqGaps uint64) {
 func (c *Coordinator) FleetLatency(p float64) (count uint64, mean, quantile time.Duration, ok bool) {
 	c.ingest.mu.Lock()
 	defer c.ingest.mu.Unlock()
-	if c.ingest.hist == nil || c.ingest.hist.Count() == 0 {
+	if c.ingest.hist.Count() == 0 {
 		return 0, 0, 0, false
 	}
 	return c.ingest.hist.Count(), c.ingest.hist.Mean(), c.ingest.hist.Quantile(p), true
@@ -78,7 +67,7 @@ func (c *Coordinator) RegisterIngestMetrics(reg *telemetry.Registry) {
 		"Completed queries summarized by folded node deltas.",
 		func() float64 { _, q, _ := c.IngestCounts(); return float64(q) })
 	reg.CounterFunc("powerchief_fleet_ingest_seq_gaps_total",
-		"Node delta sequence gaps (lost heartbeat windows).",
+		"Node deltas lost (heartbeat windows that never arrived).",
 		func() float64 { _, _, g := c.IngestCounts(); return float64(g) })
 	reg.GaugeFunc("powerchief_fleet_latency_p99_seconds",
 		"Fleet-wide p99 end-to-end latency merged from node deltas.",

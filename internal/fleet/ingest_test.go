@@ -128,10 +128,10 @@ func TestFleetIngestMatchesDirectMerge(t *testing.T) {
 	}
 }
 
-// TestFleetIngestLegacyNodeInterop: a node without ingest enabled (an old
-// binary's wire shape — no ingest key in its reports) coexists with
-// delta-shipping nodes on one coordinator.
-func TestFleetIngestLegacyNodeInterop(t *testing.T) {
+// TestFleetIngestOptionalPerNode: a node without EnableIngest — a live
+// configuration: its reports carry no delta — coexists with delta-shipping
+// nodes on one coordinator.
+func TestFleetIngestOptionalPerNode(t *testing.T) {
 	var transports []Transport
 	for i := 0; i < 2; i++ {
 		svc, err := NewNodeService(fmt.Sprintf("node-%d", i), NewSynthBackend(1, 0))
@@ -163,5 +163,81 @@ func TestFleetIngestLegacyNodeInterop(t *testing.T) {
 	deltas, queries, _ := coord.IngestCounts()
 	if deltas != 1 || queries != 1 {
 		t.Fatalf("ingest counts = (%d, %d), want the one delta node's (1, 1)", deltas, queries)
+	}
+}
+
+// deltaNode is an in-process Transport whose next report carries a scripted
+// delta.
+type deltaNode struct {
+	name  string
+	epoch uint64
+	next  *stats.Delta
+}
+
+func (n *deltaNode) Name() string { return n.name }
+
+func (n *deltaNode) Report() (Report, error) {
+	rep := Report{Node: n.name, Epoch: n.epoch, Metric: time.Millisecond, Ingest: n.next}
+	n.next = nil
+	return rep, nil
+}
+
+func (n *deltaNode) Grant(g Grant) error { n.epoch = g.Epoch; return nil }
+
+// TestFleetIngestCountsLostFlushesNotDiscontinuities: the coordinator counts
+// heartbeat deltas that never arrived, per node — frames that arrive late
+// are not losses, a delta that does not merge is — and a fenced report (a
+// restarted node numbering from 1) re-arms that node's sequence tracking.
+func TestFleetIngestCountsLostFlushesNotDiscontinuities(t *testing.T) {
+	a, b := &deltaNode{name: "a"}, &deltaNode{name: "b"}
+	coord, err := NewCoordinator(Options{Budget: 200, Floor: 10}, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2e := func() *stats.HistogramDigest {
+		h := stats.NewBinHistogram()
+		h.Observe(10 * time.Millisecond)
+		return h.Digest()
+	}
+	epoch := func(seqA, seqB uint64) {
+		t.Helper()
+		a.next = &stats.Delta{V: stats.DeltaVersion, Seq: seqA, Queries: 1, E2E: e2e()}
+		if seqB != 0 {
+			b.next = &stats.Delta{V: stats.DeltaVersion, Seq: seqB, Queries: 1, E2E: e2e()}
+		}
+		if _, err := coord.Adjust(NewRebalance()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lost := func() uint64 { _, _, n := coord.IngestCounts(); return n }
+
+	epoch(1, 1)
+	epoch(3, 2)
+	epoch(2, 4)
+	epoch(4, 0)
+	if got := lost(); got != 1 {
+		t.Fatalf("a: 1, 3, 2, 4 and b: 1, 2, 4 read as %d lost flushes, want b's one", got)
+	}
+
+	// A delta whose digest cannot merge loses its statistics: counted.
+	a.next = &stats.Delta{V: stats.DeltaVersion, Seq: 5, Queries: 1, E2E: &stats.HistogramDigest{Growth: 3, Count: 1}}
+	if _, err := coord.Adjust(NewRebalance()); err != nil {
+		t.Fatal(err)
+	}
+	if got := lost(); got != 2 {
+		t.Fatalf("an unmergeable delta: %d lost flushes in all, want 2", got)
+	}
+	if count, _, _, _ := coord.FleetLatency(0.5); count != 7 {
+		t.Fatalf("fleet histogram holds %d completions, want the 7 folded", count)
+	}
+
+	// b restarts: the new process echoes epoch 0 and numbers from 1. Its first
+	// report is fenced (and re-arms b); the following ones start clean.
+	b.epoch = 0
+	epoch(6, 1)
+	epoch(7, 2)
+	epoch(8, 3)
+	if deltas, queries, got := coord.IngestCounts(); got != 2 || deltas != 12 || queries != 12 {
+		t.Fatalf("after b's restart: (%d deltas, %d queries, %d lost), want (12, 12, 2)", deltas, queries, got)
 	}
 }

@@ -22,11 +22,6 @@
 //   - Summarize/WriteTable produce the JSON and human digests, and
 //     Options.Metrics streams per-run series into internal/telemetry so a
 //     /metrics endpoint reflects an in-flight benchmark.
-//   - RunIngestBench is the stat-ingest microbenchmark (`powerbench
-//     ingest`): the same synthetic completion stream pushed through both
-//     dist.StatSink wire contracts — one RPC per completion versus
-//     delta-batched summaries — measuring the RPC reduction and sustainable
-//     completion rate recorded in results/BENCH_ingest.json.
 //
 // See DESIGN.md §5e for why the generator is open-loop and what coordinated
 // omission would do to the tails, and ARCHITECTURE.md for where the

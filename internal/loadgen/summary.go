@@ -23,10 +23,10 @@ type Provenance struct {
 	Hostname    string `json:"hostname,omitempty"`
 	Agents      int    `json:"agents,omitempty"`
 
-	// IngestBatch and IngestIntervalMS record the dist target's delta-ingest
-	// batching configuration (zero: per-record ingest). Runs with different
-	// batching have different statistic-staleness bounds, so cmp warns rather
-	// than silently comparing them.
+	// IngestBatch and IngestIntervalMS record the dist target's stat-delta
+	// batch sizes (zero: the stats defaults). Runs with different batching
+	// have different statistic-staleness bounds, so cmp warns rather than
+	// silently comparing them.
 	IngestBatch      int     `json:"ingest_batch,omitempty"`
 	IngestIntervalMS float64 `json:"ingest_interval_ms,omitempty"`
 }

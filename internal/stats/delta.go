@@ -203,10 +203,7 @@ type DeltaAccumulator struct {
 	batch    int
 	interval time.Duration
 
-	seq     uint64
-	flushes uint64
-	foldedQ uint64 // lifetime completed queries folded
-	foldedR uint64 // lifetime records folded
+	seq uint64 // flushes so far: each one takes the next number
 
 	// Pending (unflushed) state.
 	queries uint64
@@ -226,24 +223,31 @@ type instAcc struct {
 // queries or every interval, whichever comes first (zeros apply
 // DefaultDeltaBatch / DefaultDeltaInterval).
 func NewDeltaAccumulator(batch int, interval time.Duration) *DeltaAccumulator {
+	a := &DeltaAccumulator{insts: make(map[string]*instAcc)}
+	a.Resize(batch, interval)
+	return a
+}
+
+// Resize sets the flush thresholds (zeros apply the defaults); the pending
+// batch and the sequence number carry over.
+func (a *DeltaAccumulator) Resize(batch int, interval time.Duration) {
 	if batch <= 0 {
 		batch = DefaultDeltaBatch
 	}
 	if interval <= 0 {
 		interval = DefaultDeltaInterval
 	}
-	return &DeltaAccumulator{
-		batch:    batch,
-		interval: interval,
-		insts:    make(map[string]*instAcc),
-	}
+	a.mu.Lock()
+	a.batch, a.interval = batch, interval
+	a.mu.Unlock()
 }
 
-// Batch returns the flush threshold in completed queries.
-func (a *DeltaAccumulator) Batch() int { return a.batch }
-
-// Interval returns the flush interval.
-func (a *DeltaAccumulator) Interval() time.Duration { return a.interval }
+// Sizes returns the flush thresholds: completed queries and interval.
+func (a *DeltaAccumulator) Sizes() (batch int, interval time.Duration) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.batch, a.interval
+}
 
 // clampLocked clamps at to the accumulator's monotone floor and marks the
 // first fold of the pending batch. Caller holds a.mu.
@@ -272,7 +276,6 @@ func (a *DeltaAccumulator) FoldRecord(at time.Duration, instance, stage string, 
 	}
 	ia.queuing.Observe(queuing)
 	ia.serving.Observe(serving)
-	a.foldedR++
 	a.mu.Unlock()
 }
 
@@ -283,7 +286,6 @@ func (a *DeltaAccumulator) FoldCompletion(at time.Duration) {
 	a.mu.Lock()
 	a.clampLocked(at)
 	a.queries++
-	a.foldedQ++
 	a.mu.Unlock()
 }
 
@@ -297,7 +299,6 @@ func (a *DeltaAccumulator) FoldQuery(at, latency time.Duration) {
 	}
 	a.e2e.Observe(latency)
 	a.queries++
-	a.foldedQ++
 	a.mu.Unlock()
 }
 
@@ -351,7 +352,6 @@ func (a *DeltaAccumulator) Flush(time.Duration) *Delta {
 // pending state. Caller holds a.mu.
 func (a *DeltaAccumulator) flushLocked() *Delta {
 	a.seq++
-	a.flushes++
 	d := &Delta{
 		V:       DeltaVersion,
 		Seq:     a.seq,
@@ -400,14 +400,72 @@ func (a *DeltaAccumulator) Pending() (queries, records uint64) {
 func (a *DeltaAccumulator) Flushes() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.flushes
+	return a.seq
 }
 
-// Folded returns the lifetime completed-query and record fold counts.
-func (a *DeltaAccumulator) Folded() (queries, records uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.foldedQ, a.foldedR
+// DeltaReceiver books the Deltas a process folds, per source (dist.Center per
+// stage, fleet.Coordinator per node). Concurrent folds deliver one source's
+// frames in any order, so it counts lost flushes, not discontinuities: the
+// span of sequence numbers seen minus the frames folded, read on demand (a
+// frame in flight reads as lost until it lands). The zero value is ready;
+// it is safe for concurrent use.
+type DeltaReceiver struct {
+	mu              sync.Mutex
+	deltas, queries uint64
+	lost            uint64 // by spans Rearm has closed
+	spans           map[string]seqSpan
+}
+
+// seqSpan is one source's sequence numbers since it was (re)armed.
+type seqSpan struct{ min, max, folded uint64 }
+
+// lost saturates: a duplicate number must not wrap the count.
+func (s seqSpan) lost() uint64 { return max(s.max-s.min+1, s.folded) - s.folded }
+
+// Note books one non-empty frame received from source. A frame the caller
+// could not fold (malformed, wrong layout) widens the span without counting:
+// its statistics are gone, which reads as one lost flush.
+func (r *DeltaReceiver) Note(source string, d *Delta, folded bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	sp, seen := r.spans[source]
+	if !seen {
+		sp.min = d.Seq
+	}
+	sp.min, sp.max = min(sp.min, d.Seq), max(sp.max, d.Seq)
+	if folded {
+		sp.folded++
+		r.deltas++
+		r.queries += d.Queries
+	}
+	if r.spans == nil {
+		r.spans = make(map[string]seqSpan)
+	}
+	r.spans[source] = sp
+}
+
+// Rearm closes source's span, keeping what it lost; the next frame starts a
+// new one. Call it when the peer behind source may be a new process, whose
+// accumulator numbers from 1 again (re-admission, a fenced report).
+func (r *DeltaReceiver) Rearm(source string) {
+	r.mu.Lock()
+	if sp, seen := r.spans[source]; seen {
+		r.lost += sp.lost()
+		delete(r.spans, source)
+	}
+	r.mu.Unlock()
+}
+
+// Counts returns frames folded, completed queries they summarized, and
+// flushes lost (each at most one flush window of statistics).
+func (r *DeltaReceiver) Counts() (deltas, queries, lost uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	lost = r.lost
+	for _, sp := range r.spans {
+		lost += sp.lost()
+	}
+	return r.deltas, r.queries, lost
 }
 
 // AddDigest folds a whole digest on the shared bin layout into the window at
@@ -447,74 +505,23 @@ func (w *BucketWindow) AddDigest(at time.Duration, d *HistogramDigest) error {
 	return nil
 }
 
-// FoldDigest folds a digest into any MovingWindow at virtual time at.
-// BucketWindows take the exact O(bins) merge path; other implementations
-// (the exact sample-keeping Window) expand the digest into one
-// representative sample per summarized observation — count-exact, with
-// values quantized to their bin (the per-bin relative error the digest
-// carries anyway). Delta ingest is designed for bucketed windows; the
-// expansion keeps exact windows working rather than fast.
+// FoldDigest folds a digest into a bucketed window at virtual time at. A
+// digest is bins on the shared layout, which only a BucketWindow keeps: any
+// other window kind is refused, never approximated and never skipped.
 func FoldDigest(w MovingWindow, at time.Duration, d *HistogramDigest) error {
-	if d == nil || d.Count == 0 {
-		return nil
+	bw, ok := w.(*BucketWindow)
+	if !ok {
+		return fmt.Errorf("stats: a digest folds only into a *BucketWindow (the shared bin layout), not a %T", w)
 	}
-	if bw, ok := w.(*BucketWindow); ok {
-		return bw.AddDigest(at, d)
-	}
-	h, err := FromDigest(d)
-	if err != nil {
-		return err
-	}
-	var expanded uint64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		lower := time.Duration(0)
-		if i > 0 {
-			lower = h.bounds[i-1]
-		}
-		upper := h.bounds[i]
-		if upper > h.max {
-			upper = h.max
-		}
-		if lower < h.min {
-			lower = h.min
-		}
-		if upper < lower {
-			upper = lower
-		}
-		mid := lower + (upper-lower)/2
-		for j := uint64(0); j < c; j++ {
-			w.Add(at, mid)
-			expanded++
-		}
-	}
-	for j := uint64(0); j < h.overflow; j++ {
-		w.Add(at, h.max)
-		expanded++
-	}
-	// Any samples the digest counts beyond its bins (a producer-side
-	// truncation) land at the mean so Count and Sum stay conserved.
-	for ; expanded < h.count; expanded++ {
-		w.Add(at, h.Mean())
-	}
-	return nil
+	return bw.AddDigest(at, d)
 }
 
 // FoldDigest folds a digest into the stripe selected by hint, with the same
 // monotone clamp Add applies.
 func (s *Striped) FoldDigest(hint uint64, at time.Duration, d *HistogramDigest) error {
-	if d == nil || d.Count == 0 {
-		return nil
-	}
 	st := &s.stripes[hint%uint64(len(s.stripes))]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if at < st.last {
-		at = st.last
-	} else {
-		st.last = at
-	}
-	return FoldDigest(st.w, at, d)
+	st.last = max(st.last, at)
+	return FoldDigest(st.w, st.last, d)
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -246,32 +247,22 @@ func TestDeltaValidateRejectsForeignFrames(t *testing.T) {
 	}
 }
 
-// TestFoldDigestExactWindowConservesCountAndSum covers the documented
-// approximate path: folding a digest into the exact sample-keeping Window
-// expands one bin-midpoint sample per observation, conserving count exactly
-// and sum to within the bin width.
-func TestFoldDigestExactWindowConservesCountAndSum(t *testing.T) {
+// TestFoldDigestRefusesExactWindow: a digest is bins on the shared layout,
+// which the exact sample-keeping Window does not keep — the fold is refused
+// with the requirement named and the window untouched, never approximated.
+func TestFoldDigestRefusesExactWindow(t *testing.T) {
 	h := NewBinHistogram()
-	rng := rand.New(rand.NewSource(3))
-	const n = 500
-	for i := 0; i < n; i++ {
-		h.Observe(time.Duration(rng.Int63n(int64(10 * time.Millisecond))))
-	}
+	h.Observe(time.Millisecond)
 	w := NewWindow(time.Minute)
-	if err := FoldDigest(w, time.Second, h.Digest()); err != nil {
-		t.Fatalf("FoldDigest: %v", err)
+	err := FoldDigest(w, time.Second, h.Digest())
+	if err == nil || !strings.Contains(err.Error(), "BucketWindow") {
+		t.Fatalf("FoldDigest into an exact window: err = %v, want one naming BucketWindow", err)
 	}
-	if w.Len() != n {
-		t.Fatalf("expanded count = %d, want %d", w.Len(), n)
+	if w.Len() != 0 {
+		t.Fatalf("refused fold left %d samples behind", w.Len())
 	}
-	// Bin-midpoint quantization bounds the per-sample error by half a bin
-	// width, i.e. (growth-1)/2 relative.
-	diff := float64(w.Sum() - h.sum)
-	if diff < 0 {
-		diff = -diff
-	}
-	if limit := float64(h.sum) * (binGrowth - 1); diff > limit {
-		t.Fatalf("expanded sum %v strays %v from exact %v (limit %v)", w.Sum(), time.Duration(diff), h.sum, time.Duration(limit))
+	if err := NewStriped(2, func() MovingWindow { return NewWindow(time.Minute) }).FoldDigest(1, time.Second, h.Digest()); err == nil {
+		t.Fatal("striped exact windows must refuse a digest too")
 	}
 }
 
@@ -334,4 +325,38 @@ func TestDeltaJSONRoundTrip(t *testing.T) {
 	if _, present := asMap["e2e"]; present {
 		t.Fatalf("empty e2e digest leaked onto the wire: %s", raw)
 	}
+}
+
+// TestDeltaReceiverCountsLostFlushesNotDiscontinuities: concurrent folds
+// deliver one source's frames in any order, so only a sequence number that
+// never arrives is a loss; sources are tracked apart, a frame that could not
+// be folded is a loss, and a re-armed source (a restarted peer numbering
+// from 1) starts clean without forgetting what was lost before.
+func TestDeltaReceiverCountsLostFlushesNotDiscontinuities(t *testing.T) {
+	var r DeltaReceiver
+	note := func(source string, folded bool, seqs ...uint64) {
+		for _, seq := range seqs {
+			r.Note(source, &Delta{Seq: seq, Queries: 2}, folded)
+		}
+	}
+	counts := func(wantDeltas, wantQueries, wantLost uint64) {
+		t.Helper()
+		if d, q, lost := r.Counts(); d != wantDeltas || q != wantQueries || lost != wantLost {
+			t.Fatalf("Counts = (%d, %d, %d), want (%d, %d, %d)", d, q, lost, wantDeltas, wantQueries, wantLost)
+		}
+	}
+	note("ASR", true, 1, 3)
+	counts(2, 4, 1) // 2 is in flight: reads as lost until it lands
+	note("ASR", true, 2, 4)
+	counts(4, 8, 0)
+	note("QA", true, 1, 2, 4)
+	counts(7, 14, 1)
+	note("QA", false, 5) // received, not foldable: its statistics are gone
+	counts(7, 14, 2)
+
+	r.Rearm("QA")
+	note("QA", true, 2, 1, 3) // the new process numbers from 1 again
+	counts(10, 20, 2)
+	r.Rearm("never-seen")
+	counts(10, 20, 2)
 }

@@ -13,12 +13,12 @@
 // captures the traces behind the figure CSVs; Improvement computes the
 // baseline-over-policy ratios the evaluation tables report.
 //
-// For statistics that must cross a process boundary, Delta is the
-// delta-batched ingest frame (DESIGN.md §5j): a DeltaAccumulator folds
-// completions locally and flushes a versioned summary — per-instance
-// histogram digests on the shared BinGrowth geometry — every N completions
-// or T elapsed, whichever first. Because the digests share BucketWindow's
-// bin bounds, folding a delta into a bucketed window (AddDigest/FoldDigest)
-// is exact integer bin addition: a delta-fed window reports the same
-// statistics as per-record adds at the flush timestamp.
+// Statistics cross a process boundary only as a Delta (DESIGN.md §5j): a
+// DeltaAccumulator folds completions locally and flushes a versioned summary
+// — per-instance histogram digests on the shared BinGrowth geometry — every
+// N completions or T elapsed, whichever first; a DeltaReceiver books what
+// arrives (frames, queries, flushes lost per source). The digests share
+// BucketWindow's bin bounds, so folding one into a bucketed window
+// (AddDigest/FoldDigest) is exact integer bin addition, equal to per-sample
+// Adds at the flush timestamp; the exact Window refuses a digest.
 package stats

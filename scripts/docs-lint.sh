@@ -1,7 +1,7 @@
 #!/bin/sh
 # docs-lint.sh — keep the documentation wired to the code it describes.
 #
-# Two checks, both cheap enough for every CI run:
+# Three checks, all cheap enough for every CI run:
 #
 #   1. Every relative markdown link in the top-level docs (README.md,
 #      DESIGN.md, ARCHITECTURE.md, EXPERIMENTS.md) must point at a path
@@ -14,7 +14,14 @@
 #      (ARCHITECTURE.md points into them), so a new package without one —
 #      or one gutted to an empty stub — fails the build.
 #
-# Exits 0 when both checks pass, 1 otherwise, listing every violation.
+#   3. Every back-ticked repository path in those four docs — `results/…`,
+#      `internal/…`, `cmd/…`, `scripts/…`, `examples/…`, `bench/…` — must
+#      exist: a deleted file, package or artifact may not live on in the
+#      prose. Only the first word inside the backticks is the path (the
+#      rest is a command line); patterns (`*`, `{a,b}`, `<x>`, `…`) are
+#      skipped.
+#
+# Exits 0 when all checks pass, 1 otherwise, listing every violation.
 set -u
 
 cd "$(dirname "$0")/.." || exit 1
@@ -62,6 +69,22 @@ for dir in internal/*/; do
         echo "docs-lint: $doc has no package doc comment"
         fail=1
     fi
+done
+
+# --- 3. back-ticked repository paths exist --------------------------------
+
+for doc in README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md; do
+    [ -f "$doc" ] || continue
+    grep -o '`\(results\|internal\|cmd\|scripts\|examples\|bench\)/[^`]*`' "$doc" |
+        tr -d '`' | sed 's/[[:space:]].*$//' | sort -u | while IFS= read -r path; do
+        case "$path" in
+        *'*'*|*'{'*|*'<'*|*'…'*) continue ;;       # a pattern, not a path
+        esac
+        if [ ! -e "$path" ]; then
+            echo "docs-lint: $doc names a path that does not exist: $path"
+            exit 1
+        fi
+    done || fail=1
 done
 
 if [ "$fail" -ne 0 ]; then
