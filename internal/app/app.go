@@ -182,22 +182,38 @@ func (a App) Specs(instances []int, level cmp.Level) ([]stage.Spec, error) {
 // pipeline stages, branches[i] independent draws for fan-out stages. The
 // rows are consecutive, capacity-limited pieces of one array.
 func (a App) DrawWork(rng *rand.Rand, branches []int) [][]time.Duration {
+	return a.DrawWorkInto(nil, rng, branches)
+}
+
+// DrawWorkInto is DrawWork writing into the matrix a recycled query carries:
+// when into has the shape this application and these branches draw, it is
+// refilled in place and returned, otherwise a fresh matrix is. The draws,
+// and their order, are the same either way.
+func (a App) DrawWorkInto(into [][]time.Duration, rng *rand.Rand, branches []int) [][]time.Duration {
 	width := func(i int) int {
 		if a.Stages[i].Kind == stage.FanOut && branches[i] > 1 {
 			return branches[i]
 		}
 		return 1
 	}
-	total := 0
+	total, fits := 0, len(into) == len(a.Stages)
 	for i := range a.Stages {
-		total += width(i)
-	}
-	entries := make([]time.Duration, total)
-	work := make([][]time.Duration, len(a.Stages))
-	for i, sp := range a.Stages {
 		n := width(i)
-		row := entries[:n:n]
-		entries = entries[n:]
+		total += n
+		fits = fits && len(into[i]) == n
+	}
+	work := into
+	if !fits {
+		entries := make([]time.Duration, total)
+		work = make([][]time.Duration, len(a.Stages))
+		for i := range work {
+			n := width(i)
+			work[i], entries = entries[:n:n], entries[n:]
+		}
+	}
+	for i, sp := range a.Stages {
+		row := work[i]
+		n := len(row)
 		for b := range row {
 			d := sp.Work.Draw(rng)
 			if sp.Kind == stage.FanOut && sp.Skew > 0 && n > 1 {
@@ -206,7 +222,6 @@ func (a App) DrawWork(rng *rand.Rand, branches []int) [][]time.Duration {
 			}
 			row[b] = d
 		}
-		work[i] = row
 	}
 	return work
 }

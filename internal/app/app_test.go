@@ -3,6 +3,7 @@ package app
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -246,5 +247,60 @@ func TestDrawWorkRowsShareOneArrayWithoutOverlap(t *testing.T) {
 	_ = append(leaf, time.Hour)
 	if agg[0] != want {
 		t.Error("append to the leaf row overwrote the aggregation row")
+	}
+}
+
+// TestDrawWorkIntoRefillsAMatchingMatrix: handed a matrix of its own shape,
+// DrawWorkInto refills it in place — no allocation, the draws DrawWork makes
+// from the same seed, in the same order — and anything else gets a fresh one.
+func TestDrawWorkIntoRefillsAMatchingMatrix(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		app      App
+		branches []int
+	}{
+		{"pipeline", Sirius(), []int{1, 1, 2}},
+		{"fan-out with skew", WebSearchFanOut(), []int{4, 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fresh, refill := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+			into := c.app.DrawWork(rand.New(rand.NewSource(99)), c.branches)
+			first := &into[0][0]
+			for i := 0; i < 50; i++ {
+				want := c.app.DrawWork(fresh, c.branches)
+				got := c.app.DrawWorkInto(into, refill, c.branches)
+				if &got[0][0] != first {
+					t.Fatalf("draw %d: a matching matrix was not refilled in place", i)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("draw %d: refilled %v, DrawWork from the same seed %v", i, got, want)
+				}
+			}
+			if n := testing.AllocsPerRun(100, func() { c.app.DrawWorkInto(into, refill, c.branches) }); n != 0 {
+				t.Errorf("refilling a matching matrix cost %.0f allocations, want 0", n)
+			}
+		})
+	}
+
+	// A matrix of another shape — other row widths, other stage count, none
+	// at all — is left alone and a fresh one comes back, with the same draws.
+	w := WebSearchFanOut()
+	for name, into := range map[string][][]time.Duration{
+		"other width":  w.DrawWork(rand.New(rand.NewSource(1)), []int{3, 1}),
+		"other stages": Sirius().DrawWork(rand.New(rand.NewSource(1)), []int{1, 1, 1}),
+		"nil":          nil,
+	} {
+		var before [][]time.Duration
+		for _, row := range into {
+			before = append(before, append([]time.Duration(nil), row...))
+		}
+		want := w.DrawWork(rand.New(rand.NewSource(7)), []int{4, 1})
+		got := w.DrawWorkInto(into, rand.New(rand.NewSource(7)), []int{4, 1})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: fell back to %v, DrawWork from the same seed %v", name, got, want)
+		}
+		if !reflect.DeepEqual(into, before) {
+			t.Errorf("%s: a matrix that did not fit was written to", name)
+		}
 	}
 }

@@ -13,6 +13,7 @@
 // Entry points: Sirius, NLP and WebSearch build the three evaluated
 // applications, ByName resolves one from a CLI flag. App.Specs turns an App
 // into stage.Spec values for any engine; App.DrawWork draws one query's work
-// matrix for the generators in internal/workload and internal/loadgen. See
-// ARCHITECTURE.md for where applications sit in the overall query path.
+// matrix for the generators in internal/workload and internal/loadgen, and
+// App.DrawWorkInto makes the same draws into the matrix of a recycled query.
+// See ARCHITECTURE.md for where applications sit in the overall query path.
 package app

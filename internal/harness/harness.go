@@ -71,7 +71,8 @@ type Scenario struct {
 	HopDelay func(from, to int) time.Duration
 	// Observe, when set, receives every completed query (with its carried
 	// per-instance records) — for per-query analysis beyond the collected
-	// summaries.
+	// summaries. Each one is the hook's own copy (query.Query.Clone), to keep
+	// or change as it likes; the run recycles the query it was made from.
 	Observe func(*query.Query)
 	// Audit, when set, is attached to the policy (via core.AuditSetter) so
 	// the run leaves a decision timeline behind. Nil keeps auditing off.
@@ -243,7 +244,7 @@ func Run(sc Scenario) (*Result, error) {
 		res.Latency.Observe(q.Latency())
 	})
 	if sc.Observe != nil {
-		sys.OnComplete(sc.Observe)
+		sys.OnComplete(func(q *query.Query) { sc.Observe(q.Clone()) })
 	}
 	if sc.Tracer != nil {
 		sys.OnComplete(sc.Tracer.ObserveQuery)
@@ -255,8 +256,8 @@ func Run(sc Scenario) (*Result, error) {
 	rng := rand.New(rand.NewSource(sc.Seed))
 	branches := make([]int, len(sc.Instances))
 	copy(branches, sc.Instances)
-	gen := workload.NewGenerator(eng, sys, src, func(r *rand.Rand) [][]time.Duration {
-		return sc.App.DrawWork(r, branches)
+	gen := workload.NewRefillingGenerator(eng, sys, src, func(into [][]time.Duration, r *rand.Rand) [][]time.Duration {
+		return sc.App.DrawWorkInto(into, r, branches)
 	}, rng, sc.Duration)
 	gen.Start()
 

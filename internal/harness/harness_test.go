@@ -178,6 +178,44 @@ func TestObserveHookReceivesRecords(t *testing.T) {
 	}
 }
 
+// TestObserveHookMayKeepEveryQuery: the run recycles its queries, the
+// Observe hook does not know — it may keep every query it is handed and finds
+// each one intact and its own at the end of the run.
+func TestObserveHookMayKeepEveryQuery(t *testing.T) {
+	sc := mitigationScenario(app.Sirius(), "observe-keep", workload.Medium, nil, 9)
+	sc.Duration = 120 * time.Second
+	type kept struct {
+		q             *query.Query
+		id            query.ID
+		arrival, done time.Duration
+		work          time.Duration
+		last          query.Record
+	}
+	var all []kept
+	sc.Observe = func(q *query.Query) {
+		all = append(all, kept{q, q.ID, q.Arrival, q.Done, q.Work[2][0], q.Records[2]})
+	}
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(all)) != res.Completed || len(all) < 100 {
+		t.Fatalf("kept %d of %d completed queries", len(all), res.Completed)
+	}
+	distinct := make(map[*query.Query]bool)
+	for _, k := range all {
+		distinct[k.q] = true
+		if k.q.ID != k.id || k.q.Arrival != k.arrival || k.q.Done != k.done ||
+			len(k.q.Work) != 3 || k.q.Work[2][0] != k.work ||
+			len(k.q.Records) != 3 || k.q.Records[2] != k.last || k.last.Query != k.id {
+			t.Fatalf("query %d changed after Observe returned: %+v, records %+v", k.id, k.q, k.q.Records)
+		}
+	}
+	if len(distinct) != len(all) {
+		t.Errorf("Observe was handed %d distinct queries for %d completions", len(distinct), len(all))
+	}
+}
+
 func TestFromConfigRoundTrip(t *testing.T) {
 	e := config.MitigationSetup("sirius", "powerchief", "high", 7)
 	e.Duration = config.Duration(120 * time.Second)

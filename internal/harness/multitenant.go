@@ -616,8 +616,8 @@ func RunMulti(sc MultiScenario) (*MultiResult, error) {
 		rng := rand.New(rand.NewSource(sc.Seed + int64(i)*1000003))
 		branches := make([]int, len(r.spec.Instances))
 		copy(branches, r.spec.Instances)
-		r.gen = workload.NewGenerator(eng, r.sys, src, func(rr *rand.Rand) [][]time.Duration {
-			return r.spec.App.DrawWork(rr, branches)
+		r.gen = workload.NewRefillingGenerator(eng, r.sys, src, func(into [][]time.Duration, rr *rand.Rand) [][]time.Duration {
+			return r.spec.App.DrawWorkInto(into, rr, branches)
 		}, rng, sc.Duration)
 		r.gen.Start()
 	}

@@ -8,6 +8,16 @@
 //
 // Entry points: New builds a query around its work matrix (one row per
 // stage, one column per fan-out branch); Append accumulates a Record per
-// visited instance; CriticalPath and the record accessors are what
-// core.Aggregator and the telemetry tracer consume downstream.
+// visited instance; the record accessors are what core.Aggregator and the
+// telemetry tracer consume downstream.
+//
+// Who owns a query. One from New belongs to whoever holds it, for good — the
+// wall-clock engines, loadgen, workload.Replay and tests make theirs that way.
+// One from a Pool belongs to the pool's owner (a workload.Generator, single-
+// goroutine like the engine): Get hands it out, stage.System calls Release
+// once the last completion callback has returned, and the next Get reuses the
+// Query, its Records array and — refilled by the drawer — its Work matrix.
+// Past that point nobody else may hold the query or either slice; Clone makes
+// the copy a callback keeps. Release does nothing to a query from New and
+// panics on one that is already back in its pool.
 package query

@@ -67,17 +67,89 @@ type Query struct {
 
 	// pending counts outstanding fan-out branches at the current stage.
 	pending int
+
+	// pool is the Pool that made the query and takes it back on Release (nil
+	// for a query from New); free marks the time it spends inside that pool.
+	pool *Pool
+	free bool
 }
 
-// New creates a query with the given arrival time and per-stage work. Every
-// work entry is served exactly once and leaves one record, so Records is
-// sized here, once, for the query's whole life.
+// New creates a query with the given arrival time and per-stage work. The
+// query belongs to whoever holds it, for good: Release does nothing to it.
 func New(id ID, arrival time.Duration, work [][]time.Duration) *Query {
-	entries := 0
-	for _, row := range work {
-		entries += len(row)
+	q := &Query{ID: id, Arrival: arrival}
+	q.SetWork(work)
+	return q
+}
+
+// SetWork installs the query's work matrix. Every work entry is served once
+// and leaves one record, so Records is sized here for the query's whole
+// life; a recycled query whose Records already hold that many keeps them.
+func (q *Query) SetWork(work [][]time.Duration) {
+	q.Work = work
+	if n := entries(work); cap(q.Records) < n {
+		q.Records = make([]Record, 0, n)
 	}
-	return &Query{ID: id, Arrival: arrival, Work: work, Records: make([]Record, 0, entries)}
+}
+
+// entries counts the work entries of a matrix.
+func entries(work [][]time.Duration) int {
+	n := 0
+	for _, row := range work {
+		n += len(row)
+	}
+	return n
+}
+
+// Pool recycles the queries of one simulated run, for the run's one
+// goroutine: a LIFO free list, ready at its zero value. It never holds more
+// than the run's peak in-flight count, which the run kept live anyway.
+type Pool struct {
+	free []*Query
+}
+
+// Get returns a query with the given identity, every other field as New
+// leaves it, except that a recycled one keeps its previous Work matrix (for
+// the drawer to refill; SetWork follows) and the capacity of its Records.
+func (p *Pool) Get(id ID, arrival time.Duration) *Query {
+	n := len(p.free)
+	if n == 0 {
+		return &Query{ID: id, Arrival: arrival, pool: p}
+	}
+	q := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	*q = Query{ID: id, Arrival: arrival, Work: q.Work, Records: q.Records[:0], pool: p}
+	return q
+}
+
+// Release hands a completed query back to the pool it came from; nobody may
+// touch it, its Records or its Work afterwards. On a query from New it does
+// nothing. stage.System calls it once the last completion callback returned.
+func (q *Query) Release() {
+	if q.pool == nil {
+		return
+	}
+	if q.free {
+		panic(fmt.Sprintf("query: %d released twice", q.ID))
+	}
+	q.free = true
+	q.pool.free = append(q.pool.free, q)
+}
+
+// Clone returns a copy of the query that shares no storage with it and
+// belongs to no pool: what a completion callback keeps past its return.
+func (q *Query) Clone() *Query {
+	c := *q
+	c.pool, c.free = nil, false
+	c.Records = append([]Record(nil), q.Records...)
+	flat := make([]time.Duration, 0, entries(q.Work))
+	c.Work = make([][]time.Duration, len(q.Work))
+	for i, row := range q.Work {
+		flat = append(flat, row...)
+		c.Work[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
+	}
+	return &c
 }
 
 // Latency returns the end-to-end response latency; valid after completion.
@@ -115,23 +187,4 @@ func (q *Query) BranchDone() bool {
 	}
 	q.pending--
 	return q.pending == 0
-}
-
-// CriticalPath sums, per record, the processing delay the query experienced;
-// for fan-out stages the paper's end-to-end latency counts the slowest
-// branch, which the stage model accounts for in Done. The record sum is used
-// by tests to cross-check plausibility of the pipeline timing.
-func (q *Query) CriticalPath() time.Duration {
-	var total time.Duration
-	byStage := make(map[string]time.Duration)
-	for _, r := range q.Records {
-		d := r.Processing()
-		if d > byStage[r.Stage] {
-			byStage[r.Stage] = d
-		}
-	}
-	for _, d := range byStage {
-		total += d
-	}
-	return total
 }

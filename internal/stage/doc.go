@@ -21,8 +21,15 @@
 // admits against a cached list of its non-draining instances that Launch,
 // Withdraw and remove invalidate (Active returns a copy). Clone's tail-half
 // steal and Withdraw's redirect move live entries only, with their original
-// enqueue times. Nothing is pooled or recycled: what a query allocates is
-// what it is — the Query, its work matrix, its records.
+// enqueue times.
+//
+// A query leaves the package at one place: System.advance, past the last
+// stage, runs the completion callbacks and then calls the query's Release —
+// the single release point of a recycled query (package query; a no-op for
+// one from query.New). Callbacks run synchronously and keep nothing of the
+// query, its Records or its Work past their return; Query.Clone is the copy
+// to keep. Until then only the queues and serving slots it sits in, or its
+// hop event, refer to a query — never an instance that has served it.
 //
 // Entry points: NewSystem assembles stages from Spec values on a sim.Engine
 // and a cmp.Chip; System.Submit injects a query and OnComplete reports it

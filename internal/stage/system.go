@@ -83,8 +83,11 @@ func (s *System) Stage(name string) *Stage {
 }
 
 // OnComplete registers a callback invoked when a query leaves the last
-// stage. Callbacks run in registration order within the simulation event
-// that completed the query.
+// stage. Callbacks run synchronously, in registration order, within the
+// simulation event that completed the query, and keep nothing of q (Records
+// and Work included) past their return: once the last one has returned the
+// query goes back to whoever made it (query.Query.Release) and may be the
+// next arrival. q.Clone() what you keep.
 func (s *System) OnComplete(fn func(*query.Query)) {
 	if fn == nil {
 		panic("stage: nil completion callback")
@@ -138,6 +141,7 @@ func (s *System) advance(q *query.Query, idx int) {
 	for _, fn := range s.onComplete {
 		fn(q)
 	}
+	q.Release()
 }
 
 // TotalInstances counts live instances across all stages.

@@ -145,17 +145,25 @@ func ParseLevel(s string) (Level, error) {
 // app.App.DrawWork curried with the stage layout satisfies this.
 type WorkDrawer func(rng *rand.Rand) [][]time.Duration
 
+// WorkRefiller is a WorkDrawer that is also handed the matrix the arriving
+// query carried through its previous life (nil on its first) and may return
+// it refilled; app.App.DrawWorkInto curried with the stage layout is one.
+type WorkRefiller func(into [][]time.Duration, rng *rand.Rand) [][]time.Duration
+
 // Generator drives Poisson arrivals into a stage.System on a simulation
 // engine. Time-varying rates are realized by thinning against the source's
 // MaxRate, which keeps the process exact for piecewise-constant traces.
 //
 // At most one candidate arrival is outstanding, so the generator owns that
-// one event and arms it per candidate (sim.Engine.Arm).
+// one event and arms it per candidate (sim.Engine.Arm). It owns its queries
+// too: each arrival takes one from the generator's pool, and the system hands
+// it back after the last completion callback (query.Pool, Query.Release).
 type Generator struct {
 	eng    *sim.Engine
 	sys    *stage.System
 	src    Source
-	draw   WorkDrawer
+	draw   WorkRefiller
+	pool   query.Pool
 	rng    *rand.Rand
 	until  time.Duration
 	nextID query.ID
@@ -168,10 +176,21 @@ type Generator struct {
 }
 
 // NewGenerator prepares a generator that submits queries from virtual time 0
-// until the given horizon.
+// until the given horizon, each with a fresh work matrix from draw.
 func NewGenerator(eng *sim.Engine, sys *stage.System, src Source, draw WorkDrawer, rng *rand.Rand, until time.Duration) *Generator {
+	if draw == nil {
+		panic("workload: NewGenerator requires a non-nil drawer")
+	}
+	return NewRefillingGenerator(eng, sys, src, func(_ [][]time.Duration, r *rand.Rand) [][]time.Duration {
+		return draw(r)
+	}, rng, until)
+}
+
+// NewRefillingGenerator is NewGenerator for a drawer that reuses the work
+// matrix of the recycled query it draws for.
+func NewRefillingGenerator(eng *sim.Engine, sys *stage.System, src Source, draw WorkRefiller, rng *rand.Rand, until time.Duration) *Generator {
 	if eng == nil || sys == nil || src == nil || draw == nil || rng == nil {
-		panic("workload: NewGenerator requires non-nil engine, system, source, drawer and rng")
+		panic("workload: a generator requires non-nil engine, system, source, drawer and rng")
 	}
 	if until <= 0 {
 		panic("workload: generation horizon must be positive")
@@ -231,7 +250,8 @@ func (g *Generator) arrive() {
 	}
 	if accept := g.src.RateAt(now) / g.maxRate; g.rng.Float64() < accept {
 		g.nextID++
-		q := query.New(g.nextID, now, g.draw(g.rng))
+		q := g.pool.Get(g.nextID, now)
+		q.SetWork(g.draw(q.Work, g.rng))
 		g.issued++
 		g.sys.Submit(q)
 	}

@@ -225,6 +225,8 @@ func TestNewGeneratorValidation(t *testing.T) {
 		"nil engine":   func() { NewGenerator(nil, sys, Constant(1), draw, rng, time.Second) },
 		"nil source":   func() { NewGenerator(eng, sys, nil, draw, rng, time.Second) },
 		"zero horizon": func() { NewGenerator(eng, sys, Constant(1), draw, rng, 0) },
+		"nil drawer":   func() { NewGenerator(eng, sys, Constant(1), nil, rng, time.Second) },
+		"nil refiller": func() { NewRefillingGenerator(eng, sys, Constant(1), nil, rng, time.Second) },
 	} {
 		func() {
 			defer func() {
@@ -295,5 +297,141 @@ func TestGeneratorPauseWithArmedArrivalThenResume(t *testing.T) {
 	}
 	if sys.Submitted() != gen.Issued() {
 		t.Errorf("system received %d, generator issued %d", sys.Submitted(), gen.Issued())
+	}
+}
+
+// completionLog registers a callback that checks every completed query of a
+// generator-driven Sirius system — completed once, three records in stage
+// order, all its own — and logs what the run looked like from outside.
+// storage and matrices count completions per *Query and per work array; the
+// test keeps those pointers for identity only.
+type completionLog struct {
+	seen     map[query.ID]bool
+	timeline []time.Duration // arrival, done per completion, in order
+	storage  map[*query.Query]int
+	matrices map[*time.Duration]int
+}
+
+func logCompletions(t *testing.T, sys *stage.System) *completionLog {
+	l := &completionLog{seen: make(map[query.ID]bool), storage: make(map[*query.Query]int), matrices: make(map[*time.Duration]int)}
+	sys.OnComplete(func(q *query.Query) {
+		if l.seen[q.ID] {
+			t.Errorf("query %d completed twice", q.ID)
+		}
+		l.seen[q.ID] = true
+		l.timeline = append(l.timeline, q.Arrival, q.Done)
+		l.storage[q]++
+		l.matrices[&q.Work[0][0]]++
+		if len(q.Records) != 3 {
+			t.Fatalf("query %d carries %d records, want 3", q.ID, len(q.Records))
+		}
+		for i, name := range []string{"ASR", "IMM", "QA"} {
+			if r := q.Records[i]; r.Query != q.ID || r.Stage != name || r.QueueEnter < q.Arrival || r.Validate() != nil {
+				t.Errorf("query %d (arrived %v) record %d: %+v", q.ID, q.Arrival, i, r)
+			}
+		}
+	})
+	return l
+}
+
+// TestGeneratorRecyclesCompletedQueries: an arrival takes the storage of the
+// most recently completed query, so a run allocates as many queries as it
+// ever had in flight at once — with the refilling drawer their work matrices
+// too, with a legacy drawer a fresh matrix per arrival — and the two drawers
+// simulate the same run.
+func TestGeneratorRecyclesCompletedQueries(t *testing.T) {
+	run := func(refill bool) (*completionLog, uint64, int) {
+		eng, sys, a := buildSystem(t)
+		l := logCompletions(t, sys)
+		peak := 0
+		arriving := func() {
+			if n := int(sys.InFlight()) + 1; n > peak {
+				peak = n
+			}
+		}
+		rng := rand.New(rand.NewSource(6))
+		var gen *Generator
+		if refill {
+			gen = NewRefillingGenerator(eng, sys, Constant(1.2), func(into [][]time.Duration, r *rand.Rand) [][]time.Duration {
+				arriving()
+				return a.DrawWorkInto(into, r, []int{1, 1, 1})
+			}, rng, 300*time.Second)
+		} else {
+			gen = NewGenerator(eng, sys, Constant(1.2), func(r *rand.Rand) [][]time.Duration {
+				arriving()
+				return a.DrawWork(r, []int{1, 1, 1})
+			}, rng, 300*time.Second)
+		}
+		gen.Start()
+		eng.Run()
+		if sys.Completed() != gen.Issued() || gen.Issued() < 200 {
+			t.Fatalf("%d of %d queries completed", sys.Completed(), gen.Issued())
+		}
+		return l, gen.Issued(), peak
+	}
+
+	refilled, issued, peak := run(true)
+	if peak < 2 || peak > int(issued)/10 {
+		t.Fatalf("peak of %d in flight over %d queries: the run does not exercise reuse", peak, issued)
+	}
+	if len(refilled.storage) != peak {
+		t.Errorf("%d queries allocated for a peak of %d in flight", len(refilled.storage), peak)
+	}
+	if len(refilled.matrices) != peak {
+		t.Errorf("refilling drawer: %d work matrices allocated for a peak of %d in flight", len(refilled.matrices), peak)
+	}
+
+	legacy, legacyIssued, legacyPeak := run(false)
+	if len(legacy.storage) != legacyPeak {
+		t.Errorf("legacy drawer: %d queries allocated for a peak of %d in flight", len(legacy.storage), legacyPeak)
+	}
+	if len(legacy.matrices) != int(legacyIssued) {
+		t.Errorf("legacy drawer: %d work matrices for %d queries, want one each", len(legacy.matrices), legacyIssued)
+	}
+	if legacyIssued != issued || len(legacy.timeline) != len(refilled.timeline) {
+		t.Fatalf("legacy drawer issued %d queries, refilling %d", legacyIssued, issued)
+	}
+	for i := range legacy.timeline {
+		if legacy.timeline[i] != refilled.timeline[i] {
+			t.Fatalf("the drawers diverge at completion %d: %v vs %v", i/2, legacy.timeline[i], refilled.timeline[i])
+		}
+	}
+}
+
+// TestPauseLeavesInFlightQueriesAlone: pausing a generator (a tenant's
+// eviction) stops arrivals only. The queries it already submitted stay out
+// of its pool until each completes, and after Resume the arrivals go on
+// recycling the same storage.
+func TestPauseLeavesInFlightQueriesAlone(t *testing.T) {
+	eng, sys, a := buildSystem(t)
+	l := logCompletions(t, sys)
+	peak := 0
+	gen := NewRefillingGenerator(eng, sys, Constant(4), func(into [][]time.Duration, r *rand.Rand) [][]time.Duration {
+		if n := int(sys.InFlight()) + 1; n > peak {
+			peak = n
+		}
+		return a.DrawWorkInto(into, r, []int{1, 1, 1})
+	}, rand.New(rand.NewSource(8)), 100*time.Second)
+	gen.Start()
+	eng.RunUntil(10 * time.Second)
+	gen.Pause()
+	inFlight, completed := sys.InFlight(), sys.Completed()
+	if inFlight < 5 {
+		t.Fatalf("%d queries in flight at the pause, want a standing backlog", inFlight)
+	}
+	eng.Run() // nothing arrives: the engine runs dry once the backlog is served
+	if !sys.Drain() || sys.Completed() != completed+inFlight {
+		t.Fatalf("%d of the %d queries in flight at the pause completed", sys.Completed()-completed, inFlight)
+	}
+	if eng.Now() >= 100*time.Second {
+		t.Fatalf("the backlog took until %v to drain; nothing left of the horizon to resume into", eng.Now())
+	}
+	gen.Resume()
+	eng.Run()
+	if sys.Completed() != gen.Issued() || gen.Issued() < 2*(completed+inFlight) {
+		t.Fatalf("%d of %d queries completed, %d of them before the resume", sys.Completed(), gen.Issued(), completed+inFlight)
+	}
+	if len(l.storage) != peak || len(l.matrices) != peak {
+		t.Errorf("%d queries and %d work matrices allocated for a peak of %d in flight", len(l.storage), len(l.matrices), peak)
 	}
 }
