@@ -77,39 +77,14 @@ fleet-smoke:
 
 # The distributed benchmark smoke: spawn 4 local agent processes, fan one
 # sharded schedule out over real RPC against a shared dist deployment, and
-# merge the per-agent histograms into bench-net.json. The spec must match
-# results/BENCH_benchnet.json exactly, or bench-cmp refuses the comparison.
-.PHONY: bench-net bench-cmp
+# merge the per-agent histograms into bench-net.json. The command line must
+# match what results/BENCH_benchnet.json recorded, or the gate refuses the
+# comparison.
+.PHONY: bench-net
 bench-net:
 	$(GO) run ./cmd/powerbench -agents.spawn 4 -target dist -app websearch \
 		-instances 2,1 -timescale 0.3 -arrivals constant -rate 20 \
 		-duration 4s -warmup 500ms -workers 8 -seed 11 -json bench-net.json
-
-# The benchmark regression gate: compare the fresh distributed run against
-# the checked-in baseline. Thresholds are loose — the gate catches structural
-# regressions (a broken merge, a stalled shard, a latency cliff), not
-# scheduler jitter. Exits 1 on regression, 2 if the runs are incomparable.
-bench-cmp: bench-net
-	$(GO) run ./cmd/powerbench cmp -max.qps.drop 25 -max.p50 150 \
-		-max.p99 200 -max.p999 250 results/BENCH_benchnet.json bench-net.json
-
-# The multi-tenant arbitration smoke: run the deterministic two-app DES
-# scenario twice (static halving vs the cross-app arbiter) and gate the
-# fresh figures against the checked-in artifact — Σ per-tenant grants must
-# stay under the chip budget at every epoch and arbitration must still beat
-# the static split on combined p99. Exits 1 on regression, 2 if incomparable.
-.PHONY: bench-tenant
-bench-tenant:
-	$(GO) run ./cmd/powerbench tenant -check results/BENCH_multitenant.json
-
-# The arbitration-strategy benchmark gate: re-run the skewed-bottleneck
-# fleet scenario (Marginal vs Proportional) and compare against the
-# checked-in artifact — params must match exactly, the boostable-tail win
-# must hold within tolerance. Exits 1 on regression, 2 if incomparable.
-.PHONY: bench-arbiter
-bench-arbiter:
-	$(GO) run ./cmd/powerbench arbiter -json bench-arbiter.json
-	$(GO) run ./cmd/powerbench cmp results/BENCH_arbiter.json bench-arbiter.json
 
 # The decision-trace replay smoke: record a short DES trace under
 # PowerChief, then replay it through the offline arena against three
@@ -123,6 +98,24 @@ bench-replay:
 		-trace.out bench-replay-trace.jsonl.gz
 	$(GO) run ./cmd/powerbench replay -trace bench-replay-trace.jsonl.gz \
 		-policy powerchief,fairness,marginal -json bench-replay.json
+
+# The benchmark gates, one dialect: every producer writes the one artifact
+# envelope and the same `powerbench cmp <baseline> <fresh>` line gates each
+# that has a checked-in baseline (README.md, "Artifacts and the gate": exit 1
+# on a regression or a problem the fresh artifact lists, 2 if the two are not
+# the same experiment). Bounds live in the baselines, next to each metric:
+# loose for the wall-clock bench-net run — a broken merge, a stalled shard or
+# a latency cliff, not scheduler jitter — and 20-25 % for the deterministic
+# tenant (static halving vs the cross-app arbiter) and arbiter (Marginal vs
+# Proportional on the skewed fleet) scenarios. The replay artifact has no
+# checked-in baseline; its producer's determinism gate is the check.
+.PHONY: bench-gates
+bench-gates: bench-net bench-replay
+	$(GO) run ./cmd/powerbench tenant -json bench-tenant.json
+	$(GO) run ./cmd/powerbench arbiter -json bench-arbiter.json
+	$(GO) run ./cmd/powerbench cmp results/BENCH_benchnet.json bench-net.json
+	$(GO) run ./cmd/powerbench cmp results/BENCH_multitenant.json bench-tenant.json
+	$(GO) run ./cmd/powerbench cmp results/BENCH_arbiter.json bench-arbiter.json
 
 # The full local gate: what CI runs.
 check: fmt vet staticcheck build test bench-test race fuzz-smoke docs-lint

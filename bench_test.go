@@ -327,7 +327,8 @@ func BenchmarkAggregatorIngest(b *testing.B) {
 // workers read the clock before reaching the lock, so reordered timestamps
 // panic the shared exact window — and its per-Add eviction shifted the
 // whole window slice (see BenchmarkAggregatorIngest: 142µs/op at the seed
-// commit). results/BENCH_aggregator.json records the before/after numbers.
+// commit). EXPERIMENTS.md, "Statistics-pipeline ingest", records the
+// before/after numbers.
 func BenchmarkAggregatorIngestParallel(b *testing.B) {
 	for _, bc := range []struct {
 		name string

@@ -1,19 +1,23 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"powerchief/internal/fleet"
+	"powerchief/internal/loadgen"
 )
+
+// arbiterBound is the relative drift the deterministic skewed-fleet scenario
+// may show on a strategy's delays and on the improvement factor.
+const arbiterBound = 0.25
 
 // runArbiterBench implements `powerbench arbiter`: the deterministic
 // skewed-bottleneck fleet DES scenario racing arbiter weighting strategies
 // (proportional vs the breakdown-aware marginal by default) and recording
-// the per-node bottleneck-delay distributions. The artifact
-// (results/BENCH_arbiter.json in CI) is gated with `powerbench cmp`.
+// the per-node bottleneck-delay distributions. `powerbench cmp` gates the
+// artifact against the checked-in results/BENCH_arbiter.json.
 // Exit codes: 0 success, 1 failure.
 func runArbiterBench(args []string) int {
 	fs := flag.NewFlagSet("powerbench arbiter", flag.ExitOnError)
@@ -50,97 +54,30 @@ func runArbiterBench(args []string) int {
 			res.Results[len(res.Results)-1].Strategy, res.Results[0].Strategy, res.P99ImprovementX)
 	}
 
-	if *jsonOut != "" {
-		payload, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "powerbench arbiter:", err)
-			return 1
-		}
-		payload = append(payload, '\n')
-		if *jsonOut == "-" {
-			os.Stdout.Write(payload)
-		} else if err := os.WriteFile(*jsonOut, payload, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "powerbench arbiter:", err)
-			return 1
-		}
-	}
-	return 0
+	return emit("powerbench arbiter", *jsonOut, arbiterArtifact(res))
 }
 
-// cmpArbiter compares two arbiter benchmark artifacts for `powerbench cmp`.
-// Different scenario parameters are not comparable (exit 2). Regressions
-// (exit 1): a strategy's p99 or worst-node delay worsening past the
-// threshold, or a strategy disappearing from the new artifact.
-func cmpArbiter(oldPath, newPath string, maxP99Pct float64) int {
-	load := func(path string) (*fleet.ArbiterBench, error) {
-		payload, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var b fleet.ArbiterBench
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return nil, fmt.Errorf("%s: not an arbiter artifact: %w", path, err)
-		}
-		if b.Kind != fleet.ArbiterArtifactKind {
-			return nil, fmt.Errorf("%s: artifact kind %q, want %q", path, b.Kind, fleet.ArbiterArtifactKind)
-		}
-		return &b, nil
+// arbiterArtifact flattens the race into the envelope: per strategy the
+// absolute tail and worst-node delays and the boostable tail — the delay the
+// granted watts can still remove, which is what the strategies compete on —
+// then the boostable-p99 improvement of the last strategy over the first.
+func arbiterArtifact(res *fleet.ArbiterBench) loadgen.Artifact {
+	art := loadgen.Artifact{
+		Kind:       "arbiter",
+		Provenance: loadgen.CaptureProvenance(),
+		Params:     res.Params,
+		Detail:     res.Results,
 	}
-	oldB, err := load(oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "powerbench cmp:", err)
-		return 2
+	delay := func(name string, ms float64) loadgen.Metric {
+		return loadgen.Metric{Name: name, Value: ms, Unit: "ms", Better: "lower", Bound: arbiterBound}
 	}
-	newB, err := load(newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "powerbench cmp:", err)
-		return 2
+	for _, r := range res.Results {
+		art.Metrics = append(art.Metrics,
+			delay(r.Strategy+".p99_ms", r.P99MS),
+			delay(r.Strategy+".worst_node_mean_ms", r.WorstNodeMeanMS),
+			delay(r.Strategy+".boost_p99_ms", r.BoostP99MS))
 	}
-	oldP, _ := json.Marshal(oldB.Params)
-	newP, _ := json.Marshal(newB.Params)
-	if string(oldP) != string(newP) {
-		fmt.Fprintf(os.Stderr, "powerbench cmp: arbiter scenario parameters differ — not comparable\n  old: %s\n  new: %s\n", oldP, newP)
-		return 2
-	}
-
-	if maxP99Pct == 0 {
-		maxP99Pct = 25
-	}
-	oldBy := make(map[string]fleet.ArbiterStrategyResult, len(oldB.Results))
-	for _, r := range oldB.Results {
-		oldBy[r.Strategy] = r
-	}
-	failed := false
-	for _, n := range newB.Results {
-		o, ok := oldBy[n.Strategy]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "powerbench cmp: warning: strategy %s is new in %s\n", n.Strategy, newPath)
-			continue
-		}
-		delete(oldBy, n.Strategy)
-		if maxP99Pct > 0 && o.P99MS > 0 {
-			if pct := (n.P99MS - o.P99MS) / o.P99MS * 100; pct > maxP99Pct {
-				failed = true
-				fmt.Printf("REGRESSION [%s] p99 %.2fms -> %.2fms (+%.1f%% > %.1f%%)\n",
-					n.Strategy, o.P99MS, n.P99MS, pct, maxP99Pct)
-			}
-		}
-		if maxP99Pct > 0 && o.WorstNodeMeanMS > 0 {
-			if pct := (n.WorstNodeMeanMS - o.WorstNodeMeanMS) / o.WorstNodeMeanMS * 100; pct > maxP99Pct {
-				failed = true
-				fmt.Printf("REGRESSION [%s] worst-node mean %.2fms -> %.2fms (+%.1f%% > %.1f%%)\n",
-					n.Strategy, o.WorstNodeMeanMS, n.WorstNodeMeanMS, pct, maxP99Pct)
-			}
-		}
-	}
-	for name := range oldBy {
-		failed = true
-		fmt.Printf("REGRESSION [%s] strategy missing from %s\n", name, newPath)
-	}
-	if failed {
-		fmt.Println("FAIL")
-		return 1
-	}
-	fmt.Printf("OK: %d arbiter strategies within thresholds\n", len(newB.Results))
-	return 0
+	art.Metrics = append(art.Metrics, loadgen.Metric{
+		Name: "p99_improvement_x", Value: res.P99ImprovementX, Unit: "x", Better: "higher", Bound: arbiterBound})
+	return art
 }

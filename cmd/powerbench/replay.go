@@ -1,14 +1,19 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
+	"powerchief/internal/loadgen"
 	"powerchief/internal/replay"
 )
+
+// replayBound is the relative drift a policy's projected p99 may show when
+// one trace is replayed by two builds.
+const replayBound = 0.25
 
 // runReplay implements `powerbench replay`: the offline policy arena. It
 // loads a decision trace (recorded by a harness run or a -trace.out
@@ -92,146 +97,37 @@ func runReplay(args []string) int {
 			s.MeanProjectedMS, s.P99ProjectedMS, s.MaxProjectedMS)
 	}
 
-	if *jsonOut != "" {
-		payload, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "powerbench replay:", err)
-			return 2
-		}
-		payload = append(payload, '\n')
-		if *jsonOut == "-" {
-			os.Stdout.Write(payload)
-		} else if err := os.WriteFile(*jsonOut, payload, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "powerbench replay:", err)
-			return 2
-		}
-	}
-
+	art := replayArtifact(out, *qos)
 	if !*noGate && gateIdx >= 0 {
-		gate := out.Policies[gateIdx]
-		if !gate.Deterministic {
-			fmt.Printf("FAIL: determinism gate: %s reproduced %d/%d recorded plans\n",
-				gate.Policy, gate.PlanMatches, gate.Frames)
-			return 1
+		if gate := out.Policies[gateIdx]; gate.Deterministic {
+			fmt.Printf("OK: determinism gate: %s reproduced all %d recorded plans byte-identically\n",
+				gate.Policy, gate.Frames)
+		} else {
+			art.Problems = append(art.Problems, fmt.Sprintf("determinism gate: %s reproduced %d/%d recorded plans",
+				gate.Policy, gate.PlanMatches, gate.Frames))
 		}
-		fmt.Printf("OK: determinism gate: %s reproduced all %d recorded plans byte-identically\n",
-			gate.Policy, gate.Frames)
 	}
-	return 0
+	return emit("powerbench replay", *jsonOut, art)
 }
 
-// artifactKind probes a JSON artifact for its "kind" tag, so powerbench cmp
-// can dispatch replay/arbiter artifacts away from the benchmark-summary
-// comparison. Empty means an untagged (summary) artifact or unreadable file
-// — the summary path reports those errors itself.
-func artifactKind(path string) string {
-	payload, err := os.ReadFile(path)
-	if err != nil {
-		return ""
+// replayArtifact flattens an arena comparison into the envelope. What was
+// replayed — the trace's header, its length — is provenance, not params:
+// replaying yesterday's trace with today's build is the point of the arena,
+// it just has to be visible.
+func replayArtifact(out *replay.Comparison, qos time.Duration) loadgen.Artifact {
+	art := loadgen.Artifact{
+		Kind: "replay",
+		Provenance: struct {
+			loadgen.Provenance
+			Trace  replay.Header `json:"trace"`
+			Frames int           `json:"frames"`
+		}{loadgen.CaptureProvenance(), out.Trace, out.Frames},
+		Params: map[string]any{"qos_ns": qos},
+		Detail: out.Policies,
 	}
-	var probe struct {
-		Kind string `json:"kind"`
+	for _, s := range out.Policies {
+		art.Metrics = append(art.Metrics, loadgen.Metric{
+			Name: s.Policy + ".p99_projected_ms", Value: s.P99ProjectedMS, Unit: "ms", Better: "lower", Bound: replayBound})
 	}
-	if err := json.Unmarshal(payload, &probe); err != nil {
-		return ""
-	}
-	return probe.Kind
-}
-
-// cmpReplay compares two replay comparison artifacts for `powerbench cmp`.
-// Trace-provenance drift (schema version, seed, scenario, recording policy,
-// build revision) warns instead of exiting 2: replaying yesterday's trace
-// against today's build is the point of the arena, it just has to be
-// visible. Regressions (exit 1): a policy losing determinism, disappearing
-// from the new artifact, or its projected p99 worsening past the threshold.
-func cmpReplay(oldPath, newPath string, maxP99Pct float64) int {
-	load := func(path string) (*replay.Comparison, error) {
-		payload, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var c replay.Comparison
-		if err := json.Unmarshal(payload, &c); err != nil {
-			return nil, fmt.Errorf("%s: not a replay artifact: %w", path, err)
-		}
-		if c.Kind != replay.ArtifactKind {
-			return nil, fmt.Errorf("%s: artifact kind %q, want %q", path, c.Kind, replay.ArtifactKind)
-		}
-		return &c, nil
-	}
-	oldC, err := load(oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "powerbench cmp:", err)
-		return 2
-	}
-	newC, err := load(newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "powerbench cmp:", err)
-		return 2
-	}
-
-	warn := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "powerbench cmp: warning: "+format+"\n", args...)
-	}
-	if oldC.Trace.Version != newC.Trace.Version {
-		warn("trace schema drift: v%d vs v%d", oldC.Trace.Version, newC.Trace.Version)
-	}
-	if oldC.Trace.Seed != newC.Trace.Seed {
-		warn("trace seed drift: %d vs %d", oldC.Trace.Seed, newC.Trace.Seed)
-	}
-	if oldC.Trace.Scenario != newC.Trace.Scenario {
-		warn("trace scenario drift: %q vs %q", oldC.Trace.Scenario, newC.Trace.Scenario)
-	}
-	if oldC.Trace.Policy != newC.Trace.Policy {
-		warn("recording policy drift: %q vs %q", oldC.Trace.Policy, newC.Trace.Policy)
-	}
-	if o, n := oldC.Trace.Provenance, newC.Trace.Provenance; o.GitRevision != n.GitRevision {
-		warn("build revision drift: %s vs %s", o.GitRevision, n.GitRevision)
-	}
-	if oldC.Frames != newC.Frames {
-		warn("frame count drift: %d vs %d", oldC.Frames, newC.Frames)
-	}
-
-	if maxP99Pct == 0 {
-		maxP99Pct = 25
-	}
-	oldBy := make(map[string]replay.PolicyScore, len(oldC.Policies))
-	for _, s := range oldC.Policies {
-		oldBy[s.Policy] = s
-	}
-	failed := false
-	seen := make(map[string]bool, len(newC.Policies))
-	for _, n := range newC.Policies {
-		seen[n.Policy] = true
-		o, ok := oldBy[n.Policy]
-		if !ok {
-			warn("policy %s is new in %s", n.Policy, newPath)
-			continue
-		}
-		if o.Deterministic && !n.Deterministic {
-			failed = true
-			fmt.Printf("REGRESSION [%s] determinism lost: %d/%d plans reproduced\n",
-				n.Policy, n.PlanMatches, n.Frames)
-		}
-		if maxP99Pct > 0 && o.P99ProjectedMS > 0 {
-			pct := (n.P99ProjectedMS - o.P99ProjectedMS) / o.P99ProjectedMS * 100
-			if pct > maxP99Pct {
-				failed = true
-				fmt.Printf("REGRESSION [%s] projected p99 %.2fms -> %.2fms (+%.1f%% > %.1f%%)\n",
-					n.Policy, o.P99ProjectedMS, n.P99ProjectedMS, pct, maxP99Pct)
-			}
-		}
-	}
-	for _, o := range oldC.Policies {
-		if !seen[o.Policy] {
-			failed = true
-			fmt.Printf("REGRESSION [%s] policy missing from %s\n", o.Policy, newPath)
-		}
-	}
-	if failed {
-		fmt.Println("FAIL")
-		return 1
-	}
-	fmt.Printf("OK: %d replay policies within thresholds\n", len(newC.Policies))
-	return 0
+	return art
 }

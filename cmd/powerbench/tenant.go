@@ -5,29 +5,34 @@ package main
 // is run twice under the same seed: once with the initial split frozen
 // (static halving) and once with a cross-app arbiter re-granting per-tenant
 // budgets each epoch. The command prints both runs, reports the combined-p99
-// improvement, and can write the pair as a JSON artifact or gate a fresh run
-// against a checked-in one (results/BENCH_multitenant.json).
+// improvement, and writes the pair as an artifact that `powerbench cmp` gates
+// against the checked-in results/BENCH_multitenant.json.
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
 	"powerchief/internal/arbiter"
 	"powerchief/internal/core"
 	"powerchief/internal/harness"
+	"powerchief/internal/loadgen"
 	"powerchief/internal/stats"
 )
 
+// tenantBound is the relative drift the deterministic two-app scenario may
+// show on its combined latencies and improvement factors.
+const tenantBound = 0.20
+
 // tenantParams pins everything that must match for two multi-tenant
-// artifacts to be comparable.
+// artifacts to be comparable. Alpha is set only when the arbiter is fairness,
+// the one strategy that reads it.
 type tenantParams struct {
 	Scenario    string   `json:"scenario"`
 	Seed        int64    `json:"seed"`
 	Arbiter     string   `json:"arbiter"`
+	Alpha       float64  `json:"alpha,omitempty"`
 	BudgetWatts float64  `json:"budget_watts"`
 	Tenants     []string `json:"tenants"`
 }
@@ -61,9 +66,8 @@ type tenantRunRecord struct {
 	Tenants         []tenantTenant `json:"tenants"`
 }
 
-// tenantArtifact is the BENCH_multitenant.json schema.
-type tenantArtifact struct {
-	Params     tenantParams    `json:"params"`
+// tenantDetail is the artifact's detail: both runs, tenant by tenant.
+type tenantDetail struct {
 	Static     tenantRunRecord `json:"static"`
 	Arbitrated tenantRunRecord `json:"arbitrated"`
 	// Improvement is static over arbitrated: >1 means arbitration won.
@@ -71,39 +75,20 @@ type tenantArtifact struct {
 	ImprovementP99X  float64 `json:"improvement_p99_x"`
 }
 
-// runTenant implements `powerbench tenant`. Exit codes mirror `powerbench
-// cmp`: 0 pass, 1 regression (invariant violated, arbitration lost, or the
-// gated comparison crossed a threshold), 2 not comparable.
+// runTenant implements `powerbench tenant`. Exit codes: 0 success, 1 a run
+// failed or the artifact lists a problem (a budget-hierarchy violation,
+// arbitration not beating the static split), 2 unknown strategy.
 func runTenant(args []string) int {
 	fs := flag.NewFlagSet("powerbench tenant", flag.ExitOnError)
 	seed := fs.Int64("seed", 42, "scenario seed (both runs share it)")
 	policy := fs.String("arbiter", "proportional", "arbitration strategy: proportional or fairness")
 	alpha := fs.Float64("alpha", 2, "fairness strategy exponent (arbiter=fairness)")
-	jsonOut := fs.String("json", "", "write the paired JSON artifact here (\"-\" for stdout)")
-	check := fs.String("check", "", "gate against this checked-in artifact (CI mode)")
-	tol := fs.Float64("tol", 0.20, "relative tolerance on combined latency vs the checked-in artifact")
+	jsonOut := fs.String("json", "", "write the paired artifact here (\"-\" for stdout)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: powerbench tenant [flags]")
 		fs.PrintDefaults()
 	}
 	_ = fs.Parse(args)
-
-	var golden *tenantArtifact
-	if *check != "" {
-		raw, err := os.ReadFile(*check)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "powerbench tenant:", err)
-			return 2
-		}
-		golden = new(tenantArtifact)
-		if err := json.Unmarshal(raw, golden); err != nil {
-			fmt.Fprintf(os.Stderr, "powerbench tenant: %s: %v\n", *check, err)
-			return 2
-		}
-		// Re-run exactly what the artifact recorded.
-		*seed = golden.Params.Seed
-		*policy = golden.Params.Arbiter
-	}
 
 	strategy, err := tenantStrategy(*policy, *alpha)
 	if err != nil {
@@ -125,60 +110,61 @@ func runTenant(args []string) int {
 		return 1
 	}
 
-	art := &tenantArtifact{
-		Params: tenantParams{
-			Scenario:    static.Name,
-			Seed:        *seed,
-			Arbiter:     *policy,
-			BudgetWatts: float64(arbRes.Budget),
-			Tenants:     tenantNames(arbRes),
-		},
+	params := tenantParams{
+		Scenario:    static.Name,
+		Seed:        *seed,
+		Arbiter:     *policy,
+		BudgetWatts: float64(arbRes.Budget),
+		Tenants:     tenantNames(arbRes),
+	}
+	if *policy == "fairness" {
+		params.Alpha = *alpha
+	}
+	d := tenantDetail{
 		Static:           recordRun(staticRes),
 		Arbitrated:       recordRun(arbRes),
 		ImprovementMeanX: stats.Improvement(staticRes.Combined.Mean(), arbRes.Combined.Mean()),
 		ImprovementP99X:  stats.Improvement(staticRes.Combined.P99(), arbRes.Combined.P99()),
 	}
-
-	printTenantRun("static-split", art.Static)
-	printTenantRun(*policy, art.Arbitrated)
+	printTenantRun("static-split", d.Static)
+	printTenantRun(*policy, d.Arbitrated)
 	fmt.Printf("arbitration vs static halving: combined mean %.2fx, combined p99 %.2fx (budget %.1f W, %d arbiter epochs)\n",
-		art.ImprovementMeanX, art.ImprovementP99X, art.Params.BudgetWatts, art.Arbitrated.ArbiterEpochs)
+		d.ImprovementMeanX, d.ImprovementP99X, params.BudgetWatts, d.Arbitrated.ArbiterEpochs)
+	return emit("powerbench tenant", *jsonOut, tenantArtifact(params, d))
+}
 
-	if *jsonOut != "" {
-		payload, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "powerbench tenant:", err)
-			return 1
+// tenantArtifact flattens the two runs into the envelope. Beating the static
+// split on combined p99 is the scenario's reason to exist, so not doing so is
+// a problem, as is any epoch that broke the budget hierarchy.
+func tenantArtifact(params tenantParams, d tenantDetail) loadgen.Artifact {
+	metric := func(name string, v float64, unit, better string) loadgen.Metric {
+		return loadgen.Metric{Name: name, Value: v, Unit: unit, Better: better, Bound: tenantBound}
+	}
+	art := loadgen.Artifact{
+		Kind:       "tenant",
+		Provenance: loadgen.CaptureProvenance(),
+		Params:     params,
+		Detail:     d,
+		Metrics: []loadgen.Metric{
+			metric("improvement_mean_x", d.ImprovementMeanX, "x", "higher"),
+			metric("improvement_p99_x", d.ImprovementP99X, "x", "higher"),
+		},
+	}
+	for _, run := range []struct {
+		mode string
+		rec  tenantRunRecord
+	}{{"static", d.Static}, {"arbitrated", d.Arbitrated}} {
+		art.Metrics = append(art.Metrics,
+			metric(run.mode+".combined_mean_ns", float64(run.rec.CombinedMeanNS), "ns", "lower"),
+			metric(run.mode+".combined_p99_ns", float64(run.rec.CombinedP99NS), "ns", "lower"))
+		if run.rec.Violations != 0 {
+			art.Problems = append(art.Problems, fmt.Sprintf("%d budget-hierarchy violations in the %s run (Σ child grants exceeded the root budget)", run.rec.Violations, run.mode))
 		}
-		payload = append(payload, '\n')
-		if *jsonOut == "-" {
-			os.Stdout.Write(payload)
-		} else if err := os.WriteFile(*jsonOut, payload, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "powerbench tenant:", err)
-			return 1
-		}
 	}
-
-	// Intrinsic gates: the budget hierarchy invariant held, and arbitration
-	// beat the static split on combined p99 — the scenario's reason to exist.
-	fail := 0
-	if v := art.Static.Violations + art.Arbitrated.Violations; v != 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d budget-hierarchy violations (Σ child grants exceeded the root budget)\n", v)
-		fail = 1
+	if d.ImprovementP99X <= 1 {
+		art.Problems = append(art.Problems, fmt.Sprintf("arbitration did not beat static halving on combined p99 (%.3fx)", d.ImprovementP99X))
 	}
-	if art.ImprovementP99X <= 1 {
-		fmt.Fprintf(os.Stderr, "FAIL: arbitration did not beat static halving on combined p99 (%.3fx)\n", art.ImprovementP99X)
-		fail = 1
-	}
-
-	if golden != nil {
-		if code := gateTenant(golden, art, *tol); code != 0 {
-			return code
-		}
-		fmt.Printf("PASS: matches %s within %.0f%% (combined p99 static %v arb %v)\n",
-			*check, *tol*100, time.Duration(art.Static.CombinedP99NS), time.Duration(art.Arbitrated.CombinedP99NS))
-	}
-	return fail
+	return art
 }
 
 // tenantStrategy maps the flag value to an arbitration strategy.
@@ -247,48 +233,4 @@ func printTenantRun(label string, rec tenantRunRecord) {
 			t.Name, time.Duration(t.QoSNS), time.Duration(t.P99NS), t.Completed, t.Submitted,
 			t.InitialGrantW, t.FinalGrantW, t.AvgGrantW, t.AvgPowerW, t.BoostDecisions)
 	}
-}
-
-// gateTenant compares a fresh artifact against the checked-in one. Params
-// must match exactly (else 2: not comparable); combined latencies must stay
-// within the relative tolerance and the fresh improvement must not collapse
-// (else 1: regression).
-func gateTenant(golden, fresh *tenantArtifact, tol float64) int {
-	if golden.Params.Scenario != fresh.Params.Scenario ||
-		golden.Params.Seed != fresh.Params.Seed ||
-		golden.Params.Arbiter != fresh.Params.Arbiter ||
-		len(golden.Params.Tenants) != len(fresh.Params.Tenants) {
-		fmt.Fprintf(os.Stderr, "NOT COMPARABLE: params differ: baseline %+v vs fresh %+v\n", golden.Params, fresh.Params)
-		return 2
-	}
-	for i := range golden.Params.Tenants {
-		if golden.Params.Tenants[i] != fresh.Params.Tenants[i] {
-			fmt.Fprintf(os.Stderr, "NOT COMPARABLE: tenant set differs: %v vs %v\n", golden.Params.Tenants, fresh.Params.Tenants)
-			return 2
-		}
-	}
-	fail := 0
-	within := func(metric string, want, got int64) {
-		if want == 0 {
-			return
-		}
-		if drift := math.Abs(float64(got)-float64(want)) / float64(want); drift > tol {
-			fmt.Fprintf(os.Stderr, "FAIL: %s drifted %.1f%% (baseline %v, fresh %v, tolerance %.0f%%)\n",
-				metric, drift*100, time.Duration(want), time.Duration(got), tol*100)
-			fail = 1
-		}
-	}
-	within("static combined p99", golden.Static.CombinedP99NS, fresh.Static.CombinedP99NS)
-	within("static combined mean", golden.Static.CombinedMeanNS, fresh.Static.CombinedMeanNS)
-	within("arbitrated combined p99", golden.Arbitrated.CombinedP99NS, fresh.Arbitrated.CombinedP99NS)
-	within("arbitrated combined mean", golden.Arbitrated.CombinedMeanNS, fresh.Arbitrated.CombinedMeanNS)
-	if fresh.Arbitrated.Violations != 0 || fresh.Static.Violations != 0 {
-		fmt.Fprintln(os.Stderr, "FAIL: fresh run violated the budget hierarchy invariant")
-		fail = 1
-	}
-	if fresh.ImprovementP99X <= 1 {
-		fmt.Fprintf(os.Stderr, "FAIL: fresh arbitration no longer beats static halving (p99 %.3fx)\n", fresh.ImprovementP99X)
-		fail = 1
-	}
-	return fail
 }

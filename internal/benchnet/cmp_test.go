@@ -13,14 +13,40 @@ func baselineSummary() loadgen.Summary {
 		loadgen.Provenance{GitRevision: "abc", GoVersion: "go1.22", Hostname: "ci", Agents: 1})
 }
 
-func TestCompareSelfPasses(t *testing.T) {
-	s := baselineSummary()
-	regs, warns, err := Compare(s, s, Thresholds{})
+// The merged summary of a coordinated run is gated like any other artifact:
+// flattened by loadgen.SummaryArtifact, compared by loadgen.Compare. These
+// tests pin what that means for a summary.
+
+func gate(t *testing.T, old, new loadgen.Summary, force bool) (fails, warns []string, err error) {
+	t.Helper()
+	base, err := loadgen.SummaryArtifact(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) != 0 {
-		t.Fatalf("self-comparison regressed: %v", regs)
+	fresh, err := loadgen.SummaryArtifact(new)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loadgen.Compare(&base, &fresh, force)
+}
+
+func named(lines []string, metric string) bool {
+	for _, l := range lines {
+		if strings.HasPrefix(l, metric+":") {
+			return true
+		}
+	}
+	return false
+}
+
+func TestCompareSelfPasses(t *testing.T) {
+	s := baselineSummary()
+	fails, warns, err := gate(t, s, s, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fails) != 0 {
+		t.Fatalf("self-comparison regressed: %v", fails)
 	}
 	if len(warns) != 0 {
 		t.Fatalf("self-comparison warned: %v", warns)
@@ -29,48 +55,46 @@ func TestCompareSelfPasses(t *testing.T) {
 
 func TestCompareFlagsP99Regression(t *testing.T) {
 	old := baselineSummary()
-	// Inject a 2× tail regression: double every sample above ~the p95, leave
-	// the body alone. p99/p999 blow past their thresholds; p50 must not.
+	// Inject a 4× tail regression: quadruple every sample above ~the p95, leave
+	// the body alone. p99/p999 blow past their 200 % / 250 % bounds; p50 must
+	// not move.
 	samples := benchSamples(8000)
 	for i, s := range samples {
 		if s > 95*time.Millisecond {
-			samples[i] = 2 * s
+			samples[i] = 4 * s
 		}
 	}
 	new := summaryOf(samples, 1.05, 10000, *old.Provenance)
 
-	regs, _, err := Compare(old, new, Thresholds{})
+	fails, _, err := gate(t, old, new, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := map[string]bool{}
-	for _, r := range regs {
-		found[r.Metric] = true
+	if !named(fails, "latency_p99_ms") || !named(fails, "latency_p999_ms") {
+		t.Fatalf("4x tail not flagged: %v", fails)
 	}
-	if !found["latency_p99_ms"] || !found["latency_p999_ms"] {
-		t.Fatalf("2x tail not flagged: %v", regs)
+	if named(fails, "latency_p50_ms") {
+		t.Fatalf("median flagged though only the tail regressed: %v", fails)
 	}
-	if found["latency_p50_ms"] {
-		t.Fatalf("median flagged though only the tail regressed: %v", regs)
+
+	// The same change read the other way is an improvement, and passes.
+	if fails, _, err = gate(t, new, old, false); err != nil || len(fails) != 0 {
+		t.Fatalf("a 4x better tail failed the gate: %v (err %v)", fails, err)
 	}
 }
 
 func TestCompareFlagsThroughputAndErrors(t *testing.T) {
 	old := baselineSummary()
 	new := baselineSummary()
-	new.AchievedQPS = old.AchievedQPS * 0.8 // 20% drop > 10% default
-	new.Errors = new.Issued / 20            // 5 points > 1 point default
+	new.AchievedQPS = old.AchievedQPS * 0.7 // 30% drop > 25%
+	new.Errors = new.Issued / 20            // 5 points of error rate > 1
 
-	regs, _, err := Compare(old, new, Thresholds{})
+	fails, _, err := gate(t, old, new, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := map[string]bool{}
-	for _, r := range regs {
-		found[r.Metric] = true
-	}
-	if !found["achieved_qps"] || !found["error_rate_pct"] {
-		t.Fatalf("throughput/error regressions not flagged: %v", regs)
+	if !named(fails, "achieved_qps") || !named(fails, "ok_pct") {
+		t.Fatalf("throughput/error regressions not flagged: %v", fails)
 	}
 }
 
@@ -81,11 +105,12 @@ func TestCompareRefusesDifferentExperiments(t *testing.T) {
 		func(s *loadgen.Summary) { s.Schedule = "constant" },
 		func(s *loadgen.Summary) { s.RateQPS = 50 },
 		func(s *loadgen.Summary) { s.Duration = "20s" },
+		func(s *loadgen.Summary) { s.Warmup = "1s" },
 		func(s *loadgen.Summary) { s.Agents = 4 },
 	} {
 		new := baselineSummary()
 		mutate(&new)
-		if _, _, err := Compare(old, new, Thresholds{}); err == nil {
+		if _, _, err := gate(t, old, new, false); err == nil {
 			t.Fatalf("comparison accepted a different experiment: %+v vs baseline", new)
 		}
 	}
@@ -97,17 +122,17 @@ func TestCompareForceDowngradesToWarnings(t *testing.T) {
 	new.Seed = 99
 	new.Provenance.GitRevision = "def"
 
-	regs, warns, err := Compare(old, new, Thresholds{Force: true})
+	fails, warns, err := gate(t, old, new, true)
 	if err != nil {
 		t.Fatalf("force did not override the refusal: %v", err)
 	}
-	if len(regs) != 0 {
-		t.Fatalf("unexpected regressions: %v", regs)
+	if len(fails) != 0 {
+		t.Fatalf("unexpected regressions: %v", fails)
 	}
 	var sawSeed, sawRev bool
 	for _, w := range warns {
-		sawSeed = sawSeed || strings.Contains(w, "seed")
-		sawRev = sawRev || strings.Contains(w, "git revision drift")
+		sawSeed = sawSeed || strings.Contains(w, "params.seed")
+		sawRev = sawRev || strings.Contains(w, "provenance.git_revision")
 	}
 	if !sawSeed || !sawRev {
 		t.Fatalf("expected seed + revision warnings, got %v", warns)
@@ -124,24 +149,20 @@ func TestCompareWarnsOnIngestBatchingDrift(t *testing.T) {
 	new.Provenance.IngestBatch = 256
 	new.Provenance.IngestIntervalMS = 100
 
-	regs, warns, err := Compare(old, new, Thresholds{})
+	fails, warns, err := gate(t, old, new, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) != 0 {
-		t.Fatalf("ingest config drift must warn, not regress: %v", regs)
+	if len(fails) != 0 {
+		t.Fatalf("ingest config drift must warn, not regress: %v", fails)
 	}
-	var saw bool
-	for _, w := range warns {
-		saw = saw || strings.Contains(w, "ingest batching drift")
-	}
-	if !saw {
+	if !named(warns, "provenance.ingest_batch") || !named(warns, "provenance.ingest_interval_ms") {
 		t.Fatalf("no ingest batching warning in %v", warns)
 	}
 
 	// Identical batching on both sides stays silent.
 	old.Provenance.IngestBatch, old.Provenance.IngestIntervalMS = 256, 100
-	if _, warns, err = Compare(old, new, Thresholds{}); err != nil || len(warns) != 0 {
+	if _, warns, err = gate(t, old, new, false); err != nil || len(warns) != 0 {
 		t.Fatalf("matched ingest config warned: %v (err %v)", warns, err)
 	}
 }
@@ -167,26 +188,5 @@ func TestRunSpecStampProvenance(t *testing.T) {
 	RunSpec{Target: "des", IngestBatch: 64}.StampProvenance(&sum3)
 	if sum3.Provenance.IngestBatch != 0 {
 		t.Fatalf("non-dist spec stamped ingest provenance: %+v", sum3.Provenance)
-	}
-}
-
-func TestCompareFallsBackToStoredQuantiles(t *testing.T) {
-	// Artifacts predating the histogram field carry only the quantile block.
-	old := baselineSummary()
-	old.LatencyHist = nil
-	new := baselineSummary()
-	new.LatencyHist = nil
-	new.LatencyMS.P99 = old.LatencyMS.P99 * 2
-
-	regs, _, err := Compare(old, new, Thresholds{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var found bool
-	for _, r := range regs {
-		found = found || r.Metric == "latency_p99_ms"
-	}
-	if !found {
-		t.Fatalf("histogram-less p99 regression not flagged: %v", regs)
 	}
 }

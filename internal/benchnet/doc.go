@@ -1,5 +1,5 @@
 // Package benchnet turns the single-process powerbench driver into a
-// distributed, self-terminating, regression-gated benchmark harness — the
+// distributed, self-terminating benchmark harness — the
 // warp benchserver/benchclient shape on top of the framework's own RPC
 // transport.
 //
@@ -14,13 +14,12 @@
 // agent digests exactly — bin counts add — into one cluster-wide CO-safe
 // distribution, deriving the quantile block from the merged histogram.
 //
-// Two warp idioms complete the loop: throughput auto-termination (AutoTerm;
+// One warp idiom completes the loop: throughput auto-termination (AutoTerm;
 // the run stops early once the last -autoterm.dur window's first- and
-// second-half throughputs agree within -autoterm.pct) and run comparison
-// (Compare; per-metric regression thresholds over achieved QPS, p50/p99/
-// p999 and error rate, refusing to compare summaries whose config or agent
-// count differ — the `powerbench cmp` CI gate). Dist-target specs can size
-// the stages' stat-delta batches (RunSpec.IngestBatch); the sizes are
-// stamped into the summary's provenance so cmp warns when a baseline and a
-// candidate ran with different statistic-staleness bounds.
+// second-half throughputs agree within -autoterm.pct). The merged summary is
+// gated like every other powerbench artifact — loadgen.SummaryArtifact,
+// loadgen.Compare; README.md, "Artifacts and the gate". Dist-target specs can
+// size the stages' stat-delta batches (RunSpec.IngestBatch); the sizes are
+// stamped into the summary's provenance, where a difference between baseline
+// and candidate (different statistic-staleness bounds) shows as a warning.
 package benchnet

@@ -12,10 +12,6 @@ import (
 	"powerchief/internal/sim"
 )
 
-// ArbiterArtifactKind tags the ArbiterBench JSON artifact for
-// `powerbench cmp` dispatch.
-const ArbiterArtifactKind = "arbiter"
-
 // ArbiterBenchParams scripts the skewed-bottleneck fleet scenario racing
 // arbiter weighting strategies against each other. Every node runs a
 // two-stage pipeline: an ingress stage at a fixed reference speed (watts
@@ -82,10 +78,9 @@ type ArbiterStrategyResult struct {
 	BoostMaxMS  float64 `json:"boost_max_ms"`
 }
 
-// ArbiterBench is the recorded benchmark artifact
-// (results/BENCH_arbiter.json), JSON-stable: same params, same bytes.
+// ArbiterBench is the benchmark's result (recorded, through powerbench, as
+// results/BENCH_arbiter.json): same params, same numbers.
 type ArbiterBench struct {
-	Kind    string                  `json:"kind"`
 	Params  ArbiterBenchParams      `json:"params"`
 	Results []ArbiterStrategyResult `json:"results"`
 	// P99ImprovementX is baseline boostable-p99 / last-strategy
@@ -178,7 +173,7 @@ func RunArbiterBench(p ArbiterBenchParams) (*ArbiterBench, error) {
 	if len(p.Strategies) == 0 {
 		return nil, fmt.Errorf("fleet: arbiter bench needs at least one strategy")
 	}
-	out := &ArbiterBench{Kind: ArbiterArtifactKind, Params: p}
+	out := &ArbiterBench{Params: p}
 	for _, name := range p.Strategies {
 		strat, err := strategyByName(name)
 		if err != nil {

@@ -22,6 +22,8 @@
 //   - Summarize/WriteTable produce the JSON and human digests, and
 //     Options.Metrics streams per-run series into internal/telemetry so a
 //     /metrics endpoint reflects an in-flight benchmark.
+//   - Artifact is the one envelope every powerbench mode writes and Compare
+//     the one gate over it (README.md, "Artifacts and the gate").
 //
 // See DESIGN.md §5e for why the generator is open-loop and what coordinated
 // omission would do to the tails, and ARCHITECTURE.md for where the

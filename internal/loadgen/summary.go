@@ -13,10 +13,10 @@ import (
 	"powerchief/internal/stats"
 )
 
-// Provenance records where a summary came from, so the cmp regression gate
-// can refuse to compare apples to oranges (and flag drifting toolchains):
-// the build's git revision, the Go toolchain, the host that ran it, and the
-// number of cooperating benchmark agents that produced the numbers.
+// Provenance records where numbers came from, so the gate can flag a
+// drifting build, toolchain or host: the build's git revision, the Go
+// toolchain, the host that ran it, and the number of cooperating benchmark
+// agents that produced the numbers.
 type Provenance struct {
 	GitRevision string `json:"git_revision,omitempty"`
 	GoVersion   string `json:"go_version,omitempty"`
@@ -25,8 +25,8 @@ type Provenance struct {
 
 	// IngestBatch and IngestIntervalMS record the dist target's stat-delta
 	// batch sizes (zero: the stats defaults). Runs with different batching
-	// have different statistic-staleness bounds, so cmp warns rather than
-	// silently comparing them.
+	// have different statistic-staleness bounds; as provenance, the
+	// difference shows as a warning.
 	IngestBatch      int     `json:"ingest_batch,omitempty"`
 	IngestIntervalMS float64 `json:"ingest_interval_ms,omitempty"`
 }
@@ -55,12 +55,12 @@ func CaptureProvenance() Provenance {
 	return provCached
 }
 
-// Summary is the JSON-serializable digest of one run — the shape
-// cmd/powerbench writes with -json and CI uploads as an artifact. Since the
-// distributed-benchmark PR it carries the full serialized latency histogram
-// (not just quantiles), so N agent summaries merge exactly into one
-// cluster-wide distribution; the quantile block is derived from the
-// histogram and kept for human readability and old tooling.
+// Summary is the JSON-serializable digest of one run — what benchnet agents
+// ship and the detail of the artifact cmd/powerbench writes with -json. It
+// carries the full serialized latency histogram (not just quantiles), so N
+// agent summaries merge exactly into one cluster-wide distribution; the
+// quantile block is derived from the histogram and kept for human
+// readability.
 type Summary struct {
 	Target    string  `json:"target"`
 	Schedule  string  `json:"schedule"`

@@ -86,7 +86,7 @@ func TestArenaScoresMultiplePolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Kind != replay.ArtifactKind || out.Frames != len(tr.Frames) {
+	if out.Frames != len(tr.Frames) {
 		t.Fatalf("comparison artifact %+v", out)
 	}
 	if len(out.Policies) != 3 {

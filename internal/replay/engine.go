@@ -38,19 +38,14 @@ type PolicyScore struct {
 	MaxProjectedMS  float64 `json:"max_projected_ms"`
 }
 
-// Comparison is the arena artifact: one trace, N candidate policies.
+// Comparison is the arena result: one trace, N candidate policies.
 type Comparison struct {
-	// Kind tags the artifact for powerbench cmp ("replay").
-	Kind   string `json:"kind"`
 	Trace  Header `json:"trace"`
 	Frames int    `json:"frames"`
 	// Policies is ordered as requested, recording policy included only if
 	// requested.
 	Policies []PolicyScore `json:"policies"`
 }
-
-// ArtifactKind is the Comparison tag powerbench cmp dispatches on.
-const ArtifactKind = "replay"
 
 // PolicyNames lists the registered arena names.
 func PolicyNames() []string {
@@ -103,7 +98,7 @@ func Run(t *Trace, names []string, qos time.Duration) (*Comparison, error) {
 	if len(t.Frames) == 0 {
 		return nil, fmt.Errorf("replay: trace has no frames")
 	}
-	out := &Comparison{Kind: ArtifactKind, Trace: t.Header, Frames: len(t.Frames)}
+	out := &Comparison{Trace: t.Header, Frames: len(t.Frames)}
 	for _, name := range names {
 		p, err := NewPolicy(name, qos)
 		if err != nil {
