@@ -26,6 +26,7 @@ import (
 	"powerchief/internal/query"
 	"powerchief/internal/sim"
 	"powerchief/internal/stage"
+	"powerchief/internal/stats"
 	"powerchief/internal/telemetry"
 	"powerchief/internal/workload"
 )
@@ -227,6 +228,27 @@ func BenchmarkDESEngine(b *testing.B) {
 		var ev sim.Event
 		chain(b, func(eng *sim.Engine, fn func()) { eng.Arm(&ev, time.Microsecond, fn) })
 	})
+}
+
+// BenchmarkStripedPercentiles measures the exact end-to-end window's read on
+// every captured control tick: 8 exact stripes holding 20 k samples, merged
+// once and ranked at the snapshot's four-point grid.
+func BenchmarkStripedPercentiles(b *testing.B) {
+	s := stats.NewStriped(8, func() stats.MovingWindow { return stats.NewWindow(time.Hour) })
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 20000; i++ {
+		s.Add(uint64(i), time.Duration(i)*time.Millisecond, time.Duration(1+rng.Intn(5000))*time.Millisecond)
+	}
+	now := 20 * time.Second
+	grid := []float64{0.5, 0.9, 0.99, 0.999}
+	out := make([]time.Duration, len(grid))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !s.Percentiles(now, grid, out) {
+			b.Fatal("empty window")
+		}
+	}
 }
 
 // BenchmarkScenarioThroughput measures simulated queries per wall second

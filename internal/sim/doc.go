@@ -2,8 +2,10 @@
 //
 // The engine drives the PowerChief service model in virtual time: every
 // latency-affecting occurrence (query arrival, service completion, control
-// interval) is an Event scheduled on a binary heap keyed by virtual time.
-// Ties are broken by sequence number so runs are exactly reproducible.
+// interval) is an Event on a typed 4-ary min-heap keyed by (virtual time,
+// sequence number). Every Arm and Reschedule takes a fresh sequence number,
+// so the key is unique and the order total: any heap shape fires the same
+// sequence, and runs are exactly reproducible.
 //
 // Events are cancellable and reschedulable, which the service model uses to
 // re-time an in-flight query when the core it runs on changes frequency.

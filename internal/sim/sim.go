@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -29,37 +28,72 @@ func (e *Event) Canceled() bool { return e.canceled }
 // Pending reports whether the event is still queued to fire.
 func (e *Event) Pending() bool { return e.pos != 0 }
 
+// before orders events by (at, seq). Sequence numbers are unique, so the
+// order is total: every heap shape pops the same sequence.
+func (ev *Event) before(o *Event) bool {
+	return ev.at < o.at || ev.at == o.at && ev.seq < o.seq
+}
+
+// eventQueue is a 4-ary min-heap on (at, seq). Each event's pos is its index
+// + 1, so Cancel and Reschedule find it without a search. up and down move a
+// hole and place the event once instead of swapping at every level.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].pos = i + 1
-	q[j].pos = j + 1
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
+func (q *eventQueue) push(ev *Event) {
 	*q = append(*q, ev)
-	ev.pos = len(*q)
+	q.up(len(*q)-1, ev)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.pos = 0
-	*q = old[:n-1]
+// remove takes the event at index i out of the queue and returns it.
+func (q *eventQueue) remove(i int) *Event {
+	h, n := *q, len(*q)-1
+	ev := h[i]
+	h[i], h[n] = h[n], nil
+	*q, ev.pos = h[:n], 0
+	if i < n {
+		q.fix(i)
+	}
 	return ev
+}
+
+// fix restores the heap order after the key of the event at index i changed.
+func (q eventQueue) fix(i int) {
+	if ev := q[i]; !q.up(i, ev) {
+		q.down(i, ev)
+	}
+}
+
+// up sifts ev from index i towards the root and reports whether it moved.
+func (q eventQueue) up(i int, ev *Event) bool {
+	start := i
+	for i > 0 {
+		p := (i - 1) / 4
+		if !ev.before(q[p]) {
+			break
+		}
+		q[i], q[p].pos = q[p], i+1
+		i = p
+	}
+	q[i], ev.pos = ev, i+1
+	return i != start
+}
+
+// down sifts ev from index i towards the leaves.
+func (q eventQueue) down(i int, ev *Event) {
+	for c := 4*i + 1; c < len(q); c = 4*i + 1 {
+		m := c
+		for j := c + 1; j < min(c+4, len(q)); j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(ev) {
+			break
+		}
+		q[i], q[m].pos = q[m], i+1
+		i = m
+	}
+	q[i], ev.pos = ev, i+1
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
@@ -111,7 +145,7 @@ func (e *Engine) Arm(ev *Event, delay time.Duration, fn func()) {
 	}
 	e.seq++
 	ev.at, ev.seq, ev.fn, ev.canceled = e.now+delay, e.seq, fn, false
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 }
 
 // Schedule queues fn to run after delay of virtual time on a fresh event:
@@ -137,7 +171,7 @@ func (e *Engine) Cancel(ev *Event) bool {
 		return false
 	}
 	ev.canceled = true
-	heap.Remove(&e.queue, ev.pos-1)
+	e.queue.remove(ev.pos - 1)
 	return true
 }
 
@@ -159,7 +193,7 @@ func (e *Engine) Reschedule(ev *Event, delay time.Duration) *Event {
 	ev.at = e.now + delay
 	e.seq++
 	ev.seq = e.seq
-	heap.Fix(&e.queue, ev.pos-1)
+	e.queue.fix(ev.pos - 1)
 	return ev
 }
 
@@ -169,7 +203,7 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
+	ev := e.queue.remove(0)
 	if ev.at < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: %v < %v", ev.at, e.now))
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"sort"
@@ -405,5 +406,126 @@ func TestEventRearmedFromItsOwnCallback(t *testing.T) {
 		e.Cancel(&ev)
 	}); allocs != 0 {
 		t.Fatalf("Arm allocates %v times per call, want 0", allocs)
+	}
+}
+
+// refEvent is one pending entry of the property test's reference queue.
+type refEvent struct {
+	id       int
+	at       time.Duration
+	seq      uint64
+	canceled bool
+}
+
+// refQueue is the oracle for TestPropertyHeapMatchesReference: a slice kept
+// sorted on (at, seq), the order the engine's contract promises.
+type refQueue struct {
+	now     time.Duration
+	seq     uint64
+	pending []refEvent
+}
+
+func (r *refQueue) find(id int) int {
+	return slices.IndexFunc(r.pending, func(x refEvent) bool { return x.id == id })
+}
+
+func (r *refQueue) arm(id int, delay time.Duration) {
+	r.seq++
+	x := refEvent{id: id, at: r.now + max(delay, 0), seq: r.seq}
+	i, _ := slices.BinarySearchFunc(r.pending, x, func(a, b refEvent) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+	})
+	r.pending = slices.Insert(r.pending, i, x)
+}
+
+// Property: over random interleavings of Arm, Schedule, Cancel, Reschedule
+// (earlier, later, after fire) and Step on a few distinct timestamps, the
+// engine fires exactly the reference's sequence, and Pending agrees after
+// every operation — for the engine and for each event.
+func TestPropertyHeapMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		var ref refQueue
+		var events []*Event
+		canceled := map[int]bool{}
+		fired := -1
+		handler := func(id int) func() { return func() { fired = id } }
+		delay := func() time.Duration { return time.Duration(rng.Intn(5)-1) * time.Millisecond }
+		owned := make([]Event, 8)
+		for i := range owned {
+			events = append(events, &owned[i])
+		}
+		for op := 0; op < 200; op++ {
+			id := rng.Intn(len(events))
+			ev := events[id]
+			switch rng.Intn(6) {
+			case 0: // Arm an owned event; a pending one must panic untouched.
+				if id >= len(owned) {
+					break
+				}
+				d := delay()
+				if ev.Pending() {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Fatalf("seed %d: Arm on a pending event did not panic", seed)
+							}
+						}()
+						e.Arm(ev, d, handler(id))
+					}()
+					break
+				}
+				e.Arm(ev, d, handler(id))
+				ref.arm(id, d)
+				canceled[id] = false
+			case 1: // Schedule a fresh event.
+				d := delay()
+				events = append(events, e.Schedule(d, handler(len(events))))
+				ref.arm(len(events)-1, d)
+			case 2:
+				i := ref.find(id)
+				if got := e.Cancel(ev); got != (i >= 0) {
+					t.Fatalf("seed %d op %d: Cancel = %v, reference pending = %v", seed, op, got, i >= 0)
+				}
+				if i >= 0 {
+					ref.pending = slices.Delete(ref.pending, i, i+1)
+					canceled[id] = true
+				}
+			case 3: // Reschedule: earlier, later, or re-arm after fire/cancel.
+				if ev.fn == nil {
+					break
+				}
+				d := delay()
+				e.Reschedule(ev, d)
+				if i := ref.find(id); i >= 0 {
+					ref.pending = slices.Delete(ref.pending, i, i+1)
+				}
+				ref.arm(id, d)
+				canceled[id] = false
+			default:
+				fired = -1
+				stepped := e.Step()
+				if stepped != (len(ref.pending) > 0) {
+					t.Fatalf("seed %d op %d: Step = %v with %d reference events", seed, op, stepped, len(ref.pending))
+				}
+				if stepped {
+					want := ref.pending[0]
+					ref.pending = ref.pending[1:]
+					ref.now = want.at
+					if fired != want.id || e.Now() != want.at {
+						t.Fatalf("seed %d op %d: fired event %d at %v, want %d at %v", seed, op, fired, e.Now(), want.id, want.at)
+					}
+				}
+			}
+			if e.Pending() != len(ref.pending) {
+				t.Fatalf("seed %d op %d: Pending = %d, reference holds %d", seed, op, e.Pending(), len(ref.pending))
+			}
+			for id, ev := range events {
+				if ev.Pending() != (ref.find(id) >= 0) || ev.Canceled() != canceled[id] {
+					t.Fatalf("seed %d op %d: event %d pending=%v canceled=%v, reference disagrees", seed, op, id, ev.Pending(), ev.Canceled())
+				}
+			}
+		}
 	}
 }

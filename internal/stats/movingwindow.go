@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"slices"
 	"sync"
 	"time"
 )
@@ -190,34 +189,48 @@ func (s *Striped) Percentile(now time.Duration, p float64) (time.Duration, bool)
 // (clamped to [0,1]) over the union of their samples into out[i], reading
 // and merging the stripes once for the whole grid. It reports false, with
 // out holding nothing useful, when every stripe is empty. Exact stripes
-// merge their raw values (nearest rank over the union, sorted once —
-// identical to a single exact window); bucketed stripes merge their latency
-// bins (interpolated, same error bound as a single BucketWindow). Mixed or
-// foreign MovingWindow kinds fall back to the largest per-stripe percentile,
-// an upper-biased approximation.
+// merge their raw values (nearest rank over the union, selected per grid
+// point — identical to a single exact window); bucketed stripes merge their
+// latency bins (interpolated, same error bound as a single BucketWindow).
+// Mixed or foreign MovingWindow kinds fall back to the largest per-stripe
+// percentile, an upper-biased approximation.
 func (s *Striped) Percentiles(now time.Duration, ps []float64, out []time.Duration) bool {
-	// Exact path: gather the union of retained samples.
+	// Exact path: advance and count every stripe, then gather the union into
+	// one slice of that size.
 	if _, exact := s.stripes[0].w.(*Window); exact {
-		var vals []time.Duration
+		n := 0
 		allExact := true
 		for i := range s.stripes {
 			st := &s.stripes[i]
 			st.mu.Lock()
 			st.advanceLocked(now)
-			if w, ok := st.w.(*Window); ok {
-				vals = w.appendValues(vals)
-			} else {
-				allExact = false
-			}
+			n += st.w.Len()
+			_, ok := st.w.(*Window)
+			allExact = allExact && ok
 			st.mu.Unlock()
 		}
 		if allExact {
+			vals := make([]time.Duration, 0, n)
+			for i := range s.stripes {
+				st := &s.stripes[i]
+				st.mu.Lock()
+				st.advanceLocked(now)
+				vals = st.w.(*Window).appendValues(vals)
+				st.mu.Unlock()
+			}
 			if len(vals) == 0 {
 				return false
 			}
-			slices.Sort(vals)
+			// After selecting rank k, vals[k:] holds exactly ranks k and up,
+			// so an ascending grid narrows each selection to that suffix.
+			from := 0
 			for i, p := range ps {
-				out[i] = nearestRank(vals, p)
+				k := rank(len(vals), p)
+				if k < from {
+					from = 0
+				}
+				out[i] = selectKth(vals[from:], k-from)
+				from = k
 			}
 			return true
 		}
@@ -261,12 +274,6 @@ func (s *Striped) Percentiles(now time.Duration, ps []float64, out []time.Durati
 		st.mu.Unlock()
 	}
 	return found
-}
-
-// nearestRank returns the p-quantile (p clamped to [0,1]) of a non-empty
-// ascending slice by nearest rank.
-func nearestRank(sorted []time.Duration, p float64) time.Duration {
-	return sorted[int(min(max(p, 0), 1)*float64(len(sorted)-1)+0.5)]
 }
 
 // Reset discards all samples in every stripe; spans and time floors persist.

@@ -13,9 +13,8 @@ import (
 // so exactness matters more than memory here; runs observe at most a few
 // hundred thousand queries.
 type Summary struct {
-	values []time.Duration
+	values []time.Duration // in observation order until a percentile reorders them
 	sum    time.Duration
-	sorted bool
 }
 
 // NewSummary returns an empty summary.
@@ -25,7 +24,6 @@ func NewSummary() *Summary { return &Summary{} }
 func (s *Summary) Observe(v time.Duration) {
 	s.values = append(s.values, v)
 	s.sum += v
-	s.sorted = false
 }
 
 // Count returns the number of observations.
@@ -42,13 +40,6 @@ func (s *Summary) Mean() time.Duration {
 // Sum returns the total of all observations.
 func (s *Summary) Sum() time.Duration { return s.sum }
 
-func (s *Summary) sort() {
-	if !s.sorted {
-		slices.Sort(s.values)
-		s.sorted = true
-	}
-}
-
 // Percentile returns the p-quantile (p in [0,1]) with linear interpolation
 // between closest ranks, or 0 when empty.
 func (s *Summary) Percentile(p float64) time.Duration {
@@ -56,22 +47,21 @@ func (s *Summary) Percentile(p float64) time.Duration {
 		return 0
 	}
 	if p <= 0 {
-		s.sort()
-		return s.values[0]
+		return s.Min()
 	}
 	if p >= 1 {
-		s.sort()
-		return s.values[len(s.values)-1]
+		return s.Max()
 	}
-	s.sort()
 	pos := p * float64(len(s.values)-1)
 	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s.values[lo]
+	vlo := selectKth(s.values, lo)
+	if float64(lo) == pos {
+		return vlo
 	}
+	// Selection leaves only ranks above lo after it: their minimum is rank hi.
+	vhi := slices.Min(s.values[lo+1:])
 	frac := pos - float64(lo)
-	return s.values[lo] + time.Duration(frac*float64(s.values[hi]-s.values[lo]))
+	return vlo + time.Duration(frac*float64(vhi-vlo))
 }
 
 // P99 returns the 99th percentile, the tail metric the paper reports.
@@ -85,8 +75,7 @@ func (s *Summary) Max() time.Duration {
 	if len(s.values) == 0 {
 		return 0
 	}
-	s.sort()
-	return s.values[len(s.values)-1]
+	return slices.Max(s.values)
 }
 
 // Min returns the smallest observation, or 0 when empty.
@@ -94,8 +83,7 @@ func (s *Summary) Min() time.Duration {
 	if len(s.values) == 0 {
 		return 0
 	}
-	s.sort()
-	return s.values[0]
+	return slices.Min(s.values)
 }
 
 // String formats the summary for logs.

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -48,6 +49,33 @@ func TestSummaryPercentileInterpolation(t *testing.T) {
 	if got := s.Percentile(1); got != 100*time.Millisecond {
 		t.Errorf("P100 = %v", got)
 	}
+
+	// Ranks 0-9 distinct, 10-16 a run of equal values, 17-19 above it,
+	// observed shuffled: lo and hi land just below, inside and at the top
+	// edge of the run, and the answer is the sorted slice's interpolation.
+	var vals []time.Duration
+	for i := 0; i < 10; i++ {
+		vals = append(vals, time.Duration(i)*time.Millisecond)
+	}
+	for i := 0; i < 7; i++ {
+		vals = append(vals, 50*time.Millisecond)
+	}
+	vals = append(vals, 100*time.Millisecond, 110*time.Millisecond, 120*time.Millisecond)
+	sorted := slices.Clone(vals)
+	rand.New(rand.NewSource(3)).Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	for _, pos := range []float64{9.5, 12.5, 16, 16.5} {
+		s := NewSummary()
+		for _, v := range vals {
+			s.Observe(v)
+		}
+		p := pos / float64(len(vals)-1)
+		at := p * float64(len(vals)-1)
+		lo, hi := int(math.Floor(at)), int(math.Ceil(at))
+		want := sorted[lo] + time.Duration((at-float64(lo))*float64(sorted[hi]-sorted[lo]))
+		if got := s.Percentile(p); got != want {
+			t.Errorf("Percentile at rank %v over a duplicate run = %v, want %v", pos, got, want)
+		}
+	}
 }
 
 func TestSummaryP99OnUniform(t *testing.T) {
@@ -65,7 +93,7 @@ func TestSummaryP99OnUniform(t *testing.T) {
 }
 
 func TestSummaryInterleavedObserveAndQuery(t *testing.T) {
-	// Percentile sorts internally; further observations must still work.
+	// Percentile reorders the values internally; further observations must still work.
 	s := NewSummary()
 	s.Observe(5 * time.Millisecond)
 	_ = s.P50()

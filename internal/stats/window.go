@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"slices"
 	"sort"
 	"time"
 )
@@ -132,14 +131,13 @@ func (w *Window) appendValues(dst []time.Duration) []time.Duration {
 }
 
 // Percentile returns the p-quantile (p in [0,1]) of the samples in the
-// window using nearest-rank on a sorted copy, and false when empty.
+// window by nearest rank, selected on a copy, and false when empty.
 func (w *Window) Percentile(p float64) (time.Duration, bool) {
 	if w.Len() == 0 {
 		return 0, false
 	}
 	vals := w.appendValues(make([]time.Duration, 0, w.Len()))
-	slices.Sort(vals)
-	return nearestRank(vals, p), true
+	return selectKth(vals, rank(len(vals), p)), true
 }
 
 // Max returns the largest sample in the window, and false when empty.
