@@ -5,66 +5,67 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
-
-	"powerchief/internal/harness"
 )
 
-// TestFiguresGolden regenerates the quick DES figures with the default seed
-// and compares them byte-for-byte against the committed results. The DES
+// benchArtifacts are the committed results powerbench writes, not this
+// command.
+var benchArtifacts = map[string]bool{
+	"BENCH_arbiter.json":     true,
+	"BENCH_benchnet.json":    true,
+	"BENCH_multitenant.json": true,
+}
+
+// TestFiguresGolden regenerates every experiment with the default seed and
+// compares each file byte-for-byte against the committed results: the DES
 // engine is exactly deterministic per seed, so any drift here means a code
-// change altered the reproduction — most importantly, it pins that the
-// statistics-pipeline refactor (sharded aggregator, merge-on-read windows)
-// left every published number untouched. Regenerate intentionally with:
+// change altered the reproduction. The set of files written must equal the
+// committed set, apart from powerbench's artifacts. Regenerate intentionally
+// with:
 //
 //	go run ./cmd/experiments -fig N
 func TestFiguresGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates DES experiments; skipped in -short")
 	}
-	const seed = 7
-	for _, tc := range []struct {
-		golden string
-		render func(io.Writer) error
-	}{
-		{"figure2.txt", func(w io.Writer) error {
-			res, err := harness.Figure2(seed)
+	golden := filepath.Join("..", "..", "results")
+	dir := t.TempDir()
+	if err := writeFigures(dir, "all", 7, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	want, got := fileNames(t, golden), fileNames(t, dir)
+	want = slices.DeleteFunc(want, func(name string) bool { return benchArtifacts[name] })
+	if !slices.Equal(got, want) {
+		t.Fatalf("wrote %v, committed %v", got, want)
+	}
+	for _, name := range want {
+		t.Run(name, func(t *testing.T) {
+			w, err := os.ReadFile(filepath.Join(golden, name))
 			if err != nil {
-				return err
-			}
-			return harness.WriteFigure2(w, res)
-		}},
-		{"figure4.txt", func(w io.Writer) error {
-			res, err := harness.Figure4(seed)
-			if err != nil {
-				return err
-			}
-			return harness.WriteFigure(w, res)
-		}},
-		{"figure10.txt", func(w io.Writer) error {
-			res, err := harness.Figure10(seed)
-			if err != nil {
-				return err
-			}
-			return harness.WriteFigure(w, res)
-		}},
-		// The audit timeline: pins every identify, recycle, withdraw and
-		// outcome event, in order, through the one control tick.
-		{"decisions.txt", func(w io.Writer) error { return writeDecisions(w, seed) }},
-	} {
-		t.Run(tc.golden, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.golden))
-			if err != nil {
-				t.Fatalf("missing golden (run `go run ./cmd/experiments` first): %v", err)
-			}
-			var got bytes.Buffer
-			if err := tc.render(&got); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("%s drifted from the committed golden.\n--- got ---\n%s\n--- want ---\n%s",
-					tc.golden, got.Bytes(), want)
+			g, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(g, w) {
+				t.Errorf("%s drifted from the committed golden.\n--- got ---\n%s\n--- want ---\n%s", name, g, w)
 			}
 		})
 	}
+}
+
+// fileNames lists a directory's file names in sorted order.
+func fileNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }

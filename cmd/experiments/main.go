@@ -50,64 +50,75 @@ func main() {
 		seed = flag.Int64("seed", 7, "random seed shared by all experiments")
 	)
 	flag.Parse()
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+	start := time.Now()
+	if err := writeFigures(*out, *fig, *seed, os.Stdout); err != nil {
 		fatal(err)
 	}
+	fmt.Printf("all experiments finished in %v; results in %s/\n",
+		time.Since(start).Round(time.Millisecond), *out)
+}
 
-	start := time.Now()
+// writeFigures regenerates experiment fig ("all" for every one, plus the
+// headline) with seed into dir, logging progress and the headline to log.
+func writeFigures(dir, fig string, seed int64, log io.Writer) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
 	var f10, f12 *harness.Figure
 	var f13, f14 *harness.QoSResult
+	var failed error
 
 	run := func(name string, fn func() error) {
-		if *fig != "all" && *fig != name {
+		if failed != nil || fig != "all" && fig != name {
 			return
 		}
 		t0 := time.Now()
 		if err := fn(); err != nil {
-			fatal(fmt.Errorf("figure %s: %w", name, err))
+			failed = fmt.Errorf("figure %s: %w", name, err)
+			return
 		}
-		fmt.Printf("figure %-3s done in %v\n", name, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(log, "figure %-3s done in %v\n", name, time.Since(t0).Round(time.Millisecond))
 	}
 
 	run("2", func() error {
-		res, err := harness.Figure2(*seed)
+		res, err := harness.Figure2(seed)
 		if err != nil {
 			return err
 		}
-		return writeTo(*out, "figure2.txt", func(w io.Writer) error {
+		return writeTo(dir, "figure2.txt", func(w io.Writer) error {
 			return harness.WriteFigure2(w, res)
 		})
 	})
 
 	run("4", func() error {
-		res, err := harness.Figure4(*seed)
+		res, err := harness.Figure4(seed)
 		if err != nil {
 			return err
 		}
-		return writeTo(*out, "figure4.txt", func(w io.Writer) error {
+		return writeTo(dir, "figure4.txt", func(w io.Writer) error {
 			return harness.WriteFigure(w, res)
 		})
 	})
 
 	run("10", func() error {
-		res, err := harness.Figure10(*seed)
+		res, err := harness.Figure10(seed)
 		if err != nil {
 			return err
 		}
 		f10 = res
-		return writeTo(*out, "figure10.txt", func(w io.Writer) error {
+		return writeTo(dir, "figure10.txt", func(w io.Writer) error {
 			return harness.WriteFigure(w, res)
 		})
 	})
 
 	run("11", func() error {
-		res, err := harness.Figure11(*seed)
+		res, err := harness.Figure11(seed)
 		if err != nil {
 			return err
 		}
 		for _, r := range res.Runs {
 			name := fmt.Sprintf("figure11-%s.csv", r.Policy)
-			if err := writeTo(*out, name, func(w io.Writer) error {
+			if err := writeTo(dir, name, func(w io.Writer) error {
 				return harness.WriteRuntimeTrace(w, r)
 			}); err != nil {
 				return err
@@ -117,31 +128,31 @@ func main() {
 	})
 
 	run("12", func() error {
-		res, err := harness.Figure12(*seed)
+		res, err := harness.Figure12(seed)
 		if err != nil {
 			return err
 		}
 		f12 = res
-		return writeTo(*out, "figure12.txt", func(w io.Writer) error {
+		return writeTo(dir, "figure12.txt", func(w io.Writer) error {
 			return harness.WriteFigure(w, res)
 		})
 	})
 
 	qos := func(name string, fn func(int64) (*harness.QoSResult, error), store **harness.QoSResult) func() error {
 		return func() error {
-			res, err := fn(*seed)
+			res, err := fn(seed)
 			if err != nil {
 				return err
 			}
 			*store = res
-			if err := writeTo(*out, name+".txt", func(w io.Writer) error {
+			if err := writeTo(dir, name+".txt", func(w io.Writer) error {
 				return harness.WriteQoS(w, res)
 			}); err != nil {
 				return err
 			}
 			for _, r := range res.Runs {
 				csv := fmt.Sprintf("%s-%s.csv", name, r.Policy)
-				if err := writeTo(*out, csv, func(w io.Writer) error {
+				if err := writeTo(dir, csv, func(w io.Writer) error {
 					return harness.WriteRuntimeTrace(w, r.Result)
 				}); err != nil {
 					return err
@@ -154,21 +165,21 @@ func main() {
 	run("14", qos("figure14", harness.Figure14, &f14))
 
 	run("sweep", func() error {
-		res, err := harness.BudgetSweep(mustApp("sirius"), workloadHigh(), harness.DefaultSweepBudgets(), *seed)
+		res, err := harness.BudgetSweep(mustApp("sirius"), workloadHigh(), harness.DefaultSweepBudgets(), seed)
 		if err != nil {
 			return err
 		}
-		return writeTo(*out, "sweep.txt", func(w io.Writer) error {
+		return writeTo(dir, "sweep.txt", func(w io.Writer) error {
 			return harness.WriteSweep(w, res)
 		})
 	})
 
 	run("tail", func() error {
-		res, err := harness.TailAnalysis(*seed)
+		res, err := harness.TailAnalysis(seed)
 		if err != nil {
 			return err
 		}
-		return writeTo(*out, "tail.txt", func(w io.Writer) error {
+		return writeTo(dir, "tail.txt", func(w io.Writer) error {
 			return harness.WriteTail(w, res)
 		})
 	})
@@ -181,9 +192,9 @@ func main() {
 			harness.AblationBalanceThreshold,
 			harness.AblationDispatcher,
 		}
-		return writeTo(*out, "ablations.txt", func(w io.Writer) error {
+		return writeTo(dir, "ablations.txt", func(w io.Writer) error {
 			for _, study := range studies {
-				res, err := study(*seed)
+				res, err := study(seed)
 				if err != nil {
 					return err
 				}
@@ -208,7 +219,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		return writeTo(*out, "BENCH_fleet.json", func(w io.Writer) error {
+		return writeTo(dir, "BENCH_fleet.json", func(w io.Writer) error {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			return enc.Encode(res)
@@ -216,21 +227,23 @@ func main() {
 	})
 
 	run("decisions", func() error {
-		return writeTo(*out, "decisions.txt", func(w io.Writer) error { return writeDecisions(w, *seed) })
+		return writeTo(dir, "decisions.txt", func(w io.Writer) error { return writeDecisions(w, seed) })
 	})
 
-	if *fig == "all" && f10 != nil && f12 != nil && f13 != nil && f14 != nil {
-		h := harness.ComputeHeadline(f10, f12, f13, f14)
-		if err := writeTo(*out, "headline.txt", func(w io.Writer) error {
-			return harness.WriteHeadline(w, h)
-		}); err != nil {
-			fatal(err)
-		}
-		_ = harness.WriteHeadline(os.Stdout, h)
-		fmt.Println()
+	if failed != nil || fig != "all" {
+		return failed
 	}
-	fmt.Printf("all experiments finished in %v; results in %s/\n",
-		time.Since(start).Round(time.Millisecond), *out)
+	h := harness.ComputeHeadline(f10, f12, f13, f14)
+	if err := writeTo(dir, "headline.txt", func(w io.Writer) error {
+		return harness.WriteHeadline(w, h)
+	}); err != nil {
+		return err
+	}
+	if err := harness.WriteHeadline(log, h); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintln(log)
+	return err
 }
 
 // writeDecisions renders an audited PowerChief run: the full decision

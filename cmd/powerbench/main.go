@@ -77,6 +77,10 @@ import (
 	"powerchief/internal/telemetry"
 )
 
+// policyNames are the -policy values the help lists: the names
+// powerchief.PolicyByName and PolicyByNameQoS resolve.
+var policyNames = []string{"powerchief", "freq-boost", "inst-boost", "pegasus", "saver"}
+
 type options struct {
 	target    string
 	appName   string
@@ -147,7 +151,7 @@ func main() {
 	flag.IntVar(&o.cores, "cores", 16, "chip size")
 	flag.Float64Var(&o.budget, "budget", 0, "power budget in watts (0: derived from the initial configuration)")
 	flag.Float64Var(&o.timescale, "timescale", 1, "live/dist wall compression: wall = virtual × timescale")
-	flag.StringVar(&o.policy, "policy", "", "run a control policy during the load (powerchief, freq, inst, pegasus, saver; empty: static)")
+	flag.StringVar(&o.policy, "policy", "", "run a control policy during the load ("+strings.Join(policyNames, ", ")+"; empty: static)")
 	flag.DurationVar(&o.ctlEvery, "ctl.interval", 25*time.Second, "control interval in virtual time (with -policy)")
 	flag.DurationVar(&o.qos, "qos", 2*time.Second, "QoS target for the pegasus/saver policies")
 	flag.StringVar(&o.traceOut, "trace.out", "", "record the control decision trace here (.jsonl or .jsonl.gz; needs -policy, single-rate runs)")

@@ -1,0 +1,25 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestPolicyHelpNamesResolve: every name the -policy help lists drives a DES
+// run under that policy, instead of failing as an unknown policy.
+func TestPolicyHelpNamesResolve(t *testing.T) {
+	for _, name := range policyNames {
+		o := desOptions()
+		o.policy = name
+		code, out := captured(t, func() int {
+			if err := run(o); err != nil {
+				t.Errorf("-policy %s: %v", name, err)
+				return 1
+			}
+			return 0
+		})
+		if code != 0 || !strings.Contains(out, "control["+name+" ") {
+			t.Errorf("-policy %s exited %d without a control line\n%s", name, code, out)
+		}
+	}
+}

@@ -6,6 +6,11 @@
 // figures. Every figure and table of the evaluation section has a driver in
 // experiments.go built on this runner.
 //
+// One component (chip.go) places an application on an engine it does not
+// own: chip, pipeline, view, aggregator, policy and completion tap. Run
+// places one and adds its loop, sampler and hooks; RunMulti places one per
+// tenant under a chip-level budget domain and adds the arbiter and churn.
+//
 // Entry points: Run executes one Scenario; RunAll fans a scenario list
 // across goroutines (each scenario owns a private engine and rng, so the
 // results are bit-identical to a sequential run); Figure2 through Figure14,

@@ -243,8 +243,7 @@ func TestMitigationScenarioMatchesTable2(t *testing.T) {
 	if sc.AdjustInterval.Seconds() != 25 {
 		t.Error("adjust interval mismatch")
 	}
-	sc.defaults()
-	if sc.StatsWindow != sc.AdjustInterval {
+	if tn := sc.tenant(); tn.StatsWindow != tn.AdjustInterval {
 		t.Error("stats window default mismatch")
 	}
 	cfg := core.DefaultConfig()

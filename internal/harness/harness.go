@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"powerchief/internal/app"
@@ -128,58 +127,37 @@ type Result struct {
 	Decisions *replay.Recorder
 }
 
-// defaults fills in unset scenario fields.
-func (sc *Scenario) defaults() {
-	if sc.Cores == 0 {
-		sc.Cores = 16
+// tenant lowers the scenario to the one application Run places, with Run's
+// own defaults (16 cores, the static policy) ahead of Tenant's.
+func (sc *Scenario) tenant() Tenant {
+	t := Tenant{
+		Name: sc.Name, App: sc.App, Instances: sc.Instances, Level: sc.Level, Cores: sc.Cores,
+		Policy: sc.Policy, AdjustInterval: sc.AdjustInterval, StatsWindow: sc.StatsWindow,
+		Source: sc.Source, RefInstances: sc.RefInstances, RefLevel: sc.RefLevel,
 	}
-	if sc.AdjustInterval == 0 {
-		sc.AdjustInterval = 25 * time.Second
+	if t.Cores == 0 {
+		t.Cores = 16
 	}
-	if sc.StatsWindow == 0 {
-		sc.StatsWindow = sc.AdjustInterval
+	if t.Policy == nil {
+		t.Policy = func() core.Policy { return core.Static{} }
 	}
-	if sc.SampleEvery == 0 {
-		sc.SampleEvery = sc.AdjustInterval
-	}
-	if sc.DrainFactor == 0 {
-		sc.DrainFactor = 1
-	}
-	if sc.Instances == nil {
-		sc.Instances = make([]int, len(sc.App.Stages))
-		for i := range sc.Instances {
-			sc.Instances[i] = 1
-		}
-	}
-	if sc.RefInstances == nil {
-		sc.RefInstances = sc.Instances
-	}
-	if sc.RefLevel == 0 {
-		sc.RefLevel = sc.Level
-	}
-	if sc.Policy == nil {
-		sc.Policy = func() core.Policy { return core.Static{} }
-	}
-	if sc.Source == nil {
-		sc.Source = func(capacity float64) workload.Source {
-			return workload.Constant(workload.RateForUtilization(capacity, workload.Medium.Utilization()))
-		}
-	}
+	t.defaults()
+	return t
 }
 
 // Run executes the scenario to completion and returns its metrics.
 func Run(sc Scenario) (*Result, error) {
-	sc.defaults()
-	if err := sc.App.Validate(); err != nil {
+	t := sc.tenant()
+	if err := t.App.Validate(); err != nil {
 		return nil, err
 	}
 	if sc.Duration <= 0 {
 		return nil, fmt.Errorf("harness: scenario %q needs a positive duration", sc.Name)
 	}
-
-	eng := sim.NewEngine()
-	model := cmp.DefaultModel()
-	specs, err := sc.App.Specs(sc.Instances, sc.Level)
+	if sc.SampleEvery == 0 {
+		sc.SampleEvery = t.AdjustInterval
+	}
+	specs, err := t.App.Specs(t.Instances, t.Level)
 	if err != nil {
 		return nil, err
 	}
@@ -193,73 +171,37 @@ func Run(sc Scenario) (*Result, error) {
 	}
 	budget := sc.Budget
 	if budget == 0 {
-		for _, spec := range specs {
-			budget += cmp.Watts(spec.Instances) * model.Power(spec.Level)
-		}
+		budget, _ = configDraw(specs, cmp.DefaultModel())
 	}
-	chip := cmp.NewChip(sc.Cores, model, budget)
-	sys, err := stage.NewSystem(eng, chip, specs)
+	eng := sim.NewEngine()
+	c, err := newAppChip(eng, t, specs, budget)
 	if err != nil {
-		return nil, fmt.Errorf("harness: building %q: %w", sc.Name, err)
+		return nil, err
 	}
 	if sc.HopDelay != nil {
-		sys.SetHopDelay(sc.HopDelay)
+		c.sys.SetHopDelay(sc.HopDelay)
 	}
 	if sc.Dispatcher != nil {
-		for _, st := range sys.Stages() {
+		for _, st := range c.sys.Stages() {
 			st.SetDispatcher(sc.Dispatcher())
 		}
 	}
 
-	view := core.NewDESView(sys)
-	agg := core.NewAggregator(sc.StatsWindow, eng.Now)
-	policy := sc.Policy()
-
 	res := &Result{
 		Scenario:  sc.Name,
-		Policy:    policy.Name(),
-		Latency:   stats.NewSummary(),
-		PeakPower: chip.Draw(),
+		Policy:    c.policy.Name(),
+		Latency:   c.latency,
+		PeakPower: c.chip.Draw(),
 		Trace:     stats.NewTimeSeries(),
-		Boosts:    make(map[core.BoostKind]int),
 	}
 
-	// Decision recording: on by default for policies that expose their
-	// decision path. The tap snapshots inputs the policy reads anyway, so
-	// the run's decisions stay byte-identical with recording on or off.
-	var recorder *replay.Recorder
-	if !sc.DisableDecisionTrace {
-		if _, ok := policy.(core.TapSetter); ok {
-			recorder = replay.NewRecorder(replay.Header{
-				Scenario: sc.Name,
-				Seed:     sc.Seed,
-				Policy:   policy.Name(),
-			}, sc.DecisionFrames)
-			res.Decisions = recorder
-		}
-	}
-
-	sys.OnComplete(func(q *query.Query) {
-		agg.Ingest(q)
-		res.Latency.Observe(q.Latency())
-	})
 	if sc.Observe != nil {
-		sys.OnComplete(func(q *query.Query) { sc.Observe(q.Clone()) })
+		c.sys.OnComplete(func(q *query.Query) { sc.Observe(q.Clone()) })
 	}
 	if sc.Tracer != nil {
-		sys.OnComplete(sc.Tracer.ObserveQuery)
+		c.sys.OnComplete(sc.Tracer.ObserveQuery)
 	}
-
-	// Load: capacity anchored to the reference configuration.
-	capacity := sc.App.CapacityQPS(sc.RefInstances, sc.RefLevel)
-	src := sc.Source(capacity)
-	rng := rand.New(rand.NewSource(sc.Seed))
-	branches := make([]int, len(sc.Instances))
-	copy(branches, sc.Instances)
-	gen := workload.NewRefillingGenerator(eng, sys, src, func(into [][]time.Duration, r *rand.Rand) [][]time.Duration {
-		return sc.App.DrawWorkInto(into, r, branches)
-	}, rng, sc.Duration)
-	gen.Start()
+	c.start(sc.Seed, sc.Duration)
 
 	// Control plane: adjust epochs plus the trace-sampling epoch, on the
 	// engine's virtual clock. Registration order (adjust before sample) is
@@ -267,18 +209,18 @@ func Run(sc Scenario) (*Result, error) {
 	var powerIntegral float64 // watt-seconds over the horizon
 	lastSample := time.Duration(0)
 	opts := controlplane.Options{
-		Policy:         policy,
-		Interval:       sc.AdjustInterval,
+		Policy:         c.policy,
+		Interval:       t.AdjustInterval,
 		SampleInterval: sc.SampleEvery,
 		Audit:          sc.Audit,
 		OnSample: func(now time.Duration) {
-			powerIntegral += float64(chip.Draw()) * (now - lastSample).Seconds()
+			powerIntegral += float64(c.chip.Draw()) * (now - lastSample).Seconds()
 			lastSample = now
-			res.Trace.Record("power", now, float64(chip.Draw()))
-			if lat, ok := agg.WindowLatency(); ok {
+			res.Trace.Record("power", now, float64(c.chip.Draw()))
+			if lat, ok := c.agg.WindowLatency(); ok {
 				res.Trace.Record("latency", now, lat.Seconds())
 			}
-			for _, st := range sys.Stages() {
+			for _, st := range c.sys.Stages() {
 				active := st.Active()
 				res.Trace.Record("instances:"+st.Name(), now, float64(len(active)))
 				for _, in := range active {
@@ -287,37 +229,35 @@ func Run(sc Scenario) (*Result, error) {
 			}
 		},
 	}
-	if recorder != nil {
-		opts.Tap = recorder
+	// Decision recording: on by default for policies that expose their
+	// decision path. The tap snapshots inputs the policy reads anyway, so
+	// the run's decisions stay byte-identical with recording on or off.
+	if _, ok := c.policy.(core.TapSetter); ok && !sc.DisableDecisionTrace {
+		res.Decisions = replay.NewRecorder(replay.Header{
+			Scenario: sc.Name,
+			Seed:     sc.Seed,
+			Policy:   c.policy.Name(),
+		}, sc.DecisionFrames)
+		opts.Tap = res.Decisions
 	}
-	ctl, err := controlplane.Start(controlplane.SimClock(eng), controlplane.NewAdjuster(view, agg), opts)
+	ctl, err := controlplane.Start(controlplane.SimClock(eng), controlplane.NewAdjuster(c.view, c.agg), opts)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %q control plane: %w", sc.Name, err)
 	}
 
-	// Generation horizon, then drain.
-	eng.RunUntil(sc.Duration)
-	deadline := sc.Duration + time.Duration(float64(sc.Duration)*sc.DrainFactor)
-	for eng.Now() < deadline && !sys.Drain() {
-		step := sc.AdjustInterval
-		if eng.Now()+step > deadline {
-			step = deadline - eng.Now()
-		}
-		eng.RunUntil(eng.Now() + step)
-	}
+	runHorizon(eng, sc.Duration, sc.DrainFactor, t.AdjustInterval, c.sys.Drain)
 	ctl.Stop()
 	res.Boosts = ctl.Boosts()
 
-	if horizon := eng.Now(); horizon > 0 && lastSample > 0 {
+	res.AvgPower = c.chip.Draw()
+	if eng.Now() > 0 && lastSample > 0 {
 		res.AvgPower = cmp.Watts(powerIntegral / lastSample.Seconds())
-	} else {
-		res.AvgPower = chip.Draw()
 	}
-	res.Submitted = sys.Submitted()
-	res.Completed = sys.Completed()
-	res.Withdrawn = withdrawnOf(policy)
+	res.Submitted = c.sys.Submitted()
+	res.Completed = c.sys.Completed()
+	res.Withdrawn = withdrawnOf(c.policy)
 
-	if err := chip.CheckInvariant(); err != nil {
+	if err := c.chip.CheckInvariant(); err != nil {
 		return nil, fmt.Errorf("harness: %q ended with a broken chip invariant: %w", sc.Name, err)
 	}
 	return res, nil

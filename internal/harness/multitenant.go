@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -184,18 +184,12 @@ type MultiResult struct {
 	Trace *stats.TimeSeries
 }
 
-// tenantRun is the per-tenant machinery of one RunMulti.
+// tenantRun is one tenant of a RunMulti: its placed chip, plus its grant
+// in the budget hierarchy, its control loop and its run integrals.
 type tenantRun struct {
-	spec    Tenant
-	chip    *cmp.Chip
-	sys     *stage.System
-	view    core.System
-	agg     *core.Aggregator
-	domain  *core.BudgetDomain
-	policy  core.Policy
-	loop    *controlplane.Loop
-	gen     *workload.Generator
-	latency *stats.Summary
+	*appChip
+	domain *core.BudgetDomain
+	loop   *controlplane.Loop
 
 	// evicted marks a tenant currently outside the hierarchy; boostTally
 	// accumulates the boosts of loops stopped by evictions.
@@ -240,8 +234,8 @@ func (r *tenantRun) appMetric() (time.Duration, []arbiter.StageMetric) {
 	return total, breakdown
 }
 
-// shedToGrant makes a lowered grant physical on a tenant's chip partition:
-// it steps the highest-level instances down (the richest-donor order
+// shedToGrant makes a lowered grant physical on the chip partition: it
+// steps the highest-level instances down (the richest-donor order
 // live.Cluster uses) until the draw fits the new grant, then re-sets the
 // chip budget. An unshedable cut — every instance already at the ladder
 // floor — is an error, which the executor turns into a plan rollback: the
@@ -252,10 +246,10 @@ func (r *tenantRun) appMetric() (time.Duration, []arbiter.StageMetric) {
 // Fig. 4 finding: at high load, instances beat frequency). The scenario's
 // arbiter floor bounds how deep a cut can go, so an idle tenant is never
 // more than a few frequency steps below base when load returns.
-func shedToGrant(sys *stage.System, chip *cmp.Chip, w cmp.Watts) error {
-	for chip.Draw() > w+1e-9 {
+func (c *appChip) shedToGrant(w cmp.Watts) error {
+	for c.chip.Draw() > w+1e-9 {
 		var best *stage.Instance
-		for _, st := range sys.Stages() {
+		for _, st := range c.sys.Stages() {
 			for _, in := range st.Active() {
 				if best == nil || in.Level() > best.Level() {
 					best = in
@@ -264,30 +258,47 @@ func shedToGrant(sys *stage.System, chip *cmp.Chip, w cmp.Watts) error {
 		}
 		if best == nil || best.Level() == 0 {
 			return fmt.Errorf("harness: grant %.2fW below minimum draw %.2fW: %w",
-				float64(w), float64(chip.Draw()), cmp.ErrBudgetExceeded)
+				float64(w), float64(c.chip.Draw()), cmp.ErrBudgetExceeded)
 		}
 		if err := best.SetLevel(best.Level() - 1); err != nil {
 			return err
 		}
 	}
-	return chip.SetBudget(w)
+	return c.chip.SetBudget(w)
 }
 
-// evictTenant removes a tenant from the hierarchy mid-run: arrivals pause,
-// the control loop stops (its boost tally is preserved), the chip partition
-// is shed to its minimum draw — the power a parked partition keeps holding
+// multiRun is one RunMulti in flight: the placed tenants under the root
+// domain, their control group and the record being filled. Its methods are
+// RunMulti's phases.
+type multiRun struct {
+	sc          MultiScenario
+	eng         *sim.Engine
+	model       cmp.PowerModel
+	root        *core.BudgetDomain
+	runs        []*tenantRun
+	floor, hyst cmp.Watts
+	group       *controlplane.Group
+	arbLoop     *controlplane.Loop
+	res         *MultiResult
+	churnErr    error // the first failed churn event, reported after the horizon
+	lastSample  time.Duration
+}
+
+// evict removes a tenant from the hierarchy mid-run: arrivals pause, the
+// control loop stops (its boost tally is preserved), the chip partition is
+// shed to its minimum draw — the power a parked partition keeps holding
 // outside the ledger — and the domain's grant returns to the root's
 // headroom. Returns the freed watts.
-func evictTenant(r *tenantRun, root *core.BudgetDomain, model cmp.PowerModel) (cmp.Watts, error) {
+func (m *multiRun) evict(r *tenantRun) (cmp.Watts, error) {
 	if r.evicted {
 		return 0, fmt.Errorf("tenant %q is already evicted", r.spec.Name)
 	}
 	r.gen.Pause()
 	r.loop.Stop()
-	if err := shedToGrant(r.sys, r.chip, r.minDraw(model)); err != nil {
+	if err := r.shedToGrant(r.minDraw(m.model)); err != nil {
 		return 0, fmt.Errorf("parking tenant %q: %w", r.spec.Name, err)
 	}
-	freed, err := root.Evict(r.spec.Name)
+	freed, err := m.root.Evict(r.spec.Name)
 	if err != nil {
 		return 0, fmt.Errorf("evicting tenant %q: %w", r.spec.Name, err)
 	}
@@ -295,32 +306,26 @@ func evictTenant(r *tenantRun, root *core.BudgetDomain, model cmp.PowerModel) (c
 	return freed, nil
 }
 
-// admitTenant re-admits an evicted tenant: a fresh child domain with a
-// grant of at least the scenario floor (or the parked partition's draw, if
-// instance boosts grew it past the floor), reclaimed from the richest
-// running tenants when the arbiter has granted the headroom away, and a
-// fresh control loop on the shared group. The caller resumes arrivals.
-func admitTenant(r *tenantRun, root *core.BudgetDomain, group *controlplane.Group,
-	model cmp.PowerModel, floor cmp.Watts, audit *telemetry.AuditLog) (cmp.Watts, error) {
+// admit re-admits an evicted tenant: a fresh child domain with a grant of at
+// least the scenario floor (or the parked partition's draw, if instance
+// boosts grew it past the floor), reclaimed from the richest running tenants
+// when the arbiter has granted the headroom away, a fresh control loop on
+// the shared group, and resumed arrivals. Returns the grant.
+func (m *multiRun) admit(r *tenantRun) (cmp.Watts, error) {
 	if !r.evicted {
 		return 0, fmt.Errorf("tenant %q is not evicted", r.spec.Name)
 	}
-	grant := floor
-	if d := r.chip.Draw(); d > grant {
-		grant = d
-	}
-	if err := reclaimHeadroom(root, grant, floor); err != nil {
+	grant := max(m.floor, r.chip.Draw())
+	if err := reclaimHeadroom(m.root, grant, m.floor); err != nil {
 		return 0, fmt.Errorf("re-admitting tenant %q: %w", r.spec.Name, err)
 	}
-	dom, err := root.NewChild(r.spec.Name, grant, func(w cmp.Watts) error {
-		return shedToGrant(r.sys, r.chip, w)
-	})
+	dom, err := m.root.NewChild(r.spec.Name, grant, r.shedToGrant)
 	if err != nil {
 		return 0, fmt.Errorf("re-admitting tenant %q: %w", r.spec.Name, err)
 	}
 	// NewChild does not actuate the initial grant; lift the parked chip's
 	// budget to it so the tenant loop has headroom to spend again.
-	if err := shedToGrant(r.sys, r.chip, grant); err != nil {
+	if err := r.shedToGrant(grant); err != nil {
 		return 0, fmt.Errorf("re-admitting tenant %q: %w", r.spec.Name, err)
 	}
 	r.domain = dom
@@ -333,14 +338,10 @@ func admitTenant(r *tenantRun, root *core.BudgetDomain, group *controlplane.Grou
 	for k, v := range r.loop.Boosts() {
 		r.boostTally[k] += v
 	}
-	r.loop, err = group.Go(controlplane.NewAdjuster(r.view, r.agg), controlplane.Options{
-		Policy:   r.policy,
-		Interval: r.spec.AdjustInterval,
-		Audit:    audit,
-	})
-	if err != nil {
-		return 0, fmt.Errorf("tenant %q loop: %w", r.spec.Name, err)
+	if err := m.startLoop(r); err != nil {
+		return 0, err
 	}
+	r.gen.Resume()
 	return grant, nil
 }
 
@@ -383,27 +384,20 @@ func reclaimHeadroom(root *core.BudgetDomain, grant, floor cmp.Watts) error {
 // arithmetic comes from the domain ledger (Draw = Σ child grants, so the
 // whole cap is distributable), the members are the tenants with their live
 // Equation 1 metrics against their QoS targets.
-type tenantArbiterView struct {
-	now   func() time.Duration
-	model cmp.PowerModel
-	root  *core.BudgetDomain
-	runs  []*tenantRun
-	floor cmp.Watts
-	hyst  cmp.Watts
-}
+type tenantArbiterView struct{ *multiRun }
 
-func (v *tenantArbiterView) Now() time.Duration               { return v.now() }
-func (v *tenantArbiterView) Stages() []core.StageControl      { return nil }
-func (v *tenantArbiterView) Quarantined() []core.StageControl { return nil }
-func (v *tenantArbiterView) PowerModel() cmp.PowerModel       { return v.model }
-func (v *tenantArbiterView) Budget() cmp.Watts                { return v.root.Budget() }
-func (v *tenantArbiterView) Draw() cmp.Watts                  { return v.root.Granted() }
-func (v *tenantArbiterView) Headroom() cmp.Watts              { return v.root.Headroom() }
-func (v *tenantArbiterView) FreeCores() int                   { return 0 }
-func (v *tenantArbiterView) Floor() cmp.Watts                 { return v.floor }
-func (v *tenantArbiterView) Hysteresis() cmp.Watts            { return v.hyst }
+func (v tenantArbiterView) Now() time.Duration               { return v.eng.Now() }
+func (v tenantArbiterView) Stages() []core.StageControl      { return nil }
+func (v tenantArbiterView) Quarantined() []core.StageControl { return nil }
+func (v tenantArbiterView) PowerModel() cmp.PowerModel       { return v.model }
+func (v tenantArbiterView) Budget() cmp.Watts                { return v.root.Budget() }
+func (v tenantArbiterView) Draw() cmp.Watts                  { return v.root.Granted() }
+func (v tenantArbiterView) Headroom() cmp.Watts              { return v.root.Headroom() }
+func (v tenantArbiterView) FreeCores() int                   { return 0 }
+func (v tenantArbiterView) Floor() cmp.Watts                 { return v.floor }
+func (v tenantArbiterView) Hysteresis() cmp.Watts            { return v.hyst }
 
-func (v *tenantArbiterView) Members() []arbiter.Member {
+func (v tenantArbiterView) Members() []arbiter.Member {
 	out := make([]arbiter.Member, 0, len(v.runs))
 	for _, r := range v.runs {
 		if r.evicted {
@@ -422,58 +416,78 @@ func (v *tenantArbiterView) Members() []arbiter.Member {
 	return out
 }
 
-// defaults fills in unset scenario fields that do not depend on built state.
-func (sc *MultiScenario) defaults() {
-	for i := range sc.Tenants {
-		t := &sc.Tenants[i]
-		if t.Cores == 0 {
-			t.Cores = 8
-		}
-		if t.AdjustInterval == 0 {
-			t.AdjustInterval = 25 * time.Second
-		}
-		if t.StatsWindow == 0 {
-			t.StatsWindow = t.AdjustInterval
-		}
-		if t.Weight == 0 {
-			t.Weight = 1
-		}
-		if t.Instances == nil {
-			t.Instances = make([]int, len(t.App.Stages))
-			for j := range t.Instances {
-				t.Instances[j] = 1
-			}
-		}
-		if t.RefInstances == nil {
-			t.RefInstances = t.Instances
-		}
-		if t.RefLevel == 0 {
-			t.RefLevel = t.Level
-		}
-		if t.Policy == nil {
-			t.Policy = func() core.Policy { return core.NewPowerChief(core.DefaultConfig()) }
-		}
-		if t.Source == nil {
-			t.Source = func(capacity float64) workload.Source {
-				return workload.Constant(workload.RateForUtilization(capacity, workload.Medium.Utilization()))
-			}
+// defaults fills in a tenant's unset per-app fields.
+func (t *Tenant) defaults() {
+	if t.Cores == 0 {
+		t.Cores = 8
+	}
+	if t.AdjustInterval == 0 {
+		t.AdjustInterval = 25 * time.Second
+	}
+	if t.StatsWindow == 0 {
+		t.StatsWindow = t.AdjustInterval
+	}
+	if t.Weight == 0 {
+		t.Weight = 1
+	}
+	if t.Instances == nil {
+		t.Instances = make([]int, len(t.App.Stages))
+		for j := range t.Instances {
+			t.Instances[j] = 1
 		}
 	}
+	if t.RefInstances == nil {
+		t.RefInstances = t.Instances
+	}
+	if t.RefLevel == 0 {
+		t.RefLevel = t.Level
+	}
+	if t.Policy == nil {
+		t.Policy = func() core.Policy { return core.NewPowerChief(core.DefaultConfig()) }
+	}
+	if t.Source == nil {
+		t.Source = constantLoad(workload.Medium)
+	}
+}
+
+// defaults fills in unset scenario fields that do not depend on built state.
+func (sc *MultiScenario) defaults() {
+	var maxAdjust time.Duration
+	for i := range sc.Tenants {
+		sc.Tenants[i].defaults()
+		maxAdjust = max(maxAdjust, sc.Tenants[i].AdjustInterval)
+	}
 	if sc.ArbiterInterval == 0 {
-		var max time.Duration
-		for i := range sc.Tenants {
-			if sc.Tenants[i].AdjustInterval > max {
-				max = sc.Tenants[i].AdjustInterval
-			}
-		}
-		sc.ArbiterInterval = 2 * max
+		sc.ArbiterInterval = 2 * maxAdjust
 	}
 	if sc.SampleEvery == 0 {
 		sc.SampleEvery = sc.ArbiterInterval
 	}
-	if sc.DrainFactor == 0 {
-		sc.DrainFactor = 1
+}
+
+// validate rejects a scenario before anything is built.
+func (sc *MultiScenario) validate() error {
+	if len(sc.Tenants) == 0 {
+		return fmt.Errorf("harness: multi-tenant scenario %q needs tenants", sc.Name)
 	}
+	if sc.Duration <= 0 {
+		return fmt.Errorf("harness: scenario %q needs a positive duration", sc.Name)
+	}
+	for i := range sc.Tenants {
+		if err := sc.Tenants[i].App.Validate(); err != nil {
+			return fmt.Errorf("harness: tenant %q: %w", sc.Tenants[i].Name, err)
+		}
+	}
+	for _, ev := range sc.Churn {
+		if !slices.ContainsFunc(sc.Tenants, func(t Tenant) bool { return t.Name == ev.Tenant }) {
+			return fmt.Errorf("harness: churn event names unknown tenant %q", ev.Tenant)
+		}
+		if ev.At <= 0 || ev.At >= sc.Duration {
+			return fmt.Errorf("harness: churn event for %q at %v outside the (0, %v) horizon",
+				ev.Tenant, ev.At, sc.Duration)
+		}
+	}
+	return nil
 }
 
 // RunMulti executes the multi-tenant scenario: one DES engine, one chip
@@ -490,60 +504,62 @@ func (sc *MultiScenario) defaults() {
 // checked and violations are counted; a correct run reports zero.
 func RunMulti(sc MultiScenario) (*MultiResult, error) {
 	sc.defaults()
-	if len(sc.Tenants) == 0 {
-		return nil, fmt.Errorf("harness: multi-tenant scenario %q needs tenants", sc.Name)
+	if err := sc.validate(); err != nil {
+		return nil, err
 	}
-	if sc.Duration <= 0 {
-		return nil, fmt.Errorf("harness: scenario %q needs a positive duration", sc.Name)
-	}
-	for i := range sc.Tenants {
-		if err := sc.Tenants[i].App.Validate(); err != nil {
-			return nil, fmt.Errorf("harness: tenant %q: %w", sc.Tenants[i].Name, err)
-		}
-	}
-	for _, ev := range sc.Churn {
-		known := false
-		for i := range sc.Tenants {
-			if sc.Tenants[i].Name == ev.Tenant {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return nil, fmt.Errorf("harness: churn event names unknown tenant %q", ev.Tenant)
-		}
-		if ev.At <= 0 || ev.At >= sc.Duration {
-			return nil, fmt.Errorf("harness: churn event for %q at %v outside the (0, %v) horizon",
-				ev.Tenant, ev.At, sc.Duration)
-		}
-	}
-
 	eng := sim.NewEngine()
-	model := cmp.DefaultModel()
+	m, err := placeTenants(sc, eng)
+	if err != nil {
+		return nil, err
+	}
+	// Load generators, one per tenant, each with a deterministic derived seed.
+	for i, r := range m.runs {
+		r.start(sc.Seed+int64(i)*1000003, sc.Duration)
+	}
+	if err := m.startControl(); err != nil {
+		return nil, err
+	}
+	m.scheduleChurn()
+	// Sampler: registered after every loop, so equal-timestamp samples see
+	// the post-adjust state.
+	stopSample := eng.Every(sc.SampleEvery, m.sample)
+	if sc.Metrics != nil {
+		registerTenantMetrics(sc.Metrics, m.root, m.runs)
+	}
 
-	// Initial draws decide the derived budget, floor and grants before any
-	// chip is built.
-	specsByTenant := make([][]stage.Spec, len(sc.Tenants))
+	// Generation horizon, then drain every tenant, stepping at the shortest
+	// tenant interval.
+	step := sc.Tenants[0].AdjustInterval
+	for _, t := range sc.Tenants {
+		step = min(step, t.AdjustInterval)
+	}
+	runHorizon(eng, sc.Duration, sc.DrainFactor, step, m.drained)
+	m.group.Stop()
+	stopSample()
+	return m.result()
+}
+
+// placeTenants derives the budget, floor and hysteresis from the tenants'
+// initial draws and places each tenant on eng under a child of the
+// chip-level root. The initial split: each tenant's configuration draw, plus
+// the weight-proportional share of the leftover headroom. Equal tenants get
+// equal halves — the static-halving baseline the arbiter is scored against.
+func placeTenants(sc MultiScenario, eng *sim.Engine) (*multiRun, error) {
+	m := &multiRun{sc: sc, eng: eng, model: cmp.DefaultModel(), floor: sc.Floor, hyst: sc.Hysteresis}
+	specs := make([][]stage.Spec, len(sc.Tenants))
 	draws := make([]cmp.Watts, len(sc.Tenants))
 	var totalDraw, sumWeight cmp.Watts
-	floor := sc.Floor
-	for i := range sc.Tenants {
-		t := &sc.Tenants[i]
-		specs, err := t.App.Specs(t.Instances, t.Level)
-		if err != nil {
+	for i, t := range sc.Tenants {
+		var err error
+		if specs[i], err = t.App.Specs(t.Instances, t.Level); err != nil {
 			return nil, fmt.Errorf("harness: tenant %q: %w", t.Name, err)
 		}
-		specsByTenant[i] = specs
-		var draw, minDraw cmp.Watts
-		for _, spec := range specs {
-			draw += cmp.Watts(spec.Instances) * model.Power(spec.Level)
-			minDraw += cmp.Watts(spec.Instances) * model.MinPower()
-		}
-		draws[i] = draw
-		totalDraw += draw
+		var minDraw cmp.Watts
+		draws[i], minDraw = configDraw(specs[i], m.model)
+		totalDraw += draws[i]
 		sumWeight += cmp.Watts(t.Weight)
-		if sc.Floor == 0 && minDraw > floor {
-			floor = minDraw
+		if sc.Floor == 0 && minDraw > m.floor {
+			m.floor = minDraw
 		}
 	}
 	budget := sc.Budget
@@ -554,213 +570,159 @@ func RunMulti(sc MultiScenario) (*MultiResult, error) {
 		return nil, fmt.Errorf("harness: scenario %q: budget %.2fW below the %.2fW initial draw",
 			sc.Name, float64(budget), float64(totalDraw))
 	}
-	hyst := sc.Hysteresis
-	if hyst == 0 {
-		hyst = floor / 4
+	if m.hyst == 0 {
+		m.hyst = m.floor / 4
 	}
-
-	// The initial split: each tenant's configuration draw, plus the
-	// weight-proportional share of the leftover headroom. Equal tenants get
-	// equal halves — the static-halving baseline the arbiter is scored
-	// against.
-	root := core.NewRootDomain("chip", budget)
-	leftover := budget - totalDraw
-	runs := make([]*tenantRun, len(sc.Tenants))
-	for i := range sc.Tenants {
-		t := &sc.Tenants[i]
-		grant := draws[i] + leftover*cmp.Watts(t.Weight)/sumWeight
-		chip := cmp.NewChip(t.Cores, model, grant)
-		sys, err := stage.NewSystem(eng, chip, specsByTenant[i])
-		if err != nil {
-			return nil, fmt.Errorf("harness: tenant %q: %w", t.Name, err)
-		}
-		r := &tenantRun{
-			spec:         *t,
-			chip:         chip,
-			sys:          sys,
-			view:         core.NewDESView(sys),
-			agg:          core.NewAggregator(t.StatsWindow, eng.Now),
-			policy:       t.Policy(),
-			latency:      stats.NewSummary(),
-			initialGrant: grant,
-		}
-		r.domain, err = root.NewChild(t.Name, grant, func(w cmp.Watts) error {
-			return shedToGrant(sys, chip, w)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("harness: tenant %q: %w", t.Name, err)
-		}
-		runs[i] = r
-	}
-
-	res := &MultiResult{
+	m.root = core.NewRootDomain("chip", budget)
+	m.res = &MultiResult{
 		Scenario: sc.Name,
 		Arbiter:  "static-split",
 		Budget:   budget,
-		Floor:    floor,
+		Floor:    m.floor,
 		Combined: stats.NewSummary(),
 		Trace:    stats.NewTimeSeries(),
 	}
-
-	// Completion taps and load generators, one per tenant, each with a
-	// deterministic derived seed.
-	for i, r := range runs {
-		r := r
-		r.sys.OnComplete(func(q *query.Query) {
-			r.agg.Ingest(q)
-			r.latency.Observe(q.Latency())
-			res.Combined.Observe(q.Latency())
-		})
-		capacity := r.spec.App.CapacityQPS(r.spec.RefInstances, r.spec.RefLevel)
-		src := r.spec.Source(capacity)
-		rng := rand.New(rand.NewSource(sc.Seed + int64(i)*1000003))
-		branches := make([]int, len(r.spec.Instances))
-		copy(branches, r.spec.Instances)
-		r.gen = workload.NewRefillingGenerator(eng, r.sys, src, func(into [][]time.Duration, rr *rand.Rand) [][]time.Duration {
-			return r.spec.App.DrawWorkInto(into, rr, branches)
-		}, rng, sc.Duration)
-		r.gen.Start()
+	combined := m.res.Combined
+	for i, t := range sc.Tenants {
+		grant := draws[i] + (budget-totalDraw)*cmp.Watts(t.Weight)/sumWeight
+		c, err := newAppChip(eng, t, specs[i], grant)
+		if err != nil {
+			return nil, err
+		}
+		c.sys.OnComplete(func(q *query.Query) { combined.Observe(q.Latency()) })
+		r := &tenantRun{appChip: c, initialGrant: grant}
+		if r.domain, err = m.root.NewChild(t.Name, grant, c.shedToGrant); err != nil {
+			return nil, fmt.Errorf("harness: tenant %q: %w", t.Name, err)
+		}
+		m.runs = append(m.runs, r)
 	}
+	return m, nil
+}
 
-	// Control plane: a Group of nested loops on the engine clock, arbiter
-	// first (fresh grants land before tenants react at coinciding epochs).
-	group, err := controlplane.NewGroup(controlplane.SimClock(eng))
+// startControl starts the nested loops on one group on the engine clock,
+// arbiter first: fresh grants land before tenants react at coinciding epochs.
+func (m *multiRun) startControl() error {
+	var err error
+	if m.group, err = controlplane.NewGroup(controlplane.SimClock(m.eng)); err != nil {
+		return err
+	}
+	if m.sc.Arbiter != nil {
+		policy := m.sc.Arbiter()
+		m.res.Arbiter = policy.Name()
+		m.arbLoop, err = m.group.Go(controlplane.NewAdjuster(tenantArbiterView{m}, nil), controlplane.Options{
+			Policy:    policy,
+			Interval:  m.sc.ArbiterInterval,
+			Audit:     m.sc.Audit,
+			OnOutcome: func(core.BoostOutcome) { m.checkInvariant() },
+			OnError:   func(error) { m.checkInvariant() },
+		})
+		if err != nil {
+			return fmt.Errorf("harness: %q arbiter loop: %w", m.sc.Name, err)
+		}
+	}
+	for _, r := range m.runs {
+		if err := m.startLoop(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// startLoop starts a tenant's PowerChief loop on the group: at placement,
+// and again at every re-admission.
+func (m *multiRun) startLoop(r *tenantRun) (err error) {
+	r.loop, err = m.group.Go(controlplane.NewAdjuster(r.view, r.agg), controlplane.Options{
+		Policy:   r.policy,
+		Interval: r.spec.AdjustInterval,
+		Audit:    m.sc.Audit,
+	})
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("harness: tenant %q loop: %w", r.spec.Name, err)
 	}
-	checkInvariant := func() {
-		if err := root.CheckInvariant(); err != nil {
-			res.Violations++
-		}
-		if g := root.Granted(); g > res.MaxGranted {
-			res.MaxGranted = g
-		}
-	}
-	var arbLoop *controlplane.Loop
-	if sc.Arbiter != nil {
-		arbPolicy := sc.Arbiter()
-		res.Arbiter = arbPolicy.Name()
-		aview := &tenantArbiterView{
-			now: eng.Now, model: model, root: root, runs: runs, floor: floor, hyst: hyst,
-		}
-		arbLoop, err = group.Go(controlplane.NewAdjuster(aview, nil), controlplane.Options{
-			Policy:    arbPolicy,
-			Interval:  sc.ArbiterInterval,
-			Audit:     sc.Audit,
-			OnOutcome: func(core.BoostOutcome) { checkInvariant() },
-			OnError:   func(error) { checkInvariant() },
-		})
-		if err != nil {
-			return nil, fmt.Errorf("harness: %q arbiter loop: %w", sc.Name, err)
-		}
-	}
-	for _, r := range runs {
-		r.loop, err = group.Go(controlplane.NewAdjuster(r.view, r.agg), controlplane.Options{
-			Policy:   r.policy,
-			Interval: r.spec.AdjustInterval,
-			Audit:    sc.Audit,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("harness: tenant %q loop: %w", r.spec.Name, err)
-		}
-	}
+	return nil
+}
 
-	// Churn: scripted membership changes, validated above and applied as
-	// engine events. A failure inside an event cannot return, so the first
-	// one is carried out and fails the whole run after the horizon.
-	var churnErr error
-	churnFail := func(err error) {
-		if churnErr == nil {
-			churnErr = err
-		}
+// checkInvariant counts a broken hierarchy invariant and tracks the largest
+// Σ child grants.
+func (m *multiRun) checkInvariant() {
+	if err := m.root.CheckInvariant(); err != nil {
+		m.res.Violations++
 	}
-	runByName := make(map[string]*tenantRun, len(runs))
-	for _, r := range runs {
-		runByName[r.spec.Name] = r
+	m.res.MaxGranted = max(m.res.MaxGranted, m.root.Granted())
+}
+
+// scheduleChurn arms the scripted membership changes, validated upfront, as
+// engine events. A failure inside an event cannot return, so the first one
+// is kept and fails the whole run after the horizon.
+func (m *multiRun) scheduleChurn() {
+	byName := make(map[string]*tenantRun, len(m.runs))
+	for _, r := range m.runs {
+		byName[r.spec.Name] = r
 	}
-	for _, ev := range sc.Churn {
-		ev := ev
-		r := runByName[ev.Tenant]
-		eng.ScheduleAt(ev.At, func() {
-			var err error
+	for _, ev := range m.sc.Churn {
+		r := byName[ev.Tenant]
+		m.eng.ScheduleAt(ev.At, func() {
 			var watts cmp.Watts
+			var err error
 			if ev.Admit {
-				watts, err = admitTenant(r, root, group, model, floor, sc.Audit)
-				if err == nil {
-					r.gen.Resume()
-				}
+				watts, err = m.admit(r)
 			} else {
-				watts, err = evictTenant(r, root, model)
+				watts, err = m.evict(r)
 			}
 			if err != nil {
-				churnFail(fmt.Errorf("at %v: %w", ev.At, err))
+				if m.churnErr == nil {
+					m.churnErr = fmt.Errorf("at %v: %w", ev.At, err)
+				}
 				return
 			}
-			res.Churn = append(res.Churn, ChurnRecord{
-				At: eng.Now(), Tenant: ev.Tenant, Admit: ev.Admit, Watts: watts,
+			m.res.Churn = append(m.res.Churn, ChurnRecord{
+				At: m.eng.Now(), Tenant: ev.Tenant, Admit: ev.Admit, Watts: watts,
 			})
-			checkInvariant()
+			m.checkInvariant()
 		})
 	}
+}
 
-	// Sampler: registered after every loop, so equal-timestamp samples see
-	// the post-adjust state.
-	lastSample := time.Duration(0)
-	stopSample := eng.Every(sc.SampleEvery, func() {
-		now := eng.Now()
-		dt := (now - lastSample).Seconds()
-		lastSample = now
-		for _, r := range runs {
-			grant := r.domain.Budget()
-			r.powerIntegral += float64(r.chip.Draw()) * dt
-			r.grantIntegral += float64(grant) * dt
-			res.Trace.Record("grant:"+r.spec.Name, now, float64(grant))
-			res.Trace.Record("power:"+r.spec.Name, now, float64(r.chip.Draw()))
-			metric, _ := r.appMetric()
-			res.Trace.Record("metric:"+r.spec.Name, now, metric.Seconds())
-		}
-		res.Trace.Record("granted", now, float64(root.Granted()))
-	})
-
-	if sc.Metrics != nil {
-		registerTenantMetrics(sc.Metrics, root, runs)
+// sample records every tenant's grant, draw and metric and the Σ of grants,
+// and integrates draw and grant for the run averages.
+func (m *multiRun) sample() {
+	now := m.eng.Now()
+	dt := (now - m.lastSample).Seconds()
+	m.lastSample = now
+	for _, r := range m.runs {
+		grant := r.domain.Budget()
+		r.powerIntegral += float64(r.chip.Draw()) * dt
+		r.grantIntegral += float64(grant) * dt
+		m.res.Trace.Record("grant:"+r.spec.Name, now, float64(grant))
+		m.res.Trace.Record("power:"+r.spec.Name, now, float64(r.chip.Draw()))
+		metric, _ := r.appMetric()
+		m.res.Trace.Record("metric:"+r.spec.Name, now, metric.Seconds())
 	}
+	m.res.Trace.Record("granted", now, float64(m.root.Granted()))
+}
 
-	// Generation horizon, then drain every tenant (bounded).
-	minAdjust := sc.Tenants[0].AdjustInterval
-	for i := range sc.Tenants {
-		if sc.Tenants[i].AdjustInterval < minAdjust {
-			minAdjust = sc.Tenants[i].AdjustInterval
+// drained reports whether every tenant's pipeline is empty.
+func (m *multiRun) drained() bool {
+	for _, r := range m.runs {
+		if !r.sys.Drain() {
+			return false
 		}
 	}
-	drained := func() bool {
-		for _, r := range runs {
-			if !r.sys.Drain() {
-				return false
-			}
-		}
-		return true
-	}
-	eng.RunUntil(sc.Duration)
-	deadline := sc.Duration + time.Duration(float64(sc.Duration)*sc.DrainFactor)
-	for eng.Now() < deadline && !drained() {
-		step := minAdjust
-		if eng.Now()+step > deadline {
-			step = deadline - eng.Now()
-		}
-		eng.RunUntil(eng.Now() + step)
-	}
-	group.Stop()
-	stopSample()
+	return true
+}
 
-	if churnErr != nil {
-		return nil, fmt.Errorf("harness: %q churn: %w", sc.Name, churnErr)
+// result closes the record: the churn error if any, the arbiter's epochs,
+// every tenant's tallies and averages, and the chip and domain invariants
+// the run must end with.
+func (m *multiRun) result() (*MultiResult, error) {
+	if m.churnErr != nil {
+		return nil, fmt.Errorf("harness: %q churn: %w", m.sc.Name, m.churnErr)
 	}
-	if arbLoop != nil {
-		res.ArbiterEpochs = arbLoop.Total()
+	if m.arbLoop != nil {
+		m.res.ArbiterEpochs = m.arbLoop.Total()
 	}
-	horizon := lastSample.Seconds()
-	for _, r := range runs {
+	horizon := m.lastSample.Seconds()
+	for _, r := range m.runs {
 		boosts := r.loop.Boosts()
 		for k, v := range r.boostTally {
 			boosts[k] += v
@@ -776,22 +738,20 @@ func RunMulti(sc MultiScenario) (*MultiResult, error) {
 			FinalGrant:   r.domain.Budget(),
 			Boosts:       boosts,
 		}
+		tr.AvgPower, tr.AvgGrant = r.chip.Draw(), tr.FinalGrant
 		if horizon > 0 {
 			tr.AvgPower = cmp.Watts(r.powerIntegral / horizon)
 			tr.AvgGrant = cmp.Watts(r.grantIntegral / horizon)
-		} else {
-			tr.AvgPower = r.chip.Draw()
-			tr.AvgGrant = r.domain.Budget()
 		}
-		res.Tenants = append(res.Tenants, tr)
+		m.res.Tenants = append(m.res.Tenants, tr)
 		if err := r.chip.CheckInvariant(); err != nil {
 			return nil, fmt.Errorf("harness: tenant %q ended with a broken chip invariant: %w", r.spec.Name, err)
 		}
 	}
-	if err := root.CheckInvariant(); err != nil {
-		return nil, fmt.Errorf("harness: %q ended with a broken domain invariant: %w", sc.Name, err)
+	if err := m.root.CheckInvariant(); err != nil {
+		return nil, fmt.Errorf("harness: %q ended with a broken domain invariant: %w", m.sc.Name, err)
 	}
-	return res, nil
+	return m.res, nil
 }
 
 // registerTenantMetrics exposes the hierarchy on a telemetry registry:

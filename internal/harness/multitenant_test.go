@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"maps"
 	"testing"
 	"time"
 
 	"powerchief/internal/app"
 	"powerchief/internal/arbiter"
+	"powerchief/internal/cmp"
 	"powerchief/internal/core"
 	"powerchief/internal/workload"
 )
@@ -311,5 +313,75 @@ func TestRunMultiChurnRejectsBadEvents(t *testing.T) {
 	}
 	if _, err := RunMulti(sc); err == nil {
 		t.Fatal("double eviction did not fail the run")
+	}
+}
+
+// TestRunMatchesRunMultiWithOneTenant: Run and RunMulti place an application
+// through the same component, so one tenant on a 16-core chip under
+// RunMulti's static split runs Run's scenario query for query and decision
+// for decision — Table 2 Sirius under PowerChief and Freq-Boosting, and the
+// Table 3 Sirius configuration under the QoS saver.
+func TestRunMatchesRunMultiWithOneTenant(t *testing.T) {
+	cfg := core.DefaultConfig()
+	bursty := func(capacity float64) workload.Source {
+		base := workload.RateForUtilization(capacity, 0.40)
+		tr, err := workload.BurstTrace(base, 2.2*base, 40*time.Second, 10*time.Second, 360*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	for _, tc := range []struct {
+		name     string
+		tenant   Tenant
+		budget   cmp.Watts
+		duration time.Duration
+	}{
+		{"powerchief", Tenant{
+			App: app.Sirius(), Level: cmp.MidLevel, AdjustInterval: 25 * time.Second,
+			Policy: func() core.Policy { return core.NewPowerChief(cfg) },
+			Source: constantLoad(workload.High),
+		}, MitigationBudget, 900 * time.Second},
+		{"freq-boost", Tenant{
+			App: app.Sirius(), Level: cmp.MidLevel, AdjustInterval: 25 * time.Second,
+			Policy: func() core.Policy { return core.NewFreqBoost(cfg) },
+			Source: constantLoad(workload.Medium),
+		}, MitigationBudget, 900 * time.Second},
+		{"saver", Tenant{
+			App: app.Sirius(), Instances: []int{4, 2, 5}, Level: cmp.MaxLevel,
+			AdjustInterval: 10 * time.Second, StatsWindow: 40 * time.Second,
+			Policy: func() core.Policy { return core.NewPowerChiefSaver(2*time.Second, cfg) },
+			Source: bursty,
+		}, 0, 360 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tn := tc.tenant
+			tn.Name, tn.Cores = tc.name, 16
+			single, err := Run(Scenario{
+				Name: tc.name, App: tn.App, Instances: tn.Instances, Level: tn.Level,
+				Budget: tc.budget, Policy: tn.Policy, AdjustInterval: tn.AdjustInterval,
+				StatsWindow: tn.StatsWindow, Source: tn.Source, Duration: tc.duration, Seed: 7,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			multi, err := RunMulti(MultiScenario{
+				Name: tc.name, Tenants: []Tenant{tn}, Budget: tc.budget, Duration: tc.duration, Seed: 7,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := multi.Tenants[0]
+			if got.Submitted != single.Submitted || got.Completed != single.Completed ||
+				got.Latency.Mean() != single.Latency.Mean() || got.Latency.P99() != single.Latency.P99() ||
+				!maps.Equal(got.Boosts, single.Boosts) {
+				t.Fatalf("RunMulti %d/%d queries, mean %v, p99 %v, boosts %v; Run %d/%d, %v, %v, %v",
+					got.Completed, got.Submitted, got.Latency.Mean(), got.Latency.P99(), got.Boosts,
+					single.Completed, single.Submitted, single.Latency.Mean(), single.Latency.P99(), single.Boosts)
+			}
+			if single.Completed < 500 || len(single.Boosts) < 2 {
+				t.Fatalf("scenario too quiet to compare: %d queries, boosts %v", single.Completed, single.Boosts)
+			}
+		})
 	}
 }
