@@ -204,6 +204,31 @@ func TestPlannerIgnoresForeignSystems(t *testing.T) {
 	}
 }
 
+// recordTap keeps every decision frame.
+type recordTap struct{ recs []core.DecisionRecord }
+
+func (t *recordTap) RecordDecision(rec core.DecisionRecord) { t.recs = append(t.recs, rec) }
+
+// TestTickWithTapAndNoAggregator: a recorded tick without an aggregator has
+// no statistics — a topology-only capture, and a plan that reads none — for
+// the arbiter and the static baseline alike, instead of a nil dereference.
+func TestTickWithTapAndNoAggregator(t *testing.T) {
+	for _, p := range []core.Planner{New(Proportional{}), core.Static{}} {
+		fv := newFakeView(60, 10, 0.1, []cmp.Watts{0, 0}, []time.Duration{time.Second, 2 * time.Second})
+		tap := &recordTap{}
+		_, res := core.Tick(p, core.Executor{}, tap, fv, nil)
+		if res.Err != nil {
+			t.Errorf("%s: %v", p.Name(), res.Err)
+		}
+		if len(tap.recs) != 1 || tap.recs[0].Snapshot == nil {
+			t.Fatalf("%s: %d frames recorded, want one with a capture", p.Name(), len(tap.recs))
+		}
+		if snap := tap.recs[0].Snapshot; snap.Window.OK || snap.Budget != 60 {
+			t.Errorf("%s: capture %+v, want topology only", p.Name(), snap)
+		}
+	}
+}
+
 // TestPlannerRollsBackOnMemberFailure: a member refusing its grant mid-plan
 // (hung app loop, dead node) fails the executor apply; earlier grants are
 // restored so the split never straddles two allocations, and Σ grants stays

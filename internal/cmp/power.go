@@ -83,8 +83,12 @@ func (t *TableModel) MaxPower() Watts { return t[MaxLevel] }
 func (t *TableModel) MinPower() Watts { return t[0] }
 
 // Validate checks that the table is positive and strictly increasing, which
-// every recycling algorithm in the controller relies on.
+// every recycling algorithm in the controller relies on. A nil table is
+// missing, not empty.
 func (t *TableModel) Validate() error {
+	if t == nil {
+		return fmt.Errorf("cmp: no power table")
+	}
 	for l := Level(0); l < NumLevels; l++ {
 		if t[l] <= 0 {
 			return fmt.Errorf("cmp: table power at %v is %v, must be positive", l, t[l])

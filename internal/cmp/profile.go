@@ -55,8 +55,12 @@ func (t *TableProfile) ExecRatio(l Level) float64 {
 }
 
 // Validate checks the invariants every boosting estimate relies on: the
-// ratios start at 1, stay positive, and never increase with frequency.
+// ratios start at 1, stay positive, and never increase with frequency. A nil
+// table is missing, not empty.
 func (t *TableProfile) Validate() error {
+	if t == nil {
+		return fmt.Errorf("cmp: no profile table")
+	}
 	if t[0] != 1 {
 		return fmt.Errorf("cmp: profile ExecRatio(0) = %v, must be 1", t[0])
 	}

@@ -13,7 +13,8 @@ import (
 // thin wrapper to narrow the clone/withdraw signatures.
 type desView struct {
 	sys    *stage.System
-	stages []StageControl // a stage.System's stage set is fixed at construction
+	stages []StageControl  // a stage.System's stage set is fixed at construction
+	power  *cmp.TableModel // tabulated on the first capture: a chip's model is fixed
 }
 
 // NewDESView wraps a discrete-event system for the Command Center.
@@ -23,7 +24,7 @@ func NewDESView(sys *stage.System) System {
 	}
 	v := &desView{sys: sys}
 	for _, st := range sys.Stages() {
-		v.stages = append(v.stages, desStage{st: st})
+		v.stages = append(v.stages, &desStage{st: st})
 	}
 	return v
 }
@@ -42,25 +43,47 @@ func (v *desView) Quarantined() []StageControl { return nil }
 // Stages implements System.
 func (v *desView) Stages() []StageControl { return v.stages }
 
-// desStage adapts *stage.Stage to StageControl.
-type desStage struct {
-	st *stage.Stage
-}
-
-func (d desStage) Name() string                { return d.st.Name() }
-func (d desStage) CanScale() bool              { return d.st.Kind() == stage.Pipeline }
-func (d desStage) Profile() cmp.SpeedupProfile { return d.st.Profile() }
-
-func (d desStage) Instances() []Instance {
-	active := d.st.Active()
-	out := make([]Instance, len(active))
-	for i, in := range active {
-		out[i] = in
+func (v *desView) powerTable() *cmp.TableModel {
+	if v.power == nil {
+		v.power = tabulatePower(v.PowerModel())
 	}
-	return out
+	return v.power
 }
 
-func (d desStage) Clone(bottleneck Instance) (Instance, error) {
+// desStage adapts *stage.Stage to StageControl. It keeps its instance list
+// until the stage's membership moves, and its profile table for good: a
+// stage's profile is fixed.
+type desStage struct {
+	st      *stage.Stage
+	members uint64     // st.Membership() when ins was built
+	ins     []Instance // nil until the first call
+	profile *cmp.TableProfile
+}
+
+func (d *desStage) Name() string                { return d.st.Name() }
+func (d *desStage) CanScale() bool              { return d.st.Kind() == stage.Pipeline }
+func (d *desStage) Profile() cmp.SpeedupProfile { return d.st.Profile() }
+
+func (d *desStage) Instances() []Instance {
+	if m := d.st.Membership(); d.ins == nil || m != d.members {
+		active := d.st.Active()
+		d.ins = make([]Instance, len(active))
+		for i, in := range active {
+			d.ins[i] = in
+		}
+		d.members = m
+	}
+	return d.ins
+}
+
+func (d *desStage) profileTable() *cmp.TableProfile {
+	if d.profile == nil {
+		d.profile = tabulateProfile(d.Profile())
+	}
+	return d.profile
+}
+
+func (d *desStage) Clone(bottleneck Instance) (Instance, error) {
 	src, ok := bottleneck.(*stage.Instance)
 	if !ok {
 		return nil, fmt.Errorf("core: clone target %s is not a DES instance", bottleneck.Name())
@@ -68,7 +91,7 @@ func (d desStage) Clone(bottleneck Instance) (Instance, error) {
 	return d.st.Clone(src)
 }
 
-func (d desStage) Withdraw(victim, target Instance) error {
+func (d *desStage) Withdraw(victim, target Instance) error {
 	v, ok := victim.(*stage.Instance)
 	if !ok {
 		return fmt.Errorf("core: withdraw victim %s is not a DES instance", victim.Name())

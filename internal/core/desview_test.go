@@ -76,6 +76,50 @@ func TestDESViewCloneAndWithdrawThroughInterface(t *testing.T) {
 	_ = sys
 }
 
+// TestDESViewInstancesOncePerMembership: while the stage's membership holds,
+// Instances hands back the same slice without allocating; a clone, a
+// withdraw and the drained victim's retirement each bring a new one.
+func TestDESViewInstancesOncePerMembership(t *testing.T) {
+	eng, sys, view := newDESFixture(t, 100)
+	st := view.Stages()[0]
+	same := func(a, b []Instance) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+	held := st.Instances()
+	if !same(st.Instances(), held) {
+		t.Fatal("an unchanged stage handed out a new list")
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = st.Instances() }); got != 0 {
+		t.Errorf("an unchanged stage's list costs %.1f allocations", got)
+	}
+	changed := func(what string, want int) {
+		t.Helper()
+		got := st.Instances()
+		if same(got, held) || len(got) != want {
+			t.Fatalf("after %s: %d instances, new list %v; want %d in a new list", what, len(got), !same(got, held), want)
+		}
+		held = got
+	}
+	src := held[0]
+	clone, err := st.Clone(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed("a clone", 2)
+	// The source is busy when withdrawn, so it drains before it retires.
+	sys.Submit(query.New(1, 0, [][]time.Duration{{time.Second}, {time.Millisecond, time.Millisecond}}))
+	if err := st.Withdraw(src, clone); err != nil {
+		t.Fatal(err)
+	}
+	changed("a withdraw", 1)
+	if src.(*stage.Instance).Retired() {
+		t.Fatal("the withdrawn source retired without draining")
+	}
+	eng.Run()
+	if !src.(*stage.Instance).Retired() {
+		t.Fatal("the withdrawn source never retired")
+	}
+	changed("the drained retire", 1)
+}
+
 func TestDESViewRejectsForeignInstances(t *testing.T) {
 	_, _, view := newDESFixture(t, 100)
 	st := view.Stages()[0]

@@ -58,53 +58,77 @@ type Identifier struct {
 	Metric Metric
 }
 
+// rankKey is one ranking row without its interfaces: the sort moves these
+// pointer-free keys, and each Ranked row is written once, in final order.
+type rankKey struct {
+	metric, q, s time.Duration
+	queueLen     int
+	stage, inst  int32
+}
+
+// rankOnStack is the largest ranking whose keys stay on the stack; a larger
+// one sorts a heap slice.
+const rankOnStack = 16
+
 // Rank evaluates the metric over all instances. The result is sorted
 // descending by metric; ties break by instance name, then by stage and
 // instance order, so the ranking is deterministic. Draining instances are
 // excluded — they are already leaving.
 func (id Identifier) Rank(sys System, stats StatsReader) []Ranked {
-	// Every stage's instance list is read once, up front, so the ranking is
-	// allocated at its final size; the list of lists stays on the stack for
-	// deployments of up to eight stages.
 	stages := sys.Stages()
 	var buf [8][]Instance
-	lists := buf[:0]
-	n := 0
+	lists, n := instanceLists(stages, &buf)
+	if n == 0 {
+		return nil
+	}
+	var stack [rankOnStack]rankKey
+	keys := stack[:0]
+	if n > rankOnStack {
+		keys = make([]rankKey, 0, n)
+	}
+	for i, ins := range lists {
+		for j, in := range ins {
+			q, s, _ := stats.InstStats(in.Name())
+			L := in.QueueLen()
+			keys = append(keys, rankKey{metric: id.eval(L, q, s), q: q, s: s, queueLen: L, stage: int32(i), inst: int32(j)})
+		}
+	}
+	// Metric descending, name ascending — names are read only when two
+	// metrics tie — and equal keys in visit order.
+	slices.SortStableFunc(keys, func(a, b rankKey) int {
+		switch {
+		case a.metric > b.metric:
+			return -1
+		case a.metric < b.metric:
+			return 1
+		}
+		return strings.Compare(lists[a.stage][a.inst].Name(), lists[b.stage][b.inst].Name())
+	})
+	out := make([]Ranked, n)
+	for i, k := range keys {
+		out[i] = Ranked{
+			Instance: lists[k.stage][k.inst],
+			Stage:    stages[k.stage],
+			Metric:   k.metric,
+			Queuing:  k.q,
+			Serving:  k.s,
+			QueueLen: k.queueLen,
+		}
+	}
+	return out
+}
+
+// instanceLists reads every stage's instance list once, up front, and counts
+// the instances; the list of lists stays in the caller's buffer for
+// deployments of up to eight stages.
+func instanceLists(stages []StageControl, buf *[8][]Instance) ([][]Instance, int) {
+	lists, n := buf[:0], 0
 	for _, st := range stages {
 		ins := st.Instances()
 		lists = append(lists, ins)
 		n += len(ins)
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Ranked, 0, n)
-	for i, st := range stages {
-		for _, in := range lists[i] {
-			q, s, _ := stats.InstStats(in.Name())
-			L := in.QueueLen()
-			out = append(out, Ranked{
-				Instance: in,
-				Stage:    st,
-				Metric:   id.eval(L, q, s),
-				Queuing:  q,
-				Serving:  s,
-				QueueLen: L,
-			})
-		}
-	}
-	// A typed stable sort: the order sort.SliceStable gave, without its
-	// reflective swapper. Names are consulted only when two metrics tie.
-	slices.SortStableFunc(out, func(a, b Ranked) int {
-		switch {
-		case a.Metric > b.Metric:
-			return -1
-		case a.Metric < b.Metric:
-			return 1
-		}
-		return strings.Compare(a.Instance.Name(), b.Instance.Name())
-	})
-	return out
+	return lists, n
 }
 
 // eval computes the chosen latency metric for one instance.

@@ -19,9 +19,10 @@ import (
 // Wrappers are unique: the same underlying instance always yields the same
 // planInstance, so the interface-identity comparisons the decision kernel
 // relies on (donor exclusion, bottleneck checks) keep working. They live in
-// slabs — one planStage array per view, one planInstance array per stage —
-// and a reference to an underlying instance is resolved by a linear identity
-// scan: a view never holds more instances than the chip has cores.
+// slabs built once per view — one planStage array, and one planInstance,
+// one pointer and one Instance array for every stage's instances — and a
+// reference to an underlying instance is resolved by a linear identity scan:
+// a view never holds more instances than the chip has cores.
 type PlanView struct {
 	base   System
 	model  cmp.PowerModel
@@ -29,14 +30,15 @@ type PlanView struct {
 	drawn  cmp.Watts
 	free   int
 
-	plan   *ActionPlan
-	reason ActionReason
-	stages []StageControl
-	slab   []planStage // backs stages
+	plan    *ActionPlan
+	reason  ActionReason
+	stages  []StageControl
+	slab    []planStage    // backs stages
+	wrapped []planInstance // every stage's underlying instances, in stage order
 }
 
-// NewPlanView snapshots the system's power accounting and stage list and
-// starts an empty plan.
+// NewPlanView snapshots the system's power accounting, stage list and
+// instance lists, and starts an empty plan.
 func NewPlanView(sys System) *PlanView {
 	pv := &PlanView{
 		base:   sys,
@@ -47,11 +49,25 @@ func NewPlanView(sys System) *PlanView {
 		plan:   &ActionPlan{},
 	}
 	under := sys.Stages()
+	var buf [8][]Instance
+	lists, n := instanceLists(under, &buf)
 	pv.slab = make([]planStage, len(under))
 	pv.stages = make([]StageControl, len(under))
+	pv.wrapped = make([]planInstance, n)
+	ptrs, views := make([]*planInstance, n), make([]Instance, n)
+	k := 0
 	for i, st := range under {
-		pv.slab[i] = planStage{pv: pv, under: st}
-		pv.stages[i] = &pv.slab[i]
+		ps := &pv.slab[i]
+		lo := k
+		for _, in := range lists[i] {
+			pv.wrapped[k] = planInstance{pv: pv, under: in, stage: ps, level: in.Level()}
+			ptrs[k], views[k] = &pv.wrapped[k], &pv.wrapped[k]
+			k++
+		}
+		// Capacity-capped: a planned clone reallocates instead of writing
+		// into the next stage's share.
+		*ps = planStage{pv: pv, under: st, ins: ptrs[lo:k:k], view: views[lo:k:k]}
+		pv.stages[i] = ps
 	}
 	return pv
 }
@@ -117,25 +133,13 @@ func (pv *PlanView) Stages() []StageControl { return pv.stages }
 // Quarantined implements System.
 func (pv *PlanView) Quarantined() []StageControl { return pv.base.Quarantined() }
 
-// planStage wraps one real stage. The instance list is snapshotted on first
-// access and then tracks planned clones and withdraws.
+// planStage wraps one real stage: its instances as the view found them, then
+// planned clones, and the Instances() view of those not withdrawn.
 type planStage struct {
 	pv    *PlanView
 	under StageControl
-	ins   []*planInstance // nil until first access
-}
-
-func (ps *planStage) ensure() {
-	if ps.ins != nil {
-		return
-	}
-	under := ps.under.Instances()
-	slab := make([]planInstance, len(under))
-	ps.ins = make([]*planInstance, len(under))
-	for i, in := range under {
-		slab[i] = planInstance{pv: ps.pv, under: in, stage: ps, level: in.Level()}
-		ps.ins[i] = &slab[i]
-	}
+	ins   []*planInstance
+	view  []Instance // nil after a planned clone or withdraw until rebuilt
 }
 
 // Name implements StageControl.
@@ -150,29 +154,27 @@ func (ps *planStage) Profile() cmp.SpeedupProfile { return ps.under.Profile() }
 // Instances implements StageControl: the snapshot minus planned withdraws
 // plus planned clones.
 func (ps *planStage) Instances() []Instance {
-	ps.ensure()
-	out := make([]Instance, 0, len(ps.ins))
-	for _, pi := range ps.ins {
-		if !pi.withdrawn {
-			out = append(out, pi)
+	if ps.view == nil {
+		ps.view = make([]Instance, 0, len(ps.ins))
+		for _, pi := range ps.ins {
+			if !pi.withdrawn {
+				ps.view = append(ps.view, pi)
+			}
 		}
 	}
-	return out
+	return ps.view
 }
 
 // lookup resolves an instance reference to its wrapper: a wrapper resolves
 // to itself, an underlying instance to the wrapper some stage of the view
 // (this one included) snapshotted it into, anything else to nil.
 func (ps *planStage) lookup(in Instance) *planInstance {
-	ps.ensure()
 	if pi, ok := in.(*planInstance); ok {
 		return pi
 	}
-	for i := range ps.pv.slab {
-		for _, pi := range ps.pv.slab[i].ins {
-			if pi.under == in {
-				return pi
-			}
+	for i := range ps.pv.wrapped {
+		if pi := &ps.pv.wrapped[i]; pi.under == in {
+			return pi
 		}
 	}
 	return nil
@@ -213,8 +215,8 @@ func (ps *planStage) Clone(bn Instance) (Instance, error) {
 	})
 	pv.drawn += p
 	pv.free--
-	ps.ensure()
 	ps.ins = append(ps.ins, clone)
+	ps.view = nil
 	return clone, nil
 }
 
@@ -228,14 +230,7 @@ func (ps *planStage) Withdraw(victim, target Instance) error {
 	if v == nil || v.withdrawn {
 		return fmt.Errorf("core: plan: withdraw of unknown instance %s", victim.Name())
 	}
-	ps.ensure()
-	active := 0
-	for _, pi := range ps.ins {
-		if !pi.withdrawn {
-			active++
-		}
-	}
-	if active <= 1 {
+	if len(ps.Instances()) <= 1 {
 		return fmt.Errorf("core: plan: cannot withdraw the last instance of stage %s", ps.Name())
 	}
 	var tgt Instance
@@ -248,6 +243,7 @@ func (ps *planStage) Withdraw(victim, target Instance) error {
 	}
 	pv.plan.Actions = append(pv.plan.Actions, &WithdrawAction{Stage: ps.under, Victim: v.handle(), Target: tgt})
 	v.withdrawn = true
+	v.stage.view = nil
 	pv.drawn -= pv.model.Power(v.level)
 	if pv.drawn < 0 {
 		pv.drawn = 0

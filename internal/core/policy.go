@@ -75,13 +75,22 @@ type Planner interface {
 // attached, plan, apply through the validating, rolling-back executor, fold
 // the apply result into the outcome — a failed plan reports BoostNone, an
 // instance boost picks up the realized clone's name — audit the outcome of
-// a boosting decision, and hand the tap its record.
+// a boosting decision, and hand the tap its record. A tapped tick plans from
+// its capture, which read the aggregator at the same clock with no event in
+// between; a nil aggregator means no statistics at all.
 func Tick(p Planner, x Executor, tap DecisionTap, sys System, agg *Aggregator) (BoostOutcome, ApplyResult) {
+	var stats StatsReader
+	if agg != nil {
+		stats = agg
+	}
 	var snap *Snapshot
 	if tap != nil {
-		snap = CaptureSnapshot(sys, agg)
+		snap = CaptureSnapshot(sys, stats)
+		if stats != nil {
+			stats = snap
+		}
 	}
-	plan, out := p.Plan(sys, agg)
+	plan, out := p.Plan(sys, stats)
 	res := x.Apply(sys, agg, plan)
 	if res.Err != nil {
 		out = BoostOutcome{Kind: BoostNone, Target: out.Target}

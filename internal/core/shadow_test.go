@@ -115,4 +115,28 @@ func TestSnapshotRoundTripsThroughJSON(t *testing.T) {
 	if string(payload) != string(back) {
 		t.Fatalf("snapshot drifted across the round trip:\n  %s\n  %s", payload, back)
 	}
+
+	// A missing table or an off-ladder level decodes, and is rejected.
+	for _, breakIt := range []func(*Snapshot){
+		func(s *Snapshot) { s.Power = nil },
+		func(s *Snapshot) { s.Stages[1].Profile = nil },
+		func(s *Snapshot) { s.Stages[0].Instances[0].Level = cmp.NumLevels },
+	} {
+		var bad Snapshot
+		if err := json.Unmarshal(payload, &bad); err != nil {
+			t.Fatal(err)
+		}
+		breakIt(&bad)
+		b, err := json.Marshal(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Snapshot
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back.Validate() == nil {
+			t.Errorf("snapshot accepted: %s", b)
+		}
+	}
 }

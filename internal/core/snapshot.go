@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -28,12 +27,13 @@ type InstanceSnap struct {
 
 // StageSnap captures one stage: scaling capability, the offline frequency
 // profile (as an explicit table, so the capture carries its own physics),
-// and the live instances.
+// and the live instances. The profile table is immutable and may be shared
+// with every other capture of the same deployment.
 type StageSnap struct {
-	Name      string           `json:"name"`
-	CanScale  bool             `json:"can_scale"`
-	Profile   cmp.TableProfile `json:"exec_ratio"`
-	Instances []InstanceSnap   `json:"instances"`
+	Name      string            `json:"name"`
+	CanScale  bool              `json:"can_scale"`
+	Profile   *cmp.TableProfile `json:"exec_ratio"`
+	Instances []InstanceSnap    `json:"instances"`
 }
 
 // WindowSnap captures the end-to-end latency window at a fixed quantile
@@ -52,17 +52,20 @@ type WindowSnap struct {
 // reads at one control tick: the budget ledger, the power model, per-stage /
 // per-instance state and statistics, quarantine names and the clock. A
 // Snapshot plus a policy determines the policy's ActionPlan — that is the
-// purity contract (DESIGN.md §5l) the replay engine is built on.
+// purity contract (DESIGN.md §5l) the replay engine is built on. It is also
+// the StatsReader of its tick: Tick hands it to Plan, so a recorded decision
+// reads the statistics the record holds. The physics tables (Power, each
+// stage's Profile) are immutable and may be shared between captures.
 type Snapshot struct {
-	Version     int            `json:"version"`
-	Now         time.Duration  `json:"now_ns"`
-	Budget      cmp.Watts      `json:"budget_watts"`
-	Draw        cmp.Watts      `json:"draw_watts"`
-	FreeCores   int            `json:"free_cores"`
-	Power       cmp.TableModel `json:"power_watts"`
-	Stages      []StageSnap    `json:"stages"`
-	Quarantined []string       `json:"quarantined,omitempty"`
-	Window      WindowSnap     `json:"window"`
+	Version     int             `json:"version"`
+	Now         time.Duration   `json:"now_ns"`
+	Budget      cmp.Watts       `json:"budget_watts"`
+	Draw        cmp.Watts       `json:"draw_watts"`
+	FreeCores   int             `json:"free_cores"`
+	Power       *cmp.TableModel `json:"power_watts"`
+	Stages      []StageSnap     `json:"stages"`
+	Quarantined []string        `json:"quarantined,omitempty"`
+	Window      WindowSnap      `json:"window"`
 }
 
 // snapshotGrid is the quantile grid of WindowSnap, in field order.
@@ -70,6 +73,8 @@ var snapshotGrid = [...]float64{0.5, 0.9, 0.99, 0.999}
 
 // CaptureSnapshot captures the decision inputs of one control tick. The
 // stats reader may be nil (topology-only capture: StatsOK false everywhere).
+// Systems and stages that keep their physics tables (the DES view) share
+// them with every capture; any other is tabulated per capture.
 func CaptureSnapshot(sys System, stats StatsReader) *Snapshot {
 	snap := &Snapshot{
 		Version:   SnapshotVersion,
@@ -78,20 +83,28 @@ func CaptureSnapshot(sys System, stats StatsReader) *Snapshot {
 		Draw:      sys.Draw(),
 		FreeCores: sys.FreeCores(),
 	}
-	model := sys.PowerModel()
-	for l := cmp.Level(0); l < cmp.NumLevels; l++ {
-		snap.Power[l] = model.Power(l)
+	if t, ok := sys.(interface{ powerTable() *cmp.TableModel }); ok {
+		snap.Power = t.powerTable()
+	} else {
+		snap.Power = tabulatePower(sys.PowerModel())
 	}
+	// Lists are made at their final size, and an empty one stays nil so that
+	// it encodes as before.
 	stages := sys.Stages()
-	snap.Stages = slices.Grow(snap.Stages, len(stages)) // nil stays nil: empty captures encode as before
+	if len(stages) > 0 {
+		snap.Stages = make([]StageSnap, 0, len(stages))
+	}
 	for _, st := range stages {
 		ss := StageSnap{Name: st.Name(), CanScale: st.CanScale()}
-		profile := st.Profile()
-		for l := cmp.Level(0); l < cmp.NumLevels; l++ {
-			ss.Profile[l] = profile.ExecRatio(l)
+		if t, ok := st.(interface{ profileTable() *cmp.TableProfile }); ok {
+			ss.Profile = t.profileTable()
+		} else {
+			ss.Profile = tabulateProfile(st.Profile())
 		}
 		ins := st.Instances()
-		ss.Instances = slices.Grow(ss.Instances, len(ins))
+		if len(ins) > 0 {
+			ss.Instances = make([]InstanceSnap, 0, len(ins))
+		}
 		for _, in := range ins {
 			is := InstanceSnap{
 				Name:        in.Name(),
@@ -119,7 +132,26 @@ func CaptureSnapshot(sys System, stats StatsReader) *Snapshot {
 	return snap
 }
 
-// Validate checks the snapshot's schema version and physics tables.
+// tabulatePower reads a power model into a table.
+func tabulatePower(m cmp.PowerModel) *cmp.TableModel {
+	t := new(cmp.TableModel)
+	for l := range t {
+		t[l] = m.Power(cmp.Level(l))
+	}
+	return t
+}
+
+// tabulateProfile reads a speedup profile into a table.
+func tabulateProfile(p cmp.SpeedupProfile) *cmp.TableProfile {
+	t := new(cmp.TableProfile)
+	for l := range t {
+		t[l] = p.ExecRatio(cmp.Level(l))
+	}
+	return t
+}
+
+// Validate checks the snapshot's schema version, its physics tables (present
+// and well-formed) and its instances' levels.
 func (s *Snapshot) Validate() error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("core: snapshot schema v%d, this build reads v%d", s.Version, SnapshotVersion)
@@ -128,11 +160,61 @@ func (s *Snapshot) Validate() error {
 		return fmt.Errorf("core: snapshot power table: %w", err)
 	}
 	for i := range s.Stages {
-		if err := s.Stages[i].Profile.Validate(); err != nil {
-			return fmt.Errorf("core: snapshot stage %s profile: %w", s.Stages[i].Name, err)
+		st := &s.Stages[i]
+		if err := st.Profile.Validate(); err != nil {
+			return fmt.Errorf("core: snapshot stage %s profile: %w", st.Name, err)
+		}
+		for _, in := range st.Instances {
+			if !in.Level.Valid() {
+				return fmt.Errorf("core: snapshot instance %s: invalid level %d", in.Name, int(in.Level))
+			}
 		}
 	}
 	return nil
+}
+
+// InstStats implements StatsReader from the captured per-instance windows.
+// Instances the capture does not hold (clones minted since) have none.
+func (s *Snapshot) InstStats(name string) (queuing, serving time.Duration, ok bool) {
+	for i := range s.Stages {
+		for j := range s.Stages[i].Instances {
+			if in := &s.Stages[i].Instances[j]; in.Name == name {
+				return in.Queuing, in.Serving, in.StatsOK
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// WindowLatency implements StatsReader.
+func (s *Snapshot) WindowLatency() (time.Duration, bool) { return s.Window.Latency, s.Window.OK }
+
+// WindowTail implements StatsReader: the captured quantile grid point at or
+// above p. Captures hold p50/p90/p99/p999 — the grid every consumer in this
+// repo reads.
+func (s *Snapshot) WindowTail(p float64) (time.Duration, bool) {
+	w := s.Window
+	if !w.OK {
+		return 0, false
+	}
+	switch {
+	case p <= 0.5:
+		return w.P50, true
+	case p <= 0.9:
+		return w.P90, true
+	case p <= 0.99:
+		return w.P99, true
+	default:
+		return w.P999, true
+	}
+}
+
+// WindowTails implements StatsReader over the same captured grid.
+func (s *Snapshot) WindowTails(ps []float64, out []time.Duration) bool {
+	for i, p := range ps {
+		out[i], _ = s.WindowTail(p)
+	}
+	return s.Window.OK
 }
 
 // SnapshotView serves a Snapshot back as a live-looking deployment: it
@@ -142,7 +224,7 @@ func (s *Snapshot) Validate() error {
 // reachable. Mutations (levels, clones, withdraws) stay inside the view.
 type SnapshotView struct {
 	snap   *Snapshot
-	model  cmp.TableModel
+	model  *cmp.TableModel
 	stages []*shadowStage
 	ctl    []StageControl // the same stages as the System surface hands them out
 	draw   cmp.Watts
@@ -187,7 +269,7 @@ func (v *SnapshotView) Stages() []StageControl { return v.ctl }
 func (v *SnapshotView) Quarantined() []StageControl { return nil }
 
 // PowerModel implements System.
-func (v *SnapshotView) PowerModel() cmp.PowerModel { return &v.model }
+func (v *SnapshotView) PowerModel() cmp.PowerModel { return v.model }
 
 // Budget implements System.
 func (v *SnapshotView) Budget() cmp.Watts { return v.snap.Budget }
@@ -206,50 +288,20 @@ func (v *SnapshotView) FreeCores() int {
 	return v.free
 }
 
-// InstStats implements StatsReader from the captured per-instance windows.
-// Instances minted in shadow (clones) have no recorded statistics.
+// InstStats implements StatsReader from the capture.
 func (v *SnapshotView) InstStats(name string) (queuing, serving time.Duration, ok bool) {
-	for _, st := range v.stages {
-		for _, in := range st.ins {
-			if in.InstanceSnap.Name == name {
-				return in.Queuing, in.Serving, in.StatsOK
-			}
-		}
-	}
-	return 0, 0, false
+	return v.snap.InstStats(name)
 }
 
-// WindowLatency implements StatsReader.
-func (v *SnapshotView) WindowLatency() (time.Duration, bool) {
-	return v.snap.Window.Latency, v.snap.Window.OK
-}
+// WindowLatency implements StatsReader from the capture.
+func (v *SnapshotView) WindowLatency() (time.Duration, bool) { return v.snap.WindowLatency() }
 
-// WindowTail implements StatsReader: the captured quantile grid point at or
-// above p. Captures hold p50/p90/p99/p999 — the grid every consumer in this
-// repo reads.
-func (v *SnapshotView) WindowTail(p float64) (time.Duration, bool) {
-	w := v.snap.Window
-	if !w.OK {
-		return 0, false
-	}
-	switch {
-	case p <= 0.5:
-		return w.P50, true
-	case p <= 0.9:
-		return w.P90, true
-	case p <= 0.99:
-		return w.P99, true
-	default:
-		return w.P999, true
-	}
-}
+// WindowTail implements StatsReader from the capture.
+func (v *SnapshotView) WindowTail(p float64) (time.Duration, bool) { return v.snap.WindowTail(p) }
 
-// WindowTails implements StatsReader over the same captured grid.
+// WindowTails implements StatsReader from the capture.
 func (v *SnapshotView) WindowTails(ps []float64, out []time.Duration) bool {
-	for i, p := range ps {
-		out[i], _ = v.WindowTail(p)
-	}
-	return v.snap.Window.OK
+	return v.snap.WindowTails(ps, out)
 }
 
 // shadowStage is the in-memory StageControl of a SnapshotView.
@@ -257,7 +309,7 @@ type shadowStage struct {
 	view     *SnapshotView
 	name     string
 	canScale bool
-	profile  cmp.TableProfile
+	profile  *cmp.TableProfile
 	ins      []*shadowInstance
 }
 
@@ -268,7 +320,7 @@ func (s *shadowStage) Name() string { return s.name }
 func (s *shadowStage) CanScale() bool { return s.canScale }
 
 // Profile implements StageControl.
-func (s *shadowStage) Profile() cmp.SpeedupProfile { return &s.profile }
+func (s *shadowStage) Profile() cmp.SpeedupProfile { return s.profile }
 
 // Instances implements StageControl.
 func (s *shadowStage) Instances() []Instance {
@@ -397,4 +449,5 @@ func (in *shadowInstance) ResetUtilizationEpoch() { in.InstanceSnap.Utilization 
 var (
 	_ System      = (*SnapshotView)(nil)
 	_ StatsReader = (*SnapshotView)(nil)
+	_ StatsReader = (*Snapshot)(nil)
 )

@@ -33,7 +33,9 @@ type StageControl interface {
 	// CanScale reports whether instances may be launched into or withdrawn
 	// from the stage (pipeline stages — fan-out leaves hold shards).
 	CanScale() bool
-	// Instances returns the live instances accepting queries.
+	// Instances returns the live instances accepting queries. Callers must
+	// not modify the returned slice, and it is valid until the stage's
+	// membership changes: views hand out the same one until then.
 	Instances() []Instance
 	// Clone launches a new instance at the bottleneck's frequency and steals
 	// half of its queued work (instance boosting).

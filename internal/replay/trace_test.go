@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ import (
 
 // testTrace records topology-only frames from a real DES deployment, so the
 // snapshots carry genuine physics tables and instance state.
-func testTrace(t *testing.T, frames int) *Trace {
+func testTrace(t testing.TB, frames int) *Trace {
 	t.Helper()
 	eng := sim.NewEngine()
 	chip := cmp.NewChip(8, cmp.DefaultModel(), 30)
@@ -174,4 +175,29 @@ func TestRecorderBoundsFrames(t *testing.T) {
 	if tr.Header.Version != TraceVersion {
 		t.Fatalf("recorder did not stamp the trace version: %d", tr.Header.Version)
 	}
+}
+
+// FuzzRead: Read never panics, and every frame it accepts survives a
+// SnapshotView and a PowerChief plan against it — a trace that validates is
+// one the arena can replay.
+func FuzzRead(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, testTrace(f, 2)); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.String()
+	f.Add(valid)
+	f.Add(regexp.MustCompile(`"power_watts":\[[^]]*\]`).ReplaceAllString(valid, `"power_watts":null`))
+	f.Add(regexp.MustCompile(`"exec_ratio":\[[^]]*\]`).ReplaceAllString(valid, `"exec_ratio":null`))
+	f.Add(valid[:len(valid)-len(valid)/4]) // a cut final line
+	f.Fuzz(func(t *testing.T, data string) {
+		tr, err := Read(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i := range tr.Frames {
+			sv := core.NewSnapshotView(tr.Frames[i].Snapshot)
+			core.NewPowerChief(core.DefaultConfig()).Plan(sv, sv)
+		}
+	})
 }

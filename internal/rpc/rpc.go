@@ -274,7 +274,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.RLock()
 		h := s.handlers[string(method)]
 		s.mu.RUnlock()
+		s.wg.Add(1) // this connection's own count keeps the group above zero
 		go func() {
+			defer s.wg.Done()
 			var result any
 			var herr error
 			if h == nil {

@@ -3,6 +3,7 @@ package rpc
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -207,10 +208,10 @@ func TestServerCloseFailsPendingCalls(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		var out int
-		done <- c.Call("slow", 5000, &out)
+		done <- c.Call("slow", 300, &out)
 	}()
 	time.Sleep(50 * time.Millisecond)
-	s.Close()
+	go s.Close() // returns once the slow handler has
 	select {
 	case err := <-done:
 		if err == nil {
@@ -218,6 +219,58 @@ func TestServerCloseFailsPendingCalls(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("pending call hung after server close")
+	}
+}
+
+// TestServerCloseWaitsForHandlers: Close returns only after every in-flight
+// handler has, and leaves no goroutine of the server's behind.
+func TestServerCloseWaitsForHandlers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := NewServer()
+	entered, release := make(chan struct{}), make(chan struct{})
+	HandleFunc(s, "block", func(struct{}) (struct{}, error) {
+		close(entered)
+		<-release
+		return struct{}{}, nil
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	called := make(chan struct{})
+	go func() {
+		_ = c.Call("block", struct{}{}, nil)
+		close(called)
+	}()
+	<-entered
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a handler in flight")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not return once the handler did")
+	}
+	<-called
+	c.Close()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > base {
+		t.Errorf("%d goroutines after Close, %d before the server started", n, base)
 	}
 }
 

@@ -66,9 +66,14 @@ type Stage struct {
 	spec       Spec
 	instances  []*Instance
 	active     []*Instance // the non-draining instances; nil when stale
+	members    uint64      // membership changes: bumped wherever active is dropped
 	dispatcher Dispatcher
 	seq        int // instance name sequence, monotonically increasing
 }
+
+// Membership counts the stage's membership changes (launch, withdraw,
+// retire). A list of its instances stays current while the count holds.
+func (st *Stage) Membership() uint64 { return st.members }
 
 // Name returns the stage name.
 func (st *Stage) Name() string { return st.spec.Name }
@@ -165,6 +170,7 @@ func (st *Stage) Launch(level cmp.Level) (*Instance, error) {
 	in := newInstance(st, fmt.Sprintf("%s_%d", st.spec.Name, st.seq), len(st.instances), core, level)
 	st.instances = append(st.instances, in)
 	st.active = nil
+	st.members++
 	return in, nil
 }
 
@@ -227,6 +233,7 @@ func (st *Stage) Withdraw(in *Instance, target *Instance) error {
 	}
 	in.draining = true
 	st.active = nil
+	st.members++
 	// Redirect queued load.
 	if in.waiting() > 0 {
 		if target == nil || target == in || target.draining {
@@ -248,6 +255,7 @@ func (st *Stage) remove(in *Instance) {
 		if o == in {
 			st.instances = append(st.instances[:i], st.instances[i+1:]...)
 			st.active = nil
+			st.members++
 			return
 		}
 	}

@@ -196,7 +196,7 @@ func (s *Striped) Percentile(now time.Duration, p float64) (time.Duration, bool)
 // percentile, an upper-biased approximation.
 func (s *Striped) Percentiles(now time.Duration, ps []float64, out []time.Duration) bool {
 	// Exact path: advance and count every stripe, then gather the union into
-	// one slice of that size.
+	// one slice of that size — on the stack while it is small.
 	if _, exact := s.stripes[0].w.(*Window); exact {
 		n := 0
 		allExact := true
@@ -210,7 +210,11 @@ func (s *Striped) Percentiles(now time.Duration, ps []float64, out []time.Durati
 			st.mu.Unlock()
 		}
 		if allExact {
-			vals := make([]time.Duration, 0, n)
+			var stack [64]time.Duration
+			vals := stack[:0]
+			if n > len(stack) {
+				vals = make([]time.Duration, 0, n)
+			}
 			for i := range s.stripes {
 				st := &s.stripes[i]
 				st.mu.Lock()
