@@ -19,6 +19,7 @@ import (
 	"powerchief"
 	"powerchief/internal/dist"
 	"powerchief/internal/fault"
+	"powerchief/internal/replay"
 	"powerchief/internal/rpc"
 	"powerchief/internal/telemetry"
 )
@@ -28,7 +29,7 @@ func main() {
 		appName   = flag.String("app", "sirius", "application providing per-stage demand models")
 		stages    = flag.String("stages", "", "comma-separated stage service addresses, pipeline order")
 		budget    = flag.Float64("budget", 13.56, "global power budget in watts")
-		policy    = flag.String("policy", "powerchief", "control policy")
+		policy    = flag.String("policy", "powerchief", "control policy: "+strings.Join(replay.PolicyNames(), ", "))
 		qos       = flag.Duration("qos", 2*time.Second, "QoS target for pegasus/saver")
 		rate      = flag.Float64("rate", 1.0, "arrival rate in queries/second (wall clock)")
 		duration  = flag.Duration("duration", 30*time.Second, "load duration (wall clock)")
@@ -66,12 +67,9 @@ func main() {
 	if len(a.Stages) != len(addrs) {
 		fatal(fmt.Errorf("app %s has %d stages but %d addresses given", *appName, len(a.Stages), len(addrs)))
 	}
-	mk, ok := powerchief.PolicyByName(*policy)
-	if !ok {
-		mk, ok = powerchief.PolicyByNameQoS(*policy, *qos)
-	}
-	if !ok {
-		fatal(fmt.Errorf("unknown policy %q", *policy))
+	mk, err := powerchief.PolicyByName(*policy, *qos)
+	if err != nil {
+		fatal(err)
 	}
 
 	audit := powerchief.NewAuditLog(0)

@@ -77,10 +77,6 @@ import (
 	"powerchief/internal/telemetry"
 )
 
-// policyNames are the -policy values the help lists: the names
-// powerchief.PolicyByName and PolicyByNameQoS resolve.
-var policyNames = []string{"powerchief", "freq-boost", "inst-boost", "pegasus", "saver"}
-
 type options struct {
 	target    string
 	appName   string
@@ -151,7 +147,7 @@ func main() {
 	flag.IntVar(&o.cores, "cores", 16, "chip size")
 	flag.Float64Var(&o.budget, "budget", 0, "power budget in watts (0: derived from the initial configuration)")
 	flag.Float64Var(&o.timescale, "timescale", 1, "live/dist wall compression: wall = virtual × timescale")
-	flag.StringVar(&o.policy, "policy", "", "run a control policy during the load ("+strings.Join(policyNames, ", ")+"; empty: static)")
+	flag.StringVar(&o.policy, "policy", "", "run a control policy during the load ("+strings.Join(replay.PolicyNames(), ", ")+"; empty: static)")
 	flag.DurationVar(&o.ctlEvery, "ctl.interval", 25*time.Second, "control interval in virtual time (with -policy)")
 	flag.DurationVar(&o.qos, "qos", 2*time.Second, "QoS target for the pegasus/saver policies")
 	flag.StringVar(&o.traceOut, "trace.out", "", "record the control decision trace here (.jsonl or .jsonl.gz; needs -policy, single-rate runs)")
@@ -334,12 +330,9 @@ func runOne(o options, rate float64, reg *telemetry.Registry) (_ loadgen.Summary
 	// Optional control plane: the policy adjusts the deployment while the
 	// benchmark load runs, through the target's engine-appropriate clock.
 	if o.policy != "" && o.policy != "static" {
-		mk, ok := powerchief.PolicyByName(o.policy)
-		if !ok {
-			mk, ok = powerchief.PolicyByNameQoS(o.policy, o.qos)
-		}
-		if !ok {
-			return loadgen.Summary{}, fmt.Errorf("unknown policy %q", o.policy)
+		mk, err := powerchief.PolicyByName(o.policy, o.qos)
+		if err != nil {
+			return loadgen.Summary{}, err
 		}
 		ca, ok := target.(loadgen.ControlAttacher)
 		if !ok {

@@ -3,12 +3,15 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"powerchief/internal/replay"
 )
 
-// TestPolicyHelpNamesResolve: every name the -policy help lists drives a DES
-// run under that policy, instead of failing as an unknown policy.
+// TestPolicyHelpNamesResolve: every name the -policy help lists — the
+// registered table — drives a DES run under that policy, instead of failing
+// as an unknown policy.
 func TestPolicyHelpNamesResolve(t *testing.T) {
-	for _, name := range policyNames {
+	for _, name := range replay.PolicyNames() {
 		o := desOptions()
 		o.policy = name
 		code, out := captured(t, func() int {

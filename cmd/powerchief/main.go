@@ -21,13 +21,14 @@ import (
 	"powerchief/internal/cmp"
 	"powerchief/internal/config"
 	"powerchief/internal/harness"
+	"powerchief/internal/replay"
 	"powerchief/internal/workload"
 )
 
 func main() {
 	var (
 		appName    = flag.String("app", "sirius", "application: sirius, nlp, websearch")
-		policy     = flag.String("policy", "powerchief", "policy: baseline, freq-boost, inst-boost, powerchief, pegasus, saver")
+		policy     = flag.String("policy", "powerchief", "policy: "+strings.Join(replay.PolicyNames(), ", "))
 		load       = flag.String("load", "medium", "load level: low, medium, high")
 		budget     = flag.Float64("budget", 13.56, "power budget in watts (0 = derive from initial configuration)")
 		duration   = flag.Duration("duration", 900*time.Second, "load generation horizon (virtual time)")
@@ -66,10 +67,8 @@ func main() {
 		exp.BudgetWatts = *budget
 		exp.Duration = config.Duration(*duration)
 		exp.AdjustInterval = config.Duration(*interval)
-		if *policy == "pegasus" || *policy == "saver" {
-			exp.QoS = config.Duration(*qos)
-		}
-		if err := exp.Validate(); err != nil {
+		exp.QoS = config.Duration(*qos)
+		if _, err := harness.FromConfig(exp); err != nil {
 			fatal(err)
 		}
 		if err := exp.Save(*saveConfig); err != nil {
@@ -103,12 +102,9 @@ func main() {
 		}
 	}
 
-	mk, ok := powerchief.PolicyByName(*policy)
-	if !ok {
-		mk, ok = powerchief.PolicyByNameQoS(*policy, *qos)
-	}
-	if !ok {
-		fatal(fmt.Errorf("unknown policy %q", *policy))
+	mk, err := powerchief.PolicyByName(*policy, *qos)
+	if err != nil {
+		fatal(err)
 	}
 
 	sc := powerchief.Scenario{

@@ -59,17 +59,65 @@ func ExampleApp() {
 	// heaviest stage: Transform
 }
 
-// ExamplePolicyByName enumerates the built-in control policies.
-func ExamplePolicyByName() {
-	for _, name := range []string{"baseline", "freq-boost", "inst-boost", "powerchief"} {
-		mk, ok := powerchief.PolicyByName(name)
-		fmt.Println(name, ok, mk().Name() == name)
+// ExampleApp_video defines a video-analysis pipeline — Decode → Detect →
+// Annotate — with hand-written demand distributions and runs it under
+// PowerChief at high load against the static baseline.
+func ExampleApp_video() {
+	video := powerchief.App{
+		Name: "video-analysis",
+		Stages: []powerchief.StageProfile{
+			// Decode is cheap and scales almost linearly with frequency.
+			{Name: "Decode", Work: powerchief.WorkModel{Median: 80 * time.Millisecond, Sigma: 0.2}, MemBound: 0.1},
+			// Detection dominates and is partly memory bound.
+			{Name: "Detect", Work: powerchief.WorkModel{Median: 600 * time.Millisecond, Sigma: 0.5}, MemBound: 0.3},
+			// Annotation is moderate with a long tail.
+			{Name: "Annotate", Work: powerchief.WorkModel{Median: 200 * time.Millisecond, Sigma: 0.6}, MemBound: 0.2},
+		},
 	}
+	base := powerchief.Scenario{
+		App: video, Level: powerchief.MidLevel, Budget: 13.56,
+		Source: powerchief.ConstantLoad(powerchief.HighLoad), Duration: 600 * time.Second, Seed: 5,
+	}
+	baseline, err := powerchief.Run(base)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	managed := base
+	managed.Policy = powerchief.PowerChiefPolicy()
+	boosted, err := powerchief.Run(managed)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	avg, p99 := powerchief.Improvement(baseline, boosted)
+	fmt.Printf("PowerChief better than baseline: %v\n", avg > 1 && p99 > 1)
+	fmt.Printf("budget respected: %v\n", boosted.AvgPower <= managed.Budget)
 	// Output:
-	// baseline true true
-	// freq-boost true true
-	// inst-boost true true
-	// powerchief true true
+	// PowerChief better than baseline: true
+	// budget respected: true
+}
+
+// ExamplePolicyByName resolves policies by their registered names: the
+// QoS-saving ones need a latency target, and an unknown name is refused
+// with the list of registered ones.
+func ExamplePolicyByName() {
+	for _, name := range []string{"powerchief", "fairness"} {
+		mk, err := powerchief.PolicyByName(name, 0)
+		fmt.Println(name, err == nil && mk().Name() == name)
+	}
+	mk, err := powerchief.PolicyByName("saver", 2*time.Second)
+	fmt.Println("saver", err == nil && mk().Name() == "saver")
+	_, err = powerchief.PolicyByName("saver", 0)
+	fmt.Println("saver without a QoS target:", err != nil)
+	_, err = powerchief.PolicyByName("yolo", 0)
+	fmt.Println(err)
+	// Output:
+	// powerchief true
+	// fairness true
+	// saver true
+	// saver without a QoS target: true
+	// replay: unknown policy "yolo" (policies: [powerchief freq-boost inst-boost baseline proportional fairness marginal pegasus saver])
 }
 
 // ExampleNewLiveCluster runs the framework as a real runtime with

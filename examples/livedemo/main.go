@@ -10,15 +10,16 @@ import (
 	"log"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
 	"powerchief/internal/cmp"
+	"powerchief/internal/controlplane"
 	"powerchief/internal/core"
 	"powerchief/internal/live"
 	"powerchief/internal/query"
 	"powerchief/internal/stage"
+	"powerchief/internal/stats"
 )
 
 func main() {
@@ -40,16 +41,20 @@ func main() {
 	agg := core.NewAggregator(25*time.Second, cluster.Now)
 	cluster.OnComplete(agg.Ingest)
 	var mu sync.Mutex
-	var latencies []time.Duration
+	latencies := stats.NewSummary()
 	done := make(chan struct{}, 65536)
 	cluster.OnComplete(func(q *query.Query) {
 		mu.Lock()
-		latencies = append(latencies, q.Latency())
+		latencies.Observe(q.Latency())
 		mu.Unlock()
 		done <- struct{}{}
 	})
 
-	ctl := live.StartController(cluster, agg, core.NewPowerChief(core.DefaultConfig()), 25*time.Second)
+	ctl, err := controlplane.Start(cluster.Clock(), controlplane.NewAdjuster(cluster, agg),
+		controlplane.Options{Policy: core.NewPowerChief(core.DefaultConfig()), Interval: 25 * time.Second})
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer ctl.Stop()
 
 	// Drive ~2 qps (virtual) of Sirius-like load for 300 virtual seconds.
@@ -73,14 +78,8 @@ func main() {
 		<-done
 	}
 
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	var sum time.Duration
-	for _, l := range latencies {
-		sum += l
-	}
-	fmt.Printf("live run: %d queries, avg=%v p99=%v (virtual time)\n",
-		sent, (sum / time.Duration(len(latencies))).Round(time.Millisecond),
-		latencies[len(latencies)*99/100].Round(time.Millisecond))
+	fmt.Printf("live run: %d queries, avg=%v p99=%v (virtual time)\n", sent,
+		latencies.Mean().Round(time.Millisecond), latencies.Percentile(0.99).Round(time.Millisecond))
 	boosts := 0
 	for _, out := range ctl.Outcomes() {
 		if out.Kind != core.BoostNone {

@@ -3,7 +3,6 @@ package benchnet
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"powerchief/internal/app"
@@ -220,6 +219,3 @@ func closeAll(svcs []*dist.StageService) {
 		svc.Close()
 	}
 }
-
-// JoinAddrs renders an address list the way the -addrs flag expects it.
-func JoinAddrs(addrs []string) string { return strings.Join(addrs, ",") }

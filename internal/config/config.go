@@ -45,7 +45,7 @@ func (d Duration) Std() time.Duration { return time.Duration(d) }
 type Experiment struct {
 	// Name labels the experiment in output.
 	Name string `json:"name"`
-	// App selects a built-in application: sirius, nlp, websearch.
+	// App selects a built-in application by name (app.ByName).
 	App string `json:"app"`
 	// Instances is the initial per-stage instance count (empty = 1 each).
 	Instances []int `json:"instances,omitempty"`
@@ -54,10 +54,10 @@ type Experiment struct {
 	// BudgetWatts is the application power budget (0 = derive from the
 	// initial configuration).
 	BudgetWatts float64 `json:"budget_watts"`
-	// Policy selects the control policy: baseline, freq-boost, inst-boost,
-	// powerchief, pegasus, saver.
+	// Policy selects the control policy by its registered name
+	// (replay.PolicyNames).
 	Policy string `json:"policy"`
-	// QoS is the latency target for pegasus/saver.
+	// QoS is the latency target of the QoS-saving policies (pegasus, saver).
 	QoS Duration `json:"qos,omitempty"`
 	// AdjustInterval is the control period.
 	AdjustInterval Duration `json:"adjust_interval"`
@@ -122,24 +122,11 @@ func QoSSetup(app, policy string, seed int64) (Experiment, error) {
 	return e, nil
 }
 
-// Validate checks the experiment description.
+// Validate checks the experiment description's values. The app and policy
+// names are checked where they resolve, in harness.FromConfig.
 func (e Experiment) Validate() error {
 	if e.Name == "" {
 		return fmt.Errorf("config: experiment needs a name")
-	}
-	switch e.App {
-	case "sirius", "nlp", "websearch":
-	default:
-		return fmt.Errorf("config: unknown app %q", e.App)
-	}
-	switch e.Policy {
-	case "baseline", "freq-boost", "inst-boost", "powerchief":
-	case "pegasus", "saver":
-		if e.QoS <= 0 {
-			return fmt.Errorf("config: policy %q needs a positive qos", e.Policy)
-		}
-	default:
-		return fmt.Errorf("config: unknown policy %q", e.Policy)
 	}
 	if e.LevelGHz < float64(cmp.MinGHz) || e.LevelGHz > float64(cmp.MaxGHz) {
 		return fmt.Errorf("config: level %.2f GHz outside the %v–%v ladder", e.LevelGHz, cmp.MinGHz, cmp.MaxGHz)

@@ -72,9 +72,6 @@ func TestValidateRejectsBadExperiments(t *testing.T) {
 	good := MitigationSetup("sirius", "powerchief", "high", 1)
 	mutations := map[string]func(*Experiment){
 		"no name":        func(e *Experiment) { e.Name = "" },
-		"bad app":        func(e *Experiment) { e.App = "doom" },
-		"bad policy":     func(e *Experiment) { e.Policy = "yolo" },
-		"saver w/o qos":  func(e *Experiment) { e.Policy = "saver"; e.QoS = 0 },
 		"bad level":      func(e *Experiment) { e.LevelGHz = 5.0 },
 		"neg budget":     func(e *Experiment) { e.BudgetWatts = -1 },
 		"bad instances":  func(e *Experiment) { e.Instances = []int{0} },
@@ -116,7 +113,7 @@ func TestReadRejectsUnknownFieldsAndBadJSON(t *testing.T) {
 		t.Error("truncated JSON accepted")
 	}
 	// Valid JSON, invalid experiment.
-	if _, err := Read(strings.NewReader(`{"name":"x","app":"doom","policy":"baseline","level_ghz":1.8,"load_level":"low","duration":"10s"}`)); err == nil {
+	if _, err := Read(strings.NewReader(`{"name":"x","app":"sirius","policy":"baseline","level_ghz":1.8,"load_level":"extreme","duration":"10s"}`)); err == nil {
 		t.Error("invalid experiment accepted")
 	}
 }

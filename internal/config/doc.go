@@ -6,6 +6,7 @@
 //
 // Entry points: MitigationSetup and QoSSetup construct the two canonical
 // table setups; Load and Read parse an Experiment from a file or stream,
-// rejecting unknown fields so typos fail loudly. Experiment.Validate is the
-// single gate every consumer runs before building engines from a config.
+// rejecting unknown fields so typos fail loudly. Experiment.Validate checks
+// the values; the app and policy names are resolved, and so checked, by
+// harness.FromConfig.
 package config

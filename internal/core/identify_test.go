@@ -127,18 +127,10 @@ func TestRankDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestInstancesAndStageOf(t *testing.T) {
+func TestInstances(t *testing.T) {
 	sys := newFakeSystem(100, 4, cmp.MidLevel, "X", "Y")
 	all := Instances(sys)
-	if len(all) != 2 {
-		t.Fatalf("Instances = %d", len(all))
-	}
-	st := StageOf(sys, all[1])
-	if st == nil || st.Name() != "Y" {
-		t.Error("StageOf mismatch")
-	}
-	ghost := &fakeInstance{name: "Z_1", stage: "Z"}
-	if StageOf(sys, ghost) != nil {
-		t.Error("StageOf for unknown stage should be nil")
+	if len(all) != 2 || all[0].StageName() != "X" || all[1].StageName() != "Y" {
+		t.Fatalf("Instances = %v, want one per stage in stage order", all)
 	}
 }

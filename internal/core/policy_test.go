@@ -191,7 +191,7 @@ func TestPolicyNames(t *testing.T) {
 		NewInstBoost(cfg):               "inst-boost",
 		NewPowerChief(cfg):              "powerchief",
 		NewPegasus(time.Second):         "pegasus",
-		NewPowerChiefSaver(1, Config{}): "powerchief",
+		NewPowerChiefSaver(1, Config{}): "saver",
 	} {
 		if p.Name() != want {
 			t.Errorf("Name = %q, want %q", p.Name(), want)

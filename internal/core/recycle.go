@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"powerchief/internal/cmp"
-)
+import "powerchief/internal/cmp"
 
 // Recycler implements the power reallocation mechanism (§6.1, Algorithm 2):
 // when the boosting decision needs more power than the budget headroom
@@ -136,18 +132,4 @@ func PlanWithdrawEpoch(sys System, ranked []Ranked, threshold float64) *ActionPl
 		plan.Actions = append(plan.Actions, &ResetEpochAction{Instance: in})
 	}
 	return plan
-}
-
-// ExecuteWithdraws applies the plans, forgetting the victims' statistics.
-// Returns the number of instances withdrawn.
-func ExecuteWithdraws(plans []WithdrawPlan, agg *Aggregator) (int, error) {
-	n := 0
-	for _, p := range plans {
-		if err := p.Stage.Withdraw(p.Victim, p.Target); err != nil {
-			return n, fmt.Errorf("core: withdrawing %s: %w", p.Victim.Name(), err)
-		}
-		agg.Forget(p.Victim.Name())
-		n++
-	}
-	return n, nil
 }

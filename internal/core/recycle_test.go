@@ -130,13 +130,6 @@ func TestPlanWithdrawsSelectsLeastUtilized(t *testing.T) {
 	if plans[0].Victim.Utilization() != 0.05 {
 		t.Errorf("victim utilization = %v, want the least-utilized", plans[0].Victim.Utilization())
 	}
-	n, err := ExecuteWithdraws(plans, agg)
-	if err != nil || n != 1 {
-		t.Fatalf("ExecuteWithdraws = %d, %v", n, err)
-	}
-	if len(st.ins) != 2 {
-		t.Errorf("stage has %d instances after withdraw", len(st.ins))
-	}
 }
 
 func TestPlanWithdrawsNeverLastInstance(t *testing.T) {

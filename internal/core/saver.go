@@ -136,7 +136,7 @@ func NewPowerChiefSaver(qos time.Duration, cfg Config) *PowerChiefSaver {
 }
 
 // Name implements Policy.
-func (*PowerChiefSaver) Name() string { return "powerchief" }
+func (*PowerChiefSaver) Name() string { return "saver" }
 
 // Plan implements Planner: one conservation interval decided against a
 // PlanView. State the decision itself depends on (cooldown, hold bands) is

@@ -92,13 +92,3 @@ func Instances(sys System) []Instance {
 	}
 	return out
 }
-
-// StageOf returns the stage owning the instance, or nil.
-func StageOf(sys System, in Instance) StageControl {
-	for _, st := range sys.Stages() {
-		if st.Name() == in.StageName() {
-			return st
-		}
-	}
-	return nil
-}

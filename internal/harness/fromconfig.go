@@ -1,12 +1,11 @@
 package harness
 
 import (
-	"fmt"
-
 	"powerchief/internal/app"
 	"powerchief/internal/cmp"
 	"powerchief/internal/config"
 	"powerchief/internal/core"
+	"powerchief/internal/replay"
 	"powerchief/internal/workload"
 )
 
@@ -33,24 +32,9 @@ func FromConfig(e config.Experiment) (Scenario, error) {
 	}
 	cfg.WithdrawInterval = e.WithdrawInterval.Std()
 
-	var policy func() core.Policy
-	switch e.Policy {
-	case "baseline":
-		policy = func() core.Policy { return core.Static{} }
-	case "freq-boost":
-		policy = func() core.Policy { return core.NewFreqBoost(cfg) }
-	case "inst-boost":
-		policy = func() core.Policy { return core.NewInstBoost(cfg) }
-	case "powerchief":
-		policy = func() core.Policy { return core.NewPowerChief(cfg) }
-	case "pegasus":
-		qos := e.QoS.Std()
-		policy = func() core.Policy { return core.NewPegasus(qos) }
-	case "saver":
-		qos := e.QoS.Std()
-		policy = func() core.Policy { return core.NewPowerChiefSaver(qos, cfg) }
-	default:
-		return Scenario{}, fmt.Errorf("harness: unknown policy %q", e.Policy)
+	mk, err := replay.PolicyFactory(e.Policy, e.QoS.Std(), cfg)
+	if err != nil {
+		return Scenario{}, err
 	}
 
 	sc := Scenario{
@@ -59,7 +43,7 @@ func FromConfig(e config.Experiment) (Scenario, error) {
 		Instances:      e.Instances,
 		Level:          e.Level(),
 		Budget:         cmp.Watts(e.BudgetWatts),
-		Policy:         policy,
+		Policy:         func() core.Policy { return mk() },
 		AdjustInterval: e.AdjustInterval.Std(),
 		Source:         constantLoad(load),
 		Duration:       e.Duration.Std(),

@@ -10,6 +10,7 @@ import (
 	"powerchief/internal/config"
 	"powerchief/internal/core"
 	"powerchief/internal/query"
+	"powerchief/internal/replay"
 	"powerchief/internal/stage"
 	"powerchief/internal/workload"
 )
@@ -233,20 +234,53 @@ func TestFromConfigRoundTrip(t *testing.T) {
 	if res.Policy != "powerchief" || res.Completed == 0 {
 		t.Errorf("run from config: policy=%s completed=%d", res.Policy, res.Completed)
 	}
-	// Every policy name materializes.
-	for _, p := range []string{"baseline", "freq-boost", "inst-boost", "pegasus", "saver"} {
+	// Every registered policy name materializes.
+	for _, p := range replay.PolicyNames() {
 		e := config.MitigationSetup("nlp", p, "low", 1)
-		if p == "pegasus" || p == "saver" {
-			e.QoS = config.Duration(2 * time.Second)
-		}
+		e.QoS = config.Duration(2 * time.Second)
 		if _, err := FromConfig(e); err != nil {
 			t.Errorf("FromConfig(%s): %v", p, err)
 		}
 	}
-	bad := e
-	bad.App = "doom"
-	if _, err := FromConfig(bad); err == nil {
-		t.Error("invalid config accepted")
+}
+
+// TestFromConfigRejectsBadNames: the app and policy names of a config are
+// checked where they resolve, so FromConfig refuses what config.Validate
+// no longer lists.
+func TestFromConfigRejectsBadNames(t *testing.T) {
+	good := config.MitigationSetup("sirius", "powerchief", "high", 1)
+	for name, mut := range map[string]func(*config.Experiment){
+		"bad app":         func(e *config.Experiment) { e.App = "doom" },
+		"bad policy":      func(e *config.Experiment) { e.Policy = "yolo" },
+		"saver w/o qos":   func(e *config.Experiment) { e.Policy = "saver"; e.QoS = 0 },
+		"pegasus w/o qos": func(e *config.Experiment) { e.Policy = "pegasus"; e.QoS = 0 },
+	} {
+		e := good
+		mut(&e)
+		if _, err := FromConfig(e); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestFromConfigRunsArenaPolicy: a JSON experiment may name any registered
+// policy, the stage-level dividers included.
+func TestFromConfigRunsArenaPolicy(t *testing.T) {
+	e, err := config.Read(strings.NewReader(`{"name":"fair","app":"sirius","policy":"fairness",
+		"level_ghz":1.8,"budget_watts":13.56,"load_level":"high","duration":"300s","adjust_interval":"25s","seed":7}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := FromConfig(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Policy != "fairness" || res.Completed != res.Submitted || res.AvgPower > sc.Budget {
+		t.Errorf("policy %s completed %d/%d at %.3f W", res.Policy, res.Completed, res.Submitted, res.AvgPower)
 	}
 }
 

@@ -777,15 +777,6 @@ func registerTenantMetrics(reg *telemetry.Registry, root *core.BudgetDomain, run
 	}
 }
 
-// CombinedImprovement returns baseline/measured ratios for the combined
-// mean and P99 latency of a multi-tenant result against a baseline — the
-// arbitration-vs-static-halving score.
-func CombinedImprovement(baseline, measured *MultiResult) (avg, p99 float64) {
-	avg = stats.Improvement(baseline.Combined.Mean(), measured.Combined.Mean())
-	p99 = stats.Improvement(baseline.Combined.P99(), measured.Combined.P99())
-	return avg, p99
-}
-
 // BenchTenantScenario is the recorded multi-tenant benchmark: Sirius riding
 // a diurnal cycle and NLP hit by a flash crowd, their peaks offset so the
 // chip is never short of watts overall — only ever in the wrong tenant's

@@ -115,9 +115,6 @@ func TestRunMultiArbitrationBeatsStaticSplit(t *testing.T) {
 		t.Fatalf("arbitration did not improve combined P99: %v vs static %v",
 			arb.Combined.P99(), static.Combined.P99())
 	}
-	if _, p99 := CombinedImprovement(static, arb); p99 <= 1 {
-		t.Fatalf("improvement ratio %.3f not above 1", p99)
-	}
 }
 
 // TestRunMultiDeterministic: same scenario, same seed, same numbers.

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"powerchief/internal/controlplane"
-	"powerchief/internal/core"
 )
 
 // Clock returns the cluster's virtual-time clock for the control plane:
@@ -19,48 +18,3 @@ func (cc clusterClock) Now() time.Duration { return cc.c.Now() }
 func (cc clusterClock) Every(interval time.Duration, fn func()) (stop func()) {
 	return controlplane.TickerEvery(cc.c.wall(interval), fn)
 }
-
-// Controller drives a control policy against a live cluster — the Command
-// Center's control loop of the real-system prototype. It is a thin veneer
-// over the shared controlplane loop, kept for the facade's API: the loop
-// owns the cadence, the bounded outcome history and the race-free stop.
-type Controller struct {
-	loop *controlplane.Loop
-}
-
-// StartController begins adjusting the cluster every virtual interval
-// (scaled to wall time by the cluster's time scale). The aggregator must
-// already be registered as a completion callback.
-func StartController(c *Cluster, agg *core.Aggregator, policy core.Policy, interval time.Duration) *Controller {
-	if c == nil || agg == nil || policy == nil {
-		panic("live: controller requires a cluster, aggregator and policy")
-	}
-	if interval <= 0 {
-		panic("live: controller interval must be positive")
-	}
-	loop, err := controlplane.Start(c.Clock(), controlplane.NewAdjuster(c, agg), controlplane.Options{
-		Policy:   policy,
-		Interval: interval,
-	})
-	if err != nil {
-		panic("live: " + err.Error())
-	}
-	return &Controller{loop: loop}
-}
-
-// Loop exposes the underlying control-plane loop (error counters, boost
-// tallies).
-func (ctl *Controller) Loop() *controlplane.Loop { return ctl.loop }
-
-// Outcomes returns a copy of the retained decisions, oldest first. The
-// history is bounded (controlplane.DefaultHistory); Total keeps the full
-// count.
-func (ctl *Controller) Outcomes() []core.BoostOutcome { return ctl.loop.Outcomes() }
-
-// Total counts every adjust over the controller's lifetime, including
-// decisions the bounded history has dropped.
-func (ctl *Controller) Total() uint64 { return ctl.loop.Total() }
-
-// Stop halts the control loop and waits for it to exit. Safe to call
-// concurrently and repeatedly.
-func (ctl *Controller) Stop() { ctl.loop.Stop() }

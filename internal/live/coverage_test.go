@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"powerchief/internal/cmp"
-	"powerchief/internal/core"
 	"powerchief/internal/query"
 )
 
@@ -89,32 +88,5 @@ func TestLiveAccessorsAndUtilization(t *testing.T) {
 	}
 	if c.StageByName("missing") != nil {
 		t.Error("unknown stage lookup returned non-nil")
-	}
-}
-
-func TestLiveControllerValidation(t *testing.T) {
-	c := twoStageCluster(t, 1)
-	agg := core.NewAggregator(25*time.Second, c.Now)
-	policy := core.Static{}
-	for name, fn := range map[string]func(){
-		"nil cluster":   func() { StartController(nil, agg, policy, time.Second) },
-		"nil policy":    func() { StartController(c, agg, nil, time.Second) },
-		"zero interval": func() { StartController(c, agg, policy, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-	// Stop is idempotent.
-	ctl := StartController(c, agg, policy, time.Second)
-	ctl.Stop()
-	ctl.Stop()
-	if len(ctl.Outcomes()) != 0 {
-		t.Error("static policy recorded outcomes before any tick")
 	}
 }

@@ -15,6 +15,7 @@
 // Entry points: NewCluster builds the running system from StageSpec values
 // (Options.TimeScale compresses virtual work into wall time); Cluster.Submit
 // injects a query and OnComplete delivers its latency records;
-// StartController runs a core.Policy against the cluster on a fixed
-// interval. internal/loadgen drives a Cluster as a benchmark target.
+// Cluster.Clock hands controlplane.Start the cluster's compressed time, so
+// a core.Policy drives the cluster through the shared control loop.
+// internal/loadgen drives a Cluster as a benchmark target.
 package live

@@ -187,7 +187,7 @@ func TestControllerDrivesPolicy(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.WithdrawInterval = 0
 	policy := core.NewPowerChief(cfg)
-	ctl := StartController(c, agg, policy, 5*time.Second)
+	ctl := startLoop(t, c, agg, policy, 5*time.Second)
 	defer ctl.Stop()
 
 	// Overload stage A so the controller has a bottleneck to boost.

@@ -12,7 +12,7 @@
 // telemetry tracer consume downstream.
 //
 // Who owns a query. One from New belongs to whoever holds it, for good — the
-// wall-clock engines, loadgen, workload.Replay and tests make theirs that way.
+// wall-clock engines, loadgen and tests make theirs that way.
 // One from a Pool belongs to the pool's owner (a workload.Generator, single-
 // goroutine like the engine): Get hands it out, stage.System calls Release
 // once the last completion callback has returned, and the next Get reuses the

@@ -16,11 +16,12 @@ import (
 // and every instance is set to the highest level its stage share affords.
 // With arbiter.Fairness this is the FastCap-style fairness divider as a
 // stage-level policy; with Proportional it is feed-the-bottleneck as a full
-// reallocation. A plain core.Planner: one Plan function, no setter, no
-// wrapper, no live-system access.
+// reallocation. Plan is one pure function with no live-system access;
+// Adjust hands it to core.Tick like every other policy.
 type Divider struct {
 	strategy arbiter.Strategy
 	cfg      core.Config
+	core.Audited
 }
 
 // NewDivider builds the policy over a weighting strategy.
@@ -28,8 +29,14 @@ func NewDivider(s arbiter.Strategy, cfg core.Config) *Divider {
 	return &Divider{strategy: s, cfg: cfg}
 }
 
-// Name implements core.Planner.
-func (d *Divider) Name() string { return "divider-" + d.strategy.Name() }
+// Name implements core.Planner: the strategy's name.
+func (d *Divider) Name() string { return d.strategy.Name() }
+
+// Adjust implements core.Policy.
+func (d *Divider) Adjust(sys core.System, agg *core.Aggregator) core.BoostOutcome {
+	out, _ := core.Tick(d, d.Executor(), nil, sys, agg)
+	return out
+}
 
 // Plan implements core.Planner.
 func (d *Divider) Plan(sys core.System, stats core.StatsReader) (*core.ActionPlan, core.BoostOutcome) {
@@ -143,4 +150,4 @@ func (d *Divider) Plan(sys core.System, stats core.StatsReader) (*core.ActionPla
 	return pv.Take(), out
 }
 
-var _ core.Planner = (*Divider)(nil)
+var _ Policy = (*Divider)(nil)

@@ -47,47 +47,64 @@ type Comparison struct {
 	Policies []PolicyScore `json:"policies"`
 }
 
-// PolicyNames lists the registered arena names.
-func PolicyNames() []string {
-	return []string{
-		"powerchief", "freq-boost", "inst-boost", "baseline",
-		"proportional", "fairness", "marginal",
-		"pegasus", "saver",
-	}
+// Policy is what the table builds: a Planner the arena replays and a
+// core.Policy a control loop drives.
+type Policy interface {
+	core.Planner
+	core.Policy
 }
 
-// NewPolicy resolves a fresh planner by arena name. pegasus and saver need
-// a positive QoS target.
-func NewPolicy(name string, qos time.Duration) (core.Planner, error) {
-	cfg := core.DefaultConfig()
-	switch name {
-	case "powerchief":
-		return core.NewPowerChief(cfg), nil
-	case "freq-boost":
-		return core.NewFreqBoost(cfg), nil
-	case "inst-boost":
-		return core.NewInstBoost(cfg), nil
-	case "baseline":
-		return core.Static{}, nil
-	case "proportional":
-		return NewDivider(arbiter.Proportional{}, cfg), nil
-	case "fairness":
-		return NewDivider(arbiter.Fairness{Alpha: 2}, cfg), nil
-	case "marginal":
-		return NewDivider(arbiter.Marginal{}, cfg), nil
-	case "pegasus":
-		if qos <= 0 {
-			return nil, fmt.Errorf("replay: policy pegasus needs a QoS target (-qos)")
-		}
-		return core.NewPegasus(qos), nil
-	case "saver", "powerchief-saver":
-		if qos <= 0 {
-			return nil, fmt.Errorf("replay: policy %s needs a QoS target (-qos)", name)
-		}
-		return core.NewPowerChiefSaver(qos, cfg), nil
-	default:
-		return nil, fmt.Errorf("replay: unknown policy %q (have %v)", name, PolicyNames())
+// policies is the one name → policy table: CLI flags, config files, the
+// facade and the arena all resolve a policy name here. Every entry's Name()
+// is its key, so a recorded trace's header always resolves.
+var policies = []struct {
+	name  string
+	qos   bool // needs a positive QoS target
+	build func(qos time.Duration, cfg core.Config) Policy
+}{
+	{"powerchief", false, func(_ time.Duration, cfg core.Config) Policy { return core.NewPowerChief(cfg) }},
+	{"freq-boost", false, func(_ time.Duration, cfg core.Config) Policy { return core.NewFreqBoost(cfg) }},
+	{"inst-boost", false, func(_ time.Duration, cfg core.Config) Policy { return core.NewInstBoost(cfg) }},
+	{"baseline", false, func(time.Duration, core.Config) Policy { return core.Static{} }},
+	{"proportional", false, func(_ time.Duration, cfg core.Config) Policy { return NewDivider(arbiter.Proportional{}, cfg) }},
+	{"fairness", false, func(_ time.Duration, cfg core.Config) Policy { return NewDivider(arbiter.Fairness{Alpha: 2}, cfg) }},
+	{"marginal", false, func(_ time.Duration, cfg core.Config) Policy { return NewDivider(arbiter.Marginal{}, cfg) }},
+	{"pegasus", true, func(qos time.Duration, _ core.Config) Policy { return core.NewPegasus(qos) }},
+	{"saver", true, func(qos time.Duration, cfg core.Config) Policy { return core.NewPowerChiefSaver(qos, cfg) }},
+}
+
+// PolicyNames lists the registered names in table order.
+func PolicyNames() []string {
+	names := make([]string, len(policies))
+	for i, p := range policies {
+		names[i] = p.name
 	}
+	return names
+}
+
+// NewPolicy builds a fresh policy by registered name at the Table 2
+// configuration.
+func NewPolicy(name string, qos time.Duration) (Policy, error) {
+	mk, err := PolicyFactory(name, qos, core.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	return mk(), nil
+}
+
+// PolicyFactory resolves a registered name to a constructor of fresh
+// policies over cfg. pegasus and saver need a positive QoS target.
+func PolicyFactory(name string, qos time.Duration, cfg core.Config) (func() Policy, error) {
+	for _, p := range policies {
+		if p.name != name {
+			continue
+		}
+		if p.qos && qos <= 0 {
+			return nil, fmt.Errorf("replay: policy %s needs a positive QoS target (policies: %v)", name, PolicyNames())
+		}
+		return func() Policy { return p.build(qos, cfg) }, nil
+	}
+	return nil, fmt.Errorf("replay: unknown policy %q (policies: %v)", name, PolicyNames())
 }
 
 // Run replays the trace against each named policy in shadow mode and scores

@@ -6,7 +6,7 @@
 // configuration's capacity.
 //
 // Entry points: Source yields inter-arrival gaps — Constant, Trace (see
-// BurstTrace and Figure11Trace), Diurnal and Replay implement it; Level and
+// BurstTrace and Figure11Trace) and Diurnal implement it; Level and
 // RateForUtilization anchor "low/medium/high" to a configuration's measured
 // capacity. Generator turns a Source into arrivals on a stage.System and
 // owns the queries it submits: each comes out of the generator's query.Pool
@@ -14,7 +14,7 @@
 // callback, so a run allocates as many queries as it ever has in flight.
 // NewRefillingGenerator's drawer refills the recycled work matrix in place
 // (app.App.DrawWorkInto); NewGenerator's draws a fresh one per arrival.
-// Replay.Schedule submits one-shot query.New queries.
+// Replaying recorded arrival offsets is loadgen.ReplaySchedule's job.
 //
 // This package feeds the simulation harness in virtual time;
 // internal/loadgen is its wall-clock counterpart for benchmarking real

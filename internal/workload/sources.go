@@ -1,19 +1,9 @@
 package workload
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
-	"math/rand"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
-
-	"powerchief/internal/query"
-	"powerchief/internal/sim"
-	"powerchief/internal/stage"
 )
 
 // Diurnal models the day-scale load cycle of user-facing services: a
@@ -48,72 +38,3 @@ func (d *Diurnal) RateAt(t time.Duration) float64 {
 
 // MaxRate implements Source.
 func (d *Diurnal) MaxRate() float64 { return d.Peak }
-
-// Replay drives arrivals at exact recorded timestamps — for replaying
-// production traces instead of synthetic Poisson load. Timestamps are
-// virtual offsets from the start of the run.
-type Replay struct {
-	arrivals []time.Duration
-}
-
-// NewReplay copies and sorts the arrival offsets.
-func NewReplay(arrivals []time.Duration) (*Replay, error) {
-	if len(arrivals) == 0 {
-		return nil, fmt.Errorf("workload: replay needs at least one arrival")
-	}
-	out := make([]time.Duration, len(arrivals))
-	copy(out, arrivals)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	if out[0] < 0 {
-		return nil, fmt.Errorf("workload: negative arrival offset")
-	}
-	return &Replay{arrivals: out}, nil
-}
-
-// ParseReplay reads one arrival offset per line (Go duration syntax like
-// "1.5s" or plain seconds like "1.5"), ignoring blank lines and lines
-// starting with '#'.
-func ParseReplay(r io.Reader) (*Replay, error) {
-	var arrivals []time.Duration
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		if d, err := time.ParseDuration(text); err == nil {
-			arrivals = append(arrivals, d)
-			continue
-		}
-		f, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: %q is neither a duration nor seconds", line, text)
-		}
-		arrivals = append(arrivals, time.Duration(f*float64(time.Second)))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return NewReplay(arrivals)
-}
-
-// Len returns the number of recorded arrivals.
-func (r *Replay) Len() int { return len(r.arrivals) }
-
-// Horizon returns the last arrival offset.
-func (r *Replay) Horizon() time.Duration { return r.arrivals[len(r.arrivals)-1] }
-
-// Schedule injects the recorded arrivals into the system, drawing each
-// query's demands with the supplied drawer. Returns the number scheduled.
-func (r *Replay) Schedule(eng *sim.Engine, sys *stage.System, draw WorkDrawer, rng *rand.Rand) int {
-	for i, at := range r.arrivals {
-		qid := query.ID(i + 1)
-		at := at
-		eng.ScheduleAt(at, func() {
-			sys.Submit(query.New(qid, at, draw(rng)))
-		})
-	}
-	return len(r.arrivals)
-}

@@ -3,11 +3,8 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
-
-	"powerchief/internal/query"
 )
 
 func TestDiurnalShape(t *testing.T) {
@@ -65,73 +62,5 @@ func TestDiurnalDrivesGenerator(t *testing.T) {
 	got := float64(gen.Issued())
 	if got < 700 || got > 1100 {
 		t.Errorf("diurnal issued %v queries over one cycle, want ≈900", got)
-	}
-}
-
-func TestReplayOrderingAndAccessors(t *testing.T) {
-	r, err := NewReplay([]time.Duration{3 * time.Second, time.Second, 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 3 || r.Horizon() != 3*time.Second {
-		t.Errorf("Len=%d Horizon=%v", r.Len(), r.Horizon())
-	}
-	if _, err := NewReplay(nil); err == nil {
-		t.Error("empty replay accepted")
-	}
-	if _, err := NewReplay([]time.Duration{-time.Second}); err == nil {
-		t.Error("negative offset accepted")
-	}
-}
-
-func TestParseReplayFormats(t *testing.T) {
-	input := `
-# production trace, offsets from start
-0.5
-1s
-1.5
-2500ms
-`
-	r, err := ParseReplay(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	if r.Horizon() != 2500*time.Millisecond {
-		t.Errorf("Horizon = %v", r.Horizon())
-	}
-	if _, err := ParseReplay(strings.NewReader("garbage line")); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
-func TestReplaySchedulesExactArrivals(t *testing.T) {
-	eng, sys, a := buildSystem(t)
-	r, err := NewReplay([]time.Duration{
-		time.Second, 2 * time.Second, 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arrivals []time.Duration
-	sys.OnComplete(func(q *query.Query) { arrivals = append(arrivals, q.Arrival) })
-	rng := rand.New(rand.NewSource(1))
-	n := r.Schedule(eng, sys, func(rg *rand.Rand) [][]time.Duration {
-		return a.DrawWork(rg, []int{1, 1, 1})
-	}, rng)
-	if n != 3 {
-		t.Fatalf("scheduled %d", n)
-	}
-	eng.Run()
-	if len(arrivals) != 3 {
-		t.Fatalf("completed %d", len(arrivals))
-	}
-	want := []time.Duration{time.Second, 2 * time.Second, 5 * time.Second}
-	for i, at := range arrivals {
-		if at != want[i] {
-			t.Errorf("arrival %d at %v, want %v", i, at, want[i])
-		}
 	}
 }

@@ -17,8 +17,6 @@ type (
 	LiveCluster = live.Cluster
 	// LiveOptions configures a live cluster.
 	LiveOptions = live.Options
-	// LiveController drives a policy against a live cluster on a ticker.
-	LiveController = live.Controller
 	// Query is a request flowing through the pipeline.
 	Query = query.Query
 	// Aggregator is the Command Center's statistics store.
@@ -52,17 +50,6 @@ func NewLiveCluster(a App, instances []int, level Level, opts LiveOptions) (*Liv
 		}
 	}
 	return live.NewCluster(opts, specs)
-}
-
-// StartLiveController begins adjusting the cluster with the policy every
-// virtual interval. Register the aggregator as a completion callback first:
-//
-//	agg := powerchief.NewAggregatorFor(cluster)
-//	cluster.OnComplete(agg.Ingest)
-//	ctl := powerchief.StartLiveController(cluster, agg, policy, 25*time.Second)
-//	defer ctl.Stop()
-func StartLiveController(c *LiveCluster, agg *Aggregator, policy Policy, interval time.Duration) *LiveController {
-	return live.StartController(c, agg, policy, interval)
 }
 
 // NewAggregatorFor builds a Command Center statistics store reading the

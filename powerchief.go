@@ -40,8 +40,8 @@
 //		Duration: 900 * time.Second,
 //	})
 //
-// See examples/ for runnable programs and EXPERIMENTS.md for the
-// paper-vs-measured record.
+// See example_test.go and examples/ for runnable programs and
+// EXPERIMENTS.md for the paper-vs-measured record.
 package powerchief
 
 import (
@@ -53,6 +53,7 @@ import (
 	"powerchief/internal/cmp"
 	"powerchief/internal/core"
 	"powerchief/internal/harness"
+	"powerchief/internal/replay"
 	"powerchief/internal/workload"
 )
 
@@ -150,62 +151,15 @@ func PowerChiefPolicy() func() Policy {
 	return func() Policy { return core.NewPowerChief(core.DefaultConfig()) }
 }
 
-// FreqBoostPolicy returns the pure frequency-boosting baseline.
-func FreqBoostPolicy() func() Policy {
-	return func() Policy { return core.NewFreqBoost(core.DefaultConfig()) }
-}
-
-// InstBoostPolicy returns the pure instance-boosting baseline.
-func InstBoostPolicy() func() Policy {
-	return func() Policy { return core.NewInstBoost(core.DefaultConfig()) }
-}
-
-// BaselinePolicy returns the stage-agnostic static allocation (no runtime
-// control).
-func BaselinePolicy() func() Policy {
-	return func() Policy { return core.Static{} }
-}
-
-// PegasusPolicy returns the Pegasus-style stage-agnostic QoS power saver for
-// the given latency target.
-func PegasusPolicy(qos time.Duration) func() Policy {
-	return func() Policy { return core.NewPegasus(qos) }
-}
-
-// SaverPolicy returns PowerChief's stage-aware QoS power-conservation mode
-// for the given latency target.
-func SaverPolicy(qos time.Duration) func() Policy {
-	return func() Policy { return core.NewPowerChiefSaver(qos, core.DefaultConfig()) }
-}
-
-// PolicyByName resolves a policy constructor by its experiment name:
-// "baseline", "freq-boost", "inst-boost", "powerchief"; "pegasus" and
-// "saver" need a QoS target and are resolved by PolicyByNameQoS.
-func PolicyByName(name string) (func() Policy, bool) {
-	switch name {
-	case "baseline":
-		return BaselinePolicy(), true
-	case "freq-boost":
-		return FreqBoostPolicy(), true
-	case "inst-boost":
-		return InstBoostPolicy(), true
-	case "powerchief":
-		return PowerChiefPolicy(), true
-	default:
-		return nil, false
+// PolicyByName resolves a policy constructor by its registered name (one
+// of replay.PolicyNames()). The QoS-saving policies, pegasus and saver,
+// need a positive qos; the others ignore it.
+func PolicyByName(name string, qos time.Duration) (func() Policy, error) {
+	mk, err := replay.PolicyFactory(name, qos, core.DefaultConfig())
+	if err != nil {
+		return nil, err
 	}
-}
-
-// PolicyByNameQoS resolves the QoS power-conservation policies.
-func PolicyByNameQoS(name string, qos time.Duration) (func() Policy, bool) {
-	switch name {
-	case "pegasus":
-		return PegasusPolicy(qos), true
-	case "saver", "powerchief-saver":
-		return SaverPolicy(qos), true
-	default:
-		return nil, false
-	}
+	return func() Policy { return mk() }, nil
 }
 
 // ConstantLoad builds a Source factory that pins a constant utilization of

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"powerchief/internal/replay"
 )
 
 func TestFacadeQuickScenario(t *testing.T) {
@@ -38,26 +40,23 @@ func TestFacadeAppsAndPolicies(t *testing.T) {
 			t.Errorf("AppByName(%q): %v", name, err)
 		}
 	}
-	for _, name := range []string{"baseline", "freq-boost", "inst-boost", "powerchief"} {
-		mk, ok := PolicyByName(name)
-		if !ok {
-			t.Errorf("PolicyByName(%q) missing", name)
+	for _, name := range replay.PolicyNames() {
+		mk, err := PolicyByName(name, time.Second)
+		if err != nil {
+			t.Errorf("PolicyByName(%q): %v", name, err)
 			continue
 		}
 		if got := mk().Name(); got != name {
 			t.Errorf("policy %q reports name %q", name, got)
 		}
 	}
-	if _, ok := PolicyByName("nope"); ok {
+	if _, err := PolicyByName("nope", time.Second); err == nil {
 		t.Error("unknown policy resolved")
 	}
 	for _, name := range []string{"pegasus", "saver"} {
-		if _, ok := PolicyByNameQoS(name, time.Second); !ok {
-			t.Errorf("PolicyByNameQoS(%q) missing", name)
+		if _, err := PolicyByName(name, 0); err == nil {
+			t.Errorf("%s resolved without a QoS target", name)
 		}
-	}
-	if _, ok := PolicyByNameQoS("nope", time.Second); ok {
-		t.Error("unknown QoS policy resolved")
 	}
 }
 
