@@ -7,9 +7,10 @@
 // re-admission.
 //
 // The program exits non-zero if the cluster invariant — Σ granted node
-// budgets ≤ cluster budget at every epoch — is ever violated, or if the
-// killed node's watts are not reclaimed and the node not re-admitted. CI
-// runs it as the fleet chaos smoke.
+// budgets ≤ cluster budget at every epoch — is ever violated, if the killed
+// node's watts are not reclaimed and the node not re-admitted, or if its
+// floor grant is missing from the audit log as a set-budget event with
+// detail readmit. CI runs it as the fleet chaos smoke.
 //
 //	go run ./examples/fleet
 package main
@@ -109,17 +110,31 @@ func main() {
 
 	fmt.Println("\n-- heal node-0: fenced, budget-safe re-admission at the floor --")
 	proxies[0].Restore("")
+	mark := audit.LastSeq()
 	epoch("readmit")
+	// The re-admission is one audited plan: the donor cuts that make room,
+	// then node-0's floor grant, each a set-budget event with detail readmit.
+	granted := false
+	for _, e := range audit.Since(mark) {
+		if e.Kind != telemetry.EventSetBudget || e.Detail != "readmit" {
+			continue
+		}
+		fmt.Printf("  audit #%d %s %s %.2fW -> %.2fW (%s)\n", e.Seq, e.Kind, e.Node, e.PrevWatts, e.GrantedWatts, e.Detail)
+		granted = granted || e.Node == "node-0" && cmp.Watts(e.GrantedWatts) == floor
+	}
 	epoch("cooldown")
 	readmitted := coord.Healths()["node-0"] == fault.Healthy
 	if !readmitted {
 		fmt.Println("FAIL: healed node was not re-admitted")
 	}
+	if !granted {
+		fmt.Println("FAIL: node-0's floor grant is not an audited set-budget event with detail readmit")
+	}
 
 	q, r, f := coord.Counts()
 	fmt.Printf("\n%d quarantines, %d re-admissions, %d fenced stale reports, %d audit events\n",
 		q, r, f, len(audit.Events()))
-	if violations > 0 || !reclaimed || !readmitted {
+	if violations > 0 || !reclaimed || !readmitted || !granted {
 		fmt.Printf("FAIL: %d invariant violations\n", violations)
 		os.Exit(1)
 	}

@@ -80,14 +80,13 @@ func main() {
 
 	fmt.Printf("live run: %d queries, avg=%v p99=%v (virtual time)\n", sent,
 		latencies.Mean().Round(time.Millisecond), latencies.Percentile(0.99).Round(time.Millisecond))
+	tally := ctl.Boosts()
 	boosts := 0
-	for _, out := range ctl.Outcomes() {
-		if out.Kind != core.BoostNone {
-			boosts++
-			fmt.Printf("  decision: %s on %s\n", out.Kind, out.Target)
-		}
+	for _, kind := range []core.BoostKind{core.BoostFrequency, core.BoostInstance} {
+		boosts += tally[kind]
+		fmt.Printf("  %s: %d\n", kind, tally[kind])
 	}
-	fmt.Printf("controller made %d boosting decisions across %d intervals\n", boosts, len(ctl.Outcomes()))
+	fmt.Printf("controller made %d boosting decisions across %d intervals\n", boosts, ctl.Total())
 }
 
 // draw samples a lognormal demand.

@@ -20,5 +20,8 @@
 // fleet.NewRebalance is this planner at the cluster→node level, planning
 // against the fleet Coordinator as its View; the multi-tenant harness runs
 // it at the chip→app level over a core.BudgetDomain hierarchy. Its Adjust is
-// core.Tick. See DESIGN.md §5k.
+// core.Tick. PlanReclaim is the one rule for taking grants back when a
+// member returns — a re-admitted node, a re-admitted tenant — scanning a
+// Ledger in place and cutting the richest toward the floor. See DESIGN.md
+// §5k.
 package arbiter

@@ -11,7 +11,7 @@
 //     then a validated, audited, rollback-capable Executor.Apply;
 //   - an Adjuster runs one interval against a backend (core.System +
 //     Aggregator for DES/live, dist.Center for the distributed runtime);
-//   - the Loop schedules Adjuster calls on a Clock and keeps the history.
+//   - the Loop schedules Adjuster calls on a Clock and counts the outcomes.
 //
 // Determinism contract: on a SimClock the Loop registers the adjust epoch
 // before the sample epoch, so same-timestamp events fire adjust-first —

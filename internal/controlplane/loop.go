@@ -33,9 +33,6 @@ func (a sysAdjuster) Adjust(p core.Policy) (core.BoostOutcome, error) {
 	return p.Adjust(a.sys, a.agg), nil
 }
 
-// DefaultHistory bounds the outcome ring when Options.History is zero.
-const DefaultHistory = 1024
-
 // Options configures a Loop.
 type Options struct {
 	// Policy decides each interval. Required.
@@ -48,11 +45,6 @@ type Options struct {
 	SampleInterval time.Duration
 	// OnSample is invoked each sample epoch with the clock's current time.
 	OnSample func(now time.Duration)
-	// History bounds the outcome ring; zero means DefaultHistory. The ring
-	// grows with the run up to this size and then wraps, so a short run pays
-	// for the ticks it made, and the ring plus the Total counter hold
-	// week-long runs in constant memory.
-	History int
 	// Audit, when set, is attached to the policy if it is a core.AuditSetter:
 	// core.Tick's executor then writes the decision trail to it.
 	Audit *telemetry.AuditLog
@@ -67,15 +59,13 @@ type Options struct {
 }
 
 // Loop is the running control loop: adjust epochs deciding and actuating
-// through the policy, an optional sampling epoch, and bounded bookkeeping.
+// through the policy, an optional sampling epoch, and outcome counters.
 type Loop struct {
 	clock Clock
 	adj   Adjuster
 	opts  Options
 
 	mu       sync.Mutex
-	ring     []core.BoostOutcome // grows to opts.History entries, then wraps
-	start    int                 // oldest entry once the ring is full
 	total    uint64
 	boosts   map[core.BoostKind]int
 	degraded uint64
@@ -102,9 +92,6 @@ func Start(clock Clock, adj Adjuster, opts Options) (*Loop, error) {
 	}
 	if opts.Interval <= 0 {
 		return nil, fmt.Errorf("controlplane: adjust interval must be positive")
-	}
-	if opts.History <= 0 {
-		opts.History = DefaultHistory
 	}
 	if opts.Audit != nil {
 		if as, ok := opts.Policy.(core.AuditSetter); ok {
@@ -153,12 +140,6 @@ func (l *Loop) step() {
 		return
 	}
 	l.mu.Lock()
-	if len(l.ring) < l.opts.History {
-		l.ring = append(l.ring, out)
-	} else {
-		l.ring[l.start] = out
-		l.start = (l.start + 1) % len(l.ring)
-	}
 	l.total++
 	l.boosts[out.Kind]++
 	l.mu.Unlock()
@@ -167,18 +148,7 @@ func (l *Loop) step() {
 	}
 }
 
-// Outcomes returns a copy of the retained decisions, oldest first. The ring
-// holds at most Options.History entries; Total counts everything.
-func (l *Loop) Outcomes() []core.BoostOutcome {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]core.BoostOutcome, 0, len(l.ring))
-	out = append(out, l.ring[l.start:]...)
-	return append(out, l.ring[:l.start]...)
-}
-
-// Total counts every successful adjust over the loop's lifetime, including
-// outcomes the ring has dropped.
+// Total counts every successful adjust over the loop's lifetime.
 func (l *Loop) Total() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

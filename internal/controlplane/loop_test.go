@@ -55,57 +55,6 @@ func TestLoopOnSimClockIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestLoopBoundsOutcomeHistory(t *testing.T) {
-	eng := sim.NewEngine()
-	adj := &fakeAdjuster{}
-	loop, err := Start(SimClock(eng), adj, Options{Policy: core.Static{}, Interval: time.Second, History: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The ring grows with the ticks up to History, then wraps: after every
-	// tick — short of full, exactly full, mid-wrap, wrapped twice — it holds
-	// the latest min(tick, 4) calls, oldest first.
-	for tick := 1; tick <= 10; tick++ {
-		eng.RunUntil(time.Duration(tick) * time.Second)
-		outs := loop.Outcomes()
-		held := min(tick, 4)
-		if len(outs) != held {
-			t.Fatalf("tick %d: ring holds %d outcomes, want %d", tick, len(outs), held)
-		}
-		for i, out := range outs {
-			if want := fmt.Sprintf("call_%d", tick-held+1+i); out.Target != want {
-				t.Errorf("tick %d: outcomes[%d].Target = %q, want %q", tick, i, out.Target, want)
-			}
-		}
-		if cap(loop.ring) > 4 {
-			t.Fatalf("tick %d: ring grew to %d slots past History 4", tick, cap(loop.ring))
-		}
-	}
-	loop.Stop()
-	if loop.Total() != 10 {
-		t.Errorf("total = %d, want 10 despite the bounded ring", loop.Total())
-	}
-	if b := loop.Boosts(); b[core.BoostFrequency] != 10 {
-		t.Errorf("boosts = %v, want all 10 counted despite the bounded ring", b)
-	}
-}
-
-func TestLoopAllocatesHistoryOnDemand(t *testing.T) {
-	eng := sim.NewEngine()
-	loop, err := Start(SimClock(eng), &fakeAdjuster{}, Options{Policy: core.Static{}, Interval: 25 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.RunUntil(900 * time.Second) // a Table 2 run: 36 ticks
-	loop.Stop()
-	if got := len(loop.Outcomes()); got != 36 {
-		t.Fatalf("ring holds %d outcomes, want 36", got)
-	}
-	if cap(loop.ring) >= DefaultHistory {
-		t.Errorf("a 36-tick run holds a %d-slot ring; the default History is a bound, not a reservation", cap(loop.ring))
-	}
-}
-
 func TestLoopAdjustRegistersBeforeSample(t *testing.T) {
 	eng := sim.NewEngine()
 	var order []string

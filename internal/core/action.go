@@ -34,7 +34,9 @@ const (
 	// ReasonRebalance marks a fleet coordinator re-granting a node's budget
 	// from the periodic metric-weighted redistribution.
 	ReasonRebalance
-	// ReasonReadmit marks the floor grant that re-admits a recovered node.
+	// ReasonReadmit marks every step of a re-admission: the cuts and
+	// deboosts PlanReclaim and PlanShed plan to make room for a returning
+	// stage, node or tenant, and the floor grant that re-admits a node.
 	ReasonReadmit
 )
 

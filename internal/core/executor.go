@@ -153,13 +153,17 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 			}
 			steps = append(steps, appliedStep{act: act, real: real})
 			res.Applied++
-			if a.Reason == ReasonDeboost && x.Audit.Enabled() {
-				x.Audit.Record(telemetry.Event{
+			if (a.Reason == ReasonDeboost || a.Reason == ReasonReadmit) && x.Audit.Enabled() {
+				e := telemetry.Event{
 					Time: sys.Now(), Kind: telemetry.EventDeboost,
 					Stage: real.StageName(), Instance: real.Name(),
 					OldLevel: int(a.From), NewLevel: int(a.To),
 					HeadroomWatts: float64(sys.Headroom()),
-				})
+				}
+				if a.Reason == ReasonReadmit {
+					e.Detail = reasonDetail(a.Reason)
+				}
+				x.Audit.Record(e)
 			}
 		case *CloneAction:
 			src, err := resolve(a.Source)

@@ -41,6 +41,7 @@ func (f *fakeInstance) SetLevel(l cmp.Level) error {
 	if f.sys.draw+delta > f.sys.budget+1e-9 {
 		return cmp.ErrBudgetExceeded
 	}
+	f.sys.actuated = append(f.sys.actuated, fmt.Sprintf("%s %d→%d", f.name, int(f.level), int(l)))
 	f.sys.draw += delta
 	f.level = l
 	f.setLevelCalls++
@@ -127,6 +128,7 @@ type fakeSystem struct {
 	budget      cmp.Watts
 	draw        cmp.Watts
 	freeCores   int
+	actuated    []string // every successful DVFS transition, in order
 }
 
 func (f *fakeSystem) Now() time.Duration         { return f.now }

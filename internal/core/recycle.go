@@ -58,6 +58,44 @@ func (r Recycler) Recycle(model cmp.PowerModel, donors []Instance, need cmp.Watt
 	return recycled
 }
 
+// PlanShed is the plainest form of Algorithm 2's step-down, the one way watts
+// are taken back from instances outside a boosting decision — a returning
+// stage's own levels and the survivors' at re-admission, a tenant partition
+// meeting a lowered grant. It steps the highest-level instance of stages down
+// one level at a time, the first in stage and instance order on ties, until
+// draw fits target or every instance is at level 0, keeping the running draw
+// the way cmp.Chip.SetLevel does so its stop test sees the chip's own floats.
+// Each step is one SetLevelAction tagged reason, appended to plan. It returns
+// the draw after the steps: above target+1e-9 means the shed fell short.
+func PlanShed(plan *ActionPlan, stages []StageControl, model cmp.PowerModel, draw, target cmp.Watts, reason ActionReason) cmp.Watts {
+	var ins []Instance
+	var levels []cmp.Level // the plan's level per instance, read once
+	for draw > target+1e-9 {
+		if ins == nil {
+			for _, st := range stages {
+				for _, in := range st.Instances() {
+					ins = append(ins, in)
+					levels = append(levels, in.Level())
+				}
+			}
+		}
+		best := -1
+		for i, l := range levels {
+			if best < 0 || l > levels[best] {
+				best = i
+			}
+		}
+		if best < 0 || levels[best] == 0 {
+			break
+		}
+		from := levels[best]
+		plan.Actions = append(plan.Actions, &SetLevelAction{Instance: ins[best], From: from, To: from - 1, Reason: reason})
+		draw += model.Power(from-1) - model.Power(from)
+		levels[best] = from - 1
+	}
+	return draw
+}
+
 // DonorsFromRanking extracts the donor list for boosting `bottleneck`: every
 // other ranked instance, fastest (smallest metric) first.
 func DonorsFromRanking(ranked []Ranked, bottleneck Instance) []Instance {

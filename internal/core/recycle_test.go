@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -188,5 +191,89 @@ func TestPlanWithdrawsTargetIsFastest(t *testing.T) {
 	}
 	if plans[0].Target == nil || plans[0].Target.Name() != "A_1" {
 		t.Errorf("target = %v, want the fastest instance A_1", plans[0].Target)
+	}
+}
+
+// stepDownLoop is PlanShed's reference, actuating as it decides: step the
+// highest-level instance — the first on ties — down one level until the draw
+// fits target. It reports a shortfall when every instance reached level 0.
+func stepDownLoop(sys *fakeSystem, target cmp.Watts) (short bool) {
+	for sys.draw > target+1e-9 {
+		var best *fakeInstance
+		for _, st := range sys.stages {
+			for _, in := range st.ins {
+				if best == nil || in.level > best.level {
+					best = in
+				}
+			}
+		}
+		if best == nil || best.level == 0 {
+			return true
+		}
+		if err := best.SetLevel(best.level - 1); err != nil {
+			panic(err)
+		}
+	}
+	return false
+}
+
+// randomLevels builds a fake system of 1–4 stages of 1–4 instances at levels
+// drawn from seed.
+func randomLevels(seed int64) *fakeSystem {
+	r := rand.New(rand.NewSource(seed))
+	sys := &fakeSystem{model: cmp.DefaultModel(), budget: 1000}
+	for s := 0; s < 1+r.Intn(4); s++ {
+		st := &fakeStage{name: fmt.Sprintf("S%d", s), sys: sys}
+		for i := 0; i < 1+r.Intn(4); i++ {
+			l := cmp.Level(r.Intn(cmp.NumLevels))
+			st.ins = append(st.ins, &fakeInstance{name: fmt.Sprintf("S%d_%d", s, i+1), stage: st.name, level: l, sys: sys})
+			sys.draw += sys.model.Power(l)
+		}
+		sys.stages = append(sys.stages, st)
+	}
+	return sys
+}
+
+// TestPlanShedMatchesStepDownLoop runs seeded random level sets and targets
+// through PlanShed + Executor and through the reference loop: on every
+// success path both actuate the same steps in the same order and land on the
+// same draw, bit for bit; no step goes below level 0; and a target below the
+// all-at-floor draw is reported short by both.
+func TestPlanShedMatchesStepDownLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	shorts := 0
+	for trial := 0; trial < 1000; trial++ {
+		seed := rng.Int63()
+		ref, sys := randomLevels(seed), randomLevels(seed)
+		target := cmp.Watts(rng.Float64()*1.1) * ref.draw
+		refShort := stepDownLoop(ref, target)
+
+		plan := &ActionPlan{}
+		draw := PlanShed(plan, sys.Stages(), sys.model, sys.draw, target, ReasonReadmit)
+		if short := draw > target+1e-9; short != refShort {
+			t.Fatalf("seed %d: PlanShed short=%v, reference short=%v", seed, short, refShort)
+		}
+		for _, act := range plan.Actions {
+			a := act.(*SetLevelAction)
+			if a.To < 0 || a.To != a.From-1 || a.Reason != ReasonReadmit {
+				t.Fatalf("seed %d: bad step %s (reason %d)", seed, a.Describe(), a.Reason)
+			}
+		}
+		if refShort {
+			shorts++
+			continue
+		}
+		if res := (Executor{}).Apply(sys, nil, plan); res.Err != nil {
+			t.Fatalf("seed %d: apply: %v", seed, res.Err)
+		}
+		if !slices.Equal(sys.actuated, ref.actuated) {
+			t.Fatalf("seed %d: actuated %v, reference %v", seed, sys.actuated, ref.actuated)
+		}
+		if draw != sys.draw || sys.draw != ref.draw {
+			t.Fatalf("seed %d: planned draw %v, applied %v, reference %v", seed, draw, sys.draw, ref.draw)
+		}
+	}
+	if shorts == 0 || shorts == 1000 {
+		t.Fatalf("%d of 1000 trials short: the targets do not cover both paths", shorts)
 	}
 }

@@ -109,15 +109,6 @@ func (p *ChaosProxy) SetDelay(d time.Duration) {
 	p.mu.Unlock()
 }
 
-// SetBackend points the proxy at a different backend address — a "restarted"
-// service. Existing connections keep their old backend; sever them first to
-// force clients onto the new one.
-func (p *ChaosProxy) SetBackend(addr string) {
-	p.mu.Lock()
-	p.backend = addr
-	p.mu.Unlock()
-}
-
 // SeverConns closes every established connection through the proxy, leaving
 // the listener up, and returns once their relays have exited: nothing a
 // caller does next — a probe, a redial — can meet a half-torn-down relay.

@@ -2,10 +2,10 @@ package dist
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"powerchief/internal/cmp"
+	"powerchief/internal/core"
 	"powerchief/internal/fault"
 	"powerchief/internal/rpc"
 	"powerchief/internal/telemetry"
@@ -243,82 +243,24 @@ func (c *Center) readmit(st *remoteStage) error {
 		return fmt.Errorf("dist: readmit refresh: %w", err)
 	}
 
-	const eps = 1e-9
-	// The stage is still quarantined, so Headroom() excludes it: its current
-	// draw must fit in what is left of the budget before it is re-counted.
-	need := st.draw(c.model)
-
-	// First shed the returning stage's own levels — its old DVFS state may
-	// reflect boosts whose power the survivors have since absorbed.
-	for need > c.Headroom()+eps {
-		in := st.highestInstance()
-		if in == nil || in.Level() == 0 {
-			break
-		}
-		if err := st.client.CallDeadline(MethodSetLevel,
-			SetLevelArgs{Instance: in.Name(), Level: in.Level() - 1}, nil, c.opts.CallTimeout); err != nil {
-			return fmt.Errorf("dist: readmit lowering %s: %w", in.Name(), err)
-		}
-		in.mu.Lock()
-		in.level--
-		in.mu.Unlock()
-		need = st.draw(c.model)
+	// The stage is still quarantined, so Draw() excludes it: its current draw
+	// must fit in what is left of the budget before it is re-counted. One
+	// plan sheds the returning stage's own levels first — its old DVFS state
+	// may reflect boosts whose power the survivors have since absorbed — then
+	// takes back from the survivors, fastest path first (highest levels
+	// donate the most), and the executor applies, audits and, on a mid-plan
+	// failure, rolls it back.
+	plan := &core.ActionPlan{}
+	budget := c.Budget()
+	draw := core.PlanShed(plan, []core.StageControl{st}, c.model, c.Draw()+st.draw(c.model), budget, core.ReasonReadmit)
+	if draw = core.PlanShed(plan, c.Stages(), c.model, draw, budget, core.ReasonReadmit); draw > budget+1e-9 {
+		return fmt.Errorf("dist: readmit of %s needs %.2fW of a %.2fW budget at the lowest levels",
+			st.name, float64(draw), float64(budget))
 	}
-
-	// Still over: the survivors were boosted with the reclaimed watts; take
-	// them back, fastest path first (highest levels donate the most).
-	for need > c.Headroom()+eps {
-		donor := c.highestSurvivorInstance(st)
-		if donor == nil {
-			return fmt.Errorf("dist: readmit of %s needs %.2fW but only %.2fW can be freed",
-				st.name, float64(need), float64(c.Headroom()))
-		}
-		// Lowering frequency never exceeds the budget.
-		if err := donor.SetLevel(donor.Level() - 1); err != nil {
-			return fmt.Errorf("dist: readmit deboosting %s: %w", donor.Name(), err)
-		}
+	if res := (core.Executor{Audit: c.opts.Audit}).Apply(c, nil, plan); res.Err != nil {
+		return fmt.Errorf("dist: readmit of %s: %w", st.name, res.Err)
 	}
-
 	st.setHealth(fault.Healthy)
-	return nil
-}
-
-// highestInstance returns the snapshot instance at the highest level, or nil.
-func (st *remoteStage) highestInstance() *remoteInstance {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var best *remoteInstance
-	for _, in := range st.snapshot {
-		if best == nil || in.level > best.level {
-			best = in
-		}
-	}
-	return best
-}
-
-// highestSurvivorInstance returns the healthy-stage instance (excluding
-// exclude) with the highest level above the floor, or nil when nothing can
-// donate.
-func (c *Center) highestSurvivorInstance(exclude *remoteStage) *remoteInstance {
-	c.mu.Lock()
-	stages := make([]*remoteStage, len(c.stages))
-	copy(stages, c.stages)
-	c.mu.Unlock()
-	var donors []*remoteInstance
-	for _, st := range stages {
-		if st == exclude || st.quarantined() {
-			continue
-		}
-		st.mu.Lock()
-		donors = append(donors, st.snapshot...)
-		st.mu.Unlock()
-	}
-	sort.Slice(donors, func(i, j int) bool { return donors[i].Level() > donors[j].Level() })
-	for _, in := range donors {
-		if in.Level() > 0 {
-			return in
-		}
-	}
 	return nil
 }
 

@@ -120,14 +120,28 @@ func TestChaosKillAuditTimelineRetrievableOverHTTP(t *testing.T) {
 	if !readmitted {
 		t.Fatalf("stage never re-admitted; healths: %+v", center.Healths())
 	}
-	found := false
+	// The boosted survivor held the reclaimed watts, so the re-admission shed
+	// the returning stage's own level and then deboosted the survivor — every
+	// step audited as a deboost with detail "readmit", ahead of the readmit.
+	found, ownShed, survivorShed := false, false, false
 	for _, e := range audit.Since(quarantine.Seq) {
-		if e.Kind == telemetry.EventStageReadmit && e.Stage == "IMM" {
-			found = true
+		switch e.Kind {
+		case telemetry.EventStageReadmit:
+			found = found || e.Stage == "IMM"
+		case telemetry.EventDeboost:
+			if e.Detail != "readmit" || found {
+				continue
+			}
+			ownShed = ownShed || e.Stage == "IMM"
+			survivorShed = survivorShed || e.Stage != "IMM"
 		}
 	}
 	if !found {
 		t.Errorf("no re-admit event after recovery: %+v", audit.Since(quarantine.Seq))
+	}
+	if !ownShed || !survivorShed {
+		t.Errorf("re-admission deboosts audited: own stage %v, survivor %v; want both: %+v",
+			ownShed, survivorShed, audit.Since(quarantine.Seq))
 	}
 }
 

@@ -22,8 +22,9 @@
 // fault.Tracker (the health machine, see package fault), exactly as each
 // stage's calls do in dist; a quarantined node's watts are reclaimed
 // within one control epoch and redistributed to the survivors; re-admission
-// is budget-safe (survivors are shaved down to make room for the floor grant
-// before the returning node gets a watt); and every grant carries a fencing
+// is budget-safe (one arbiter.PlanReclaim plan shaves the survivors to make
+// room for the floor grant before the returning node gets a watt, and the
+// executor rolls it back if any grant fails); and every grant carries a fencing
 // epoch so a healed partition's pre-quarantine reports are rejected instead
 // of steering the allocation with stale state. See DESIGN.md §5h.
 //

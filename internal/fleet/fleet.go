@@ -297,10 +297,13 @@ func (c *Coordinator) Adjust(policy core.Policy) (core.BoostOutcome, error) {
 }
 
 // tryReadmit probes a quarantined node and, when it answers, re-admits it
-// budget-safely: survivors are shaved down — richest first, never below the
-// floor — until the floor grant fits the headroom, and only then does the
-// returning node get a watt. A node that answers with a pre-reclamation
-// epoch is counted as fenced; the probe proves liveness, nothing more.
+// budget-safely through one plan: the arbiter.PlanReclaim cuts that shave
+// the survivors — richest first, never below the floor — until the floor
+// grant fits the headroom, then the returning node's floor grant. The
+// executor applies it in that order, so a grant failing anywhere rolls the
+// cuts back and the node stays Recovering for the next epoch. A node that
+// answers with a pre-reclamation epoch is counted as fenced; the probe
+// proves liveness, nothing more.
 func (c *Coordinator) tryReadmit(n *nodeState) {
 	rep, err := n.t.Report()
 	if err != nil {
@@ -315,40 +318,16 @@ func (c *Coordinator) tryReadmit(n *nodeState) {
 	c.setHealth(n, fault.Recovering)
 
 	floor := c.opts.Floor
-	for attempts := 0; ; attempts++ {
-		c.mu.Lock()
-		headroom := c.opts.Budget - c.drawLocked()
-		if headroom+1e-9 >= floor {
-			c.mu.Unlock()
-			break
-		}
-		var donor *nodeState
-		if attempts <= len(c.nodes) {
-			for _, m := range c.nodes {
-				if m == n || m.health.State().Quarantined() {
-					continue
-				}
-				if m.granted > floor+1e-9 && (donor == nil || m.granted > donor.granted) {
-					donor = m
-				}
-			}
-		}
-		if donor == nil {
-			c.mu.Unlock()
-			return // no room this epoch; stay Recovering, retry next epoch
-		}
-		target := donor.granted - (floor - headroom)
-		if target < floor {
-			target = floor
-		}
-		c.mu.Unlock()
-		if err := donor.SetBudget(target); err != nil {
-			continue // the donor just failed its own grant; try another
-		}
+	c.mu.Lock()
+	plan, short := arbiter.PlanReclaim(ledger{c}, floor, c.opts.Budget-c.drawLocked(), floor)
+	from := n.granted
+	c.mu.Unlock()
+	if short > 0 {
+		return // no room this epoch; stay Recovering, retry next epoch
 	}
-
-	if err := n.SetBudget(floor); err != nil {
-		return // noteFailure inside SetBudget sent it back to Down
+	plan.Actions = append(plan.Actions, &core.SetBudgetAction{Node: n, From: from, To: floor, Reason: core.ReasonReadmit})
+	if res := (core.Executor{Audit: c.opts.Audit}).Apply(c, nil, plan); res.Err != nil {
+		return // a failed grant fed its node's health machine; the cuts are undone
 	}
 	c.mu.Lock()
 	n.cooldown = c.opts.CooldownEpochs
@@ -360,6 +339,18 @@ func (c *Coordinator) tryReadmit(n *nodeState) {
 	c.releaseHoldsLocked(n.name)
 	c.mu.Unlock()
 	c.setHealth(n, fault.Healthy)
+}
+
+// ledger is the coordinator's grant ledger as arbiter.PlanReclaim scans it,
+// in place; the caller holds c.mu. Quarantined nodes — the returnee among
+// them — do not donate.
+type ledger struct{ c *Coordinator }
+
+func (l ledger) Len() int { return len(l.c.nodes) }
+
+func (l ledger) Entry(i int) (core.NodeControl, cmp.Watts, bool) {
+	n := l.c.nodes[i]
+	return n, n.granted, !n.health.State().Quarantined()
 }
 
 // drawLocked sums the ledger plus any strict-cap holds; caller holds c.mu.

@@ -212,15 +212,6 @@ func NewSynthBackend(load float64, budget cmp.Watts) *SynthBackend {
 	return &SynthBackend{load: load, budget: budget}
 }
 
-// SetLoad changes the work intensity.
-func (b *SynthBackend) SetLoad(load float64) {
-	b.mu.Lock()
-	if load >= 0 {
-		b.load = load
-	}
-	b.mu.Unlock()
-}
-
 // Metric implements Backend: expected bottleneck delay proportional to load
 // over watts — more budget, faster node.
 func (b *SynthBackend) Metric() time.Duration {

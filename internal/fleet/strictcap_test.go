@@ -34,6 +34,7 @@ type capNode struct {
 	granted      cmp.Watts // last ACCEPTED grant — what the node draws
 	epoch        uint64
 	partitioned  bool
+	refuseGrants bool // answers reports but rejects every grant
 	silentEpochs int
 }
 
@@ -52,7 +53,7 @@ func (n *capNode) Report() (Report, error) {
 func (n *capNode) Grant(g Grant) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.partitioned {
+	if n.partitioned || n.refuseGrants {
 		return errCapPartitioned
 	}
 	// Accepting a grant proves the node is reachable again: it draws the

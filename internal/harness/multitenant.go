@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"powerchief/internal/app"
@@ -234,35 +233,28 @@ func (r *tenantRun) appMetric() (time.Duration, []arbiter.StageMetric) {
 	return total, breakdown
 }
 
-// shedToGrant makes a lowered grant physical on the chip partition: it
-// steps the highest-level instances down (the richest-donor order
-// live.Cluster uses) until the draw fits the new grant, then re-sets the
-// chip budget. An unshedable cut — every instance already at the ladder
-// floor — is an error, which the executor turns into a plan rollback: the
-// arbiter must not starve a tenant below its minimum draw. Raised grants
-// only lift the chip budget; spending the new headroom is deliberately
-// left to the tenant's own PowerChief loop, which knows whether the next
-// watt is worth more as a frequency step or an instance boost (the paper's
-// Fig. 4 finding: at high load, instances beat frequency). The scenario's
-// arbiter floor bounds how deep a cut can go, so an idle tenant is never
-// more than a few frequency steps below base when load returns.
+// shedToGrant makes a lowered grant physical on the chip partition: one
+// core.PlanShed plan steps the highest-level instances down until the draw
+// fits the new grant, the executor applies it, then the chip budget is re-set.
+// An unshedable cut — the plan reaches the ladder floor still over the grant
+// — leaves the partition at the floor and is an error, which the arbiter's
+// executor turns into a plan rollback: the arbiter must not starve a tenant
+// below its minimum draw. (The floor shed is kept because the benchmark's
+// pinned des-paper digests record it.) Raised grants only lift the chip budget; spending the new headroom is
+// deliberately left to the tenant's own PowerChief loop, which knows whether
+// the next watt is worth more as a frequency step or an instance boost (the
+// paper's Fig. 4 finding: at high load, instances beat frequency). The
+// scenario's arbiter floor bounds how deep a cut can go, so an idle tenant is
+// never more than a few frequency steps below base when load returns.
 func (c *appChip) shedToGrant(w cmp.Watts) error {
-	for c.chip.Draw() > w+1e-9 {
-		var best *stage.Instance
-		for _, st := range c.sys.Stages() {
-			for _, in := range st.Active() {
-				if best == nil || in.Level() > best.Level() {
-					best = in
-				}
-			}
-		}
-		if best == nil || best.Level() == 0 {
-			return fmt.Errorf("harness: grant %.2fW below minimum draw %.2fW: %w",
-				float64(w), float64(c.chip.Draw()), cmp.ErrBudgetExceeded)
-		}
-		if err := best.SetLevel(best.Level() - 1); err != nil {
-			return err
-		}
+	plan := &core.ActionPlan{}
+	draw := core.PlanShed(plan, c.view.Stages(), c.chip.Model(), c.chip.Draw(), w, core.ReasonDeboost)
+	if res := (core.Executor{}).Apply(c.view, nil, plan); res.Err != nil {
+		return res.Err
+	}
+	if draw > w+1e-9 {
+		return fmt.Errorf("harness: grant %.2fW below minimum draw %.2fW: %w",
+			float64(w), float64(draw), cmp.ErrBudgetExceeded)
 	}
 	return c.chip.SetBudget(w)
 }
@@ -308,16 +300,26 @@ func (m *multiRun) evict(r *tenantRun) (cmp.Watts, error) {
 
 // admit re-admits an evicted tenant: a fresh child domain with a grant of at
 // least the scenario floor (or the parked partition's draw, if instance
-// boosts grew it past the floor), reclaimed from the richest running tenants
-// when the arbiter has granted the headroom away, a fresh control loop on
-// the shared group, and resumed arrivals. Returns the grant.
+// boosts grew it past the floor), a fresh control loop on the shared group,
+// and resumed arrivals. When the arbiter has granted the headroom away, one
+// arbiter.PlanReclaim plan over the running tenants' grants makes room first
+// — richest first, never below the floor. This is the floor re-admission
+// guarantee: the floor bounds both how deep a running tenant can be cut and
+// how much a returning one is owed, so a hierarchy whose floors fit the
+// budget can always take an evicted tenant back. Returns the grant.
 func (m *multiRun) admit(r *tenantRun) (cmp.Watts, error) {
 	if !r.evicted {
 		return 0, fmt.Errorf("tenant %q is not evicted", r.spec.Name)
 	}
 	grant := max(m.floor, r.chip.Draw())
-	if err := reclaimHeadroom(m.root, grant, m.floor); err != nil {
-		return 0, fmt.Errorf("re-admitting tenant %q: %w", r.spec.Name, err)
+	view := tenantArbiterView{m}
+	plan, short := arbiter.PlanReclaim(view, grant, m.root.Headroom(), m.floor)
+	if short > 0 {
+		return 0, fmt.Errorf("re-admitting tenant %q: %.2fW short of the %.2fW floor re-admission",
+			r.spec.Name, float64(short), float64(grant))
+	}
+	if res := (core.Executor{Audit: m.sc.Audit}).Apply(view, nil, plan); res.Err != nil {
+		return 0, fmt.Errorf("re-admitting tenant %q: %w", r.spec.Name, res.Err)
 	}
 	dom, err := m.root.NewChild(r.spec.Name, grant, r.shedToGrant)
 	if err != nil {
@@ -345,41 +347,6 @@ func (m *multiRun) admit(r *tenantRun) (cmp.Watts, error) {
 	return grant, nil
 }
 
-// reclaimHeadroom makes room for a re-admission: when the arbiter has
-// granted the evicted tenant's watts away, the richest running tenants are
-// cut toward the floor — richest first, never below it — until the root's
-// headroom covers the grant. This is the floor re-admission guarantee: the
-// floor bounds both how deep a running tenant can be cut and how much a
-// returning one is owed, so a hierarchy whose floors fit the budget can
-// always take an evicted tenant back.
-func reclaimHeadroom(root *core.BudgetDomain, grant, floor cmp.Watts) error {
-	children := root.Children()
-	sort.Slice(children, func(i, j int) bool { return children[i].Budget() > children[j].Budget() })
-	for _, c := range children {
-		need := grant - root.Headroom()
-		if need <= 1e-9 {
-			return nil
-		}
-		cut := c.Budget() - floor
-		if cut <= 0 {
-			continue
-		}
-		if cut > need {
-			cut = need
-		}
-		if err := c.SetBudget(c.Budget() - cut); err != nil {
-			// An unshedable cut — the donor's partition has grown past what
-			// the lowered grant can power — just moves to the next donor.
-			continue
-		}
-	}
-	if hr := root.Headroom(); hr < grant-1e-9 {
-		return fmt.Errorf("headroom %.2fW cannot cover the %.2fW floor re-admission",
-			float64(hr), float64(grant))
-	}
-	return nil
-}
-
 // tenantArbiterView is the arbiter's view of the root domain: the budget
 // arithmetic comes from the domain ledger (Draw = Σ child grants, so the
 // whole cap is distributable), the members are the tenants with their live
@@ -396,6 +363,15 @@ func (v tenantArbiterView) Headroom() cmp.Watts              { return v.root.Hea
 func (v tenantArbiterView) FreeCores() int                   { return 0 }
 func (v tenantArbiterView) Floor() cmp.Watts                 { return v.floor }
 func (v tenantArbiterView) Hysteresis() cmp.Watts            { return v.hyst }
+
+// Len and Entry implement arbiter.Ledger over the tenants' grants; an
+// evicted tenant neither donates nor counts.
+func (v tenantArbiterView) Len() int { return len(v.runs) }
+
+func (v tenantArbiterView) Entry(i int) (core.NodeControl, cmp.Watts, bool) {
+	r := v.runs[i]
+	return r.domain, r.domain.Budget(), !r.evicted
+}
 
 func (v tenantArbiterView) Members() []arbiter.Member {
 	out := make([]arbiter.Member, 0, len(v.runs))

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"time"
 
 	"powerchief/internal/cmp"
@@ -96,12 +97,14 @@ func (in *Instance) Level() cmp.Level {
 
 // SetLevel implements core.Instance. The new level applies from the next
 // query; the in-flight query (if any) finishes at the old speed — the live
-// engine cannot re-time a sleep already underway.
+// engine cannot re-time a sleep already underway. A retired instance has
+// released its core, so a transition on it fails (and a plan naming it rolls
+// back), as on the DES engine.
 func (in *Instance) SetLevel(l cmp.Level) error {
 	in.stage.cluster.mu.Lock()
 	defer in.stage.cluster.mu.Unlock()
 	if in.retired {
-		return nil
+		return fmt.Errorf("live: DVFS on retired instance %s", in.name)
 	}
 	if l == in.level {
 		return nil

@@ -9,7 +9,6 @@ import (
 	"powerchief/internal/core"
 	"powerchief/internal/query"
 	"powerchief/internal/stage"
-	"powerchief/internal/stats"
 )
 
 // Options configures a cluster.
@@ -118,41 +117,6 @@ func (c *Cluster) PowerModel() cmp.PowerModel { return c.opts.Model }
 
 // Budget implements core.System.
 func (c *Cluster) Budget() cmp.Watts { return c.chip.Budget() }
-
-// SetBudget re-grants the cluster's local power budget — the actuation a
-// fleet coordinator's SetBudgetAction lands on. A lowered budget sheds load
-// first: the highest-level instances are stepped down (the same
-// richest-donor order the re-admission path uses) until the draw fits, then
-// the chip budget is set, so the call never leaves the chip over-budget.
-func (c *Cluster) SetBudget(w cmp.Watts) error {
-	if w < 0 {
-		return fmt.Errorf("live: negative budget %.2fW", float64(w))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.chip.Draw() > w+1e-9 {
-		var best *Instance
-		for _, st := range c.stages {
-			for _, in := range st.instances {
-				if in.retired {
-					continue
-				}
-				if best == nil || in.level > best.level {
-					best = in
-				}
-			}
-		}
-		if best == nil || best.level == 0 {
-			return fmt.Errorf("live: budget %.2fW below minimum draw %.2fW: %w",
-				float64(w), float64(c.chip.Draw()), cmp.ErrBudgetExceeded)
-		}
-		if err := c.chip.SetLevel(best.core, best.level-1); err != nil {
-			return err
-		}
-		best.level--
-	}
-	return c.chip.SetBudget(w)
-}
 
 // Draw implements core.System.
 func (c *Cluster) Draw() cmp.Watts {
@@ -289,5 +253,4 @@ var (
 	_ core.System       = (*Cluster)(nil)
 	_ core.StageControl = (*Stage)(nil)
 	_ core.Instance     = (*Instance)(nil)
-	_                   = stats.NewBusyTracker // keep the import tied to its use in instance.go
 )

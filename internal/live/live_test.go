@@ -9,6 +9,7 @@ import (
 	"powerchief/internal/cmp"
 	"powerchief/internal/core"
 	"powerchief/internal/query"
+	"powerchief/internal/sim"
 	"powerchief/internal/stage"
 )
 
@@ -129,6 +130,47 @@ func TestLiveCloneAndWithdraw(t *testing.T) {
 	}
 }
 
+// TestSetLevelOnWithdrawnInstanceFails pins one contract on both engines: a
+// withdrawn instance has released its core, so a DVFS transition naming it
+// fails — and a plan that names it rolls back instead of reporting success.
+func TestSetLevelOnWithdrawnInstanceFails(t *testing.T) {
+	// Each engine builds one two-instance stage and says when a withdrawn
+	// instance has retired.
+	engines := map[string]func(t *testing.T) (core.System, func(core.Instance) bool){
+		"des": func(t *testing.T) (core.System, func(core.Instance) bool) {
+			spec := stage.Spec{Name: "A", Kind: stage.Pipeline, Profile: flat, Instances: 2, Level: cmp.MidLevel}
+			sys, err := stage.NewSystem(sim.NewEngine(), cmp.NewChip(4, cmp.DefaultModel(), 200), []stage.Spec{spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return core.NewDESView(sys), func(in core.Instance) bool { return in.(*stage.Instance).Retired() }
+		},
+		"live": func(t *testing.T) (core.System, func(core.Instance) bool) {
+			spec := StageSpec{Name: "A", Kind: stage.Pipeline, Profile: flat, Instances: 2, Level: cmp.MidLevel}
+			c, err := NewCluster(Options{Budget: 200, TimeScale: fastScale}, []StageSpec{spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			return c, func(in core.Instance) bool { return in.(*Instance).Retired() }
+		},
+	}
+	for name, build := range engines {
+		t.Run(name, func(t *testing.T) {
+			sys, retired := build(t)
+			st := sys.Stages()[0]
+			victim := st.Instances()[1]
+			if err := st.Withdraw(victim, nil); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 5*time.Second, func() bool { return retired(victim) })
+			if err := victim.SetLevel(cmp.MaxLevel); err == nil {
+				t.Fatalf("SetLevel on withdrawn %s succeeded", victim.Name())
+			}
+		})
+	}
+}
+
 func TestLiveSetLevelBudget(t *testing.T) {
 	m := cmp.DefaultModel()
 	c, err := NewCluster(Options{Budget: m.Power(cmp.MidLevel), TimeScale: fastScale}, []StageSpec{
@@ -202,8 +244,8 @@ func TestControllerDrivesPolicy(t *testing.T) {
 	}
 	waitFor(t, 20*time.Second, func() bool { return done.Load() == 400 })
 	acted := false
-	for _, out := range ctl.Outcomes() {
-		if out.Kind != core.BoostNone {
+	for kind, n := range ctl.Boosts() {
+		if kind != core.BoostNone && n > 0 {
 			acted = true
 		}
 	}

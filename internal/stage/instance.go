@@ -82,9 +82,6 @@ func (in *Instance) Stage() *Stage { return in.stage }
 // StageName returns the owning stage's name.
 func (in *Instance) StageName() string { return in.stage.spec.Name }
 
-// Core returns the physical core the instance is pinned to.
-func (in *Instance) Core() cmp.CoreID { return in.core }
-
 // Level returns the instance's current frequency level.
 func (in *Instance) Level() cmp.Level { return in.level }
 
