@@ -14,8 +14,9 @@
 //	tail.txt           tail-latency distribution per policy (§10 future work)
 //	ablations.txt      design-choice ablations (metric, withdraw, split-clone,
 //	                   balance threshold, dispatcher)
-//	decisions.txt      the Command Center's decision audit timeline for an
-//	                   audited PowerChief run (identify / boost / recycle)
+//	decisions.txt      the Command Center's decision audit timeline, rendered
+//	                   from a PowerChief run's recorded decision frames
+//	                   (identify / boost / recycle / withdraw)
 //	headline.txt       the abstract's aggregate numbers, paper vs measured
 //	BENCH_fleet.json   fleet-federation robustness record: a 100-node DES
 //	                   fleet, 10 nodes partitioned mid-run, budget invariant
@@ -246,13 +247,12 @@ func writeFigures(dir, fig string, seed int64, log io.Writer) error {
 	return err
 }
 
-// writeDecisions renders an audited PowerChief run: the full decision
-// timeline — every bottleneck identification with its Equation 1 inputs, the
-// Equation 2/3 estimates behind each boost, recycle donor lists and
-// withdraws — dumped as text. The companion of Figure 11's runtime traces,
-// from the controller's point of view.
+// writeDecisions renders a PowerChief run's recorded decision frames: the
+// full decision timeline — every bottleneck identification with its
+// Equation 1 inputs, the Equation 2/3 estimates behind each boost, recycle
+// donor lists and withdraws — dumped as text. The companion of Figure 11's
+// runtime traces, from the controller's point of view.
 func writeDecisions(w io.Writer, seed int64) error {
-	audit := telemetry.NewAuditLog(0)
 	sc := harness.Scenario{
 		Name:   "sirius-decisions",
 		App:    mustApp("sirius"),
@@ -264,12 +264,12 @@ func writeDecisions(w io.Writer, seed int64) error {
 		},
 		Duration: 900 * time.Second,
 		Seed:     seed,
-		Audit:    audit,
 	}
-	if _, err := harness.Run(sc); err != nil {
+	res, err := harness.Run(sc)
+	if err != nil {
 		return err
 	}
-	return telemetry.WriteDecisions(w, audit.Events())
+	return telemetry.WriteDecisions(w, res.Decisions.Trace().Events())
 }
 
 func mustApp(name string) app.App {

@@ -22,6 +22,7 @@ import (
 	"powerchief/internal/config"
 	"powerchief/internal/harness"
 	"powerchief/internal/replay"
+	"powerchief/internal/telemetry"
 	"powerchief/internal/workload"
 )
 
@@ -119,11 +120,6 @@ func main() {
 		Duration:       *duration,
 		Seed:           *seed,
 	}
-	var audit *powerchief.AuditLog
-	if *decisions != "" {
-		audit = powerchief.NewAuditLog(0)
-		sc.Audit = audit
-	}
 	res, err := powerchief.Run(sc)
 	if err != nil {
 		fatal(err)
@@ -131,7 +127,11 @@ func main() {
 	if err := powerchief.WriteResult(os.Stdout, res); err != nil {
 		fatal(err)
 	}
-	if audit != nil {
+	if *decisions != "" {
+		var events []telemetry.Event
+		if res.Decisions != nil { // a policy that records its decisions
+			events = res.Decisions.Trace().Events()
+		}
 		out := os.Stdout
 		if *decisions != "-" {
 			f, err := os.Create(*decisions)
@@ -141,11 +141,11 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		if err := powerchief.WriteDecisions(out, audit.Events()); err != nil {
+		if err := powerchief.WriteDecisions(out, events); err != nil {
 			fatal(err)
 		}
 		if *decisions != "-" {
-			fmt.Printf("decision timeline written to %s (%d events)\n", *decisions, audit.Len())
+			fmt.Printf("decision timeline written to %s (%d events)\n", *decisions, len(events))
 		}
 	}
 	if *tracePath != "" {

@@ -27,7 +27,7 @@ type (
 	// Planner is a decision as one pure function: Plan returns the action
 	// plan and the outcome it would report, and actuates nothing.
 	Planner = core.Planner
-	// Executor validates, applies, audits and rolls back action plans.
+	// Executor validates, applies and rolls back action plans.
 	Executor = core.Executor
 	// System is a controllable deployment as policies see it: power
 	// accounting plus per-stage instance control.

@@ -216,7 +216,9 @@ func TestTickWithTapAndNoAggregator(t *testing.T) {
 	for _, p := range []core.Planner{New(Proportional{}), core.Static{}} {
 		fv := newFakeView(60, 10, 0.1, []cmp.Watts{0, 0}, []time.Duration{time.Second, 2 * time.Second})
 		tap := &recordTap{}
-		_, res := core.Tick(p, core.Executor{}, tap, fv, nil)
+		r := &core.Recorded{}
+		r.SetTap(tap)
+		_, res := core.Tick(p, r, fv, nil)
 		if res.Err != nil {
 			t.Errorf("%s: %v", p.Name(), res.Err)
 		}

@@ -19,7 +19,7 @@ import (
 type Planner struct {
 	strategy Strategy
 	label    string
-	core.Audited
+	core.Recorded
 }
 
 // New builds a planner over the strategy. The policy name defaults to
@@ -186,7 +186,7 @@ func (p *Planner) Plan(sys core.System, _ core.StatsReader) (*core.ActionPlan, c
 // its new budget) rolls the applied prefix back, so the ledger never
 // straddles two allocations.
 func (p *Planner) Adjust(sys core.System, agg *core.Aggregator) core.BoostOutcome {
-	out, _ := core.Tick(p, p.Executor(), nil, sys, agg)
+	out, _ := core.Tick(p, &p.Recorded, sys, agg)
 	return out
 }
 

@@ -8,7 +8,7 @@
 // The pieces compose as decision → actuation → cadence:
 //
 //   - core.Tick runs one interval: a pure Planner.Plan (an ActionPlan),
-//     then a validated, audited, rollback-capable Executor.Apply;
+//     a validated, rollback-capable Executor.Apply, one DecisionRecord;
 //   - an Adjuster runs one interval against a backend (core.System +
 //     Aggregator for DES/live, dist.Center for the distributed runtime);
 //   - the Loop schedules Adjuster calls on a Clock and counts the outcomes.

@@ -46,7 +46,7 @@ type Options struct {
 	// OnSample is invoked each sample epoch with the clock's current time.
 	OnSample func(now time.Duration)
 	// Audit, when set, is attached to the policy if it is a core.AuditSetter:
-	// core.Tick's executor then writes the decision trail to it.
+	// core.Tick then renders each tick's decision record into it.
 	Audit *telemetry.AuditLog
 	// Tap, when set, is attached to the policy if it is a core.TapSetter:
 	// core.Tick then hands it one record per adjust interval — snapshot,

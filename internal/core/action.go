@@ -12,12 +12,12 @@ import (
 // the Executor *actuates* the resulting ActionPlan against the real system.
 // Separating the two keeps the decision kernel pure (it can be unit-tested,
 // dry-run and replayed) and gives actuation a single choke point where the
-// budget is validated, the audit log is written, and a partial failure — an
-// RPC error halfway through a distributed plan — is rolled back instead of
-// leaving the deployment between two level assignments. See DESIGN.md §5g.
+// budget is validated and a partial failure — an RPC error halfway through a
+// distributed plan — is rolled back instead of leaving the deployment
+// between two level assignments. See DESIGN.md §5g.
 
-// ActionReason tags why an action is in the plan, so the Executor can emit
-// the matching audit event (recycle donors, deboosts, relaunches) without
+// ActionReason tags why an action is in the plan, so the audit trail a
+// record renders names it (recycle donors, deboosts, relaunches) without
 // re-deriving intent from the action sequence.
 type ActionReason int
 
@@ -138,24 +138,6 @@ func (a *SetBudgetAction) Describe() string {
 	return fmt.Sprintf("set-budget %s %.2fW→%.2fW", a.Node.Name(), float64(a.From), float64(a.To))
 }
 
-// identification is one bottleneck identification as the plan carries it:
-// the slowest ranked instance with its Equation 1 inputs, and the spread the
-// balance threshold was compared against.
-type identification struct {
-	at     time.Duration
-	bn     Ranked
-	spread time.Duration
-}
-
-// recycleSpan marks a contiguous run of plan actions produced by one power
-// recycling pass, so the Executor can emit a single EventRecycle listing the
-// donors once that run has been actuated — the same grouping the direct
-// actuation path produced.
-type recycleSpan struct {
-	start, end int // action index range [start, end)
-	freed      cmp.Watts
-}
-
 // ActionPlan is an ordered mutation program produced by one decision pass.
 // Order matters: the budget arithmetic that validated the plan charges and
 // refunds watts in exactly this sequence, so the Executor applies it in
@@ -163,14 +145,14 @@ type recycleSpan struct {
 type ActionPlan struct {
 	Actions []Action
 
-	// identified is the Equation 1 identification the plan was decided on;
-	// the Executor audits it ahead of the actions. Zero when nothing ranked.
-	identified identification
+	// identified is the bottleneck of the Equation 1 ranking the plan was
+	// decided on, spread the ranking's spread; a tick's record carries both.
+	// Zero when nothing ranked.
+	identified Ranked
+	spread     time.Duration
 	// decided (PlanView.Decided) marks a boosting decision, whose outcome
-	// Tick audits once the plan applied.
+	// the tick's record reports.
 	decided bool
-
-	recycles []recycleSpan
 }
 
 // Empty reports whether the plan mutates nothing.

@@ -172,6 +172,16 @@ func (e Engine) SelectBoosting(sys System, ranked []Ranked) BoostOutcome {
 	return out
 }
 
+// recycle runs the engine's recycler. Against a PlanView the pass's donor
+// steps are tagged ReasonRecycle, so a recorded plan tells Algorithm 2's
+// donors from the boost they fund.
+func (e Engine) recycle(sys System, model cmp.PowerModel, donors []Instance, need cmp.Watts) cmp.Watts {
+	if pv, ok := sys.(*PlanView); ok {
+		defer pv.setReason(pv.setReason(ReasonRecycle))
+	}
+	return e.Recycler.Recycle(model, donors, need)
+}
+
 // trySplitClone evaluates and, when beneficial, applies the split-clone
 // refinement: the bottleneck steps down to level l and a clone launches at
 // the same l, with 2·P(l) ≤ P(cur) + headroom. The expected delay follows

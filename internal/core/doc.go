@@ -17,8 +17,10 @@
 // NewInstBoost, NewPegasus and NewPowerChiefSaver construct the policies. A
 // Planner's Plan is the decision, a pure function of the System and
 // StatsReader it is handed; Tick is the one control tick — capture, plan
-// (from the capture, when recording), apply, audit, record — and every
-// Policy's Adjust is a call to it.
+// (from the capture, when recording), apply, record — and every Policy's
+// Adjust is a call to it. The tick's DecisionRecord is its only record: the
+// tap gets it, and DecisionRecord.Events renders it as the audit log's
+// events.
 // EstimateInstBoost and EstimateFreqBoost are the paper's Equation 2/3
 // speedup predictions that Algorithm 1 compares. ARCHITECTURE.md diagrams
 // how the Command Center sits between the engines and the chip model, and

@@ -4,21 +4,16 @@ import (
 	"fmt"
 
 	"powerchief/internal/cmp"
-	"powerchief/internal/telemetry"
 )
 
 // Executor actuates ActionPlans against the real system: it re-validates
-// the plan's budget arithmetic, applies the actions in order, writes the
-// audit trail, and — when an action fails mid-plan (an RPC error in the
-// distributed runtime) — rolls the already-applied steps back in reverse
-// order so the deployment lands on a consistent, budget-respecting level
-// assignment instead of somewhere between two plans.
-type Executor struct {
-	// Audit, when set, receives the decision trail: the identification the
-	// plan carries, recycle passes, withdraws, deboosts, relaunches, budget
-	// grants and rollbacks.
-	Audit *telemetry.AuditLog
-}
+// the plan's budget arithmetic, applies the actions in order, and — when an
+// action fails mid-plan (an RPC error in the distributed runtime) — rolls
+// the already-applied steps back in reverse order so the deployment lands on
+// a consistent, budget-respecting level assignment instead of somewhere
+// between two plans. It writes nothing: the audit trail is rendered from the
+// record of the plan and its ApplyResult (DecisionRecord.Events).
+type Executor struct{}
 
 // ApplyResult reports what one Apply did.
 type ApplyResult struct {
@@ -32,6 +27,9 @@ type ApplyResult struct {
 	RolledBack bool
 	// Err is the first actuation or validation failure, nil on success.
 	Err error
+	// Failure is Err for the record: which step failed and what the rollback
+	// undid. Nil on success.
+	Failure *Failure
 }
 
 // appliedStep remembers enough of one actuated action to undo it.
@@ -109,9 +107,9 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 	if plan == nil {
 		return res
 	}
-	auditIdentify(x.Audit, plan.identified)
 	if err := x.Validate(sys, plan); err != nil {
 		res.Err = err
+		res.Failure = &Failure{Step: -1, Err: err.Error()}
 		return res
 	}
 
@@ -132,16 +130,7 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 
 	withdrawn := make(map[string]bool)
 	var steps []appliedStep
-	nextSpan := 0
-	emitSpans := func(upto int) {
-		for nextSpan < len(plan.recycles) && plan.recycles[nextSpan].end <= upto {
-			x.auditRecycle(sys, plan.recycles[nextSpan], plan.Actions)
-			nextSpan++
-		}
-	}
-
 	for i, act := range plan.Actions {
-		emitSpans(i)
 		switch a := act.(type) {
 		case *SetLevelAction:
 			real, err := resolve(a.Instance)
@@ -149,22 +138,10 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 				err = real.SetLevel(a.To)
 			}
 			if err != nil {
-				return x.fail(sys, steps, act, err, res)
+				return x.fail(steps, i, act, err, res)
 			}
 			steps = append(steps, appliedStep{act: act, real: real})
 			res.Applied++
-			if (a.Reason == ReasonDeboost || a.Reason == ReasonReadmit) && x.Audit.Enabled() {
-				e := telemetry.Event{
-					Time: sys.Now(), Kind: telemetry.EventDeboost,
-					Stage: real.StageName(), Instance: real.Name(),
-					OldLevel: int(a.From), NewLevel: int(a.To),
-					HeadroomWatts: float64(sys.Headroom()),
-				}
-				if a.Reason == ReasonReadmit {
-					e.Detail = reasonDetail(a.Reason)
-				}
-				x.Audit.Record(e)
-			}
 		case *CloneAction:
 			src, err := resolve(a.Source)
 			var clone Instance
@@ -172,7 +149,7 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 				clone, err = a.Stage.Clone(src)
 			}
 			if err != nil {
-				return x.fail(sys, steps, act, err, res)
+				return x.fail(steps, i, act, err, res)
 			}
 			if a.ref != nil {
 				realized[a.ref] = clone
@@ -180,13 +157,6 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 			steps = append(steps, appliedStep{act: act, real: src, clone: clone, stage: a.Stage})
 			res.Applied++
 			res.Clones = append(res.Clones, clone.Name())
-			if a.Reason == ReasonRelaunch && x.Audit.Enabled() {
-				x.Audit.Record(telemetry.Event{
-					Time: sys.Now(), Kind: telemetry.EventRelaunch,
-					Stage: a.Stage.Name(), Instance: clone.Name(),
-					HeadroomWatts: float64(sys.Headroom()),
-				})
-			}
 		case *WithdrawAction:
 			victim, err := resolve(a.Victim)
 			var target Instance
@@ -197,7 +167,7 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 				err = a.Stage.Withdraw(victim, target)
 			}
 			if err != nil {
-				return x.fail(sys, steps, act, err, res)
+				return x.fail(steps, i, act, err, res)
 			}
 			if agg != nil {
 				agg.Forget(victim.Name())
@@ -206,11 +176,6 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 			steps = append(steps, appliedStep{act: act, real: victim, stage: a.Stage})
 			res.Applied++
 			res.Withdrawn++
-			tgt := ""
-			if target != nil {
-				tgt = target.Name()
-			}
-			auditWithdraw(x.Audit, sys.Now(), a.Stage.Name(), victim.Name(), tgt)
 		case *ResetEpochAction:
 			real, err := resolve(a.Instance)
 			if err != nil || withdrawn[real.Name()] {
@@ -220,24 +185,14 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 			res.Applied++
 		case *SetBudgetAction:
 			if err := a.Node.SetBudget(a.To); err != nil {
-				return x.fail(sys, steps, act, err, res)
+				return x.fail(steps, i, act, err, res)
 			}
 			steps = append(steps, appliedStep{act: act})
 			res.Applied++
-			if x.Audit.Enabled() {
-				x.Audit.Record(telemetry.Event{
-					Time: sys.Now(), Kind: telemetry.EventSetBudget,
-					Node:         a.Node.Name(),
-					PrevWatts:    float64(a.From),
-					GrantedWatts: float64(a.To),
-					Detail:       reasonDetail(a.Reason),
-				})
-			}
 		default:
-			return x.fail(sys, steps, act, fmt.Errorf("core: unknown action %T", act), res)
+			return x.fail(steps, i, act, fmt.Errorf("core: unknown action %T", act), res)
 		}
 	}
-	emitSpans(len(plan.Actions))
 	return res
 }
 
@@ -245,7 +200,7 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 // failure. Every intermediate state revisited during rollback is a state
 // the forward pass already held under budget, so restores cannot exceed it;
 // withdraws stay applied — they only freed power.
-func (x Executor) fail(sys System, steps []appliedStep, act Action, cause error, res ApplyResult) ApplyResult {
+func (x Executor) fail(steps []appliedStep, step int, act Action, cause error, res ApplyResult) ApplyResult {
 	undone, failed := 0, 0
 	for j := len(steps) - 1; j >= 0; j-- {
 		s := steps[j]
@@ -272,60 +227,6 @@ func (x Executor) fail(sys System, steps []appliedStep, act Action, cause error,
 	}
 	res.RolledBack = undone+failed > 0
 	res.Err = fmt.Errorf("core: applying %s: %w", act.Describe(), cause)
-	if x.Audit.Enabled() {
-		x.Audit.Record(telemetry.Event{
-			Time:   sys.Now(),
-			Kind:   telemetry.EventPlanRollback,
-			Detail: fmt.Sprintf("rolled back %d/%d reversible steps after %d applied", undone, undone+failed, res.Applied),
-			Err:    res.Err.Error(),
-		})
-	}
+	res.Failure = &Failure{Step: step, Applied: res.Applied, Undone: undone, Reversible: undone + failed, Err: res.Err.Error()}
 	return res
-}
-
-// reasonDetail renders an ActionReason for the audit Detail field.
-func reasonDetail(r ActionReason) string {
-	switch r {
-	case ReasonRebalance:
-		return "rebalance"
-	case ReasonReadmit:
-		return "readmit"
-	case ReasonRecycle:
-		return "recycle"
-	case ReasonDeboost:
-		return "deboost"
-	case ReasonRelaunch:
-		return "relaunch"
-	default:
-		return "boost"
-	}
-}
-
-// auditRecycle emits one EventRecycle for a completed recycle span, listing
-// the donor transitions the span's SetLevel actions performed.
-func (x Executor) auditRecycle(sys System, span recycleSpan, actions []Action) {
-	if !x.Audit.Enabled() {
-		return
-	}
-	model := sys.PowerModel()
-	var ds []telemetry.Donor
-	for i := span.start; i < span.end && i < len(actions); i++ {
-		a, ok := actions[i].(*SetLevelAction)
-		if !ok || a.From == a.To {
-			continue
-		}
-		ds = append(ds, telemetry.Donor{
-			Instance:   a.Instance.Name(),
-			FromLevel:  int(a.From),
-			ToLevel:    int(a.To),
-			FreedWatts: float64(model.Power(a.From) - model.Power(a.To)),
-		})
-	}
-	x.Audit.Record(telemetry.Event{
-		Time:          sys.Now(),
-		Kind:          telemetry.EventRecycle,
-		RecycledWatts: float64(span.freed),
-		HeadroomWatts: float64(sys.Headroom()),
-		Donors:        ds,
-	})
 }

@@ -91,7 +91,7 @@ func TestExecutorRollsBackMidPlanFailure(t *testing.T) {
 	before := levelsOf(sys)
 	drawBefore := sys.draw
 	log := telemetry.NewAuditLog(64)
-	res := Executor{Audit: log}.Apply(sys, agg, plan)
+	res := ApplyPlan(log, sys, drawBefore, plan)
 
 	if res.Err == nil || !errors.Is(res.Err, boom) {
 		t.Fatalf("apply err = %v, want wrapped %v", res.Err, boom)

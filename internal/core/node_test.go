@@ -55,7 +55,7 @@ func TestSetBudgetPlanApplies(t *testing.T) {
 		&SetBudgetAction{Node: nodes[0], From: 50, To: 30, Reason: ReasonRebalance},
 		&SetBudgetAction{Node: nodes[1], From: 50, To: 70, Reason: ReasonRebalance},
 	}}
-	res := Executor{Audit: audit}.Apply(sys, nil, plan)
+	res := ApplyPlan(audit, sys, sys.draw, plan)
 	if res.Err != nil {
 		t.Fatalf("apply: %v", res.Err)
 	}
@@ -112,7 +112,7 @@ func TestSetBudgetRollsBackMidPlanFailure(t *testing.T) {
 		&SetBudgetAction{Node: nodes[0], From: 50, To: 40, Reason: ReasonRebalance},
 		&SetBudgetAction{Node: nodes[1], From: 30, To: 40, Reason: ReasonRebalance},
 	}}
-	res := Executor{Audit: audit}.Apply(sys, nil, plan)
+	res := ApplyPlan(audit, sys, sys.draw, plan)
 	if !errors.Is(res.Err, boom) {
 		t.Fatalf("apply err = %v, want wrapped %v", res.Err, boom)
 	}

@@ -77,17 +77,17 @@ func NewPlanView(sys System) *PlanView {
 func (pv *PlanView) Take() *ActionPlan { return pv.plan }
 
 // Rank runs bottleneck identification (Equation 1) over the view and notes
-// the result on the plan, for the Executor to audit ahead of the actions.
+// the bottleneck and spread on the plan, for the tick's record.
 func (pv *PlanView) Rank(m Metric, stats StatsReader) []Ranked {
 	ranked := Identifier{Metric: m}.Rank(pv, stats)
 	if len(ranked) > 0 {
-		pv.plan.identified = identification{at: pv.Now(), bn: ranked[0], spread: Spread(ranked)}
+		pv.plan.identified, pv.plan.spread = ranked[0], Spread(ranked)
 	}
 	return ranked
 }
 
-// Decided marks the plan a boosting decision, whose outcome Tick audits once
-// the plan applied; balanced and no-data intervals leave it unmarked.
+// Decided marks the plan a boosting decision, whose outcome the tick's
+// record reports; balanced and no-data intervals leave it unmarked.
 func (pv *PlanView) Decided() { pv.plan.decided = true }
 
 // setReason switches the intent tag recorded on subsequent actions,
@@ -96,17 +96,6 @@ func (pv *PlanView) setReason(r ActionReason) ActionReason {
 	old := pv.reason
 	pv.reason = r
 	return old
-}
-
-// beginRecycle/endRecycle bracket one power recycling pass so the Executor
-// can group the donor steps into a single audit event.
-func (pv *PlanView) beginRecycle() int { return len(pv.plan.Actions) }
-
-func (pv *PlanView) endRecycle(start int, freed cmp.Watts) {
-	if freed <= 0 || start >= len(pv.plan.Actions) {
-		return
-	}
-	pv.plan.recycles = append(pv.plan.recycles, recycleSpan{start: start, end: len(pv.plan.Actions), freed: freed})
 }
 
 // Now implements System.

@@ -27,26 +27,19 @@ type ActionRecord struct {
 	Reason   string    `json:"reason,omitempty"`
 }
 
-// Describe renders the record like its live counterpart's Describe.
-func (r ActionRecord) Describe() string {
-	switch r.Kind {
-	case "set-level":
-		return fmt.Sprintf("set-level %s %d→%d", r.Instance, r.From, r.To)
-	case "clone":
-		return fmt.Sprintf("clone %s of stage %s at level %d", r.Source, r.Stage, r.Level)
-	case "withdraw":
-		return fmt.Sprintf("withdraw %s from stage %s", r.Victim, r.Stage)
-	case "reset-epoch":
-		return fmt.Sprintf("reset-epoch %s", r.Instance)
-	case "set-budget":
-		return fmt.Sprintf("set-budget %s %.2fW→%.2fW", r.Node, float64(r.FromW), float64(r.ToW))
-	default:
-		return "unknown-action " + r.Kind
-	}
+// reasonNames renders ActionReason, indexed by it.
+var reasonNames = [...]string{
+	ReasonBoost: "boost", ReasonRecycle: "recycle", ReasonDeboost: "deboost",
+	ReasonRelaunch: "relaunch", ReasonRebalance: "rebalance", ReasonReadmit: "readmit",
 }
 
 // String renders an ActionReason for records and logs.
-func (r ActionReason) String() string { return reasonDetail(r) }
+func (r ActionReason) String() string {
+	if r < 0 || int(r) >= len(reasonNames) {
+		return "boost"
+	}
+	return reasonNames[r]
+}
 
 // EncodePlan flattens an ActionPlan into its wire records. Plan-time clone
 // placeholders encode under their placeholder names ("X+clone"), the same

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"time"
+
+	"powerchief/internal/cmp"
 )
 
 // Config carries the runtime parameters of the control loop (Table 2 /
@@ -60,7 +62,7 @@ type Policy interface {
 
 // Planner is the decision itself: Plan computes one interval's mutation
 // program, and the outcome it would report, as a pure function of what it
-// reads through sys and stats — it actuates nothing, audits nothing and
+// reads through sys and stats — it actuates nothing, records nothing and
 // needs no setter. Callers inspect, dry-run or replay the plan, or hand it
 // to Tick.
 //
@@ -74,36 +76,50 @@ type Planner interface {
 // Tick is the one control tick: capture the decision inputs when a tap is
 // attached, plan, apply through the validating, rolling-back executor, fold
 // the apply result into the outcome — a failed plan reports BoostNone, an
-// instance boost picks up the realized clone's name — audit the outcome of
-// a boosting decision, and hand the tap its record. A tapped tick plans from
-// its capture, which read the aggregator at the same clock with no event in
-// between; a nil aggregator means no statistics at all.
-func Tick(p Planner, x Executor, tap DecisionTap, sys System, agg *Aggregator) (BoostOutcome, ApplyResult) {
+// instance boost picks up the realized clone's name — and record: one
+// DecisionRecord stamped with the holder's next tick seq, rendered into its
+// log and handed to its tap. A tapped tick plans from its capture, which
+// read the aggregator at the same clock with no event in between; a nil
+// aggregator means no statistics at all, a nil holder records nothing.
+func Tick(p Planner, r *Recorded, sys System, agg *Aggregator) (BoostOutcome, ApplyResult) {
 	var stats StatsReader
 	if agg != nil {
 		stats = agg
 	}
 	var snap *Snapshot
-	if tap != nil {
+	if r != nil && r.tap != nil {
 		snap = CaptureSnapshot(sys, stats)
 		if stats != nil {
 			stats = snap
 		}
 	}
+	var now time.Duration
+	var budget, draw cmp.Watts
+	if r != nil && r.log != nil {
+		now, budget, draw = sys.Now(), sys.Budget(), sys.Draw()
+	}
 	plan, out := p.Plan(sys, stats)
-	res := x.Apply(sys, agg, plan)
+	res := Executor{}.Apply(sys, agg, plan)
 	if res.Err != nil {
 		out = BoostOutcome{Kind: BoostNone, Target: out.Target}
-	} else {
-		if out.Kind == BoostInstance && len(res.Clones) > 0 {
-			out.NewInstance = res.Clones[len(res.Clones)-1]
-		}
-		if plan != nil && plan.decided {
-			auditOutcome(x.Audit, sys, out)
-		}
+	} else if out.Kind == BoostInstance && len(res.Clones) > 0 {
+		out.NewInstance = res.Clones[len(res.Clones)-1]
 	}
-	if tap != nil {
-		tap.RecordDecision(DecisionRecord{Snapshot: snap, Plan: EncodePlan(plan), Outcome: out})
+	if r == nil {
+		return out, res
+	}
+	r.tick++
+	if !r.recording() {
+		return out, res
+	}
+	rec := DecisionRecord{Tick: r.tick, Snapshot: snap, Plan: EncodePlan(plan), Outcome: out, Withdraw: r.withdraw}
+	r.withdraw = nil
+	rec.note(plan, res)
+	if r.log != nil {
+		rec.audit(r.log, now, sys.PowerModel(), budget, draw)
+	}
+	if r.tap != nil {
+		r.tap.RecordDecision(rec)
 	}
 	return out, res
 }
@@ -135,7 +151,7 @@ func (Static) Plan(System, StatsReader) (*ActionPlan, BoostOutcome) {
 
 // Adjust implements Policy.
 func (s Static) Adjust(sys System, agg *Aggregator) BoostOutcome {
-	out, _ := Tick(s, Executor{}, nil, sys, agg)
+	out, _ := Tick(s, nil, sys, agg)
 	return out
 }
 
@@ -143,8 +159,7 @@ func (s Static) Adjust(sys System, agg *Aggregator) BoostOutcome {
 // the bottleneck's frequency as far as recycled power allows.
 type FreqBoost struct {
 	Cfg Config
-	Audited
-	tapHolder
+	Recorded
 }
 
 // NewFreqBoost builds the policy with the given configuration.
@@ -160,7 +175,7 @@ func (f *FreqBoost) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutco
 
 // Adjust implements Policy.
 func (f *FreqBoost) Adjust(sys System, agg *Aggregator) BoostOutcome {
-	out, _ := Tick(f, f.Executor(), f.tap, sys, agg)
+	out, _ := Tick(f, &f.Recorded, sys, agg)
 	return out
 }
 
@@ -168,8 +183,7 @@ func (f *FreqBoost) Adjust(sys System, agg *Aggregator) BoostOutcome {
 // clone the bottleneck, recycling power by slowing other instances down.
 type InstBoost struct {
 	Cfg Config
-	Audited
-	tapHolder
+	Recorded
 }
 
 // NewInstBoost builds the policy with the given configuration.
@@ -185,7 +199,7 @@ func (i *InstBoost) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutco
 
 // Adjust implements Policy.
 func (i *InstBoost) Adjust(sys System, agg *Aggregator) BoostOutcome {
-	out, _ := Tick(i, i.Executor(), i.tap, sys, agg)
+	out, _ := Tick(i, &i.Recorded, sys, agg)
 	return out
 }
 
@@ -196,8 +210,7 @@ type PowerChief struct {
 	Cfg          Config
 	lastWithdraw time.Duration
 	withdrawInit bool
-	Audited
-	tapHolder
+	Recorded
 
 	// Withdrawn counts instances withdrawn over the run.
 	Withdrawn int
@@ -235,11 +248,15 @@ func (p *PowerChief) Adjust(sys System, agg *Aggregator) BoostOutcome {
 		p.lastWithdraw = now
 	} else if p.Cfg.WithdrawInterval > 0 && now-p.lastWithdraw >= p.Cfg.WithdrawInterval {
 		ranked := Identifier{Metric: p.Cfg.Metric}.Rank(sys, agg)
-		res := p.Executor().Apply(sys, agg, PlanWithdrawEpoch(sys, ranked, p.Cfg.WithdrawThreshold))
+		epoch := PlanWithdrawEpoch(sys, ranked, p.Cfg.WithdrawThreshold)
+		res := Executor{}.Apply(sys, agg, epoch)
 		p.Withdrawn += res.Withdrawn
 		p.lastWithdraw = now
+		if p.recording() { // withdraws lead the plan; the record carries those applied
+			p.withdraw = EncodePlan(&ActionPlan{Actions: epoch.Actions[:res.Withdrawn]})
+		}
 	}
-	out, _ := Tick(p, p.Executor(), p.tap, sys, agg)
+	out, _ := Tick(p, &p.Recorded, sys, agg)
 	return out
 }
 

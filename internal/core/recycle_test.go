@@ -277,3 +277,33 @@ func TestPlanShedMatchesStepDownLoop(t *testing.T) {
 		t.Fatalf("%d of 1000 trials short: the targets do not cover both paths", shorts)
 	}
 }
+
+// TestRecycleTagsDonorSteps: the donor steps Algorithm 2 plans to fund a
+// boost are recorded with reason recycle, the boost itself with reason
+// boost — a recorded plan tells the two apart.
+func TestRecycleTagsDonorSteps(t *testing.T) {
+	sys := newFakeSystem(100, 8, cmp.MidLevel, "A", "B", "C")
+	sys.budget = sys.draw + 0.1 // the boost needs recycled watts
+	agg := agg0(sys)
+	ingestStats(agg, "A_1", 2*time.Second, 2*time.Second)
+	ingestStats(agg, "B_1", 0, 100*time.Millisecond)
+	ingestStats(agg, "C_1", 0, 120*time.Millisecond)
+	sys.inst("A_1").queueLen = 4
+
+	plan, out := NewFreqBoost(DefaultConfig()).Plan(sys, agg)
+	if out.Kind != BoostFrequency || out.Recycled <= 0 {
+		t.Fatalf("outcome %+v, want a recycle-funded frequency boost", out)
+	}
+	recs := EncodePlan(plan)
+	if len(recs) < 2 {
+		t.Fatalf("plan %v, want donor steps and the boost", recs)
+	}
+	for _, r := range recs[:len(recs)-1] {
+		if r.Instance == "A_1" || r.Reason != "recycle" {
+			t.Errorf("donor step %+v, want a donor tagged recycle", r)
+		}
+	}
+	if last := recs[len(recs)-1]; last.Instance != "A_1" || last.Reason != "boost" {
+		t.Errorf("boost step %+v, want A_1 tagged boost", last)
+	}
+}

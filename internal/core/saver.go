@@ -27,7 +27,7 @@ type Pegasus struct {
 	HoldIntervals int
 
 	holding int
-	tapHolder
+	Recorded
 }
 
 // NewPegasus builds the policy for the given latency target.
@@ -97,7 +97,7 @@ func (p *Pegasus) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutcome
 
 // Adjust implements Policy.
 func (p *Pegasus) Adjust(sys System, agg *Aggregator) BoostOutcome {
-	out, _ := Tick(p, Executor{}, p.tap, sys, agg)
+	out, _ := Tick(p, &p.Recorded, sys, agg)
 	return out
 }
 
@@ -123,8 +123,7 @@ type PowerChiefSaver struct {
 	Relaunched int
 
 	cooldown int // intervals left before withdraws may resume
-	Audited
-	tapHolder
+	Recorded
 }
 
 // NewPowerChiefSaver builds the policy for the given latency target.
@@ -264,7 +263,7 @@ func (s *PowerChiefSaver) Plan(sys System, stats StatsReader) (*ActionPlan, Boos
 
 // Adjust implements Policy: the tick, then the run counters.
 func (s *PowerChiefSaver) Adjust(sys System, agg *Aggregator) BoostOutcome {
-	out, res := Tick(s, s.Executor(), s.tap, sys, agg)
+	out, res := Tick(s, &s.Recorded, sys, agg)
 	if res.Err == nil {
 		s.Withdrawn += res.Withdrawn
 		if len(res.Clones) > 0 {

@@ -9,6 +9,7 @@ import (
 	"powerchief/internal/cmp"
 	"powerchief/internal/sim"
 	"powerchief/internal/stage"
+	"powerchief/internal/telemetry"
 	"powerchief/internal/workload"
 )
 
@@ -87,20 +88,32 @@ func BenchmarkCaptureSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkPowerChiefTick measures a whole recorded PowerChief tick on the
-// DES view — capture → plan → apply → record — with one simulated second of
-// load between ticks (untimed), so rankings, windows and plans keep moving
-// the way they do under the control loop.
+// BenchmarkPowerChiefTick measures a whole PowerChief tick on the DES view
+// — plan → apply, plus capture and record when tapped, plus rendering the
+// tick's record into the log when audited without a tap — with one
+// simulated second of load between ticks (untimed), so rankings, windows and
+// plans keep moving the way they do under the control loop.
 func BenchmarkPowerChiefTick(b *testing.B) {
-	f := newTickFixture(b)
-	pc := NewPowerChief(DefaultConfig())
-	pc.SetTap(&lastTap{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		f.advance(time.Second)
-		b.StartTimer()
-		pc.Adjust(f.view, f.agg)
+	for _, bc := range []struct {
+		name   string
+		attach func(*PowerChief)
+	}{
+		{"untapped", func(*PowerChief) {}},
+		{"tapped", func(pc *PowerChief) { pc.SetTap(&lastTap{}) }},
+		{"audited", func(pc *PowerChief) { pc.SetAudit(telemetry.NewAuditLog(0)) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			f := newTickFixture(b)
+			pc := NewPowerChief(DefaultConfig())
+			bc.attach(pc)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				f.advance(time.Second)
+				b.StartTimer()
+				pc.Adjust(f.view, f.agg)
+			}
+		})
 	}
 }

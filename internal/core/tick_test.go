@@ -326,8 +326,8 @@ func TestTickPlansFromItsCapture(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		tapped.advance(time.Second)
 		untapped.advance(time.Second)
-		Tick(spyT, Executor{}, tap, tapped.view, tapped.agg)
-		Tick(spyU, Executor{}, nil, untapped.view, untapped.agg)
+		Tick(spyT, &Recorded{tap: tap}, tapped.view, tapped.agg)
+		Tick(spyU, nil, untapped.view, untapped.agg)
 		if snap, ok := spyT.stats.(*Snapshot); !ok || snap != tap.rec.Snapshot {
 			t.Fatalf("tick %d: the tapped plan read %T, not the recorded capture", i, spyT.stats)
 		}
@@ -511,7 +511,7 @@ func TestTickIsTheOneActuationPath(t *testing.T) {
 			sys, agg := tc.setup()
 			log, tap := telemetry.NewAuditLog(64), &countTap{}
 			spy := &spyPlanner{Planner: tc.mk().(Planner)}
-			out, res := Tick(spy, Executor{Audit: log}, tap, sys, agg)
+			out, res := Tick(spy, &Recorded{log: log, tap: tap}, sys, agg)
 
 			if (res.Err != nil) != tc.failed {
 				t.Fatalf("apply err = %v, want failure %v", res.Err, tc.failed)

@@ -45,7 +45,7 @@ func TestChaosPlanRollbackKeepsDrawUnderBudget(t *testing.T) {
 	proxies[len(proxies)-1].SeverConns()
 
 	audit := telemetry.NewAuditLog(64)
-	res := core.Executor{Audit: audit}.Apply(center, center.Aggregator(), plan)
+	res := core.ApplyPlan(audit, center, draw0, plan)
 	if res.Err == nil {
 		t.Fatal("apply succeeded despite the hung stage")
 	}

@@ -162,7 +162,7 @@ func (st *remoteStage) draw(model cmp.PowerModel) cmp.Watts {
 	defer st.mu.Unlock()
 	var sum cmp.Watts
 	for _, in := range st.snapshot {
-		sum += model.Power(in.level)
+		sum += model.Power(in.Level())
 	}
 	return sum
 }
@@ -248,16 +248,17 @@ func (c *Center) readmit(st *remoteStage) error {
 	// plan sheds the returning stage's own levels first — its old DVFS state
 	// may reflect boosts whose power the survivors have since absorbed — then
 	// takes back from the survivors, fastest path first (highest levels
-	// donate the most), and the executor applies, audits and, on a mid-plan
+	// donate the most), and the executor applies it and, on a mid-plan
 	// failure, rolls it back.
 	plan := &core.ActionPlan{}
 	budget := c.Budget()
-	draw := core.PlanShed(plan, []core.StageControl{st}, c.model, c.Draw()+st.draw(c.model), budget, core.ReasonReadmit)
+	start := c.Draw() + st.draw(c.model)
+	draw := core.PlanShed(plan, []core.StageControl{st}, c.model, start, budget, core.ReasonReadmit)
 	if draw = core.PlanShed(plan, c.Stages(), c.model, draw, budget, core.ReasonReadmit); draw > budget+1e-9 {
 		return fmt.Errorf("dist: readmit of %s needs %.2fW of a %.2fW budget at the lowest levels",
 			st.name, float64(draw), float64(budget))
 	}
-	if res := (core.Executor{Audit: c.opts.Audit}).Apply(c, nil, plan); res.Err != nil {
+	if res := core.ApplyPlan(c.opts.Audit, c, start, plan); res.Err != nil {
 		return fmt.Errorf("dist: readmit of %s: %w", st.name, res.Err)
 	}
 	st.setHealth(fault.Healthy)

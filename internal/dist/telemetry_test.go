@@ -23,6 +23,19 @@ func TestChaosKillAuditTimelineRetrievableOverHTTP(t *testing.T) {
 	center, _, proxies := startChaosPipeline(t, opts)
 	feedQueries(t, center, 5)
 
+	// The policy records every tick into the audit log and a frame tap. Its
+	// first tick, before the kill, is balanced by an hour-wide threshold: an
+	// identification and nothing else.
+	cfg := core.DefaultConfig()
+	cfg.BalanceThreshold = time.Hour
+	ctl := core.NewFreqBoost(cfg)
+	ctl.SetAudit(audit)
+	frames := &frameTap{}
+	ctl.SetTap(frames)
+	if _, err := center.Adjust(ctl); err != nil {
+		t.Fatalf("Adjust before the kill: %v", err)
+	}
+
 	// Kill the middle stage and spend the failure budget.
 	proxies[1].Kill()
 	work := [][]time.Duration{{time.Millisecond}, {time.Millisecond}, {time.Millisecond}}
@@ -35,10 +48,7 @@ func TestChaosKillAuditTimelineRetrievableOverHTTP(t *testing.T) {
 
 	// The policy interval after the kill: a survivor boost funded by the
 	// reclaimed watts, recorded through the policy's attached audit log.
-	cfg := core.DefaultConfig()
-	cfg.BalanceThreshold = 0
-	ctl := core.NewFreqBoost(cfg)
-	ctl.SetAudit(audit)
+	ctl.Cfg.BalanceThreshold = 0
 	out, err := center.Adjust(ctl)
 	if err != nil {
 		t.Fatalf("degraded Adjust: %v", err)
@@ -67,6 +77,13 @@ func TestChaosKillAuditTimelineRetrievableOverHTTP(t *testing.T) {
 	if quarantine.HeadroomWatts <= 0 {
 		t.Errorf("headroom after quarantine = %vW, want > 0", quarantine.HeadroomWatts)
 	}
+	// The quarantine joins the tick it followed.
+	if len(frames.recs) != 2 || frames.recs[0].Tick != 1 || frames.recs[1].Tick != 2 {
+		t.Fatalf("recorded frames %+v, want ticks 1 and 2", frames.recs)
+	}
+	if quarantine.Tick != 1 {
+		t.Errorf("quarantine carries tick %d, want 1 — the tick before the kill", quarantine.Tick)
+	}
 	// The boost decision comes after the quarantine in the timeline and was
 	// funded by its reclaimed headroom.
 	boosted := false
@@ -75,6 +92,14 @@ func TestChaosKillAuditTimelineRetrievableOverHTTP(t *testing.T) {
 			boosted = true
 			if e.NewLevel <= e.OldLevel {
 				t.Errorf("boost event levels %d->%d, want a raise", e.OldLevel, e.NewLevel)
+			}
+			// The boost is rendered from the frame that identified it.
+			joined := false
+			for _, f := range frames.recs {
+				joined = joined || f.Tick == e.Tick && f.Identified != nil && f.Identified.Instance == e.Instance
+			}
+			if !joined {
+				t.Errorf("boost of %s at tick %d joins no frame identifying it: %+v", e.Instance, e.Tick, frames.recs)
 			}
 		}
 	}
@@ -131,6 +156,9 @@ func TestChaosKillAuditTimelineRetrievableOverHTTP(t *testing.T) {
 		case telemetry.EventDeboost:
 			if e.Detail != "readmit" || found {
 				continue
+			}
+			if e.Tick != 2 {
+				t.Errorf("re-admission step %s carries tick %d, want the last tick, 2", e.Instance, e.Tick)
 			}
 			ownShed = ownShed || e.Stage == "IMM"
 			survivorShed = survivorShed || e.Stage != "IMM"
@@ -239,3 +267,9 @@ func TestSuspectClearedIsNoReadmitEvent(t *testing.T) {
 		t.Errorf("stage health = %v after answering again, want healthy", h)
 	}
 }
+
+// frameTap keeps every decision record a policy hands it. (The package
+// cannot import replay's Recorder: replay reaches dist through loadgen.)
+type frameTap struct{ recs []core.DecisionRecord }
+
+func (t *frameTap) RecordDecision(rec core.DecisionRecord) { t.recs = append(t.recs, rec) }

@@ -326,7 +326,7 @@ func (c *Coordinator) tryReadmit(n *nodeState) {
 		return // no room this epoch; stay Recovering, retry next epoch
 	}
 	plan.Actions = append(plan.Actions, &core.SetBudgetAction{Node: n, From: from, To: floor, Reason: core.ReasonReadmit})
-	if res := (core.Executor{Audit: c.opts.Audit}).Apply(c, nil, plan); res.Err != nil {
+	if res := core.ApplyPlan(c.opts.Audit, c, c.Draw(), plan); res.Err != nil {
 		return // a failed grant fed its node's health machine; the cuts are undone
 	}
 	c.mu.Lock()

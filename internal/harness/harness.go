@@ -88,8 +88,8 @@ type Scenario struct {
 	// Result.Decisions; the recording is bounded (DecisionFrames) and adds
 	// one snapshot capture per tick.
 	DisableDecisionTrace bool
-	// DecisionFrames bounds the recorded decision trace. Zero means
-	// replay.DefaultFrameLimit.
+	// DecisionFrames bounds the recorded decision trace, which keeps the
+	// last frames. Zero means replay.DefaultFrameLimit.
 	DecisionFrames int
 }
 
@@ -122,8 +122,8 @@ type Result struct {
 
 	// Decisions is the recorded decision trace (nil when the policy has no
 	// plan-level decision path or recording was disabled). Write it with
-	// Decisions.WriteFile and replay it with internal/replay or
-	// `powerbench replay`.
+	// Decisions.WriteFile, replay it with internal/replay or `powerbench
+	// replay`, and render its audit timeline with Trace().Events().
 	Decisions *replay.Recorder
 }
 

@@ -318,7 +318,7 @@ func (m *multiRun) admit(r *tenantRun) (cmp.Watts, error) {
 		return 0, fmt.Errorf("re-admitting tenant %q: %.2fW short of the %.2fW floor re-admission",
 			r.spec.Name, float64(short), float64(grant))
 	}
-	if res := (core.Executor{Audit: m.sc.Audit}).Apply(view, nil, plan); res.Err != nil {
+	if res := core.ApplyPlan(m.sc.Audit, view, view.Draw(), plan); res.Err != nil {
 		return 0, fmt.Errorf("re-admitting tenant %q: %w", r.spec.Name, res.Err)
 	}
 	dom, err := m.root.NewChild(r.spec.Name, grant, r.shedToGrant)

@@ -22,7 +22,7 @@ func TestScenarioAuditProducesDecisionTimeline(t *testing.T) {
 	if _, err := Run(sc); err != nil {
 		t.Fatal(err)
 	}
-	if audit.Len() == 0 {
+	if len(audit.Events()) == 0 {
 		t.Fatal("audited run recorded no events")
 	}
 	kinds := map[telemetry.EventKind]int{}

@@ -21,7 +21,7 @@ import (
 type Divider struct {
 	strategy arbiter.Strategy
 	cfg      core.Config
-	core.Audited
+	core.Recorded
 }
 
 // NewDivider builds the policy over a weighting strategy.
@@ -34,7 +34,7 @@ func (d *Divider) Name() string { return d.strategy.Name() }
 
 // Adjust implements core.Policy.
 func (d *Divider) Adjust(sys core.System, agg *core.Aggregator) core.BoostOutcome {
-	out, _ := core.Tick(d, d.Executor(), nil, sys, agg)
+	out, _ := core.Tick(d, &d.Recorded, sys, agg)
 	return out
 }
 

@@ -42,7 +42,8 @@ func TestTickAuditsDividerOutcome(t *testing.T) {
 
 	log := telemetry.NewAuditLog(16)
 	d := replay.NewDivider(arbiter.Proportional{}, core.DefaultConfig())
-	out, res := core.Tick(d, core.Executor{Audit: log}, nil, view, agg)
+	d.SetAudit(log)
+	out, res := core.Tick(d, &d.Recorded, view, agg)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -1,8 +1,8 @@
 // Package replay is the offline policy arena: it records the control
 // plane's decision path — one core.DecisionRecord (snapshot, plan, outcome)
-// per adjust interval — to a bounded, provenance-stamped JSONL trace, and
-// re-runs any registered planner against the recorded snapshots in shadow
-// mode. A candidate is a core.Planner: one pure Plan function, no setter, no
+// per adjust interval, the last N kept — to a provenance-stamped JSONL
+// trace whose audit timeline Trace.Events renders, and re-runs any
+// registered planner against the recorded snapshots in shadow mode. A candidate is a core.Planner: one pure Plan function, no setter, no
 // live-system access (Divider; its Adjust drives the same Plan closed-loop).
 // Replayed plans are diffed against the recorded ones (the recording policy
 // must reproduce its plans byte-identically — the determinism gate), and

@@ -13,6 +13,7 @@ import (
 
 	"powerchief/internal/core"
 	"powerchief/internal/loadgen"
+	"powerchief/internal/telemetry"
 )
 
 // TraceVersion is the trace container schema. It versions the header and
@@ -38,28 +39,22 @@ type Header struct {
 	Provenance loadgen.Provenance `json:"provenance"`
 }
 
-// Frame is one recorded control tick.
-type Frame struct {
-	Tick     int                 `json:"tick"`
-	Snapshot *core.Snapshot      `json:"snapshot"`
-	Plan     []core.ActionRecord `json:"plan"`
-	Outcome  core.BoostOutcome   `json:"outcome"`
-}
-
-// Trace is a fully loaded decision trace.
+// Trace is a fully loaded decision trace: one frame per recorded tick, the
+// policy's own decision record.
 type Trace struct {
 	Header Header
-	Frames []Frame
+	Frames []core.DecisionRecord
 }
 
 // Recorder is a bounded in-memory core.DecisionTap: the control loop feeds
-// it one record per adjust interval, WriteFile persists the trace. Once the
-// frame limit is reached further records are counted and dropped — the
-// trace stays a prefix, never a sample.
+// it one record per adjust interval, WriteFile persists the trace. It keeps
+// the last frames, as the audit log keeps the last events: a ring grown by
+// append up to the limit, then each record evicts (and counts) the oldest.
 type Recorder struct {
 	mu      sync.Mutex
 	header  Header
-	frames  []Frame
+	frames  []core.DecisionRecord // a ring once full: frames[next] is the oldest
+	next    int
 	limit   int
 	dropped int
 }
@@ -79,16 +74,13 @@ func NewRecorder(header Header, limit int) *Recorder {
 func (r *Recorder) RecordDecision(rec core.DecisionRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.frames) >= r.limit {
-		r.dropped++
+	if len(r.frames) < r.limit {
+		r.frames = append(r.frames, rec)
 		return
 	}
-	r.frames = append(r.frames, Frame{
-		Tick:     len(r.frames),
-		Snapshot: rec.Snapshot,
-		Plan:     rec.Plan,
-		Outcome:  rec.Outcome,
-	})
+	r.frames[r.next] = rec
+	r.next = (r.next + 1) % r.limit
+	r.dropped++
 }
 
 // Len returns the number of retained frames.
@@ -98,7 +90,7 @@ func (r *Recorder) Len() int {
 	return len(r.frames)
 }
 
-// Dropped counts records discarded past the frame limit.
+// Dropped counts the oldest records evicted past the frame limit.
 func (r *Recorder) Dropped() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -109,8 +101,8 @@ func (r *Recorder) Dropped() int {
 func (r *Recorder) Trace() *Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t := &Trace{Header: r.header, Frames: make([]Frame, len(r.frames))}
-	copy(t.Frames, r.frames)
+	t := &Trace{Header: r.header, Frames: make([]core.DecisionRecord, 0, len(r.frames))}
+	t.Frames = append(append(t.Frames, r.frames[r.next:]...), r.frames[:r.next]...)
 	return t
 }
 
@@ -178,7 +170,7 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("replay: trace schema v%d, this build reads v%d", t.Header.Version, TraceVersion)
 	}
 	for sc.Scan() {
-		var f Frame
+		var f core.DecisionRecord
 		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
 			return nil, fmt.Errorf("replay: decoding frame %d: %w", len(t.Frames), err)
 		}
@@ -219,6 +211,18 @@ func ReadFile(path string) (*Trace, error) {
 		return nil, fmt.Errorf("replay: %s: %w", path, err)
 	}
 	return t, nil
+}
+
+// Events renders the trace's audit timeline, oldest frame first: each
+// frame's DecisionRecord.Events against its own snapshot.
+func (t *Trace) Events() []telemetry.Event {
+	var out []telemetry.Event
+	for i := range t.Frames {
+		f := &t.Frames[i]
+		s := f.Snapshot
+		out = append(out, f.Events(s.Now, s.Power, s.Budget, s.Draw)...)
+	}
+	return out
 }
 
 // Duration returns the engine-time span covered by the trace.

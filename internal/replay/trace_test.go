@@ -156,21 +156,21 @@ func TestTraceVersionSkewRejected(t *testing.T) {
 	}
 }
 
-// TestRecorderBoundsFrames: past the limit the trace stays a prefix and the
-// overflow is counted, never sampled.
+// TestRecorderBoundsFrames: past the limit the trace keeps the last frames,
+// oldest first, and the evictions are counted, never sampled.
 func TestRecorderBoundsFrames(t *testing.T) {
 	src := testTrace(t, 1)
 	snap := src.Frames[0].Snapshot
 	rec := NewRecorder(Header{Policy: "baseline"}, 2)
 	for i := 0; i < 5; i++ {
-		rec.RecordDecision(core.DecisionRecord{Snapshot: snap})
+		rec.RecordDecision(core.DecisionRecord{Tick: i, Snapshot: snap})
 	}
 	if rec.Len() != 2 || rec.Dropped() != 3 {
 		t.Fatalf("Len=%d Dropped=%d, want 2 and 3", rec.Len(), rec.Dropped())
 	}
 	tr := rec.Trace()
-	if len(tr.Frames) != 2 || tr.Frames[0].Tick != 0 || tr.Frames[1].Tick != 1 {
-		t.Fatalf("bounded trace is not the prefix: %+v", tr.Frames)
+	if len(tr.Frames) != 2 || tr.Frames[0].Tick != 3 || tr.Frames[1].Tick != 4 {
+		t.Fatalf("bounded trace is not the last two frames: %+v", tr.Frames)
 	}
 	if tr.Header.Version != TraceVersion {
 		t.Fatalf("recorder did not stamp the trace version: %d", tr.Header.Version)
@@ -190,6 +190,20 @@ func FuzzRead(f *testing.F) {
 	f.Add(regexp.MustCompile(`"power_watts":\[[^]]*\]`).ReplaceAllString(valid, `"power_watts":null`))
 	f.Add(regexp.MustCompile(`"exec_ratio":\[[^]]*\]`).ReplaceAllString(valid, `"exec_ratio":null`))
 	f.Add(valid[:len(valid)-len(valid)/4]) // a cut final line
+
+	// A frame carrying every audit field a tick records.
+	rich := testTrace(f, 1)
+	fr := &rich.Frames[0]
+	fr.Tick = 7
+	fr.Identified = &core.Identification{Stage: "QA", Instance: "QA_1", QueueLen: 3, Serving: time.Second, Metric: 4 * time.Second, Spread: 3 * time.Second}
+	fr.Decided = true
+	fr.Withdraw = []core.ActionRecord{{Kind: "withdraw", Stage: "QA", Victim: "QA_2", Target: "QA_1"}}
+	fr.Failure = &core.Failure{Step: 0, Err: "core: applying set-level QA_1 1→2: rpc: connection lost"}
+	buf.Reset()
+	if err := Write(&buf, rich); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
 	f.Fuzz(func(t *testing.T, data string) {
 		tr, err := Read(strings.NewReader(data))
 		if err != nil {

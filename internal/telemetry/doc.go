@@ -2,7 +2,8 @@
 // per-query tracer that materializes the service/query joint design's
 // latency records (§4.1, Figure 6) into span trees, a structured audit log
 // of every Command Center decision — bottleneck identification, the
-// Equation 2/3 boosting estimates, power recycling, withdraw and the
+// Equation 2/3 boosting estimates, power recycling, withdraw (each rendered
+// from a tick's core.DecisionRecord and carrying its tick seq) and the
 // distributed runtime's quarantine transitions — and a metrics registry with
 // Prometheus-text and JSON exporters served over HTTP.
 //

@@ -16,6 +16,8 @@ import (
 //	/debug/decisions  the decision audit log (JSON), ?since=SEQ for a cursor
 //	/debug/pprof/     Go runtime profiles (CPU, heap, goroutine, ...)
 //
+// A limit or since that does not parse is answered 400, not ignored.
+//
 // The pprof endpoints are registered on this private mux (not the global
 // http.DefaultServeMux), so profiling the command center or a stage service
 // in place needs no extra wiring:
@@ -46,9 +48,12 @@ func Handler(reg *Registry, audit *AuditLog, tracer *Tracer) http.Handler {
 			traces = []QueryTrace{}
 		}
 		if s := r.URL.Query().Get("limit"); s != "" {
-			if n, err := strconv.Atoi(s); err == nil && n >= 0 && n < len(traces) {
-				traces = traces[len(traces)-n:]
+			n, err := strconv.Atoi(s)
+			if err != nil || n < 0 {
+				http.Error(w, "limit: want a non-negative integer", http.StatusBadRequest)
+				return
 			}
+			traces = traces[len(traces)-min(n, len(traces)):]
 		}
 		seen, kept, dropped := tracer.Stats()
 		writeJSON(w, struct {
@@ -61,8 +66,10 @@ func Handler(reg *Registry, audit *AuditLog, tracer *Tracer) http.Handler {
 	mux.HandleFunc("/debug/decisions", func(w http.ResponseWriter, r *http.Request) {
 		var since uint64
 		if s := r.URL.Query().Get("since"); s != "" {
-			if v, err := strconv.ParseUint(s, 10, 64); err == nil {
-				since = v
+			var err error
+			if since, err = strconv.ParseUint(s, 10, 64); err != nil {
+				http.Error(w, "since: want an event seq", http.StatusBadRequest)
+				return
 			}
 		}
 		events := audit.Since(since)

@@ -175,6 +175,13 @@ func TestHandlerDecisionsEndpoint(t *testing.T) {
 	if len(got.Events) != 1 || got.Events[0].Kind != EventBoostFreq {
 		t.Fatalf("since=1 events = %+v", got.Events)
 	}
+
+	// A cursor that does not parse is refused, not read as "everything".
+	for _, bad := range []string{"abc", "-1", "1.5"} {
+		if resp, _ := get(t, Handler(nil, audit, nil), "/debug/decisions?since="+bad); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("since=%s status = %d, want 400", bad, resp.StatusCode)
+		}
+	}
 }
 
 func TestHandlerTraceEndpoint(t *testing.T) {
@@ -204,6 +211,13 @@ func TestHandlerTraceEndpoint(t *testing.T) {
 	}
 	if len(got.Traces[0].Spans) != 2 {
 		t.Fatalf("spans = %d, want 2", len(got.Traces[0].Spans))
+	}
+
+	// A limit that does not parse is refused, not read as "all of them".
+	for _, bad := range []string{"abc", "-1", "2x"} {
+		if resp, _ := get(t, Handler(nil, nil, tr), "/debug/trace?limit="+bad); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("limit=%s status = %d, want 400", bad, resp.StatusCode)
+		}
 	}
 }
 

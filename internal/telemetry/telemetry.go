@@ -82,6 +82,9 @@ type Event struct {
 	Time time.Duration `json:"time"`
 	// Kind classifies the decision.
 	Kind EventKind `json:"kind"`
+	// Tick is the seq of the tick whose core.DecisionRecord the event
+	// renders; an event without one takes the last tick the log saw.
+	Tick int `json:"tick,omitempty"`
 
 	// Stage and Instance name the decision's subject (the bottleneck for
 	// identify/boost, the victim for withdraw, the stage for stage-* kinds).
@@ -131,6 +134,7 @@ type AuditLog struct {
 	start   int // index of the oldest retained event
 	n       int // retained count
 	seq     uint64
+	tick    int // last tick seq recorded
 	dropped uint64
 }
 
@@ -150,8 +154,9 @@ func NewAuditLog(capacity int) *AuditLog {
 // guard event construction with it so a disabled log costs one nil test.
 func (a *AuditLog) Enabled() bool { return a != nil }
 
-// Record stamps the event with the next sequence number and appends it,
-// evicting the oldest event when the ring is full. No-op on a nil log.
+// Record stamps the event with the next sequence number — and, when it has
+// no tick of its own, the last tick seen — and appends it, evicting the
+// oldest event when the ring is full. No-op on a nil log.
 func (a *AuditLog) Record(e Event) {
 	if a == nil {
 		return
@@ -159,6 +164,11 @@ func (a *AuditLog) Record(e Event) {
 	a.mu.Lock()
 	a.seq++
 	e.Seq = a.seq
+	if e.Tick == 0 {
+		e.Tick = a.tick
+	} else {
+		a.tick = e.Tick
+	}
 	if a.n < len(a.ring) {
 		a.ring[(a.start+a.n)%len(a.ring)] = e
 		a.n++
@@ -191,16 +201,6 @@ func (a *AuditLog) Since(seq uint64) []Event {
 		}
 	}
 	return out
-}
-
-// Len returns the number of retained events.
-func (a *AuditLog) Len() int {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.n
 }
 
 // LastSeq returns the sequence number of the newest event (0 when empty).

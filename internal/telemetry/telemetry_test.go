@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ func TestAuditLogNilSafe(t *testing.T) {
 	if got := a.Events(); got != nil {
 		t.Fatalf("nil log Events = %v, want nil", got)
 	}
-	if a.Len() != 0 || a.LastSeq() != 0 || a.Dropped() != 0 {
+	if a.LastSeq() != 0 || a.Dropped() != 0 {
 		t.Fatal("nil log counters not zero")
 	}
 }
@@ -94,7 +95,6 @@ func TestAuditLogConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				a.Record(Event{Kind: EventBoostFreq})
-				_ = a.Len()
 				_ = a.Since(0)
 			}
 		}()
@@ -103,8 +103,8 @@ func TestAuditLogConcurrent(t *testing.T) {
 	if a.LastSeq() != writers*per {
 		t.Fatalf("LastSeq = %d, want %d", a.LastSeq(), writers*per)
 	}
-	if a.Len() != 64 {
-		t.Fatalf("Len = %d, want 64", a.Len())
+	if n := len(a.Events()); n != 64 {
+		t.Fatalf("retained %d events, want 64", n)
 	}
 }
 
@@ -152,5 +152,22 @@ func TestAuditDefaultCapacity(t *testing.T) {
 	a := NewAuditLog(0)
 	if len(a.ring) != DefaultAuditCapacity {
 		t.Fatalf("capacity = %d, want %d", len(a.ring), DefaultAuditCapacity)
+	}
+}
+
+// TestAuditLogStampsTheLastTick: an event with no tick of its own joins the
+// last tick the log saw; one with a tick keeps it.
+func TestAuditLogStampsTheLastTick(t *testing.T) {
+	a := NewAuditLog(8)
+	a.Record(Event{Kind: EventStageSuspect})
+	a.Record(Event{Kind: EventIdentify, Tick: 3})
+	a.Record(Event{Kind: EventStageQuarantine})
+	a.Record(Event{Kind: EventIdentify, Tick: 4})
+	var got []int
+	for _, e := range a.Events() {
+		got = append(got, e.Tick)
+	}
+	if want := []int{0, 3, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("ticks %v, want %v", got, want)
 	}
 }

@@ -188,13 +188,3 @@ func (t *Tracer) Stats() (seen, kept, dropped uint64) {
 	defer t.mu.Unlock()
 	return t.seen, t.kept, t.dropped
 }
-
-// Len returns the number of retained traces.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
