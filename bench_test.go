@@ -321,19 +321,33 @@ func BenchmarkBottleneckIdentification(b *testing.B) {
 }
 
 // BenchmarkAggregatorIngest measures folding one completed three-stage
-// query's records into the moving windows.
+// query's records into the moving windows, on one goroutine, with the DES
+// harness's aggregator (exact windows, one stripe). The query is built once:
+// only Ingest is timed. "named" finds each instance by name, as the live and
+// dist engines' records make it; "slotted" carries the slots the DES stamps.
 func BenchmarkAggregatorIngest(b *testing.B) {
-	clk := time.Duration(0)
-	agg := core.NewAggregator(25*time.Second, func() time.Duration { return clk })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clk += time.Millisecond
-		q := query.New(query.ID(i), clk-time.Second, nil)
-		for _, inst := range [...]string{"ASR_1", "IMM_1", "QA_1"} {
-			q.Append(query.Record{Instance: inst, QueueEnter: 0, ServeStart: time.Millisecond, ServeEnd: 10 * time.Millisecond})
-		}
-		q.Done = clk
-		agg.Ingest(q)
+	for _, bc := range []struct {
+		name  string
+		slots [3]uint32
+	}{
+		{"named", [3]uint32{}},
+		{"slotted", [3]uint32{1, 2, 3}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			clk := time.Duration(0)
+			agg := core.NewAggregatorOptions(25*time.Second, func() time.Duration { return clk }, core.AggregatorOptions{Stripes: 1})
+			q := query.New(0, 0, nil)
+			for i, inst := range [...]string{"ASR_1", "IMM_1", "QA_1"} {
+				q.Append(query.Record{Instance: inst, Slot: bc.slots[i], QueueEnter: 0, ServeStart: time.Millisecond, ServeEnd: 10 * time.Millisecond})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clk += time.Millisecond
+				q.ID, q.Arrival, q.Done = query.ID(i), clk-time.Second, clk
+				agg.Ingest(q)
+			}
+		})
 	}
 }
 

@@ -42,18 +42,23 @@ type AggregatorOptions struct {
 
 // Aggregator is the statistics half of the Command Center. Completed queries
 // arrive carrying the latency records every instance appended on the way
-// (the service/query joint design, §4.1); the aggregator folds them into
-// per-instance moving windows of queuing and serving time, plus an
-// end-to-end latency window for the QoS policies. All statistics are
-// computed from instance-local timestamps, so no clock synchronization
-// between machines is assumed.
+// (the service/query joint design, §4.1); the aggregator folds them into one
+// moving window of (queuing, serving) pairs per instance, plus an end-to-end
+// latency window for the QoS policies. All statistics are computed from
+// instance-local timestamps, so no clock synchronization between machines is
+// assumed.
 //
 // Aggregator is safe for concurrent use and sharded for it: every instance
-// owns its own windows behind its own lock, the end-to-end window is lock-
-// striped by query ID, and the lifetime fallback counters are atomics —
-// so completions for different instances never contend, and controller
-// reads (InstStats, WindowLatency) merge on read instead of freezing the
-// ingest path behind one global mutex.
+// owns its window and lifetime sums behind its own lock, and the end-to-end
+// window is lock-striped by query ID, so completions for different
+// instances never contend, and controller reads (InstStats, WindowLatency)
+// merge on read instead of freezing the ingest path behind one global mutex.
+//
+// A record finds its instance by name, through a sync.Map. A record that
+// carries a slot (query.Record.Slot: the DES engine numbers its instances)
+// finds it through a slot-indexed table instead, without hashing the name.
+// The table only caches the name lookup, so either way a record lands in the
+// same shard.
 type Aggregator struct {
 	window time.Duration
 	now    func() time.Duration
@@ -67,24 +72,39 @@ type Aggregator struct {
 	// completing instances.
 	perInst sync.Map
 
+	// slots caches perInst by record slot. It grows copy-on-write; an entry
+	// is used only while it names the record's instance and its shard is
+	// live, so a stale or lost entry costs a map lookup, never a misfiled
+	// record.
+	slots atomic.Pointer[[]atomic.Pointer[instShard]]
+
+	mu        sync.Mutex
+	forgotten query.Tally // the lifetime tallies of the shards Forget dropped
+
 	e2e *stats.Striped
 }
 
+// pairWindow is the per-instance moving window of (queuing, serving) pairs:
+// stats.PairWindow or stats.PairBucketWindow. Both clamp a timestamp that
+// goes backwards to the latest one seen: goroutines read the clock before
+// reaching the shard lock.
+type pairWindow interface {
+	Add(at, queuing, serving time.Duration)
+	Advance(now time.Duration)
+	Means() (queuing, serving time.Duration, ok bool)
+}
+
 // instShard holds one instance's windowed and lifetime statistics behind
-// the instance's own lock. The lifetime means serve as fallback when a
+// the instance's own lock. The lifetime means serve as fallback when the
 // window goes empty — e.g. a fully saturated bottleneck that has not
 // completed a query in the current window still needs a serving-time
-// estimate for Equations 2 and 3. They are atomics so Ingest updates them
-// without holding the window lock and readers never block on them.
+// estimate for Equations 2 and 3.
 type instShard struct {
-	mu      sync.Mutex
-	last    time.Duration // monotone floor: completion clocks race the lock
-	queuing stats.MovingWindow
-	serving stats.MovingWindow
-
-	lifeCount   atomic.Uint64
-	lifeQueuing atomic.Int64 // nanoseconds
-	lifeServing atomic.Int64 // nanoseconds
+	mu   sync.Mutex
+	name string
+	dead bool // dropped by Forget: folds go to the name's next shard
+	win  pairWindow
+	life query.Tally
 }
 
 // NewAggregator creates an aggregator with the given moving-window span,
@@ -113,7 +133,7 @@ func NewAggregatorOptions(window time.Duration, now func() time.Duration, opts A
 	return a
 }
 
-// newWindow builds one moving window of the configured kind.
+// newWindow builds one end-to-end latency window of the configured kind.
 func (a *Aggregator) newWindow() stats.MovingWindow {
 	if a.opts.Window == WindowBucketed {
 		return stats.NewBucketWindow(a.window, a.opts.Buckets)
@@ -126,45 +146,112 @@ func (a *Aggregator) shard(name string) *instShard {
 	if v, ok := a.perInst.Load(name); ok {
 		return v.(*instShard)
 	}
-	v, _ := a.perInst.LoadOrStore(name, &instShard{
-		queuing: a.newWindow(),
-		serving: a.newWindow(),
-	})
+	is := &instShard{name: name}
+	if a.opts.Window == WindowBucketed {
+		is.win = stats.NewPairBucketWindow(a.window, a.opts.Buckets)
+	} else {
+		is.win = stats.NewPairWindow(a.window)
+	}
+	v, _ := a.perInst.LoadOrStore(name, is)
 	return v.(*instShard)
+}
+
+// lockShard returns the live shard of instance name, locked. slot, when not
+// zero, is the record's slot: the table is tried first and refilled on a
+// miss.
+func (a *Aggregator) lockShard(name string, slot uint32) *instShard {
+	is := a.cached(name, slot)
+	for {
+		if is == nil {
+			is = a.shard(name)
+			if slot != 0 {
+				a.cache(slot, is)
+			}
+		}
+		is.mu.Lock()
+		if !is.dead {
+			return is
+		}
+		// Forget dropped it after the lookup: the name's next shard takes
+		// the fold, as if the lookup had come after the Forget.
+		is.mu.Unlock()
+		is = nil
+	}
+}
+
+// cached returns the shard the slot table holds for slot, if it is name's.
+func (a *Aggregator) cached(name string, slot uint32) *instShard {
+	if t := a.slots.Load(); slot != 0 && t != nil && int(slot) < len(*t) {
+		if is := (*t)[slot].Load(); is != nil && is.name == name {
+			return is
+		}
+	}
+	return nil
+}
+
+// cache points the table's slot entry at is, growing the table — a fresh
+// copy swapped in whole — when the slot lies beyond it.
+func (a *Aggregator) cache(slot uint32, is *instShard) {
+	for {
+		old := a.slots.Load()
+		if old != nil && int(slot) < len(*old) {
+			(*old)[slot].Store(is)
+			return
+		}
+		n := 2*int(slot) + 1
+		grown := make([]atomic.Pointer[instShard], n)
+		if old != nil {
+			for i := range *old {
+				grown[i].Store((*old)[i].Load())
+			}
+		}
+		grown[slot].Store(is)
+		if a.slots.CompareAndSwap(old, &grown) {
+			return
+		}
+	}
 }
 
 // Ingest folds a completed query's records into the statistics. It is the
 // OnComplete callback of the service system, called concurrently from the
 // completing instances' goroutines in the live and distributed engines;
-// only records for the same instance contend with each other. Timestamps
-// are clamped per shard: goroutines read the clock before reaching a shard
-// lock, so slight reordering must not poison the windows.
+// only records for the same instance contend with each other.
 func (a *Aggregator) Ingest(q *query.Query) {
 	now := a.now()
 	a.ingested.Add(1)
 	for i := range q.Records {
 		r := &q.Records[i]
 		queuing, serving := r.Queuing(), r.Serving()
-		is := a.shard(r.Instance)
-		is.mu.Lock()
-		at := now
-		if at < is.last {
-			at = is.last
-		} else {
-			is.last = at
-		}
-		is.queuing.Add(at, queuing)
-		is.serving.Add(at, serving)
+		is := a.lockShard(r.Instance, r.Slot)
+		is.win.Add(now, queuing, serving)
+		is.life.Add(queuing, serving)
 		is.mu.Unlock()
-		is.lifeCount.Add(1)
-		is.lifeQueuing.Add(int64(queuing))
-		is.lifeServing.Add(int64(serving))
 	}
 	a.e2e.Add(uint64(q.ID), now, q.Latency())
 }
 
 // Ingested returns the number of completed queries folded in.
 func (a *Aggregator) Ingested() uint64 { return a.ingested.Load() }
+
+// Records tallies every per-instance record folded in, by Ingest and
+// IngestDelta, forgotten instances included: what the engine feeding the
+// aggregator emitted (stage.System.Emitted), once ingest has quiesced.
+func (a *Aggregator) Records() query.Tally {
+	var t query.Tally
+	a.perInst.Range(func(_, v any) bool {
+		is := v.(*instShard)
+		is.mu.Lock()
+		if !is.dead {
+			t.Merge(is.life)
+		}
+		is.mu.Unlock()
+		return true
+	})
+	a.mu.Lock()
+	t.Merge(a.forgotten)
+	a.mu.Unlock()
+	return t
+}
 
 // InstStats returns the moving-window mean queuing and serving time of the
 // named instance. When the window is empty the lifetime means are used; an
@@ -177,25 +264,16 @@ func (a *Aggregator) InstStats(name string) (queuing, serving time.Duration, ok 
 	is := v.(*instShard)
 	now := a.now()
 	is.mu.Lock()
-	if now < is.last {
-		now = is.last
-	} else {
-		is.last = now
-	}
-	is.queuing.Advance(now)
-	is.serving.Advance(now)
-	if q, has := is.queuing.Mean(); has {
-		s, _ := is.serving.Mean()
-		is.mu.Unlock()
+	defer is.mu.Unlock()
+	is.win.Advance(now)
+	if q, s, has := is.win.Means(); has {
 		return q, s, true
 	}
-	is.mu.Unlock()
-	n := is.lifeCount.Load()
-	if n == 0 {
+	if is.life.Records == 0 {
 		return 0, 0, false
 	}
-	d := time.Duration(n)
-	return time.Duration(is.lifeQueuing.Load()) / d, time.Duration(is.lifeServing.Load()) / d, true
+	n := time.Duration(is.life.Records)
+	return is.life.Queuing / n, is.life.Serving / n, true
 }
 
 // WindowLatency returns the moving-window mean end-to-end latency, used by
@@ -220,7 +298,19 @@ func (a *Aggregator) WindowTails(ps []float64, out []time.Duration) bool {
 }
 
 // Forget removes a withdrawn instance's statistics so stale history cannot
-// skew future rankings if the name is reused.
+// skew future rankings if the name is reused. Its records still count in
+// Records; a later record for the name starts a fresh shard.
 func (a *Aggregator) Forget(name string) {
-	a.perInst.Delete(name)
+	v, ok := a.perInst.LoadAndDelete(name)
+	if !ok {
+		return
+	}
+	is := v.(*instShard)
+	is.mu.Lock()
+	is.dead = true
+	life := is.life
+	is.mu.Unlock()
+	a.mu.Lock()
+	a.forgotten.Merge(life)
+	a.mu.Unlock()
 }

@@ -147,3 +147,75 @@ func TestAggregatorOptionsDefaults(t *testing.T) {
 		})
 	}
 }
+
+// TestAggregatorSlottedConcurrentIngest races slotted and unslotted ingest:
+// workers fold the same instances, half of them by slot and half by name,
+// while a churn goroutine forgets one of those instances over and over and a
+// reader polls InstStats. Meaningful under -race (make race covers this
+// package). Afterwards no record is lost or counted twice: Records equals
+// what the workers fed, forgotten shards included.
+func TestAggregatorSlottedConcurrentIngest(t *testing.T) {
+	for _, kind := range []WindowKind{WindowExact, WindowBucketed} {
+		var clk atomic.Int64
+		agg := NewAggregatorOptions(time.Second, func() time.Duration {
+			return time.Duration(clk.Add(int64(time.Microsecond)))
+		}, AggregatorOptions{Window: kind})
+		names := [...]string{"A_1", "B_1", "CHURN_1"}
+		const workers, perWorker = 6, 400
+		fed := make([]query.Tally, workers)
+		var wg, bg sync.WaitGroup
+		stop := make(chan struct{})
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				agg.Forget("CHURN_1")
+				for _, n := range names {
+					agg.InstStats(n)
+				}
+				runtime.Gosched()
+			}
+		}()
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					at := time.Duration(clk.Load())
+					id := query.ID(w<<20 | i)
+					q := query.New(id, at-time.Second, nil)
+					for s, n := range names {
+						slot := uint32(s + 1)
+						if w%2 == 1 {
+							slot = 0
+						}
+						queuing, serving := time.Duration(i%7+1)*time.Millisecond, time.Duration(w+1)*time.Millisecond
+						q.Append(query.Record{Query: id, Instance: n, Slot: slot,
+							QueueEnter: at - queuing - serving, ServeStart: at - serving, ServeEnd: at})
+						fed[w].Add(queuing, serving)
+					}
+					q.Done = at
+					agg.Ingest(q)
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(stop)
+		bg.Wait()
+		var want query.Tally
+		for _, f := range fed {
+			want.Merge(f)
+		}
+		if got := agg.Records(); got != want {
+			t.Errorf("window kind %d: Records = %v, fed %v", kind, got, want)
+		}
+		if got := agg.Ingested(); got != workers*perWorker {
+			t.Errorf("window kind %d: Ingested = %d, want %d", kind, got, workers*perWorker)
+		}
+	}
+}

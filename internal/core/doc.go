@@ -13,7 +13,12 @@
 // Entry points: NewAggregator turns query-carried latency records into the
 // windowed per-instance statistics of §4.2 — record by record (Ingest) or
 // as batched stats.Delta summaries shipped across a process boundary
-// (IngestDelta, exact for bucketed windows; DESIGN.md §5j); NewPowerChief, NewFreqBoost,
+// (IngestDelta, exact for bucketed windows; DESIGN.md §5j). Each instance
+// keeps one paired window of (queuing, serving) with two running sums; a
+// record carrying its instance's slot (query.Record.Slot, stamped by the
+// DES) finds that window through a slot table instead of a name lookup, and
+// Records tallies what was ingested for the end-of-run records identity
+// against stage.System.Emitted. NewPowerChief, NewFreqBoost,
 // NewInstBoost, NewPegasus and NewPowerChiefSaver construct the policies. A
 // Planner's Plan is the decision, a pure function of the System and
 // StatsReader it is handed; Tick is the one control tick — capture, plan

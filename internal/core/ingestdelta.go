@@ -1,17 +1,20 @@
 package core
 
 import (
+	"errors"
+	"time"
+
 	"powerchief/internal/stats"
 )
 
 // IngestDelta folds a batched statistics commit into the aggregator: every
-// per-instance digest lands in that instance's queuing/serving windows (the
-// exact O(bins) merge), the optional end-to-end digest lands in the striped
-// e2e window, and the lifetime fallback counters absorb the digest totals —
-// so Eq. 1/2/3 read the same numbers as from per-record Ingest. A digest is
-// bins on the shared layout, so the aggregator must keep bucketed windows
-// (AggregatorOptions.Window = WindowBucketed); exact windows refuse the first
-// digest (stats.FoldDigest), before anything is folded.
+// per-instance digest pair lands in that instance's paired window as one
+// (count, Σ queuing, Σ serving) fold, the optional end-to-end digest lands in
+// the striped e2e window (the exact O(bins) merge), and the lifetime fallback
+// sums absorb the pair's totals — so Eq. 1/2/3 read the same numbers as from
+// per-record Ingest. A digest is bins on the shared layout, so the aggregator
+// must keep bucketed windows (AggregatorOptions.Window = WindowBucketed);
+// exact windows refuse the first digest, before anything is folded.
 //
 // All samples in the delta are folded at the aggregator's current clock
 // reading: the receiver trusts no remote timestamps (the same
@@ -33,30 +36,19 @@ func (a *Aggregator) IngestDelta(d *stats.Delta) error {
 	now := a.now()
 	for i := range d.Insts {
 		id := &d.Insts[i]
-		is := a.shard(id.Instance)
-		is.mu.Lock()
-		at := now
-		if at < is.last {
-			at = is.last
-		} else {
-			is.last = at
+		if id.Queuing == nil || id.Queuing.Count == 0 {
+			continue // Validate paired the serving digest with it
 		}
-		if err := stats.FoldDigest(is.queuing, at, id.Queuing); err != nil {
-			is.mu.Unlock()
-			return err
+		if a.opts.Window != WindowBucketed {
+			return errors.New("core: a digest folds only into bucketed windows (stats.PairBucketWindow, the BucketWindow layout), not exact ones")
 		}
-		if err := stats.FoldDigest(is.serving, at, id.Serving); err != nil {
-			is.mu.Unlock()
-			return err
-		}
+		is := a.lockShard(id.Instance, 0)
+		queuing, serving := time.Duration(id.Queuing.SumNS), time.Duration(id.Serving.SumNS)
+		is.win.(*stats.PairBucketWindow).AddSums(now, id.Queuing.Count, queuing, serving)
+		is.life.Records += id.Queuing.Count
+		is.life.Queuing += queuing
+		is.life.Serving += serving
 		is.mu.Unlock()
-		if id.Queuing != nil {
-			is.lifeCount.Add(id.Queuing.Count)
-			is.lifeQueuing.Add(id.Queuing.SumNS)
-		}
-		if id.Serving != nil {
-			is.lifeServing.Add(id.Serving.SumNS)
-		}
 	}
 	if d.E2E != nil && d.E2E.Count > 0 {
 		// Spread the batch across the stripes by sequence number so one

@@ -37,7 +37,7 @@ func perQuery(t *testing.T, fn func() (completed uint64, err error)) (allocs, by
 // as it ever has in flight at once. What is left is the statistics windows'
 // growth, the control ticks and set-up, spread over the run's queries; the
 // engine, the instances and the generator add nothing per query. The
-// ceilings are what the run reads (1.90 / 189 B) plus 15 %: one allocation
+// ceilings are what the run reads (1.17 / 160 B) plus 15 %: one allocation
 // more per query fails the guard.
 func TestAllocationsPerSimulatedQuery(t *testing.T) {
 	sc := mitigationScenario(app.Sirius(), "alloc-guard", workload.Medium,
@@ -49,18 +49,18 @@ func TestAllocationsPerSimulatedQuery(t *testing.T) {
 		}
 		return res.Completed, nil
 	})
-	if allocs > 2.2 {
-		t.Errorf("%.2f allocations per simulated query, budget 2.2", allocs)
+	if allocs > 1.35 {
+		t.Errorf("%.2f allocations per simulated query, budget 1.35", allocs)
 	}
-	if bytes > 217 {
-		t.Errorf("%.0f bytes allocated per simulated query, budget 217", bytes)
+	if bytes > 184 {
+		t.Errorf("%.0f bytes allocated per simulated query, budget 184", bytes)
 	}
 }
 
 // TestAllocationsPerSimulatedQueryMultiTenant is the same guard for RunMulti
 // on the recorded two-tenant benchmark under the arbiter the repository
 // benchmark runs it with: each tenant's generator recycles its own queries.
-// The ceilings are what the run reads (1.74 / 256 B) plus 15 %.
+// The ceilings are what the run reads (1.09 / 226 B) plus 15 %.
 func TestAllocationsPerSimulatedQueryMultiTenant(t *testing.T) {
 	sc := BenchTenantScenario(7)
 	sc.Arbiter = proportionalArbiter
@@ -71,10 +71,10 @@ func TestAllocationsPerSimulatedQueryMultiTenant(t *testing.T) {
 		}
 		return uint64(res.Combined.Count()), nil
 	})
-	if allocs > 2.0 {
-		t.Errorf("%.2f allocations per simulated query, budget 2.0", allocs)
+	if allocs > 1.26 {
+		t.Errorf("%.2f allocations per simulated query, budget 1.26", allocs)
 	}
-	if bytes > 295 {
-		t.Errorf("%.0f bytes allocated per simulated query, budget 295", bytes)
+	if bytes > 260 {
+		t.Errorf("%.0f bytes allocated per simulated query, budget 260", bytes)
 	}
 }

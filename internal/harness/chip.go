@@ -40,15 +40,35 @@ func newAppChip(eng *sim.Engine, t Tenant, specs []stage.Spec, grant cmp.Watts) 
 	if err != nil {
 		return nil, fmt.Errorf("harness: building %q: %w", t.Name, err)
 	}
+	// One goroutine completes every query, so one stripe: the merged reads
+	// are the union multiset either way.
+	agg := core.NewAggregatorOptions(t.StatsWindow, eng.Now, core.AggregatorOptions{Stripes: 1})
 	c := &appChip{spec: t, chip: chip, sys: sys, view: core.NewDESView(sys),
-		agg: core.NewAggregator(t.StatsWindow, eng.Now), policy: t.Policy(), latency: stats.NewSummary()}
+		agg: agg, policy: t.Policy(), latency: stats.NewSummary()}
 	sys.OnComplete(c.complete)
 	return c, nil
 }
 
+// ingest is how the completion tap folds a query into the aggregator; the
+// records-identity test swaps in one that loses a record.
+var ingest = (*core.Aggregator).Ingest
+
 func (c *appChip) complete(q *query.Query) {
-	c.agg.Ingest(q)
+	ingest(c.agg, q)
 	c.latency.Observe(q.Latency())
+}
+
+// checkRecords is the records identity: every latency record the pipeline
+// handed to the completion tap reached the aggregator, with the same Σ
+// queuing and Σ serving. Run and RunMulti check it at the end of every run.
+func (c *appChip) checkRecords() error {
+	emitted, ingested := c.sys.Emitted(), c.agg.Records()
+	if emitted == ingested {
+		return nil
+	}
+	return fmt.Errorf("harness: %q: the engine emitted %v but the aggregator ingested %v (short by %d records, %v queuing, %v serving)",
+		c.spec.Name, emitted, ingested, int64(emitted.Records-ingested.Records),
+		emitted.Queuing-ingested.Queuing, emitted.Serving-ingested.Serving)
 }
 
 // start arms the refilling generator: the tenant's source at its reference

@@ -260,6 +260,9 @@ func Run(sc Scenario) (*Result, error) {
 	if err := c.chip.CheckInvariant(); err != nil {
 		return nil, fmt.Errorf("harness: %q ended with a broken chip invariant: %w", sc.Name, err)
 	}
+	if err := c.checkRecords(); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

@@ -723,6 +723,9 @@ func (m *multiRun) result() (*MultiResult, error) {
 		if err := r.chip.CheckInvariant(); err != nil {
 			return nil, fmt.Errorf("harness: tenant %q ended with a broken chip invariant: %w", r.spec.Name, err)
 		}
+		if err := r.checkRecords(); err != nil {
+			return nil, err
+		}
 	}
 	if err := m.root.CheckInvariant(); err != nil {
 		return nil, fmt.Errorf("harness: %q ended with a broken domain invariant: %w", m.sc.Name, err)

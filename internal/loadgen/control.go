@@ -73,7 +73,8 @@ func (t *DESTarget) AttachControl(opts ControlOptions) (*controlplane.Loop, erro
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
-	agg := core.NewAggregator(opts.Interval, t.eng.Now)
+	// The simulation completes every query on one goroutine: one stripe.
+	agg := core.NewAggregatorOptions(opts.Interval, t.eng.Now, core.AggregatorOptions{Stripes: 1})
 	t.sys.OnComplete(agg.Ingest)
 	view := core.NewDESView(t.sys)
 	return controlplane.Start(controlplane.SimClock(t.eng), controlplane.NewAdjuster(view, agg), controlplane.Options{

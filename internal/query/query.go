@@ -25,19 +25,27 @@ type Record struct {
 	// original instance".
 	Level   int
 	Boosted bool
+
+	// Slot is the emitting instance's dense number within its engine,
+	// taken at launch (stage.Instance), so the aggregator can find the
+	// instance's statistics without hashing Instance. Zero means none: the
+	// live and distributed engines leave it unset. It never travels on the
+	// wire or into a trace, where Instance stays the key. Placed after
+	// Boosted it fills padding: a Record stays 80 bytes.
+	Slot uint32
 }
 
 // Queuing returns the time the query waited in the instance queue.
-func (r Record) Queuing() time.Duration { return r.ServeStart - r.QueueEnter }
+func (r *Record) Queuing() time.Duration { return r.ServeStart - r.QueueEnter }
 
 // Serving returns the time the instance spent processing the query.
-func (r Record) Serving() time.Duration { return r.ServeEnd - r.ServeStart }
+func (r *Record) Serving() time.Duration { return r.ServeEnd - r.ServeStart }
 
 // Processing returns the total delay contributed at the instance.
-func (r Record) Processing() time.Duration { return r.ServeEnd - r.QueueEnter }
+func (r *Record) Processing() time.Duration { return r.ServeEnd - r.QueueEnter }
 
 // Validate checks the record's internal time ordering.
-func (r Record) Validate() error {
+func (r *Record) Validate() error {
 	if r.ServeStart < r.QueueEnter {
 		return fmt.Errorf("query: record %d@%s serves before queuing (%v < %v)", r.Query, r.Instance, r.ServeStart, r.QueueEnter)
 	}
@@ -45,6 +53,34 @@ func (r Record) Validate() error {
 		return fmt.Errorf("query: record %d@%s ends before starting (%v < %v)", r.Query, r.Instance, r.ServeEnd, r.ServeStart)
 	}
 	return nil
+}
+
+// Tally counts latency records and sums their queuing and serving times. The
+// engine tallies what it emits and the aggregator what it ingests; at the end
+// of a run the two are equal, field for field, or a record was lost or
+// double-counted on the way to the controller.
+type Tally struct {
+	Records          uint64
+	Queuing, Serving time.Duration
+}
+
+// Add counts one record with the given queuing and serving times.
+func (t *Tally) Add(queuing, serving time.Duration) {
+	t.Records++
+	t.Queuing += queuing
+	t.Serving += serving
+}
+
+// Merge adds u's counts and sums into t.
+func (t *Tally) Merge(u Tally) {
+	t.Records += u.Records
+	t.Queuing += u.Queuing
+	t.Serving += u.Serving
+}
+
+// String renders the tally as "N records (Σ queuing Q, Σ serving S)".
+func (t Tally) String() string {
+	return fmt.Sprintf("%d records (Σ queuing %v, Σ serving %v)", t.Records, t.Queuing, t.Serving)
 }
 
 // Query is a user request flowing through the multi-stage pipeline. Work

@@ -152,6 +152,14 @@ func TestCriticalPathTakesSlowestBranchPerStage(t *testing.T) {
 	}
 }
 
+// TestRecordSize: Slot lives in the padding after Boosted, so the records a
+// query carries (and the pool recycles) stay 80 bytes each.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 80 {
+		t.Errorf("unsafe.Sizeof(Record{}) = %d, want 80", got)
+	}
+}
+
 func TestAppendAccumulatesRecords(t *testing.T) {
 	q := New(1, 0, nil)
 	q.Append(rec("A", "A_1", 0, 1, 2))

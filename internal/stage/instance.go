@@ -31,7 +31,8 @@ type queued struct {
 type Instance struct {
 	stage  *Stage
 	name   string
-	branch int // fan-out branch index (stable per instance)
+	branch int    // fan-out branch index (stable per instance)
+	slot   uint32 // dense per-System number, stamped on every record
 
 	core    cmp.CoreID
 	level   cmp.Level
@@ -57,10 +58,12 @@ type Instance struct {
 }
 
 func newInstance(st *Stage, name string, branch int, core cmp.CoreID, level cmp.Level) *Instance {
+	st.sys.slots++
 	in := &Instance{
 		stage:  st,
 		name:   name,
 		branch: branch,
+		slot:   st.sys.slots,
 		core:   core,
 		level:  level,
 		busy:   stats.NewBusyTracker(),
@@ -200,6 +203,7 @@ func (in *Instance) complete() {
 		ServeEnd:   now,
 		Level:      int(in.level),
 		Boosted:    in.boosted,
+		Slot:       in.slot,
 	}
 	item.q.Append(rec)
 

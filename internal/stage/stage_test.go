@@ -457,6 +457,44 @@ func TestSystemCounters(t *testing.T) {
 	}
 }
 
+// TestRecordsCarryInstanceSlots: every instance takes its own slot at launch,
+// clones included, each record carries its instance's, and Emitted tallies
+// exactly the records the completion callbacks were handed.
+func TestRecordsCarryInstanceSlots(t *testing.T) {
+	eng, sys := newSys(t, oneStage("A", 2, flat), oneStage("B", 1, flat))
+	bySlot := map[uint32]string{}
+	for _, st := range sys.Stages() {
+		for _, in := range st.Instances() {
+			bySlot[in.slot] = in.name
+		}
+	}
+	a := sys.Stage("A")
+	clone, err := a.Clone(a.Instances()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bySlot[clone.slot] = clone.name
+	if len(bySlot) != 4 || bySlot[0] != "" || clone.slot != 4 {
+		t.Fatalf("slots %v, clone %d: want 1..4, one per instance", bySlot, clone.slot)
+	}
+	var handed query.Tally
+	sys.OnComplete(func(q *query.Query) {
+		for _, r := range q.Records {
+			if bySlot[r.Slot] != r.Instance {
+				t.Errorf("record of %s carries slot %d (%s)", r.Instance, r.Slot, bySlot[r.Slot])
+			}
+			handed.Add(r.Queuing(), r.Serving())
+		}
+	})
+	for i := 0; i < 12; i++ {
+		submitAt(eng, sys, query.ID(i), time.Second, 10*time.Millisecond, 7*time.Millisecond)
+	}
+	eng.Run()
+	if got := sys.Emitted(); got != handed || got.Records != 24 || got.Queuing == 0 {
+		t.Errorf("Emitted = %v, handed to the callbacks %v", got, handed)
+	}
+}
+
 func TestNewSystemValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	chip := cmp.NewChip(16, cmp.DefaultModel(), 200)

@@ -25,6 +25,8 @@ type System struct {
 
 	submitted uint64
 	completed uint64
+	slots     uint32      // instances launched: the last slot taken
+	emitted   query.Tally // records handed to the completion callbacks
 }
 
 // NewSystem builds the stages described by specs, allocating their initial
@@ -111,6 +113,11 @@ func (s *System) Submitted() uint64 { return s.submitted }
 // Completed returns the number of queries that finished all stages.
 func (s *System) Completed() uint64 { return s.completed }
 
+// Emitted tallies the latency records of every completed query, as handed
+// to the completion callbacks: what an aggregator fed by OnComplete must
+// have ingested by the end of a run.
+func (s *System) Emitted() query.Tally { return s.emitted }
+
 // InFlight returns the number of queries currently inside the pipeline.
 func (s *System) InFlight() uint64 { return s.submitted - s.completed }
 
@@ -138,6 +145,10 @@ func (s *System) advance(q *query.Query, idx int) {
 	}
 	q.Done = s.eng.Now()
 	s.completed++
+	for i := range q.Records {
+		r := &q.Records[i]
+		s.emitted.Add(r.Queuing(), r.Serving())
+	}
 	for _, fn := range s.onComplete {
 		fn(q)
 	}

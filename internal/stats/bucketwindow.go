@@ -83,14 +83,8 @@ func (b *timeBucket) clear() {
 // In steady state Add allocates nothing: every buffer is laid down at
 // construction (asserted by TestBucketWindowAddZeroAlloc).
 type BucketWindow struct {
-	span  time.Duration
-	width time.Duration // span / len(ring), rounded up
-
-	last    time.Duration
-	cur     int64 // absolute index (at/width) of the newest bucket
-	started bool
-
-	ring []timeBucket
+	clock bucketClock
+	ring  []timeBucket
 
 	// Live totals over the retained buckets, maintained on eviction.
 	count uint64
@@ -107,6 +101,33 @@ const DefaultBuckets = 32
 // NewBucketWindow creates a constant-memory moving window over span,
 // divided into the given number of time buckets (0 applies DefaultBuckets).
 func NewBucketWindow(span time.Duration, buckets int) *BucketWindow {
+	clock, n := newBucketClock(span, buckets)
+	w := &BucketWindow{
+		clock:   clock,
+		ring:    make([]timeBucket, n),
+		scratch: make([]uint64, len(binBounds)),
+	}
+	for i := range w.ring {
+		w.ring[i].bins = make([]uint32, len(binBounds))
+	}
+	return w
+}
+
+// bucketClock is the time half of a bucketed window, shared by BucketWindow
+// and PairBucketWindow: it clamps time to a monotone floor and cuts it into
+// buckets of one width, the newest of which is current.
+type bucketClock struct {
+	span  time.Duration
+	width time.Duration // span / ring length, rounded up
+
+	last    time.Duration
+	cur     int64 // absolute index (at/width) of the newest bucket
+	started bool
+}
+
+// newBucketClock validates a window's span and bucket count (0 applies
+// DefaultBuckets) and returns its clock and ring length.
+func newBucketClock(span time.Duration, buckets int) (bucketClock, int) {
 	if span <= 0 {
 		panic("stats: window span must be positive")
 	}
@@ -116,20 +137,31 @@ func NewBucketWindow(span time.Duration, buckets int) *BucketWindow {
 	if time.Duration(buckets) > span {
 		buckets = int(span) // never let a bucket be narrower than 1ns
 	}
-	w := &BucketWindow{
-		span:    span,
-		width:   (span + time.Duration(buckets) - 1) / time.Duration(buckets),
-		ring:    make([]timeBucket, buckets),
-		scratch: make([]uint64, len(binBounds)),
+	return bucketClock{span: span, width: (span + time.Duration(buckets) - 1) / time.Duration(buckets)}, buckets
+}
+
+// advance clamps now to the floor and makes the bucket containing it current.
+// It returns the clamped now and the absolute bucket indexes (from, to] whose
+// ring slots the window front stepped over: each held the bucket exactly one
+// revolution older, which expires now. A step of a whole ring or more means
+// every bucket expired (an idle gap longer than the span).
+func (c *bucketClock) advance(now time.Duration) (clamped time.Duration, from, to int64) {
+	if now < c.last {
+		now = c.last
+	} else {
+		c.last = now
 	}
-	for i := range w.ring {
-		w.ring[i].bins = make([]uint32, len(binBounds))
+	abs := int64(now / c.width)
+	if !c.started {
+		c.started = true
+		c.cur = abs
 	}
-	return w
+	from, c.cur = c.cur, abs
+	return now, from, abs
 }
 
 // Span returns the window length.
-func (w *BucketWindow) Span() time.Duration { return w.span }
+func (w *BucketWindow) Span() time.Duration { return w.clock.span }
 
 // Buckets returns the fixed bucket count.
 func (w *BucketWindow) Buckets() int { return len(w.ring) }
@@ -137,41 +169,23 @@ func (w *BucketWindow) Buckets() int { return len(w.ring) }
 // advance retires buckets that fall out of the window as of now and makes
 // the bucket containing now current. Returns the clamped now.
 func (w *BucketWindow) advance(now time.Duration) time.Duration {
-	if now < w.last {
-		now = w.last
-	} else {
-		w.last = now
-	}
-	abs := int64(now / w.width)
-	if !w.started {
-		w.started = true
-		w.cur = abs
-		return now
-	}
-	if abs == w.cur {
-		return now
-	}
+	now, from, to := w.clock.advance(now)
 	n := int64(len(w.ring))
-	if abs-w.cur >= n {
-		// Idle gap longer than the span: every bucket expired. One pass
-		// over the fixed ring, not over the samples it absorbed.
+	if to-from >= n {
+		// One pass over the fixed ring, not over the samples it absorbed.
 		for i := range w.ring {
 			w.ring[i].clear()
 		}
 		w.count = 0
 		w.sum = 0
-		w.cur = abs
 		return now
 	}
-	// Each slot stepped over held the bucket exactly one revolution older —
-	// the one expiring now that the window front moved past it.
-	for i := w.cur + 1; i <= abs; i++ {
+	for i := from + 1; i <= to; i++ {
 		b := &w.ring[i%n]
 		w.count -= b.count
 		w.sum -= b.sum
 		b.clear()
 	}
-	w.cur = abs
 	return now
 }
 
@@ -182,7 +196,7 @@ func (w *BucketWindow) Add(at, value time.Duration) {
 		value = 0
 	}
 	at = w.advance(at)
-	b := &w.ring[(at/w.width)%time.Duration(len(w.ring))]
+	b := &w.ring[(at/w.clock.width)%time.Duration(len(w.ring))]
 	if b.count == 0 || value < b.min {
 		b.min = value
 	}
@@ -360,5 +374,5 @@ func (w *BucketWindow) Reset() {
 	}
 	w.count = 0
 	w.sum = 0
-	w.started = false
+	w.clock.started = false
 }

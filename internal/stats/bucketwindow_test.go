@@ -178,7 +178,7 @@ func TestPropertyBucketWindowTracksExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		span := time.Duration(5+rng.Intn(50)) * time.Second
 		bucketed := NewBucketWindow(span, 16)
-		width := bucketed.width
+		width := bucketed.clock.width
 		n := int64(bucketed.Buckets())
 		var hist []Sample
 		now := time.Duration(0)

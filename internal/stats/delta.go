@@ -80,7 +80,9 @@ func (d *Delta) Empty() bool {
 	return d == nil || (d.Queries == 0 && len(d.Insts) == 0 && (d.E2E == nil || d.E2E.Count == 0))
 }
 
-// Validate checks the frame version and digest shapes before a fold.
+// Validate checks the frame version and digest shapes before a fold, and that
+// each instance's queuing and serving digests pair up: both present or both
+// absent, with equal counts.
 func (d *Delta) Validate() error {
 	if d == nil {
 		return fmt.Errorf("stats: nil delta")
@@ -106,11 +108,21 @@ func (d *Delta) Validate() error {
 		return err
 	}
 	for i := range d.Insts {
-		if err := check(d.Insts[i].Queuing); err != nil {
+		id := &d.Insts[i]
+		if err := check(id.Queuing); err != nil {
 			return err
 		}
-		if err := check(d.Insts[i].Serving); err != nil {
+		if err := check(id.Serving); err != nil {
 			return err
+		}
+		// Every record has both halves: a digest pair that disagrees would
+		// skew one lifetime mean against the other (the count comes from
+		// the queuing side) and cannot fold into a paired window.
+		if (id.Queuing == nil) != (id.Serving == nil) {
+			return fmt.Errorf("stats: delta instance %q carries only one of its queuing and serving digests", id.Instance)
+		}
+		if id.Queuing != nil && id.Queuing.Count != id.Serving.Count {
+			return fmt.Errorf("stats: delta instance %q has %d queuing samples but %d serving ones", id.Instance, id.Queuing.Count, id.Serving.Count)
 		}
 	}
 	return nil
@@ -483,7 +495,7 @@ func (w *BucketWindow) AddDigest(at time.Duration, d *HistogramDigest) error {
 		return fmt.Errorf("stats: digest growth %v cannot fold into the shared %v layout", d.Growth, binGrowth)
 	}
 	at = w.advance(at)
-	b := &w.ring[(at/w.width)%time.Duration(len(w.ring))]
+	b := &w.ring[(at/w.clock.width)%time.Duration(len(w.ring))]
 	min, max := time.Duration(d.MinNS), time.Duration(d.MaxNS)
 	if b.count == 0 || min < b.min {
 		b.min = min

@@ -247,6 +247,39 @@ func TestDeltaValidateRejectsForeignFrames(t *testing.T) {
 	}
 }
 
+// TestDeltaValidateRejectsUnpairedDigests: every record has a queuing and a
+// serving half, so an instance's two digests are both present or both
+// absent, with one count. A serving-only digest would skew the lifetime
+// serving mean (its count comes from the queuing side); a count mismatch
+// cannot fold into a paired window.
+func TestDeltaValidateRejectsUnpairedDigests(t *testing.T) {
+	digest := func(samples ...time.Duration) *HistogramDigest {
+		h := NewBinHistogram()
+		for _, v := range samples {
+			h.Observe(v)
+		}
+		return h.Digest()
+	}
+	ms := time.Millisecond
+	for name, inst := range map[string]InstDelta{
+		"serving only":   {Instance: "QA_1", Serving: digest(ms)},
+		"queuing only":   {Instance: "QA_1", Queuing: digest(ms)},
+		"count mismatch": {Instance: "QA_1", Queuing: digest(ms), Serving: digest(ms, 2*ms)},
+	} {
+		d := &Delta{V: DeltaVersion, Queries: 1, Insts: []InstDelta{inst}}
+		if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "QA_1") {
+			t.Errorf("%s: Validate = %v, want an error naming the instance", name, err)
+		}
+	}
+	paired := &Delta{V: DeltaVersion, Insts: []InstDelta{
+		{Instance: "QA_1", Queuing: digest(ms, ms), Serving: digest(3*ms, 4*ms)},
+		{Instance: "QA_2"},
+	}}
+	if err := paired.Validate(); err != nil {
+		t.Errorf("paired digests: %v", err)
+	}
+}
+
 // TestFoldDigestRefusesExactWindow: a digest is bins on the shared layout,
 // which the exact sample-keeping Window does not keep — the fold is refused
 // with the requirement named and the window untouched, never approximated.

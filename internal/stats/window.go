@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Sample is one observation tagged with the virtual time it was recorded.
 type Sample struct {
@@ -73,10 +70,12 @@ func (w *Window) evict(now time.Duration) {
 		w.sum = 0
 		return
 	}
-	// Binary search the eviction point; timestamps are nondecreasing.
-	i := sort.Search(n, func(j int) bool { return live[j].At >= cutoff })
-	for j := 0; j < i; j++ {
-		w.sum -= live[j].Value
+	// Walk the expired prefix, which the sum must visit anyway: each sample
+	// is passed over once in its life (the last one is live, so the walk
+	// stops inside the slice).
+	i := 0
+	for ; live[i].At < cutoff; i++ {
+		w.sum -= live[i].Value
 	}
 	w.head += i
 	// Compact only when the dead prefix dominates, so each sample is copied

@@ -69,11 +69,26 @@ func TestDeltaWireRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDelta: arbitrary bytes neither panic the decoder nor Validate, and
+// whatever Validate accepts has its instance digests paired.
 func FuzzDelta(f *testing.F) {
 	rng := rand.New(rand.NewSource(17))
-	for _, d := range []Delta{{}, flushedDelta(), randDelta(rng), randDelta(rng)} {
+	serving := flushedDelta()
+	serving.Insts[0].Queuing = nil // a serving-only digest
+	for _, d := range []Delta{{}, flushedDelta(), serving, randDelta(rng), randDelta(rng)} {
 		f.Add(d.AppendWire(nil))
 	}
 	f.Add([]byte{1, 1, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // 4 G instances announced, none sent
-	f.Fuzz(func(t *testing.T, data []byte) { wiretest.Fuzz[Delta](t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wiretest.Fuzz[Delta](t, data)
+		var d Delta
+		if d.DecodeWire(data) != nil || d.Validate() != nil {
+			return
+		}
+		for _, id := range d.Insts {
+			if (id.Queuing == nil) != (id.Serving == nil) || (id.Queuing != nil && id.Queuing.Count != id.Serving.Count) {
+				t.Fatalf("Validate accepted unpaired digests for %q: %+v / %+v", id.Instance, id.Queuing, id.Serving)
+			}
+		}
+	})
 }
