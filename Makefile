@@ -52,10 +52,11 @@ loc:
 # coordinator, the budget arbiter (chaos property tests), the stage engine,
 # the telemetry subsystem (ring buffers + registry under concurrent writers),
 # the decision engine + statistics pipeline, the decision-trace recorder and
-# replay arena, the multi-tenant harness, and the distributed benchmark
-# harness.
+# replay arena, the multi-tenant harness, the distributed benchmark harness,
+# and the operator binary's in-process smokes (stage + center, node + fleet,
+# cancellation).
 race:
-	$(GO) test -race ./internal/rpc/... ./internal/dist/... ./internal/fleet/... ./internal/arbiter/... ./internal/stage/... ./internal/telemetry/... ./internal/core/... ./internal/stats/... ./internal/replay/... ./internal/controlplane/... ./internal/live/... ./internal/benchnet/... ./internal/harness/...
+	$(GO) test -race ./internal/rpc/... ./internal/dist/... ./internal/fleet/... ./internal/arbiter/... ./internal/stage/... ./internal/telemetry/... ./internal/core/... ./internal/stats/... ./internal/replay/... ./internal/controlplane/... ./internal/live/... ./internal/benchnet/... ./internal/harness/... ./cmd/powerchief/...
 
 # Every Fuzz* target (the frame layer and each hand-written body decoder) for
 # five seconds, one `go test -fuzz` invocation per target because the tool
@@ -68,13 +69,6 @@ fuzz-smoke:
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s $$pkg || exit 1; \
 		done; \
 	done
-
-# The fleet chaos smoke: a coordinator over three proxied node services,
-# kill one mid-run, assert Σ granted ≤ budget at every epoch plus reclaim
-# and re-admission. Exits non-zero on any violation.
-.PHONY: fleet-smoke
-fleet-smoke:
-	$(GO) run ./examples/fleet
 
 # The distributed benchmark smoke: spawn 4 local agent processes, fan one
 # sharded schedule out over real RPC against a shared dist deployment, and

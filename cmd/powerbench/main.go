@@ -11,7 +11,7 @@
 //	               milliseconds and is exactly reproducible per seed)
 //	-target dist   the distributed runtime: self-hosts one stage service
 //	               per application stage on loopback TCP, or connects to
-//	               running cmd/stagesvc processes with -addrs
+//	               running `powerchief stage` processes with -addrs
 //
 // Examples:
 //

@@ -3,7 +3,6 @@ package powerchief
 import (
 	"powerchief/internal/controlplane"
 	"powerchief/internal/core"
-	"powerchief/internal/sim"
 )
 
 // The control-plane surface exposes the one backend-agnostic control loop:
@@ -42,14 +41,6 @@ type (
 func StartControlLoop(clock Clock, adj Adjuster, opts ControlOptions) (*ControlLoop, error) {
 	return controlplane.Start(clock, adj, opts)
 }
-
-// WallClock is a Clock running engine time compressed by scale: one engine
-// second lasts scale wall seconds (1 is real time). Non-positive scales
-// default to 1.
-func WallClock(scale float64) Clock { return controlplane.WallClock(scale) }
-
-// SimClock drives a loop deterministically from a discrete-event engine.
-func SimClock(eng *sim.Engine) Clock { return controlplane.SimClock(eng) }
 
 // NewAdjuster adapts an in-process System and its Aggregator (a live cluster
 // or a DES view) into an Adjuster for StartControlLoop.

@@ -286,11 +286,23 @@ func (c *Center) QuarantineCounts() (quarantines, readmissions uint64) {
 	return c.tally.Counts()
 }
 
-// RegisterMetrics exports the center's health telemetry on reg: a per-stage
-// health-state gauge (0 healthy, 1 suspect, 2 down, 3 recovering), the count
-// of currently quarantined stages, and lifetime quarantine/re-admission
-// counters. Stage names are sanitized into the metric-name charset.
+// RegisterMetrics exports the center's telemetry on reg: modelled draw and
+// headroom, query and decision counters, the aggregator's moving-window
+// latency, and the health machine — a per-stage health-state gauge (0
+// healthy, 1 suspect, 2 down, 3 recovering), the count of currently
+// quarantined stages, and lifetime quarantine/re-admission counters. Stage
+// names are sanitized into the metric-name charset.
 func (c *Center) RegisterMetrics(reg *telemetry.Registry) {
+	reg.GaugeFunc("powerchief_power_draw_watts", "current modelled chip draw", func() float64 { return float64(c.Draw()) })
+	reg.GaugeFunc("powerchief_power_headroom_watts", "budget minus draw", func() float64 { return float64(c.Headroom()) })
+	reg.CounterFunc("powerchief_queries_submitted_total", "queries admitted", func() float64 { sub, _ := c.Counts(); return float64(sub) })
+	reg.CounterFunc("powerchief_queries_completed_total", "queries completed", func() float64 { _, comp := c.Counts(); return float64(comp) })
+	reg.CounterFunc("powerchief_decisions_total", "decision audit events recorded", func() float64 { return float64(c.opts.Audit.LastSeq()) })
+	// Read from the sharded aggregator's merged moving windows (constant
+	// memory in the distributed center).
+	reg.GaugeFunc("powerchief_window_latency_seconds", "moving-window mean end-to-end latency", func() float64 { m, _ := c.agg.WindowLatency(); return m.Seconds() })
+	reg.GaugeFunc("powerchief_window_latency_p99_seconds", "moving-window p99 end-to-end latency", func() float64 { p, _ := c.agg.WindowTail(0.99); return p.Seconds() })
+	reg.CounterFunc("powerchief_queries_ingested_total", "completed queries folded into the statistics windows", func() float64 { return float64(c.agg.Ingested()) })
 	c.mu.Lock()
 	stages := make([]*remoteStage, len(c.stages))
 	copy(stages, c.stages)

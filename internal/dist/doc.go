@@ -13,7 +13,7 @@
 // live engine with a single stage each, so the service model is the same one
 // the simulator and the in-process live cluster run.
 //
-// Entry points: NewStageService hosts one stage (cmd/stagesvc wraps it);
+// Entry points: NewStageService hosts one stage (`powerchief stage` wraps it);
 // NewCenter connects to the stage addresses and exposes Submit for queries
 // plus the core.System view for policies. The runtime is fault-tolerant:
 // RPC deadlines and retries bound every call, unhealthy stages are

@@ -216,7 +216,7 @@ func TestDeltaFrameWireBackCompat(t *testing.T) {
 }
 
 // TestIngestNegotiationClampsToStageBounds: a stage started with operator
-// bounds (cmd/stagesvc -ingest.batch / -ingest.interval) takes a center's
+// bounds (powerchief stage -ingest.batch / -ingest.interval) takes a center's
 // sizes but clamps them — the defaults a zero asks for included — and an
 // impossible size is an error that leaves the accumulator as it was. The
 // setter keeps what is pending: resizing loses no statistics.

@@ -12,6 +12,7 @@ import (
 	"powerchief/internal/rpc"
 	"powerchief/internal/stage"
 	"powerchief/internal/stats"
+	"powerchief/internal/telemetry"
 )
 
 // StageOptions configures one stage service process.
@@ -33,8 +34,8 @@ type StageOptions struct {
 
 	// IngestMaxBatch and IngestMaxInterval, when positive, clamp the flush
 	// sizes a center may set via MethodIngest — the operator's local bound
-	// on pending-delta memory and statistic staleness (cmd/stagesvc's
-	// -ingest.batch / -ingest.interval flags). Zero accepts whatever the
+	// on pending-delta memory and statistic staleness (`powerchief stage`
+	// -ingest.batch / -ingest.interval). Zero accepts whatever the
 	// center asks for.
 	IngestMaxBatch    int
 	IngestMaxInterval time.Duration
@@ -252,6 +253,18 @@ func (s *StageService) Cluster() *live.Cluster { return s.cluster }
 func (s *StageService) IngestStats() (flushes, pending uint64) {
 	pending, _ = s.ingest.Pending()
 	return s.ingest.Flushes(), pending
+}
+
+// RegisterMetrics exports the stage's telemetry on reg: modelled draw,
+// query counters, and the statistics accumulator's flushes and unflushed
+// backlog (the at-risk window if this process dies before the next flush).
+func (s *StageService) RegisterMetrics(reg *telemetry.Registry) {
+	c := s.cluster
+	reg.GaugeFunc("powerchief_stage_power_draw_watts", "local modelled draw", func() float64 { return float64(c.Draw()) })
+	reg.CounterFunc("powerchief_stage_queries_submitted_total", "queries accepted by this stage", func() float64 { return float64(c.Submitted()) })
+	reg.CounterFunc("powerchief_stage_queries_completed_total", "queries served by this stage", func() float64 { return float64(c.Completed()) })
+	reg.CounterFunc("powerchief_stage_ingest_flushes_total", "stat deltas flushed to the center", func() float64 { flushes, _ := s.IngestStats(); return float64(flushes) })
+	reg.GaugeFunc("powerchief_stage_ingest_pending_queries", "completions folded but not yet flushed", func() float64 { _, pending := s.IngestStats(); return float64(pending) })
 }
 
 // Listen starts serving on addr and returns the bound address.

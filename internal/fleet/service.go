@@ -11,13 +11,13 @@ import (
 	"powerchief/internal/fault"
 	"powerchief/internal/rpc"
 	"powerchief/internal/stats"
+	"powerchief/internal/telemetry"
 )
 
 // Backend is the node-local system a NodeService fronts: whatever runs the
 // node's pipeline and can report its bottleneck metric and re-set its local
 // power budget. live.Cluster's SetBudget satisfies the actuation half;
-// SynthBackend is the self-contained implementation used by cmd/nodesvc and
-// the examples.
+// SynthBackend is the self-contained implementation `powerchief node` serves.
 type Backend interface {
 	// Metric returns the node's bottleneck metric (Equation 1 of its slowest
 	// stage).
@@ -185,14 +185,25 @@ func (s *NodeService) Grants() uint64 {
 	return s.grants
 }
 
+// RegisterMetrics exports the node's telemetry on reg: its granted budget
+// and modelled draw, the fencing watermark, accepted grants and the
+// completions folded but not yet shipped on a heartbeat.
+func (s *NodeService) RegisterMetrics(reg *telemetry.Registry) {
+	reg.GaugeFunc("powerchief_node_budget_watts", "last granted budget", func() float64 { return float64(s.backend.Budget()) })
+	reg.GaugeFunc("powerchief_node_draw_watts", "modelled local draw", func() float64 { return float64(s.backend.Draw()) })
+	reg.GaugeFunc("powerchief_node_epoch", "last accepted grant epoch (fencing watermark)", func() float64 { return float64(s.Epoch()) })
+	reg.CounterFunc("powerchief_node_grants_total", "grants accepted from the coordinator", func() float64 { return float64(s.Grants()) })
+	reg.GaugeFunc("powerchief_node_ingest_pending_queries", "completions folded but not yet shipped on a heartbeat", func() float64 { return float64(s.IngestPending()) })
+}
+
 // Close stops the service.
 func (s *NodeService) Close() error { return s.srv.Close() }
 
 // SynthBackend is a deterministic synthetic node: a fixed work intensity
 // whose bottleneck metric shrinks as the granted budget grows. It stands in
-// for a full per-node pipeline in cmd/nodesvc, the examples and the chaos
-// tests, keeping the fleet layer testable without spawning one live cluster
-// per node.
+// for a full per-node pipeline in `powerchief node` and the chaos tests,
+// keeping the fleet layer testable without spawning one live cluster per
+// node.
 type SynthBackend struct {
 	mu     sync.Mutex
 	load   float64

@@ -126,7 +126,7 @@ func AblationWithdraw(seed int64) (*AblationResult, error) {
 // frequency overshoot.
 func AblationSplitClone(seed int64) (*AblationResult, error) {
 	base := siriusHigh(seed)
-	base.Source = constantLoad(workload.Medium)
+	base.Source = ConstantLoad(workload.Medium)
 	mk := func(disable bool) func(*Scenario) {
 		return func(sc *Scenario) {
 			sc.Policy = func() core.Policy {

@@ -39,9 +39,9 @@ type Figure struct {
 	Groups []BarGroup
 }
 
-// constantLoad builds a Source factory pinning utilization of the reference
+// ConstantLoad builds a Source factory pinning utilization of the reference
 // capacity.
-func constantLoad(level workload.Level) func(float64) workload.Source {
+func ConstantLoad(level workload.Level) func(float64) workload.Source {
 	return func(capacity float64) workload.Source {
 		return workload.Constant(workload.RateForUtilization(capacity, level.Utilization()))
 	}
@@ -56,7 +56,7 @@ func mitigationScenario(a app.App, name string, load workload.Level, policy func
 		Level:          cmp.MidLevel,
 		Budget:         MitigationBudget,
 		Policy:         policy,
-		Source:         constantLoad(load),
+		Source:         ConstantLoad(load),
 		Duration:       900 * time.Second,
 		AdjustInterval: 25 * time.Second,
 		Seed:           seed,
@@ -195,7 +195,7 @@ func Figure2(seed int64) (*Figure2Result, error) {
 			Level:       cmp.MidLevel, // overridden per-stage below via StageLevels
 			StageLevels: levels,
 			Budget:      MitigationBudget,
-			Source:      constantLoad(workload.Medium),
+			Source:      ConstantLoad(workload.Medium),
 			// Load anchored to the shared baseline configuration.
 			RefInstances: []int{1, 1, 1},
 			RefLevel:     cmp.MidLevel,

@@ -45,7 +45,7 @@ func FromConfig(e config.Experiment) (Scenario, error) {
 		Budget:         cmp.Watts(e.BudgetWatts),
 		Policy:         func() core.Policy { return mk() },
 		AdjustInterval: e.AdjustInterval.Std(),
-		Source:         constantLoad(load),
+		Source:         ConstantLoad(load),
 		Duration:       e.Duration.Std(),
 		Seed:           e.Seed,
 	}

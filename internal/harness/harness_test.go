@@ -41,7 +41,7 @@ func TestRunValidation(t *testing.T) {
 func TestRunDerivesBudgetFromConfiguration(t *testing.T) {
 	res, err := Run(Scenario{
 		App: app.Sirius(), Level: cmp.MidLevel, Budget: 0,
-		Source: constantLoad(workload.Low), Duration: 60 * time.Second, Seed: 1,
+		Source: ConstantLoad(workload.Low), Duration: 60 * time.Second, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

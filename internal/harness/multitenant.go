@@ -422,7 +422,7 @@ func (t *Tenant) defaults() {
 		t.Policy = func() core.Policy { return core.NewPowerChief(core.DefaultConfig()) }
 	}
 	if t.Source == nil {
-		t.Source = constantLoad(workload.Medium)
+		t.Source = ConstantLoad(workload.Medium)
 	}
 }
 

@@ -337,12 +337,12 @@ func TestRunMatchesRunMultiWithOneTenant(t *testing.T) {
 		{"powerchief", Tenant{
 			App: app.Sirius(), Level: cmp.MidLevel, AdjustInterval: 25 * time.Second,
 			Policy: func() core.Policy { return core.NewPowerChief(cfg) },
-			Source: constantLoad(workload.High),
+			Source: ConstantLoad(workload.High),
 		}, MitigationBudget, 900 * time.Second},
 		{"freq-boost", Tenant{
 			App: app.Sirius(), Level: cmp.MidLevel, AdjustInterval: 25 * time.Second,
 			Policy: func() core.Policy { return core.NewFreqBoost(cfg) },
-			Source: constantLoad(workload.Medium),
+			Source: ConstantLoad(workload.Medium),
 		}, MitigationBudget, 900 * time.Second},
 		{"saver", Tenant{
 			App: app.Sirius(), Instances: []int{4, 2, 5}, Level: cmp.MaxLevel,

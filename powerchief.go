@@ -165,9 +165,7 @@ func PolicyByName(name string, qos time.Duration) (func() Policy, error) {
 // ConstantLoad builds a Source factory that pins a constant utilization of
 // the scenario's reference capacity.
 func ConstantLoad(level LoadLevel) func(refCapacityQPS float64) Source {
-	return func(capacity float64) Source {
-		return workload.Constant(workload.RateForUtilization(capacity, level.Utilization()))
-	}
+	return harness.ConstantLoad(level)
 }
 
 // NewRootDomain creates the top of a budget hierarchy owning the chip-level

@@ -1,47 +1,14 @@
 package powerchief
 
 import (
-	"io"
-	"net/http"
-
 	"powerchief/internal/core"
 	"powerchief/internal/telemetry"
 )
 
-// Telemetry aliases: the observability layer (see internal/telemetry and
-// DESIGN.md §5d). The audit log captures every Command Center decision as a
-// structured event; the tracer materializes sampled queries' joint-design
-// records into span trees; the registry exports metrics in Prometheus text
-// and JSON form.
-type (
-	// AuditLog is a bounded ring of Command Center decision events.
-	AuditLog = telemetry.AuditLog
-	// Event is one structured Command Center decision.
-	Event = telemetry.Event
-	// EventKind classifies a decision event.
-	EventKind = telemetry.EventKind
-	// Tracer samples completed queries into span trees.
-	Tracer = telemetry.Tracer
-	// TracerOptions tunes trace sampling and retention.
-	TracerOptions = telemetry.TracerOptions
-	// QueryTrace is one query materialized as queue/serve spans.
-	QueryTrace = telemetry.QueryTrace
-	// Span is one phase of a query's visit to one instance.
-	Span = telemetry.Span
-	// MetricsRegistry holds named counters and gauges with Prometheus and
-	// JSON exporters.
-	MetricsRegistry = telemetry.Registry
-)
-
-// NewAuditLog creates a decision audit log retaining at most capacity
-// events (0 applies the default capacity).
-func NewAuditLog(capacity int) *AuditLog { return telemetry.NewAuditLog(capacity) }
-
-// NewTracer creates a query tracer with the given sampling options.
-func NewTracer(opts TracerOptions) *Tracer { return telemetry.NewTracer(opts) }
-
-// NewMetricsRegistry creates an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
+// AuditLog is a bounded ring of Command Center decision events: the audit
+// trail of the observability layer (see internal/telemetry and DESIGN.md
+// §5d).
+type AuditLog = telemetry.AuditLog
 
 // AttachAudit attaches an audit log to a policy, reporting whether the
 // policy supports auditing (baseline/static policies do not). Scenario.Audit
@@ -53,16 +20,4 @@ func AttachAudit(p Policy, a *AuditLog) bool {
 		return true
 	}
 	return false
-}
-
-// TelemetryHandler serves the observability endpoints (/metrics,
-// /metrics.json, /debug/trace, /debug/decisions). Any argument may be nil;
-// the matching endpoint then serves its empty form.
-func TelemetryHandler(reg *MetricsRegistry, audit *AuditLog, tracer *Tracer) http.Handler {
-	return telemetry.Handler(reg, audit, tracer)
-}
-
-// WriteDecisions renders a decision timeline as human-readable text.
-func WriteDecisions(w io.Writer, events []Event) error {
-	return telemetry.WriteDecisions(w, events)
 }
