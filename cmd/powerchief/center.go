@@ -62,7 +62,6 @@ func runCenter(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("-timescale %v is not positive", scale)
 	}
 	wall := func(d time.Duration) time.Duration { return time.Duration(float64(d) * scale) }
-	virtual := func(d time.Duration) time.Duration { return time.Duration(float64(d) / scale).Round(time.Millisecond) }
 	addrs := strings.Split(*stages, ",")
 	a, err := app.ByName(*appName)
 	if err != nil {
@@ -78,11 +77,14 @@ func runCenter(ctx context.Context, args []string, stdout io.Writer) error {
 
 	audit := telemetry.NewAuditLog(0)
 	tracer := tel.tracer()
-	// The center's statistics windows run on its wall clock.
-	center, err := dist.NewCenterOptions(cmp.Watts(*budget), wall(4**interval), addrs, dist.CenterOptions{
+	// The control loop, the center's statistics window and the end-to-end
+	// latencies it measures all run on one compressed wall clock: virtual
+	// time, like the stages' statistics and -qos.
+	clock := controlplane.WallClock(scale)
+	center, err := dist.NewCenterOptions(cmp.Watts(*budget), 4**interval, addrs, dist.CenterOptions{
 		CallTimeout: rf.callTimeout, SubmitTimeout: *submitTimeout, Retry: rpc.RetryPolicy{Max: rf.retries, BaseBackoff: rf.retryBackoff},
 		ProbeInterval: rf.probe, SuspectAfter: rf.suspectAfter, DegradedSubmit: *degraded,
-		IngestBatch: ingest.batch, IngestInterval: ingest.interval, Audit: audit, Tracer: tracer,
+		IngestBatch: ingest.batch, IngestInterval: ingest.interval, Audit: audit, Tracer: tracer, Clock: clock,
 	})
 	if err != nil {
 		return err
@@ -97,7 +99,7 @@ func runCenter(ctx context.Context, args []string, stdout io.Writer) error {
 
 	// The shared control loop on the compressed wall clock drives the center
 	// (itself an Adjuster); degraded intervals are reported on exit.
-	loop, err := controlplane.Start(controlplane.WallClock(scale), center, controlplane.Options{
+	loop, err := controlplane.Start(clock, center, controlplane.Options{
 		Policy:   mk(),
 		Interval: *interval,
 		Audit:    audit,
@@ -154,8 +156,9 @@ load:
 	if lat := center.Latency(); lat.Count() == 0 {
 		fmt.Fprintln(stdout, "no queries completed")
 	} else {
+		ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
 		fmt.Fprintf(stdout, "completed %d/%d queries: avg=%v p50=%v p99=%v\n",
-			comp, sub, virtual(lat.Mean()), virtual(lat.Quantile(0.5)), virtual(lat.Quantile(0.99)))
+			comp, sub, ms(lat.Mean()), ms(lat.Quantile(0.5)), ms(lat.Quantile(0.99)))
 	}
 	return nil
 }

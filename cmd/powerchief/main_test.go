@@ -178,6 +178,43 @@ func TestStageCenterSmoke(t *testing.T) {
 	}
 }
 
+// gauge reads one unlabelled metric from a running daemon's /metrics.
+func gauge(t *testing.T, addr, name string) float64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(string(get(t, addr, "/metrics")))
+	if m == nil {
+		t.Fatalf("/metrics at %s lacks %s", addr, name)
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return v
+}
+
+// TestCenterWindowIsVirtual: under -timescale the center's statistics
+// window and end-to-end latencies run on the control loop's compressed
+// clock, so the window latency the saver compares against -qos is virtual
+// — a Sirius query takes a second or more of virtual time, a hundredth of
+// that in wall time at this scale.
+func TestCenterWindowIsVirtual(t *testing.T) {
+	addrs, _ := startStages(t)
+	center := start(t, "center", "-stages", strings.Join(addrs, ","), "-timescale", "0.01",
+		"-policy", "saver", "-qos", "2s", "-rate", "2", "-duration", "300s", "-interval", "25s",
+		"-metrics.addr", "127.0.0.1:0")
+	addr := center.await(t, `telemetry on http://(\S+)/metrics`)
+	var lat float64
+	for deadline := time.Now().Add(20 * time.Second); lat == 0 && time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+		lat = gauge(t, addr, "powerchief_window_latency_seconds")
+	}
+	if lat < 0.2 {
+		t.Errorf("window latency %.4fs is not in virtual time", lat)
+	}
+	if err := center.stop(); err != nil {
+		t.Fatalf("center: %v\n%s", err, center.out.String())
+	}
+}
+
 // TestNodeFleetSmoke is the fleet in one process: three node services and a
 // coordinator over them for -duration. Every grant is audited, and the
 // final Σ granted stays within the cluster budget.

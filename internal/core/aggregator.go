@@ -257,13 +257,27 @@ func (a *Aggregator) Records() query.Tally {
 // named instance. When the window is empty the lifetime means are used; an
 // instance never seen reports zeros with ok=false.
 func (a *Aggregator) InstStats(name string) (queuing, serving time.Duration, ok bool) {
-	v, found := a.perInst.Load(name)
-	if !found {
-		return 0, 0, false
+	return a.instStats(name, 0)
+}
+
+// instStats is InstStats for an instance whose records carry slot: the slot
+// table finds its shard without hashing the name, and a miss, or a shard
+// Forget dropped since, falls back to the name.
+func (a *Aggregator) instStats(name string, slot uint32) (queuing, serving time.Duration, ok bool) {
+	is := a.cached(name, slot)
+	if is == nil {
+		v, found := a.perInst.Load(name)
+		if !found {
+			return 0, 0, false
+		}
+		is = v.(*instShard)
 	}
-	is := v.(*instShard)
 	now := a.now()
 	is.mu.Lock()
+	if is.dead && slot != 0 {
+		is.mu.Unlock()
+		return a.instStats(name, 0)
+	}
 	defer is.mu.Unlock()
 	is.win.Advance(now)
 	if q, s, has := is.win.Means(); has {

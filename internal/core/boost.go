@@ -110,7 +110,8 @@ func (e Engine) SelectBoosting(sys System, ranked []Ranked) BoostOutcome {
 		fEquiv = cur
 	}
 
-	donors := DonorsFromRanking(ranked, bn.Instance)
+	var donorBuf [rankOnStack]Instance
+	donors := appendDonors(donorBuf[:0], ranked, bn.Instance)
 
 	// Decide the preferred technique. Launching an instance barely helps a
 	// queue of two or less (line 14 of Algorithm 1), and is impossible for
@@ -239,7 +240,8 @@ func (e Engine) FreqBoostToMax(sys System, ranked []Ranked) BoostOutcome {
 	if cur == cmp.MaxLevel {
 		return out
 	}
-	donors := DonorsFromRanking(ranked, bn.Instance)
+	var donorBuf [rankOnStack]Instance
+	donors := appendDonors(donorBuf[:0], ranked, bn.Instance)
 	if need := cmp.BoostCost(model, cur, cmp.MaxLevel) - sys.Headroom(); need > 0 {
 		out.Recycled += e.recycle(sys, model, donors, need)
 	}
@@ -269,7 +271,8 @@ func (e Engine) InstBoostAlways(sys System, ranked []Ranked) BoostOutcome {
 		return out
 	}
 	p := model.Power(cur)
-	donors := DonorsFromRanking(ranked, bn.Instance)
+	var donorBuf [rankOnStack]Instance
+	donors := appendDonors(donorBuf[:0], ranked, bn.Instance)
 	if need := p - sys.Headroom(); need > 0 {
 		out.Recycled += e.recycle(sys, model, donors, need)
 	}

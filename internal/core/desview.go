@@ -66,7 +66,7 @@ func (d *desStage) Profile() cmp.SpeedupProfile { return d.st.Profile() }
 
 func (d *desStage) Instances() []Instance {
 	if m := d.st.Membership(); d.ins == nil || m != d.members {
-		active := d.st.Active()
+		active := d.st.ActiveSet()
 		d.ins = make([]Instance, len(active))
 		for i, in := range active {
 			d.ins[i] = in

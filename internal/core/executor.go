@@ -113,7 +113,10 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 		return res
 	}
 
-	realized := make(map[*planInstance]Instance)
+	// The clone and withdraw bookkeeping is made on the first clone or
+	// withdraw; the steps a rollback undoes sit on the stack for a plan of
+	// up to eight.
+	var realized map[*planInstance]Instance
 	resolve := func(in Instance) (Instance, error) {
 		pi, ok := in.(*planInstance)
 		if !ok {
@@ -128,8 +131,9 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 		return nil, fmt.Errorf("core: plan references clone %s before it is launched", pi.Name())
 	}
 
-	withdrawn := make(map[string]bool)
-	var steps []appliedStep
+	var withdrawn map[string]bool
+	var stepBuf [8]appliedStep
+	steps := stepBuf[:0]
 	for i, act := range plan.Actions {
 		switch a := act.(type) {
 		case *SetLevelAction:
@@ -152,6 +156,9 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 				return x.fail(steps, i, act, err, res)
 			}
 			if a.ref != nil {
+				if realized == nil {
+					realized = make(map[*planInstance]Instance)
+				}
 				realized[a.ref] = clone
 			}
 			steps = append(steps, appliedStep{act: act, real: src, clone: clone, stage: a.Stage})
@@ -171,6 +178,9 @@ func (x Executor) Apply(sys System, agg *Aggregator, plan *ActionPlan) ApplyResu
 			}
 			if agg != nil {
 				agg.Forget(victim.Name())
+			}
+			if withdrawn == nil {
+				withdrawn = make(map[string]bool)
 			}
 			withdrawn[victim.Name()] = true
 			steps = append(steps, appliedStep{act: act, real: victim, stage: a.Stage})

@@ -58,16 +58,8 @@ type Identifier struct {
 	Metric Metric
 }
 
-// rankKey is one ranking row without its interfaces: the sort moves these
-// pointer-free keys, and each Ranked row is written once, in final order.
-type rankKey struct {
-	metric, q, s time.Duration
-	queueLen     int
-	stage, inst  int32
-}
-
-// rankOnStack is the largest ranking whose keys stay on the stack; a larger
-// one sorts a heap slice.
+// rankOnStack is the largest ranking whose rows are sorted in stack buffers;
+// a larger one sorts heap slices.
 const rankOnStack = 16
 
 // Rank evaluates the metric over all instances. The result is sorted
@@ -81,41 +73,66 @@ func (id Identifier) Rank(sys System, stats StatsReader) []Ranked {
 	if n == 0 {
 		return nil
 	}
-	var stack [rankOnStack]rankKey
-	keys := stack[:0]
-	if n > rankOnStack {
-		keys = make([]rankKey, 0, n)
+	out := make([]Ranked, n)
+	id.rankInto(out, stages, lists, stats)
+	return out
+}
+
+// rankInto writes the ranking of lists — stage i's instances at lists[i] —
+// into out, which holds one element per instance. Each instance's row goes
+// into a scratch slice in visit order; the sort moves a permutation of the
+// row indexes — metric descending, names read only when two metrics tie,
+// then visit order — and each row is copied once, into its final place.
+func (id Identifier) rankInto(out []Ranked, stages []StageControl, lists [][]Instance, stats StatsReader) {
+	var rowBuf [rankOnStack]Ranked
+	var orderBuf [rankOnStack]int32
+	rows, order := rowBuf[:0], orderBuf[:0]
+	if n := len(out); n > rankOnStack {
+		rows, order = make([]Ranked, 0, n), make([]int32, 0, n)
 	}
 	for i, ins := range lists {
 		for j, in := range ins {
-			q, s, _ := stats.InstStats(in.Name())
+			q, s, _ := instStatsAt(stats, i, j, in)
 			L := in.QueueLen()
-			keys = append(keys, rankKey{metric: id.eval(L, q, s), q: q, s: s, queueLen: L, stage: int32(i), inst: int32(j)})
+			order = append(order, int32(len(rows)))
+			rows = append(rows, Ranked{Instance: in, Stage: stages[i], Metric: id.eval(L, q, s), Queuing: q, Serving: s, QueueLen: L})
 		}
 	}
-	// Metric descending, name ascending — names are read only when two
-	// metrics tie — and equal keys in visit order.
-	slices.SortStableFunc(keys, func(a, b rankKey) int {
+	slices.SortFunc(order, func(a, b int32) int {
+		ra, rb := &rows[a], &rows[b]
 		switch {
-		case a.metric > b.metric:
+		case ra.Metric > rb.Metric:
 			return -1
-		case a.metric < b.metric:
+		case ra.Metric < rb.Metric:
 			return 1
 		}
-		return strings.Compare(lists[a.stage][a.inst].Name(), lists[b.stage][b.inst].Name())
-	})
-	out := make([]Ranked, n)
-	for i, k := range keys {
-		out[i] = Ranked{
-			Instance: lists[k.stage][k.inst],
-			Stage:    stages[k.stage],
-			Metric:   k.metric,
-			Queuing:  k.q,
-			Serving:  k.s,
-			QueueLen: k.queueLen,
+		if c := strings.Compare(ra.Instance.Name(), rb.Instance.Name()); c != 0 {
+			return c
 		}
+		return int(a - b)
+	})
+	for i, o := range order {
+		out[i] = rows[o]
 	}
-	return out
+}
+
+// instStatsAt reads the statistics of in, instance j of stage i of the
+// system being ranked or captured. A capture of that system serves them by
+// position (its own name confirms the match: a capture gives equal names
+// equal statistics), the aggregator through the record slot of an instance
+// whose records carry one, and any other reader by name.
+func instStatsAt(stats StatsReader, i, j int, in Instance) (queuing, serving time.Duration, ok bool) {
+	switch st := stats.(type) {
+	case *Aggregator:
+		if s, has := in.(interface{ Slot() uint32 }); has {
+			return st.instStats(in.Name(), s.Slot())
+		}
+	case *Snapshot:
+		return st.statsAt(i, j, in.Name())
+	case *SnapshotView:
+		return st.snap.statsAt(i, j, in.Name())
+	}
+	return stats.InstStats(in.Name())
 }
 
 // instanceLists reads every stage's instance list once, up front, and counts

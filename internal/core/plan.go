@@ -19,10 +19,16 @@ import (
 // Wrappers are unique: the same underlying instance always yields the same
 // planInstance, so the interface-identity comparisons the decision kernel
 // relies on (donor exclusion, bottleneck checks) keep working. They live in
-// slabs built once per view — one planStage array, and one planInstance,
-// one pointer and one Instance array for every stage's instances — and a
-// reference to an underlying instance is resolved by a linear identity scan:
-// a view never holds more instances than the chip has cores.
+// slabs — one planStage array, and one planInstance, one pointer and one
+// Instance array for every stage's instances — and a reference to an
+// underlying instance is resolved by a linear identity scan: a view never
+// holds more instances than the chip has cores.
+//
+// A planner keeps one view and resets it every tick (DESIGN.md §5l): the
+// slabs, the ranking rows, the plan and its actions are reused, so the plan
+// a view hands out, its actions and its wrappers are valid only until the
+// next reset. A copied view starts from empty slabs instead of sharing the
+// original's.
 type PlanView struct {
 	base   System
 	model  cmp.PowerModel
@@ -30,56 +36,129 @@ type PlanView struct {
 	drawn  cmp.Watts
 	free   int
 
-	plan    *ActionPlan
-	reason  ActionReason
-	stages  []StageControl
-	slab    []planStage    // backs stages
-	wrapped []planInstance // every stage's underlying instances, in stage order
+	plan     ActionPlan
+	reason   ActionReason
+	reshaped bool // a clone or withdraw was planned: instance lists moved
+	stages   []StageControl
+	slab     []planStage    // backs stages
+	wrapped  []planInstance // every stage's underlying instances, in stage order
+	ptrs     []*planInstance
+	views    []Instance // the wrappers as Instances, in stage order
+
+	ranked []Ranked // Rank's rows
+
+	// Action values, handed out by pointer and reused by the next reset.
+	levels    []SetLevelAction
+	clones    []CloneAction
+	withdraws []WithdrawAction
+	resets    []ResetEpochAction
+
+	self *PlanView // the view that built the slabs; a copy differs
 }
 
 // NewPlanView snapshots the system's power accounting, stage list and
-// instance lists, and starts an empty plan.
+// instance lists, and starts an empty plan. It is the one-shot form of the
+// reset a planner's own view goes through every tick.
 func NewPlanView(sys System) *PlanView {
-	pv := &PlanView{
-		base:   sys,
-		model:  sys.PowerModel(),
-		budget: sys.Budget(),
-		drawn:  sys.Draw(),
-		free:   sys.FreeCores(),
-		plan:   &ActionPlan{},
+	pv := new(PlanView)
+	pv.reset(sys)
+	return pv
+}
+
+// reset points the view at sys as it is now, with an empty plan, reusing
+// every slab the previous tick grew.
+func (pv *PlanView) reset(sys System) {
+	if pv.self != pv {
+		*pv = PlanView{self: pv}
 	}
+	pv.base = sys
+	pv.model, pv.budget, pv.drawn, pv.free = sys.PowerModel(), sys.Budget(), sys.Draw(), sys.FreeCores()
+	clear(pv.plan.Actions)
+	pv.plan = ActionPlan{Actions: pv.plan.Actions[:0]}
+	pv.reason, pv.reshaped = ReasonBoost, false
+	pv.levels = clearSlab(pv.levels)
+	pv.clones = clearSlab(pv.clones)
+	pv.withdraws = clearSlab(pv.withdraws)
+	pv.resets = clearSlab(pv.resets)
+
 	under := sys.Stages()
 	var buf [8][]Instance
 	lists, n := instanceLists(under, &buf)
-	pv.slab = make([]planStage, len(under))
-	pv.stages = make([]StageControl, len(under))
-	pv.wrapped = make([]planInstance, n)
-	ptrs, views := make([]*planInstance, n), make([]Instance, n)
+	pv.slab = resize(pv.slab, len(under))
+	pv.stages = resize(pv.stages, len(under))
+	pv.wrapped = resize(pv.wrapped, n)
+	pv.ptrs = resize(pv.ptrs, n)
+	pv.views = resize(pv.views, n)
+	if pv.plan.Actions == nil { // a DVFS step per instance fits without growing
+		pv.plan.Actions, pv.levels = make([]Action, 0, n), make([]SetLevelAction, 0, n)
+	}
 	k := 0
 	for i, st := range under {
 		ps := &pv.slab[i]
 		lo := k
 		for _, in := range lists[i] {
 			pv.wrapped[k] = planInstance{pv: pv, under: in, stage: ps, level: in.Level()}
-			ptrs[k], views[k] = &pv.wrapped[k], &pv.wrapped[k]
+			pv.ptrs[k], pv.views[k] = &pv.wrapped[k], &pv.wrapped[k]
 			k++
 		}
 		// Capacity-capped: a planned clone reallocates instead of writing
 		// into the next stage's share.
-		*ps = planStage{pv: pv, under: st, ins: ptrs[lo:k:k], view: views[lo:k:k]}
+		*ps = planStage{pv: pv, under: st, ins: pv.ptrs[lo:k:k], view: pv.views[lo:k:k]}
 		pv.stages[i] = ps
 	}
-	return pv
+}
+
+// resize returns s with length n, reusing its array when it is large enough.
+// Elements past the old length hold whatever the last use left; callers
+// overwrite all n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// clearSlab empties a slab of action values for reuse, dropping the
+// references the last tick's actions held.
+func clearSlab[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
+// nextIn appends a zero value to a slab and returns a pointer to it. A slab
+// that grows moves to a new array; values handed out before stay where they
+// are.
+func nextIn[T any](s *[]T) *T {
+	var zero T
+	*s = append(*s, zero)
+	return &(*s)[len(*s)-1]
+}
+
+// instances returns every live instance of the view in stage order. Until a
+// clone or withdraw is planned that is the view's own slab, no copy made.
+func (pv *PlanView) instances() []Instance {
+	if !pv.reshaped {
+		return pv.views
+	}
+	return Instances(pv)
 }
 
 // Take returns the recorded plan. The view stays usable; further mutations
 // keep appending to the same plan.
-func (pv *PlanView) Take() *ActionPlan { return pv.plan }
+func (pv *PlanView) Take() *ActionPlan { return &pv.plan }
 
 // Rank runs bottleneck identification (Equation 1) over the view and notes
-// the bottleneck and spread on the plan, for the tick's record.
+// the bottleneck and spread on the plan, for the tick's record. The ranking
+// is the view's own rows, valid until the next reset.
 func (pv *PlanView) Rank(m Metric, stats StatsReader) []Ranked {
-	ranked := Identifier{Metric: m}.Rank(pv, stats)
+	var buf [8][]Instance
+	lists, n := instanceLists(pv.stages, &buf)
+	if n == 0 {
+		return nil
+	}
+	pv.ranked = resize(pv.ranked, n)
+	ranked := pv.ranked
+	Identifier{Metric: m}.rankInto(ranked, pv.stages, lists, stats)
 	if len(ranked) > 0 {
 		pv.plan.identified, pv.plan.spread = ranked[0], Spread(ranked)
 	}
@@ -195,17 +274,14 @@ func (ps *planStage) Clone(bn Instance) (Instance, error) {
 		level:    src.level,
 		queueLen: src.QueueLen() / 2,
 	}
-	pv.plan.Actions = append(pv.plan.Actions, &CloneAction{
-		Stage:  ps.under,
-		Source: src.handle(),
-		Level:  src.level,
-		Reason: pv.reason,
-		ref:    clone,
-	})
+	act := nextIn(&pv.clones)
+	*act = CloneAction{Stage: ps.under, Source: src.handle(), Level: src.level, Reason: pv.reason, ref: clone}
+	pv.plan.Actions = append(pv.plan.Actions, act)
 	pv.drawn += p
 	pv.free--
 	ps.ins = append(ps.ins, clone)
 	ps.view = nil
+	pv.reshaped = true
 	return clone, nil
 }
 
@@ -230,9 +306,12 @@ func (ps *planStage) Withdraw(victim, target Instance) error {
 			tgt = target
 		}
 	}
-	pv.plan.Actions = append(pv.plan.Actions, &WithdrawAction{Stage: ps.under, Victim: v.handle(), Target: tgt})
+	act := nextIn(&pv.withdraws)
+	*act = WithdrawAction{Stage: ps.under, Victim: v.handle(), Target: tgt}
+	pv.plan.Actions = append(pv.plan.Actions, act)
 	v.withdrawn = true
 	v.stage.view = nil
+	pv.reshaped = true
 	pv.drawn -= pv.model.Power(v.level)
 	if pv.drawn < 0 {
 		pv.drawn = 0
@@ -281,6 +360,15 @@ func (pi *planInstance) QueueLen() int {
 	return pi.queueLen
 }
 
+// Slot is the record slot of the underlying instance (0 for none, and for
+// planned clones), by which the aggregator finds its statistics.
+func (pi *planInstance) Slot() uint32 {
+	if s, ok := pi.under.(interface{ Slot() uint32 }); ok {
+		return s.Slot()
+	}
+	return 0
+}
+
 // Level implements Instance: the planned level.
 func (pi *planInstance) Level() cmp.Level { return pi.level }
 
@@ -294,7 +382,9 @@ func (pi *planInstance) Utilization() float64 {
 
 // ResetUtilizationEpoch implements Instance: recorded as an action.
 func (pi *planInstance) ResetUtilizationEpoch() {
-	pi.pv.plan.Actions = append(pi.pv.plan.Actions, &ResetEpochAction{Instance: pi.handle()})
+	act := nextIn(&pi.pv.resets)
+	act.Instance = pi.handle()
+	pi.pv.plan.Actions = append(pi.pv.plan.Actions, act)
 }
 
 // SetLevel implements Instance: replicates the stage-layer no-op shortcut
@@ -315,7 +405,9 @@ func (pi *planInstance) SetLevel(l cmp.Level) error {
 	if pv.drawn+delta > pv.budget+1e-9 {
 		return fmt.Errorf("%w: planned DVFS to %d needs %.2fW, headroom %.2fW", cmp.ErrBudgetExceeded, int(l), float64(delta), float64(pv.Headroom()))
 	}
-	pv.plan.Actions = append(pv.plan.Actions, &SetLevelAction{Instance: pi.handle(), From: pi.level, To: l, Reason: pv.reason})
+	act := nextIn(&pv.levels)
+	*act = SetLevelAction{Instance: pi.handle(), From: pi.level, To: l, Reason: pv.reason}
+	pv.plan.Actions = append(pv.plan.Actions, act)
 	pv.drawn += delta
 	pi.level = l
 	return nil

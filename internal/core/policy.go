@@ -68,6 +68,11 @@ type Policy interface {
 //
 // PowerChief's periodic withdraw epoch fires only through Adjust — a Plan
 // call at an epoch boundary captures the boost decision alone.
+//
+// The plan, its actions and any instance Plan hands out are valid until the
+// planner's next Plan: the core planners plan into one PlanView each and
+// reuse its memory (DESIGN.md §5l). A caller that keeps a plan past that
+// keeps its EncodePlan form, and a planner is driven by one goroutine.
 type Planner interface {
 	Name() string
 	Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutcome)
@@ -126,9 +131,9 @@ func Tick(p Planner, r *Recorded, sys System, agg *Aggregator) (BoostOutcome, Ap
 
 // planBoost is the decision the three boosting policies share: identify
 // (Equation 1), stop when the system is balanced, otherwise let decide plan
-// the boost against the overlay.
-func planBoost(sys System, stats StatsReader, cfg Config, decide func(System, []Ranked) BoostOutcome) (*ActionPlan, BoostOutcome) {
-	pv := NewPlanView(sys)
+// the boost against the overlay — the policy's own view, reset to sys.
+func planBoost(pv *PlanView, sys System, stats StatsReader, cfg Config, decide func(System, []Ranked) BoostOutcome) (*ActionPlan, BoostOutcome) {
+	pv.reset(sys)
 	ranked := pv.Rank(cfg.Metric, stats)
 	if len(ranked) == 0 || Spread(ranked) < cfg.BalanceThreshold {
 		return pv.Take(), BoostOutcome{Kind: BoostNone}
@@ -160,6 +165,7 @@ func (s Static) Adjust(sys System, agg *Aggregator) BoostOutcome {
 type FreqBoost struct {
 	Cfg Config
 	Recorded
+	view PlanView
 }
 
 // NewFreqBoost builds the policy with the given configuration.
@@ -170,7 +176,7 @@ func (*FreqBoost) Name() string { return "freq-boost" }
 
 // Plan implements Planner.
 func (f *FreqBoost) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutcome) {
-	return planBoost(sys, stats, f.Cfg, Engine{}.FreqBoostToMax)
+	return planBoost(&f.view, sys, stats, f.Cfg, Engine{}.FreqBoostToMax)
 }
 
 // Adjust implements Policy.
@@ -184,6 +190,7 @@ func (f *FreqBoost) Adjust(sys System, agg *Aggregator) BoostOutcome {
 type InstBoost struct {
 	Cfg Config
 	Recorded
+	view PlanView
 }
 
 // NewInstBoost builds the policy with the given configuration.
@@ -194,7 +201,7 @@ func (*InstBoost) Name() string { return "inst-boost" }
 
 // Plan implements Planner.
 func (i *InstBoost) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutcome) {
-	return planBoost(sys, stats, i.Cfg, Engine{}.InstBoostAlways)
+	return planBoost(&i.view, sys, stats, i.Cfg, Engine{}.InstBoostAlways)
 }
 
 // Adjust implements Policy.
@@ -211,6 +218,7 @@ type PowerChief struct {
 	lastWithdraw time.Duration
 	withdrawInit bool
 	Recorded
+	view PlanView
 
 	// Withdrawn counts instances withdrawn over the run.
 	Withdrawn int
@@ -228,7 +236,7 @@ func (*PowerChief) Name() string { return "powerchief" }
 // decision must see the post-withdraw system — so it runs as its own plan
 // inside Adjust, not here.
 func (p *PowerChief) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutcome) {
-	return planBoost(sys, stats, p.Cfg, Engine{DisableSplitClone: p.Cfg.DisableSplitClone}.SelectBoosting)
+	return planBoost(&p.view, sys, stats, p.Cfg, Engine{DisableSplitClone: p.Cfg.DisableSplitClone}.SelectBoosting)
 }
 
 // Adjust implements Policy: the §6.2 withdraw epoch when one is due, then

@@ -99,7 +99,11 @@ func PlanShed(plan *ActionPlan, stages []StageControl, model cmp.PowerModel, dra
 // DonorsFromRanking extracts the donor list for boosting `bottleneck`: every
 // other ranked instance, fastest (smallest metric) first.
 func DonorsFromRanking(ranked []Ranked, bottleneck Instance) []Instance {
-	donors := make([]Instance, 0, len(ranked))
+	return appendDonors(make([]Instance, 0, len(ranked)), ranked, bottleneck)
+}
+
+// appendDonors appends DonorsFromRanking's list to donors.
+func appendDonors(donors []Instance, ranked []Ranked, bottleneck Instance) []Instance {
 	for i := len(ranked) - 1; i >= 0; i-- {
 		if ranked[i].Instance != bottleneck {
 			donors = append(donors, ranked[i].Instance)

@@ -28,6 +28,7 @@ type Pegasus struct {
 
 	holding int
 	Recorded
+	view PlanView
 }
 
 // NewPegasus builds the policy for the given latency target.
@@ -43,13 +44,14 @@ func (*Pegasus) Name() string { return "pegasus" }
 
 // Plan implements Planner.
 func (p *Pegasus) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutcome) {
-	pv := NewPlanView(sys)
+	pv := &p.view
+	pv.reset(sys)
 	lat, ok := stats.WindowLatency()
 	if !ok {
 		return pv.Take(), BoostOutcome{Kind: BoostNone}
 	}
 	frac := float64(lat) / float64(p.QoS)
-	ins := Instances(pv)
+	ins := pv.instances()
 	out := BoostOutcome{Kind: BoostNone}
 	if p.holding > 0 {
 		// Cool-down after a violation: stay at maximum power.
@@ -124,6 +126,7 @@ type PowerChiefSaver struct {
 
 	cooldown int // intervals left before withdraws may resume
 	Recorded
+	view PlanView
 }
 
 // NewPowerChiefSaver builds the policy for the given latency target.
@@ -142,7 +145,8 @@ func (*PowerChiefSaver) Name() string { return "saver" }
 // advanced here; the withdraw/relaunch counters advance in Adjust once the
 // plan actually applied.
 func (s *PowerChiefSaver) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutcome) {
-	pv := NewPlanView(sys)
+	pv := &s.view
+	pv.reset(sys)
 	lat, ok := stats.WindowLatency()
 	if !ok {
 		return pv.Take(), BoostOutcome{Kind: BoostNone}

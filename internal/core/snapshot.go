@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
+	"sync"
 	"time"
+	"unsafe"
 
 	"powerchief/internal/cmp"
 )
@@ -74,9 +77,15 @@ var snapshotGrid = [...]float64{0.5, 0.9, 0.99, 0.999}
 // CaptureSnapshot captures the decision inputs of one control tick. The
 // stats reader may be nil (topology-only capture: StatsOK false everywhere).
 // Systems and stages that keep their physics tables (the DES view) share
-// them with every capture; any other is tabulated per capture.
+// them with every capture; any other is tabulated per capture. The capture
+// is one allocation (captureBlock) unless stages are quarantined.
 func CaptureSnapshot(sys System, stats StatsReader) *Snapshot {
-	snap := &Snapshot{
+	stages := sys.Stages()
+	var buf [8][]Instance
+	lists, n := instanceLists(stages, &buf)
+	blk := newCaptureBlock(len(stages), n)
+	snap := blk.snap
+	*snap = Snapshot{
 		Version:   SnapshotVersion,
 		Now:       sys.Now(),
 		Budget:    sys.Budget(),
@@ -88,48 +97,108 @@ func CaptureSnapshot(sys System, stats StatsReader) *Snapshot {
 	} else {
 		snap.Power = tabulatePower(sys.PowerModel())
 	}
-	// Lists are made at their final size, and an empty one stays nil so that
-	// it encodes as before.
-	stages := sys.Stages()
+	// An empty list stays nil, so that it encodes as before.
 	if len(stages) > 0 {
-		snap.Stages = make([]StageSnap, 0, len(stages))
+		snap.Stages = blk.stages
 	}
-	for _, st := range stages {
-		ss := StageSnap{Name: st.Name(), CanScale: st.CanScale()}
+	k := 0
+	for i, st := range stages {
+		ss := &snap.Stages[i]
+		*ss = StageSnap{Name: st.Name(), CanScale: st.CanScale()}
 		if t, ok := st.(interface{ profileTable() *cmp.TableProfile }); ok {
 			ss.Profile = t.profileTable()
 		} else {
 			ss.Profile = tabulateProfile(st.Profile())
 		}
-		ins := st.Instances()
-		if len(ins) > 0 {
-			ss.Instances = make([]InstanceSnap, 0, len(ins))
-		}
-		for _, in := range ins {
-			is := InstanceSnap{
+		lo := k
+		for j, in := range lists[i] {
+			is := &blk.ins[k]
+			*is = InstanceSnap{
 				Name:        in.Name(),
 				QueueLen:    in.QueueLen(),
 				Level:       in.Level(),
 				Utilization: in.Utilization(),
 			}
 			if stats != nil {
-				is.Queuing, is.Serving, is.StatsOK = stats.InstStats(is.Name)
+				is.Queuing, is.Serving, is.StatsOK = instStatsAt(stats, i, j, in)
 			}
-			ss.Instances = append(ss.Instances, is)
+			k++
 		}
-		snap.Stages = append(snap.Stages, ss)
+		if k > lo {
+			ss.Instances = blk.ins[lo:k:k]
+		}
 	}
 	for _, st := range sys.Quarantined() {
 		snap.Quarantined = append(snap.Quarantined, st.Name())
 	}
 	sort.Strings(snap.Quarantined)
 	if stats != nil {
-		var tails [len(snapshotGrid)]time.Duration
 		snap.Window.Latency, snap.Window.OK = stats.WindowLatency()
-		stats.WindowTails(snapshotGrid[:], tails[:])
+		// The aggregator's grid read keeps tails on the stack; another
+		// reader gets a heap copy.
+		var tails [len(snapshotGrid)]time.Duration
+		if a, ok := stats.(*Aggregator); ok {
+			a.WindowTails(snapshotGrid[:], tails[:])
+		} else {
+			out := make([]time.Duration, len(tails))
+			stats.WindowTails(snapshotGrid[:], out)
+			copy(tails[:], out)
+		}
 		snap.Window.P50, snap.Window.P90, snap.Window.P99, snap.Window.P999 = tails[0], tails[1], tails[2], tails[3]
 	}
 	return snap
+}
+
+// captureBlock is one capture's memory, carved from a single allocation:
+// the Snapshot, its stages, and one flat slab holding every stage's
+// instances.
+type captureBlock struct {
+	snap   *Snapshot
+	stages []StageSnap
+	ins    []InstanceSnap
+}
+
+// captureLayout is the struct type of a capture of one shape — its stage
+// and instance counts — built once by reflect.StructOf so that the block
+// has exactly the capture's size and a precise pointer map.
+type captureLayout struct {
+	typ         reflect.Type
+	stages, ins uintptr // field offsets
+}
+
+var captureLayouts struct {
+	sync.Mutex
+	m map[[2]int]captureLayout
+}
+
+// newCaptureBlock allocates the block of a capture of nStages stages and
+// nIns instances.
+func newCaptureBlock(nStages, nIns int) captureBlock {
+	captureLayouts.Lock()
+	l, ok := captureLayouts.m[[2]int{nStages, nIns}]
+	if !ok {
+		t := reflect.StructOf([]reflect.StructField{
+			{Name: "Snap", Type: reflect.TypeFor[Snapshot]()},
+			{Name: "Stages", Type: reflect.ArrayOf(nStages, reflect.TypeFor[StageSnap]())},
+			{Name: "Ins", Type: reflect.ArrayOf(nIns, reflect.TypeFor[InstanceSnap]())},
+		})
+		l = captureLayout{typ: t, stages: t.Field(1).Offset, ins: t.Field(2).Offset}
+		if captureLayouts.m == nil {
+			captureLayouts.m = make(map[[2]int]captureLayout)
+		}
+		captureLayouts.m[[2]int{nStages, nIns}] = l
+	}
+	captureLayouts.Unlock()
+	p := reflect.New(l.typ).UnsafePointer()
+	blk := captureBlock{snap: (*Snapshot)(p)}
+	// An empty array may sit at the very end of the block: no pointer to it.
+	if nStages > 0 {
+		blk.stages = unsafe.Slice((*StageSnap)(unsafe.Add(p, l.stages)), nStages)
+	}
+	if nIns > 0 {
+		blk.ins = unsafe.Slice((*InstanceSnap)(unsafe.Add(p, l.ins)), nIns)
+	}
+	return blk
 }
 
 // tabulatePower reads a power model into a table.
@@ -171,6 +240,17 @@ func (s *Snapshot) Validate() error {
 		}
 	}
 	return nil
+}
+
+// statsAt is InstStats for instance j of stage i of the captured system:
+// read by position when the capture holds name there, by name otherwise.
+func (s *Snapshot) statsAt(i, j int, name string) (queuing, serving time.Duration, ok bool) {
+	if i < len(s.Stages) && j < len(s.Stages[i].Instances) {
+		if in := &s.Stages[i].Instances[j]; in.Name == name {
+			return in.Queuing, in.Serving, in.StatsOK
+		}
+	}
+	return s.InstStats(name)
 }
 
 // InstStats implements StatsReader from the captured per-instance windows.

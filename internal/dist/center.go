@@ -126,11 +126,17 @@ func NewCenterOptions(budget cmp.Watts, window time.Duration, addrs []string, op
 	return c, nil
 }
 
-// Now returns time since the center started — the reference clock for
-// windowed statistics. Per the joint design, latency statistics themselves
-// are measured locally at each stage, so no cross-machine clock agreement is
-// needed.
-func (c *Center) Now() time.Duration { return time.Since(c.start) }
+// Now returns the center's time — CenterOptions.Clock, or time since the
+// center started — the reference clock for windowed statistics and
+// end-to-end latencies. Per the joint design, per-instance latency
+// statistics are measured locally at each stage, so no cross-machine clock
+// agreement is needed.
+func (c *Center) Now() time.Duration {
+	if c.opts.Clock != nil {
+		return c.opts.Clock.Now()
+	}
+	return time.Since(c.start)
+}
 
 // Aggregator exposes the center's statistics for inspection.
 func (c *Center) Aggregator() *core.Aggregator { return c.agg }

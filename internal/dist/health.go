@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"powerchief/internal/cmp"
+	"powerchief/internal/controlplane"
 	"powerchief/internal/core"
 	"powerchief/internal/fault"
 	"powerchief/internal/rpc"
@@ -54,6 +55,12 @@ type CenterOptions struct {
 	// from the joint-design records, which the stages then return in full
 	// on every reply (ProcessArgs.Trace) next to the statistics deltas.
 	Tracer *telemetry.Tracer
+	// Clock, when set, is the center's time (Center.Now): the statistics
+	// window, the end-to-end latencies and the ingest staleness run on it.
+	// A center under a compressed timescale passes its control loop's
+	// controlplane.WallClock, so they are in the virtual time the stages'
+	// statistics and the QoS target are in. Nil is wall time since start.
+	Clock controlplane.Clock
 }
 
 func (o CenterOptions) withDefaults() CenterOptions {

@@ -208,6 +208,7 @@ func Run(sc Scenario) (*Result, error) {
 	// part of the determinism contract the golden figures pin.
 	var powerIntegral float64 // watt-seconds over the horizon
 	lastSample := time.Duration(0)
+	smp := sampler{trace: res.Trace, stages: make([]*stats.Series, len(c.sys.Stages()))}
 	opts := controlplane.Options{
 		Policy:         c.policy,
 		Interval:       t.AdjustInterval,
@@ -216,17 +217,7 @@ func Run(sc Scenario) (*Result, error) {
 		OnSample: func(now time.Duration) {
 			powerIntegral += float64(c.chip.Draw()) * (now - lastSample).Seconds()
 			lastSample = now
-			res.Trace.Record("power", now, float64(c.chip.Draw()))
-			if lat, ok := c.agg.WindowLatency(); ok {
-				res.Trace.Record("latency", now, lat.Seconds())
-			}
-			for _, st := range c.sys.Stages() {
-				active := st.Active()
-				res.Trace.Record("instances:"+st.Name(), now, float64(len(active)))
-				for _, in := range active {
-					res.Trace.Record("freq:"+in.Name(), now, float64(in.Level().GHz()))
-				}
-			}
+			smp.sample(now, c)
 		},
 	}
 	// Decision recording: on by default for policies that expose their
@@ -264,6 +255,48 @@ func Run(sc Scenario) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// sampler writes the run's trace: power, the window latency, and per stage
+// its instance count and each instance's frequency. Each series is resolved
+// once, when its first point is recorded — the moment Record would have
+// created it, so the first-use column order is Record's.
+type sampler struct {
+	trace   *stats.TimeSeries
+	power   *stats.Series
+	latency *stats.Series
+	stages  []*stats.Series // instances:<stage>, by stage index
+	freq    []*stats.Series // freq:<instance>, by instance slot
+}
+
+func (s *sampler) sample(now time.Duration, c *appChip) {
+	if s.power == nil {
+		s.power = s.trace.Series("power")
+	}
+	s.power.Add(now, float64(c.chip.Draw()))
+	if lat, ok := c.agg.WindowLatency(); ok {
+		if s.latency == nil {
+			s.latency = s.trace.Series("latency")
+		}
+		s.latency.Add(now, lat.Seconds())
+	}
+	for i, st := range c.sys.Stages() {
+		active := st.ActiveSet()
+		if s.stages[i] == nil {
+			s.stages[i] = s.trace.Series("instances:" + st.Name())
+		}
+		s.stages[i].Add(now, float64(len(active)))
+		for _, in := range active {
+			slot := int(in.Slot())
+			if slot >= len(s.freq) {
+				s.freq = append(s.freq, make([]*stats.Series, slot+1-len(s.freq))...)
+			}
+			if s.freq[slot] == nil {
+				s.freq[slot] = s.trace.Series("freq:" + in.Name())
+			}
+			s.freq[slot].Add(now, float64(in.Level().GHz()))
+		}
+	}
 }
 
 // withdrawnOf extracts the withdraw count from policies that track it.

@@ -79,6 +79,10 @@ func newInstance(st *Stage, name string, branch int, core cmp.CoreID, level cmp.
 // Name returns the instance signature, e.g. "QA_2".
 func (in *Instance) Name() string { return in.name }
 
+// Slot returns the instance's number, dense per System and stamped on every
+// record it emits (query.Record.Slot).
+func (in *Instance) Slot() uint32 { return in.slot }
+
 // Stage returns the owning stage.
 func (in *Instance) Stage() *Stage { return in.stage }
 

@@ -190,19 +190,19 @@ func TestActiveSetFollowsMembership(t *testing.T) {
 		}
 		return fmt.Sprint(out)
 	}
-	if got := names(st.activeSet()); got != "[A_1 A_2]" {
+	if got := names(st.ActiveSet()); got != "[A_1 A_2]" {
 		t.Fatalf("active set = %s, want [A_1 A_2]", got)
 	}
 	// Active hands out a copy: scribbling on it leaves the stage's own set alone.
 	st.Active()[0] = nil
-	if got := names(st.activeSet()); got != "[A_1 A_2]" {
+	if got := names(st.ActiveSet()); got != "[A_1 A_2]" {
 		t.Fatalf("active set after writing to Active()'s result = %s", got)
 	}
 
 	if _, err := st.Launch(cmp.MidLevel); err != nil {
 		t.Fatal(err)
 	}
-	if got := names(st.activeSet()); got != "[A_1 A_2 A_3]" {
+	if got := names(st.ActiveSet()); got != "[A_1 A_2 A_3]" {
 		t.Errorf("after Launch: active set = %s, want [A_1 A_2 A_3]", got)
 	}
 
@@ -211,18 +211,18 @@ func TestActiveSetFollowsMembership(t *testing.T) {
 	busy := st.Instances()[0]
 	enqueueAt(eng, busy, 1, time.Second, 100*time.Millisecond)
 	eng.RunUntil(time.Second)
-	before := st.activeSet()
+	before := st.ActiveSet()
 	if err := st.Withdraw(busy, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := names(st.activeSet()); got != "[A_2 A_3]" {
+	if got := names(st.ActiveSet()); got != "[A_2 A_3]" {
 		t.Errorf("after Withdraw: active set = %s, want [A_2 A_3]", got)
 	}
 	if got := names(before); got != "[A_1 A_2 A_3]" {
 		t.Errorf("a set handed out before the Withdraw changed under its holder: %s", got)
 	}
 	eng.Run() // remove
-	if got := names(st.activeSet()); got != "[A_2 A_3]" || len(st.Instances()) != 2 {
+	if got := names(st.ActiveSet()); got != "[A_2 A_3]" || len(st.Instances()) != 2 {
 		t.Errorf("after remove: active set = %s over %d instances, want [A_2 A_3] over 2", got, len(st.Instances()))
 	}
 	// New load goes to the survivors only.
@@ -234,8 +234,8 @@ func TestActiveSetFollowsMembership(t *testing.T) {
 func TestFanOutAdmitsOverRefreshedActiveSet(t *testing.T) {
 	eng, sys := newSys(t, Spec{Name: "leaf", Kind: FanOut, Profile: flat, Instances: 2, Level: cmp.MidLevel})
 	st := sys.Stage("leaf")
-	if len(st.activeSet()) != 2 {
-		t.Fatalf("active set holds %d shards, want 2", len(st.activeSet()))
+	if len(st.ActiveSet()) != 2 {
+		t.Fatalf("active set holds %d shards, want 2", len(st.ActiveSet()))
 	}
 	// Shards can only be added during set-up; reopen it for one more.
 	sys.started = false

@@ -97,15 +97,15 @@ func (st *Stage) Instances() []*Instance {
 
 // Active returns the instances that accept new queries.
 func (st *Stage) Active() []*Instance {
-	return append([]*Instance(nil), st.activeSet()...)
+	return append([]*Instance(nil), st.ActiveSet()...)
 }
 
-// activeSet returns the stage's own list of the instances that accept new
-// queries, for the per-query path; callers must not modify or keep it
-// (Active hands out copies). The list is rebuilt, into a fresh array, on
-// the first use after the membership changed: Launch, Withdraw and remove
-// drop it.
-func (st *Stage) activeSet() []*Instance {
+// ActiveSet is Active without the copy: the stage's own list of the
+// instances that accept new queries, which the per-query path reads and
+// callers must not modify. The list is rebuilt, into a fresh array, on the
+// first read after the membership changed — Launch, Withdraw and remove
+// drop it — so one read stays valid but stops describing the stage.
+func (st *Stage) ActiveSet() []*Instance {
 	if st.active == nil {
 		for _, in := range st.instances {
 			if !in.draining {
@@ -128,14 +128,14 @@ func (st *Stage) SetDispatcher(d Dispatcher) {
 func (st *Stage) admit(q *query.Query) {
 	switch st.spec.Kind {
 	case Pipeline:
-		active := st.activeSet()
+		active := st.ActiveSet()
 		if len(active) == 0 {
 			panic(fmt.Sprintf("stage %s: no active instance to serve query %d", st.spec.Name, q.ID))
 		}
 		in := st.dispatcher.Pick(active)
 		in.enqueue(q)
 	case FanOut:
-		active := st.activeSet()
+		active := st.ActiveSet()
 		if len(active) == 0 {
 			panic(fmt.Sprintf("stage %s: no active instance to serve query %d", st.spec.Name, q.ID))
 		}
@@ -237,7 +237,7 @@ func (st *Stage) Withdraw(in *Instance, target *Instance) error {
 	// Redirect queued load.
 	if in.waiting() > 0 {
 		if target == nil || target == in || target.draining {
-			target = st.dispatcher.Pick(st.activeSet())
+			target = st.dispatcher.Pick(st.ActiveSet())
 		}
 		target.push(in.queue[in.head:]...)
 		in.queue, in.head = nil, 0

@@ -176,7 +176,7 @@ func (s *System) WorkFor(draw func(stageIdx, branch int) time.Duration) [][]time
 	for i, st := range s.stages {
 		branches := 1
 		if st.spec.Kind == FanOut {
-			branches = len(st.activeSet())
+			branches = len(st.ActiveSet())
 		}
 		row := make([]time.Duration, branches)
 		for b := range row {

@@ -65,13 +65,20 @@ func NewTimeSeries() *TimeSeries {
 
 // Record appends a point to the named series, creating it on first use.
 func (ts *TimeSeries) Record(name string, at time.Duration, v float64) {
+	ts.Series(name).Add(at, v)
+}
+
+// Series returns the named series, creating it — and placing it last in
+// the first-use order — when absent: a handle a recorder resolves once and
+// then Adds to without naming the series again.
+func (ts *TimeSeries) Series(name string) *Series {
 	s, ok := ts.series[name]
 	if !ok {
 		s = &Series{Name: name}
 		ts.series[name] = s
 		ts.order = append(ts.order, name)
 	}
-	s.Add(at, v)
+	return s
 }
 
 // Get returns the named series, or nil if absent.
