@@ -26,7 +26,6 @@ import (
 	"powerchief/internal/query"
 	"powerchief/internal/sim"
 	"powerchief/internal/stage"
-	"powerchief/internal/stats"
 	"powerchief/internal/telemetry"
 	"powerchief/internal/workload"
 )
@@ -230,22 +229,26 @@ func BenchmarkDESEngine(b *testing.B) {
 	})
 }
 
-// BenchmarkStripedPercentiles measures the exact end-to-end window's read on
-// every captured control tick: 8 exact stripes holding 20 k samples, merged
-// once and ranked at the snapshot's four-point grid.
-func BenchmarkStripedPercentiles(b *testing.B) {
-	s := stats.NewStriped(8, func() stats.MovingWindow { return stats.NewWindow(time.Hour) })
+// BenchmarkWindowTails measures the exact end-to-end window's read on every
+// captured control tick: an aggregator whose window holds 20 k samples,
+// gathered once and ranked at the snapshot's four-point grid.
+func BenchmarkWindowTails(b *testing.B) {
+	clk := time.Duration(0)
+	agg := core.NewAggregator(time.Hour, func() time.Duration { return clk })
 	rng := rand.New(rand.NewSource(7))
+	q := query.New(0, 0, nil)
 	for i := 0; i < 20000; i++ {
-		s.Add(uint64(i), time.Duration(i)*time.Millisecond, time.Duration(1+rng.Intn(5000))*time.Millisecond)
+		clk = time.Duration(i) * time.Millisecond
+		q.ID, q.Done = query.ID(i), time.Duration(1+rng.Intn(5000))*time.Millisecond
+		agg.Ingest(q)
 	}
-	now := 20 * time.Second
+	clk = 20 * time.Second
 	grid := []float64{0.5, 0.9, 0.99, 0.999}
 	out := make([]time.Duration, len(grid))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !s.Percentiles(now, grid, out) {
+		if !agg.WindowTails(grid, out) {
 			b.Fatal("empty window")
 		}
 	}
@@ -322,7 +325,7 @@ func BenchmarkBottleneckIdentification(b *testing.B) {
 
 // BenchmarkAggregatorIngest measures folding one completed three-stage
 // query's records into the moving windows, on one goroutine, with the DES
-// harness's aggregator (exact windows, one stripe). The query is built once:
+// harness's aggregator (exact windows). The query is built once:
 // only Ingest is timed. "named" finds each instance by name, as the live and
 // dist engines' records make it; "slotted" carries the slots the DES stamps.
 func BenchmarkAggregatorIngest(b *testing.B) {
@@ -335,7 +338,7 @@ func BenchmarkAggregatorIngest(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			clk := time.Duration(0)
-			agg := core.NewAggregatorOptions(25*time.Second, func() time.Duration { return clk }, core.AggregatorOptions{Stripes: 1})
+			agg := core.NewAggregator(25*time.Second, func() time.Duration { return clk })
 			q := query.New(0, 0, nil)
 			for i, inst := range [...]string{"ASR_1", "IMM_1", "QA_1"} {
 				q.Append(query.Record{Instance: inst, Slot: bc.slots[i], QueueEnter: 0, ServeStart: time.Millisecond, ServeEnd: 10 * time.Millisecond})
@@ -359,12 +362,10 @@ func BenchmarkAggregatorIngest(b *testing.B) {
 // virtual clock advances ~1ms per completion so the windows run in eviction
 // steady state.
 //
-// The pre-refactor global-lock aggregator cannot run this benchmark at all:
-// workers read the clock before reaching the lock, so reordered timestamps
-// panic the shared exact window — and its per-Add eviction shifted the
-// whole window slice (see BenchmarkAggregatorIngest: 142µs/op at the seed
-// commit). EXPERIMENTS.md, "Statistics-pipeline ingest", records the
-// before/after numbers.
+// The aggregator folds each query under its one lock, so with more than one
+// CPU the workers serialize there; no benchmark workload runs contending
+// writers, so this is measured, not gated. EXPERIMENTS.md,
+// "Statistics-pipeline ingest" and "One lock", records the numbers.
 func BenchmarkAggregatorIngestParallel(b *testing.B) {
 	for _, bc := range []struct {
 		name string

@@ -3,7 +3,9 @@ package controlplane
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,6 +83,76 @@ func TestLoopAdjustRegistersBeforeSample(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v (equal timestamps must fire adjust-first)", order, want)
 		}
+	}
+}
+
+// TestLoopStopLeavesNothingRunning: Stop ends every epoch the loop
+// registered, on either clock, with and without a sample epoch. On the wall
+// clock each epoch is a ticker goroutine, so the goroutine count comes back
+// to its base; on the simulator clock each is an engine event, so running
+// the engine on fires neither again.
+func TestLoopStopLeavesNothingRunning(t *testing.T) {
+	options := func(sample bool, onSample func()) Options {
+		opts := Options{Policy: core.Static{}, Interval: time.Second}
+		if sample {
+			opts.SampleInterval, opts.OnSample = time.Second, func(time.Duration) { onSample() }
+		}
+		return opts
+	}
+	for _, sample := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wall/sample=%v", sample), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			adj := &fakeAdjuster{}
+			var samples atomic.Int64
+			// 1 engine second = 1 ms wall.
+			loop, err := Start(WallClock(0.001), adj, options(sample, func() { samples.Add(1) }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if adj.count() >= 2 && (!sample || samples.Load() >= 2) {
+					break
+				}
+			}
+			loop.Stop()
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n > base {
+				buf := make([]byte, 1<<20)
+				t.Errorf("%d goroutines after Stop, %d before Start:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+			}
+		})
+		t.Run(fmt.Sprintf("sim/sample=%v", sample), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			eng := sim.NewEngine()
+			adjusts, samples := 0, 0
+			adj := adjusterFunc(func(core.Policy) (core.BoostOutcome, error) {
+				adjusts++
+				return core.BoostOutcome{}, nil
+			})
+			loop, err := Start(SimClock(eng), adj, options(sample, func() { samples++ }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.RunUntil(3 * time.Second)
+			loop.Stop()
+			wantSamples := 0
+			if sample {
+				wantSamples = 3
+			}
+			if adjusts != 3 || samples != wantSamples {
+				t.Fatalf("before Stop: %d adjusts, %d samples; want 3, %d", adjusts, samples, wantSamples)
+			}
+			eng.RunUntil(10 * time.Second)
+			if adjusts != 3 || samples != wantSamples {
+				t.Errorf("after Stop: %d adjusts, %d samples; want 3, %d", adjusts, samples, wantSamples)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%d goroutines after Stop, %d before Start", n, base)
+			}
+		})
 	}
 }
 

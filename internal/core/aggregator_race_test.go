@@ -11,7 +11,7 @@ import (
 	"powerchief/internal/query"
 )
 
-// TestAggregatorConcurrentStress drives the sharded aggregator the way the
+// TestAggregatorConcurrentStress drives the aggregator the way the
 // live and distributed engines do: completion callbacks fire from many
 // goroutines at once — some touching disjoint instance sets, some colliding
 // on shared instances — while a controller goroutine polls InstStats,
@@ -23,7 +23,7 @@ func TestAggregatorConcurrentStress(t *testing.T) {
 		opts AggregatorOptions
 	}{
 		{"exact", AggregatorOptions{Window: WindowExact}},
-		{"bucketed", AggregatorOptions{Window: WindowBucketed, Stripes: 4, Buckets: 16}},
+		{"bucketed", AggregatorOptions{Window: WindowBucketed}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var clk atomic.Int64
@@ -153,7 +153,7 @@ func TestAggregatorOptionsDefaults(t *testing.T) {
 // while a churn goroutine forgets one of those instances over and over and a
 // reader polls InstStats. Meaningful under -race (make race covers this
 // package). Afterwards no record is lost or counted twice: Records equals
-// what the workers fed, forgotten shards included.
+// what the workers fed, forgotten instances included.
 func TestAggregatorSlottedConcurrentIngest(t *testing.T) {
 	for _, kind := range []WindowKind{WindowExact, WindowBucketed} {
 		var clk atomic.Int64

@@ -113,6 +113,27 @@ func TestAggregatorEndToEndLatency(t *testing.T) {
 	}
 }
 
+// TestAggregatorClampsBackwardsClock: a clock that steps backwards between
+// ingests is clamped to its latest reading instead of panicking the exact
+// end-to-end window, and every sample still counts.
+func TestAggregatorClampsBackwardsClock(t *testing.T) {
+	for _, kind := range []WindowKind{WindowExact, WindowBucketed} {
+		clk := &fakeClock{}
+		agg := NewAggregatorOptions(time.Minute, clk.Now, AggregatorOptions{Window: kind})
+		for i, at := range []time.Duration{5 * time.Second, 3 * time.Second, time.Second} {
+			clk.now = at
+			agg.Ingest(completedQuery(query.ID(i), at-time.Millisecond, at,
+				query.Record{Instance: "A_1", ServeStart: 0, ServeEnd: time.Millisecond}))
+		}
+		if lat, ok := agg.WindowLatency(); !ok || lat != time.Millisecond {
+			t.Errorf("window kind %d: WindowLatency = %v,%v; want 1ms", kind, lat, ok)
+		}
+		if got := agg.Records().Records; got != 3 || agg.Ingested() != 3 {
+			t.Errorf("window kind %d: %d records, %d queries; want 3, 3", kind, got, agg.Ingested())
+		}
+	}
+}
+
 func TestAggregatorForget(t *testing.T) {
 	clk := &fakeClock{}
 	agg := NewAggregator(time.Minute, clk.Now)
@@ -154,7 +175,7 @@ func TestSlotPathMatchesNameLookup(t *testing.T) {
 	for _, kind := range []WindowKind{WindowExact, WindowBucketed} {
 		for seed := int64(1); seed <= 25; seed++ {
 			clk := &fakeClock{}
-			opts := AggregatorOptions{Window: kind, Buckets: 8}
+			opts := AggregatorOptions{Window: kind}
 			slotted := NewAggregatorOptions(2*time.Second, clk.Now, opts)
 			named := NewAggregatorOptions(2*time.Second, clk.Now, opts)
 			rng := rand.New(rand.NewSource(seed))

@@ -16,8 +16,9 @@
 // (IngestDelta, exact for bucketed windows; DESIGN.md §5j). Each instance
 // keeps one paired window of (queuing, serving) with two running sums; a
 // record carrying its instance's slot (query.Record.Slot, stamped by the
-// DES) finds that window through a slot table instead of a name lookup, and
-// Records tallies what was ingested for the end-of-run records identity
+// DES) finds that window through a slot table instead of a name lookup. One
+// mutex guards all of it, the end-to-end window included, so a query folds
+// in one lock/unlock. Records tallies what was ingested for the end-of-run records identity
 // against stage.System.Emitted. NewPowerChief, NewFreqBoost,
 // NewInstBoost, NewPegasus and NewPowerChiefSaver construct the policies. A
 // Planner's Plan is the decision, a pure function of the System and

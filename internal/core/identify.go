@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strings"
 	"time"
+
+	"powerchief/internal/stage"
 )
 
 // Metric selects the latency metric used to rank instances. Table 1 of the
@@ -120,12 +122,18 @@ func (id Identifier) rankInto(out []Ranked, stages []StageControl, lists [][]Ins
 // system being ranked or captured. A capture of that system serves them by
 // position (its own name confirms the match: a capture gives equal names
 // equal statistics), the aggregator through the record slot of an instance
-// whose records carry one, and any other reader by name.
+// whose records carry one, and any other reader by name. The instances that
+// carry a slot are matched by concrete type: an assertion to an interface
+// goes through the runtime's type-assertion cache, which fills at random
+// moments and allocates when it does.
 func instStatsAt(stats StatsReader, i, j int, in Instance) (queuing, serving time.Duration, ok bool) {
 	switch st := stats.(type) {
 	case *Aggregator:
-		if s, has := in.(interface{ Slot() uint32 }); has {
-			return st.instStats(in.Name(), s.Slot())
+		switch in := in.(type) {
+		case *stage.Instance:
+			return st.instStats(in.Name(), in.Slot())
+		case *planInstance:
+			return st.instStats(in.Name(), in.Slot())
 		}
 	case *Snapshot:
 		return st.statsAt(i, j, in.Name())

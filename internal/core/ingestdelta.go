@@ -10,7 +10,7 @@ import (
 // IngestDelta folds a batched statistics commit into the aggregator: every
 // per-instance digest pair lands in that instance's paired window as one
 // (count, Σ queuing, Σ serving) fold, the optional end-to-end digest lands in
-// the striped e2e window (the exact O(bins) merge), and the lifetime fallback
+// the end-to-end window (the exact O(bins) merge), and the lifetime fallback
 // sums absorb the pair's totals — so Eq. 1/2/3 read the same numbers as from
 // per-record Ingest. A digest is bins on the shared layout, so the aggregator
 // must keep bucketed windows (AggregatorOptions.Window = WindowBucketed);
@@ -33,32 +33,29 @@ func (a *Aggregator) IngestDelta(d *stats.Delta) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
-	now := a.now()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	now := a.clock()
 	for i := range d.Insts {
 		id := &d.Insts[i]
 		if id.Queuing == nil || id.Queuing.Count == 0 {
 			continue // Validate paired the serving digest with it
 		}
-		if a.opts.Window != WindowBucketed {
+		if a.kind != WindowBucketed {
 			return errors.New("core: a digest folds only into bucketed windows (stats.PairBucketWindow, the BucketWindow layout), not exact ones")
 		}
-		is := a.lockShard(id.Instance, 0)
+		is := a.fold(id.Instance, 0)
 		queuing, serving := time.Duration(id.Queuing.SumNS), time.Duration(id.Serving.SumNS)
 		is.win.(*stats.PairBucketWindow).AddSums(now, id.Queuing.Count, queuing, serving)
 		is.life.Records += id.Queuing.Count
 		is.life.Queuing += queuing
 		is.life.Serving += serving
-		is.mu.Unlock()
 	}
 	if d.E2E != nil && d.E2E.Count > 0 {
-		// Spread the batch across the stripes by sequence number so one
-		// chatty source does not serialize behind a single stripe lock.
-		if err := a.e2e.FoldDigest(d.Seq, now, d.E2E); err != nil {
+		if err := stats.FoldDigest(a.e2e, now, d.E2E); err != nil {
 			return err
 		}
 	}
-	if d.Queries > 0 {
-		a.ingested.Add(d.Queries)
-	}
+	a.ingested += d.Queries
 	return nil
 }

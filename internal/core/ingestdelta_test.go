@@ -75,6 +75,44 @@ func TestIngestDeltaMatchesPerRecordIngest(t *testing.T) {
 	}
 }
 
+// TestIngestDeltaFoldsE2EDigestLikeIngest: a delta's end-to-end digest
+// lands in the aggregator's window exactly where the same latencies ingested
+// one query at a time at the same clock reading do — mean and whole tail
+// grid alike.
+func TestIngestDeltaFoldsE2EDigestLikeIngest(t *testing.T) {
+	clock := time.Second
+	now := func() time.Duration { return clock }
+	opts := AggregatorOptions{Window: WindowBucketed}
+	direct := NewAggregatorOptions(10*time.Second, now, opts)
+	folded := NewAggregatorOptions(10*time.Second, now, opts)
+	h := stats.NewBinHistogram()
+	for i := 1; i <= 100; i++ {
+		latency := time.Duration(i) * 100 * time.Microsecond
+		h.Observe(latency)
+		direct.Ingest(&query.Query{ID: query.ID(i), Arrival: clock - latency, Done: clock})
+	}
+	if err := folded.IngestDelta(&stats.Delta{V: stats.DeltaVersion, Queries: 100, E2E: h.Digest()}); err != nil {
+		t.Fatalf("IngestDelta: %v", err)
+	}
+	dm, _ := direct.WindowLatency()
+	fm, ok := folded.WindowLatency()
+	if !ok || dm != fm {
+		t.Fatalf("WindowLatency: direct %v, folded %v,%v", dm, fm, ok)
+	}
+	grid := []float64{0.5, 0.9, 0.99, 0.999, 0, 1}
+	dt, ft := make([]time.Duration, len(grid)), make([]time.Duration, len(grid))
+	direct.WindowTails(grid, dt)
+	folded.WindowTails(grid, ft)
+	for i, p := range grid {
+		if dt[i] != ft[i] {
+			t.Errorf("p=%v: direct %v, folded %v", p, dt[i], ft[i])
+		}
+	}
+	if direct.Ingested() != folded.Ingested() {
+		t.Errorf("Ingested: direct %d, folded %d", direct.Ingested(), folded.Ingested())
+	}
+}
+
 // TestIngestDeltaLifetimeFallback proves a delta-fed instance keeps its
 // lifetime-mean fallback after the window empties — saturated bottlenecks
 // still get Eq. 2/3 serving estimates.

@@ -1,10 +1,21 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 	"time"
 
 	"powerchief/internal/cmp"
+	"powerchief/internal/stage"
+)
+
+// The steps a PlanView refuses besides the chip's own (cmp.ErrNoFreeCore,
+// cmp.ErrBudgetExceeded). Planners only test a refusal for nil and try the
+// next step, so it carries no per-step message to format.
+var (
+	errPlanNotLive      = errors.New("core: plan: instance not live in the plan")
+	errPlanCannotScale  = errors.New("core: plan: stage cannot scale")
+	errPlanLastInstance = errors.New("core: plan: cannot withdraw a stage's last instance")
+	errPlanInvalidLevel = errors.New("core: plan: invalid frequency level")
 )
 
 // PlanView is a System overlay for the decision path: every read reflects
@@ -255,17 +266,17 @@ func (ps *planStage) Clone(bn Instance) (Instance, error) {
 	pv := ps.pv
 	src := ps.lookup(bn)
 	if src == nil || src.withdrawn {
-		return nil, fmt.Errorf("core: plan: clone source %s not live in stage %s", bn.Name(), ps.Name())
+		return nil, errPlanNotLive
 	}
 	if !ps.under.CanScale() {
-		return nil, fmt.Errorf("core: plan: stage %s cannot scale", ps.Name())
+		return nil, errPlanCannotScale
 	}
 	if pv.free <= 0 {
 		return nil, cmp.ErrNoFreeCore
 	}
 	p := pv.model.Power(src.level)
 	if pv.drawn+p > pv.budget+1e-9 {
-		return nil, fmt.Errorf("%w: planned clone needs %.2fW, headroom %.2fW", cmp.ErrBudgetExceeded, float64(p), float64(pv.Headroom()))
+		return nil, cmp.ErrBudgetExceeded
 	}
 	clone := &planInstance{
 		pv:       pv,
@@ -293,10 +304,10 @@ func (ps *planStage) Withdraw(victim, target Instance) error {
 	pv := ps.pv
 	v := ps.lookup(victim)
 	if v == nil || v.withdrawn {
-		return fmt.Errorf("core: plan: withdraw of unknown instance %s", victim.Name())
+		return errPlanNotLive
 	}
 	if len(ps.Instances()) <= 1 {
-		return fmt.Errorf("core: plan: cannot withdraw the last instance of stage %s", ps.Name())
+		return errPlanLastInstance
 	}
 	var tgt Instance
 	if target != nil {
@@ -361,10 +372,11 @@ func (pi *planInstance) QueueLen() int {
 }
 
 // Slot is the record slot of the underlying instance (0 for none, and for
-// planned clones), by which the aggregator finds its statistics.
+// planned clones), by which the aggregator finds its statistics. Only a DES
+// instance carries one, matched by concrete type as instStatsAt does.
 func (pi *planInstance) Slot() uint32 {
-	if s, ok := pi.under.(interface{ Slot() uint32 }); ok {
-		return s.Slot()
+	if in, ok := pi.under.(*stage.Instance); ok {
+		return in.Slot()
 	}
 	return 0
 }
@@ -393,17 +405,17 @@ func (pi *planInstance) ResetUtilizationEpoch() {
 func (pi *planInstance) SetLevel(l cmp.Level) error {
 	pv := pi.pv
 	if pi.withdrawn {
-		return fmt.Errorf("core: plan: DVFS on withdrawn instance %s", pi.Name())
+		return errPlanNotLive
 	}
 	if l == pi.level {
 		return nil
 	}
 	if !l.Valid() {
-		return fmt.Errorf("core: plan: invalid frequency level %d", int(l))
+		return errPlanInvalidLevel
 	}
 	delta := pv.model.Power(l) - pv.model.Power(pi.level)
 	if pv.drawn+delta > pv.budget+1e-9 {
-		return fmt.Errorf("%w: planned DVFS to %d needs %.2fW, headroom %.2fW", cmp.ErrBudgetExceeded, int(l), float64(delta), float64(pv.Headroom()))
+		return cmp.ErrBudgetExceeded
 	}
 	act := nextIn(&pv.levels)
 	*act = SetLevelAction{Instance: pi.handle(), From: pi.level, To: l, Reason: pv.reason}

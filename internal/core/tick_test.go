@@ -224,36 +224,34 @@ func TestPlanViewResolvesUnderlyingInstances(t *testing.T) {
 
 // TestWindowTailsMatchesWindowTail: one multi-quantile read returns exactly
 // what one WindowTail call per grid point does — exact and bucketed windows,
-// one stripe and many, empty, single-sample and populated — and a capture's
-// SnapshotView serves the same grid back through both.
+// empty, single-sample and populated — and a capture's SnapshotView serves
+// the same grid back through both.
 func TestWindowTailsMatchesWindowTail(t *testing.T) {
 	grid := []float64{0.5, 0.9, 0.99, 0.999, 0, 1, -1, 2}
 	for _, kind := range []WindowKind{WindowExact, WindowBucketed} {
-		for _, stripes := range []int{1, 8} {
-			for _, samples := range []int{0, 1, 2, 500} {
-				name := fmt.Sprintf("kind=%d/stripes=%d/samples=%d", kind, stripes, samples)
-				sys := newFakeSystem(100, 8, cmp.MidLevel, "A")
-				agg := NewAggregatorOptions(25*time.Second, func() time.Duration { return sys.now }, AggregatorOptions{Window: kind, Stripes: stripes})
-				rng := rand.New(rand.NewSource(int64(samples)))
-				for i := 0; i < samples; i++ {
-					sys.now += time.Duration(rng.Intn(100)) * time.Millisecond // old samples fall out of the window
-					ingestLatency(agg, i, time.Duration(1+rng.Intn(5000))*time.Millisecond)
-				}
-				checkTails(t, name, agg, grid, samples > 0)
-				snap := CaptureSnapshot(sys, agg)
-				p50, _ := agg.WindowTail(0.5)
-				p999, _ := agg.WindowTail(0.999)
-				if snap.Window.OK != (samples > 0) || snap.Window.P50 != p50 || snap.Window.P999 != p999 {
-					t.Errorf("%s: capture window %+v, aggregator p50 %v p999 %v", name, snap.Window, p50, p999)
-				}
-				checkTails(t, name+"/replayed", NewSnapshotView(snap), grid, samples > 0)
+		for _, samples := range []int{0, 1, 2, 500} {
+			name := fmt.Sprintf("kind=%d/samples=%d", kind, samples)
+			sys := newFakeSystem(100, 8, cmp.MidLevel, "A")
+			agg := NewAggregatorOptions(25*time.Second, func() time.Duration { return sys.now }, AggregatorOptions{Window: kind})
+			rng := rand.New(rand.NewSource(int64(samples)))
+			for i := 0; i < samples; i++ {
+				sys.now += time.Duration(rng.Intn(100)) * time.Millisecond // old samples fall out of the window
+				ingestLatency(agg, i, time.Duration(1+rng.Intn(5000))*time.Millisecond)
 			}
+			checkTails(t, name, agg, grid, samples > 0)
+			snap := CaptureSnapshot(sys, agg)
+			p50, _ := agg.WindowTail(0.5)
+			p999, _ := agg.WindowTail(0.999)
+			if snap.Window.OK != (samples > 0) || snap.Window.P50 != p50 || snap.Window.P999 != p999 {
+				t.Errorf("%s: capture window %+v, aggregator p50 %v p999 %v", name, snap.Window, p50, p999)
+			}
+			checkTails(t, name+"/replayed", NewSnapshotView(snap), grid, samples > 0)
 		}
 	}
 }
 
 // ingestLatency folds one completed query with the given end-to-end latency
-// (and a distinct ID, so the stripes all fill) into the aggregator.
+// and a distinct ID into the aggregator.
 func ingestLatency(agg *Aggregator, id int, latency time.Duration) {
 	q := query.New(query.ID(id), 0, nil)
 	q.Done = latency

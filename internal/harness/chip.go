@@ -40,9 +40,7 @@ func newAppChip(eng *sim.Engine, t Tenant, specs []stage.Spec, grant cmp.Watts) 
 	if err != nil {
 		return nil, fmt.Errorf("harness: building %q: %w", t.Name, err)
 	}
-	// One goroutine completes every query, so one stripe: the merged reads
-	// are the union multiset either way.
-	agg := core.NewAggregatorOptions(t.StatsWindow, eng.Now, core.AggregatorOptions{Stripes: 1})
+	agg := core.NewAggregator(t.StatsWindow, eng.Now)
 	c := &appChip{spec: t, chip: chip, sys: sys, view: core.NewDESView(sys),
 		agg: agg, policy: t.Policy(), latency: stats.NewSummary()}
 	sys.OnComplete(c.complete)

@@ -194,16 +194,13 @@ func (in *Instance) run() {
 		now := c.Now()
 		in.serving = false
 		in.served++
-		item.q.Append(query.Record{
-			Query:      item.q.ID,
-			Stage:      in.stage.spec.Name,
-			Instance:   in.name,
-			QueueEnter: item.enter,
-			ServeStart: serveStart,
-			ServeEnd:   now,
-			Level:      int(level),
-			Boosted:    boosted,
-		})
+		// Built where it lands, as stage.Instance does: no 80-byte copy.
+		q := item.q
+		q.Records = append(q.Records, query.Record{})
+		r := &q.Records[len(q.Records)-1]
+		r.Query, r.Stage, r.Instance = q.ID, in.stage.spec.Name, in.name
+		r.QueueEnter, r.ServeStart, r.ServeEnd = item.enter, serveStart, now
+		r.Level, r.Boosted = int(level), boosted
 		var cbs []func(*query.Query)
 		if in.stage.spec.Kind != stage.FanOut || item.q.BranchDone() {
 			cbs = c.advanceLocked(item.q, in.stage.index)

@@ -73,8 +73,7 @@ func (t *DESTarget) AttachControl(opts ControlOptions) (*controlplane.Loop, erro
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
-	// The simulation completes every query on one goroutine: one stripe.
-	agg := core.NewAggregatorOptions(opts.Interval, t.eng.Now, core.AggregatorOptions{Stripes: 1})
+	agg := core.NewAggregator(opts.Interval, t.eng.Now)
 	t.sys.OnComplete(agg.Ingest)
 	view := core.NewDESView(t.sys)
 	return controlplane.Start(controlplane.SimClock(t.eng), controlplane.NewAdjuster(view, agg), controlplane.Options{

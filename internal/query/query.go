@@ -208,8 +208,9 @@ func (q *Query) WorkAt(s, i int) time.Duration {
 	return branches[i%len(branches)]
 }
 
-// Append adds a latency record to the query. It is called by the instance
-// that just finished serving the query (the joint design).
+// Append adds a latency record to the query, for code that builds queries
+// by hand. The engines' instances build each record in place at the end of
+// Records instead (the joint design), saving the by-value copy.
 func (q *Query) Append(r Record) { q.Records = append(q.Records, r) }
 
 // SetPending initializes the outstanding-branch counter for a fan-out stage.

@@ -77,8 +77,7 @@ func (b *timeBucket) clear() {
 // factor) instead of ranking exact samples.
 //
 // Timestamps that go backwards are clamped to the latest time seen rather
-// than panicking: the concurrent engines read the clock before reaching the
-// aggregator locks, so slight reordering is legal there.
+// than panicking, so a caller need not order its clock reads.
 //
 // In steady state Add allocates nothing: every buffer is laid down at
 // construction (asserted by TestBucketWindowAddZeroAlloc).
@@ -255,8 +254,8 @@ func (w *BucketWindow) Max() (time.Duration, bool) {
 	return max, true
 }
 
-// binAccumulator merges the latency bins of one or more bucket windows so a
-// quantile can be interpolated over the union (used by Striped).
+// binAccumulator merges the latency bins of a bucket window's live buckets so
+// a quantile can be interpolated over them.
 type binAccumulator struct {
 	bins     []uint64
 	count    uint64
@@ -264,12 +263,8 @@ type binAccumulator struct {
 	min, max time.Duration
 }
 
-// accumulateBins folds the window's live buckets into acc, lazily sizing
-// acc's bins on first use.
+// accumulateBins folds the window's live buckets into acc.
 func (w *BucketWindow) accumulateBins(acc *binAccumulator) {
-	if acc.bins == nil {
-		acc.bins = make([]uint64, len(binBounds))
-	}
 	for i := range w.ring {
 		b := &w.ring[i]
 		if b.count == 0 {
@@ -342,20 +337,28 @@ func (acc *binAccumulator) quantile(p float64) (time.Duration, bool) {
 
 // Percentile estimates the p-quantile (p in [0,1]) of the samples in the
 // window from the latency bins; relative error is bounded by the bin growth
-// factor. Returns false when the window is empty.
+// factor. Returns false when the window is empty: the one-point case of
+// Percentiles.
 func (w *BucketWindow) Percentile(p float64) (time.Duration, bool) {
+	var out [1]time.Duration
+	ok := w.Percentiles([]float64{p}, out[:])
+	return out[0], ok
+}
+
+// Percentiles writes the ps[i]-quantile (clamped to [0,1]) of the samples
+// in the window into out[i], merging the live buckets' bins once for the
+// whole grid, and reports false, with out untouched, when the window is
+// empty.
+func (w *BucketWindow) Percentiles(ps []float64, out []time.Duration) bool {
 	if w.count == 0 {
-		return 0, false
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
+		return false
 	}
 	acc := binAccumulator{bins: w.scratchBins()}
 	w.accumulateBins(&acc)
-	return acc.quantile(p)
+	for i, p := range ps {
+		out[i], _ = acc.quantile(p) // clamps p itself
+	}
+	return true
 }
 
 // scratchBins returns the preallocated, zeroed merge scratch so Percentile

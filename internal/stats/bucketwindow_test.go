@@ -111,6 +111,39 @@ func TestBucketWindowPercentileAndMax(t *testing.T) {
 	}
 }
 
+// TestBucketWindowPercentiles: a grid read merges the live buckets' bins
+// once and interpolates each point exactly as a bin histogram on the shared
+// layout fed the same samples does; the p99 lands within the bin growth
+// factor of the exact one, and the mean stays exact.
+func TestBucketWindowPercentiles(t *testing.T) {
+	w := NewBucketWindow(time.Hour, 4)
+	h := NewBinHistogram()
+	for i := 1; i <= 100; i++ {
+		v := time.Duration(i) * time.Millisecond
+		w.Add(time.Duration(i)*time.Second, v)
+		h.Observe(v)
+	}
+	grid := []float64{0.99, 0.5, 0.9, 0, 1, -1, 2}
+	got := make([]time.Duration, len(grid))
+	if !w.Percentiles(grid, got) {
+		t.Fatal("no percentiles from a populated window")
+	}
+	for i, p := range grid {
+		if one, _ := w.Percentile(p); one != got[i] {
+			t.Errorf("p=%v: grid %v, single %v", p, got[i], one)
+		}
+		if want := h.Quantile(p); got[i] != want {
+			t.Errorf("p=%v: grid %v, bin histogram %v", p, got[i], want)
+		}
+	}
+	if lo := time.Duration(float64(99*time.Millisecond) / binGrowth); got[0] < lo || got[0] > 100*time.Millisecond {
+		t.Errorf("P99 = %v, want within [%v, 100ms]", got[0], lo)
+	}
+	if m, _ := w.Mean(); m != 50500*time.Microsecond {
+		t.Errorf("Mean = %v, want 50.5ms", m)
+	}
+}
+
 func TestBucketWindowEmpty(t *testing.T) {
 	w := NewBucketWindow(time.Second, 0)
 	if w.Buckets() != DefaultBuckets {

@@ -527,13 +527,3 @@ func FoldDigest(w MovingWindow, at time.Duration, d *HistogramDigest) error {
 	}
 	return bw.AddDigest(at, d)
 }
-
-// FoldDigest folds a digest into the stripe selected by hint, with the same
-// monotone clamp Add applies.
-func (s *Striped) FoldDigest(hint uint64, at time.Duration, d *HistogramDigest) error {
-	st := &s.stripes[hint%uint64(len(s.stripes))]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.last = max(st.last, at)
-	return FoldDigest(st.w, st.last, d)
-}

@@ -294,37 +294,6 @@ func TestFoldDigestRefusesExactWindow(t *testing.T) {
 	if w.Len() != 0 {
 		t.Fatalf("refused fold left %d samples behind", w.Len())
 	}
-	if err := NewStriped(2, func() MovingWindow { return NewWindow(time.Minute) }).FoldDigest(1, time.Second, h.Digest()); err == nil {
-		t.Fatal("striped exact windows must refuse a digest too")
-	}
-}
-
-// TestStripedFoldDigestMatchesAdds proves the striped fold lands on the
-// hinted stripe with the same clamp discipline as Add.
-func TestStripedFoldDigestMatchesAdds(t *testing.T) {
-	mk := func() MovingWindow { return NewBucketWindow(10*time.Second, 16) }
-	direct := NewStriped(4, mk)
-	folded := NewStriped(4, mk)
-
-	h := NewBinHistogram()
-	for i := 1; i <= 100; i++ {
-		v := time.Duration(i) * 100 * time.Microsecond
-		h.Observe(v)
-		direct.Add(7, time.Second, v)
-	}
-	if err := folded.FoldDigest(7, time.Second, h.Digest()); err != nil {
-		t.Fatalf("FoldDigest: %v", err)
-	}
-	dm, _ := direct.Mean(time.Second)
-	fm, _ := folded.Mean(time.Second)
-	if dm != fm {
-		t.Fatalf("Mean: direct %v, folded %v", dm, fm)
-	}
-	dp, _ := direct.Percentile(time.Second, 0.99)
-	fp, _ := folded.Percentile(time.Second, 0.99)
-	if dp != fp {
-		t.Fatalf("p99: direct %v, folded %v", dp, fp)
-	}
 }
 
 // TestDeltaJSONRoundTrip pins the wire shape: a delta survives JSON

@@ -4,10 +4,13 @@
 // streaming summaries with exact percentiles, utilization accounting, and
 // time-series recorders for the runtime-behaviour figures.
 //
-// Entry points: Window is the §4.2 moving window (Striped shards one across
-// lock stripes and merges on read — Percentiles answers a whole quantile
-// grid from one merge); Summary keeps every
-// sample for exact percentiles (experiment-scale); NewHistogram builds the
+// Entry points: Window is the §4.2 moving window and BucketWindow its
+// constant-memory twin, both read through MovingWindow (Percentiles answers
+// a whole quantile grid from one gather or one bin merge; PairWindow and
+// PairBucketWindow keep an instance's (queuing, serving) pairs). None is
+// safe for concurrent use: core.Aggregator holds them under one lock.
+// Summary keeps every sample for exact percentiles (experiment-scale);
+// NewHistogram builds the
 // log-bucketed histogram internal/loadgen records into (bounded memory at
 // benchmark scale, quantile error set by the growth factor); TimeSeries
 // captures the traces behind the figure CSVs; Improvement computes the

@@ -18,8 +18,7 @@ type pairSample struct {
 // compacted away only once it outweighs the live samples, and one truncation
 // when everything expired. Its means therefore equal, bit for bit, those of
 // two Windows fed the same records. Unlike Window, it clamps a timestamp
-// that goes backwards to the latest one seen, as BucketWindow does: the
-// concurrent engines read the clock before reaching the aggregator's locks.
+// that goes backwards to the latest one seen, as BucketWindow does.
 type PairWindow struct {
 	span    time.Duration
 	samples []pairSample // live samples are samples[head:]

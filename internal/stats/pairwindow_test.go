@@ -50,7 +50,10 @@ func TestPairWindowsMatchTwoWindows(t *testing.T) {
 					Means() (time.Duration, time.Duration, bool)
 					Len() int
 				}
-				q, s MovingWindow
+				q, s interface {
+					Mean() (time.Duration, bool)
+					Len() int
+				}
 			}{{"exact", exact, exactQ, exactS}, {"bucketed", bucketed, bucketQ, bucketS}} {
 				gq, gs, ok := c.pair.Means()
 				wq, okq := c.q.Mean()

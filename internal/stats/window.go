@@ -120,23 +120,45 @@ func (w *Window) MeanOr(def time.Duration) time.Duration {
 	return def
 }
 
-// appendValues appends the live sample values to dst (for merged reads over
-// striped windows).
-func (w *Window) appendValues(dst []time.Duration) []time.Duration {
-	for _, s := range w.samples[w.head:] {
-		dst = append(dst, s.Value)
-	}
-	return dst
+// Percentile returns the p-quantile (p in [0,1]) of the samples in the
+// window by nearest rank, and false when empty: the one-point case of
+// Percentiles.
+func (w *Window) Percentile(p float64) (time.Duration, bool) {
+	var out [1]time.Duration
+	ok := w.Percentiles([]float64{p}, out[:])
+	return out[0], ok
 }
 
-// Percentile returns the p-quantile (p in [0,1]) of the samples in the
-// window by nearest rank, selected on a copy, and false when empty.
-func (w *Window) Percentile(p float64) (time.Duration, bool) {
-	if w.Len() == 0 {
-		return 0, false
+// Percentiles writes the ps[i]-quantile (clamped to [0,1]) of the samples
+// in the window into out[i] by nearest rank, and reports false, with out
+// untouched, when the window is empty. The live values are gathered once,
+// into one copy — on the stack while it is small — and each grid point is
+// selected from it.
+func (w *Window) Percentiles(ps []float64, out []time.Duration) bool {
+	n := w.Len()
+	if n == 0 {
+		return false
 	}
-	vals := w.appendValues(make([]time.Duration, 0, w.Len()))
-	return selectKth(vals, rank(len(vals), p)), true
+	var stack [64]time.Duration
+	vals := stack[:0]
+	if n > len(stack) {
+		vals = make([]time.Duration, 0, n)
+	}
+	for _, s := range w.samples[w.head:] {
+		vals = append(vals, s.Value)
+	}
+	// After selecting rank k, vals[k:] holds exactly ranks k and up, so an
+	// ascending grid narrows each selection to that suffix.
+	from := 0
+	for i, p := range ps {
+		k := rank(n, p)
+		if k < from {
+			from = 0
+		}
+		out[i] = selectKth(vals[from:], k-from)
+		from = k
+	}
+	return true
 }
 
 // Max returns the largest sample in the window, and false when empty.
