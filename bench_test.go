@@ -1,15 +1,11 @@
 package powerchief
 
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§8), plus microbenchmarks of the framework's hot paths. The figure
-// benches report the reproduced headline values as custom metrics so
-// `go test -bench` output doubles as the experiment record:
+// Microbenchmarks of the framework's hot paths:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 //
-// Figure benches run the full experiment once per iteration on the
-// deterministic discrete-event engine; absolute numbers are recorded in
-// EXPERIMENTS.md against the paper's.
+// The benches regenerating the evaluation's tables and figures live next
+// to the table, in internal/harness.
 
 import (
 	"fmt"
@@ -21,7 +17,6 @@ import (
 	"powerchief/internal/app"
 	"powerchief/internal/cmp"
 	"powerchief/internal/core"
-	"powerchief/internal/harness"
 	"powerchief/internal/live"
 	"powerchief/internal/query"
 	"powerchief/internal/sim"
@@ -29,143 +24,6 @@ import (
 	"powerchief/internal/telemetry"
 	"powerchief/internal/workload"
 )
-
-// --- Figure/table reproduction benches -------------------------------------
-
-// BenchmarkFigure2 regenerates the single-stage boosting sweep (Figure 2):
-// normalized Sirius latency when boosting only ASR / IMM / QA under the same
-// 13.56 W budget. Reported metric: normalized latency of the optimal
-// decision (instance-boosting QA; the paper reports >40% reduction, i.e.
-// < 0.6).
-func BenchmarkFigure2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.Figure2(7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			if row.Label == "Inst-boost QA only" {
-				b.ReportMetric(row.Normalized, "norm-instQA")
-			}
-			if row.Label == "Inst-boost IMM only" {
-				b.ReportMetric(row.Normalized, "norm-instIMM")
-			}
-		}
-	}
-}
-
-// BenchmarkFigure4 regenerates the freq-vs-inst boosting comparison
-// (Figure 4) at low and high load. Reported metrics: average-latency
-// improvement factors (paper: low 1.46×/1.20×, high 1.82×/25.11×).
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := harness.Figure4(11)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, g := range fig.Groups {
-			for _, bar := range g.Bars {
-				key := "low"
-				if g.Label == "high load" {
-					key = "high"
-				}
-				switch bar.Label {
-				case "Freq-Boosting":
-					b.ReportMetric(bar.Avg, key+"-freq-x")
-				case "Inst-Boosting":
-					b.ReportMetric(bar.Avg, key+"-inst-x")
-				}
-			}
-		}
-	}
-}
-
-// benchImprovement runs an improvement figure and reports the PowerChief
-// bars (avg improvement per load).
-func benchImprovement(b *testing.B, fn func(int64) (*harness.Figure, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		fig, err := fn(7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, g := range fig.Groups {
-			for _, bar := range g.Bars {
-				if bar.Label == "PowerChief" {
-					key := "low"
-					switch g.Label {
-					case "medium load":
-						key = "med"
-					case "high load":
-						key = "high"
-					}
-					b.ReportMetric(bar.Avg, key+"-pc-avg-x")
-					b.ReportMetric(bar.P99, key+"-pc-p99-x")
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFigure10 regenerates the Sirius latency-improvement figure
-// (paper: PowerChief 20.3× avg / 13.3× p99 on average; 32.8×/19.5× at high
-// load).
-func BenchmarkFigure10(b *testing.B) { benchImprovement(b, harness.Figure10) }
-
-// BenchmarkFigure12 regenerates the NLP latency-improvement figure (paper:
-// 32.4× avg / 19.4× p99 on average; 52.2×/28.4× at high load).
-func BenchmarkFigure12(b *testing.B) { benchImprovement(b, harness.Figure12) }
-
-// BenchmarkFigure11 regenerates the runtime-behaviour traces (Figure 11):
-// per-instance frequencies and instance counts under the phased high load.
-// Reported metric: the peak QA instance count PowerChief reaches (the paper
-// shows up to five).
-func BenchmarkFigure11(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.Figure11(5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pc := res.Runs[len(res.Runs)-1] // powerchief run
-		maxQA := 0.0
-		if s := pc.Trace.Get("instances:QA"); s != nil {
-			for _, p := range s.Points {
-				if p.Value > maxQA {
-					maxQA = p.Value
-				}
-			}
-		}
-		b.ReportMetric(maxQA, "peak-QA-instances")
-	}
-}
-
-// benchQoS reports a power-saving experiment's fractions (Figures 13/14).
-func benchQoS(b *testing.B, fn func(int64) (*harness.QoSResult, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := fn(9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range res.Runs {
-			switch r.Policy {
-			case "pegasus":
-				b.ReportMetric(1-r.PowerFraction, "pegasus-saved")
-			case "powerchief":
-				b.ReportMetric(1-r.PowerFraction, "pc-saved")
-				b.ReportMetric(r.QoSFraction, "pc-lat/qos")
-			}
-		}
-	}
-}
-
-// BenchmarkFigure13 regenerates the Sirius QoS power-saving comparison
-// (paper: PowerChief saves 25% vs Pegasus 2% over the baseline).
-func BenchmarkFigure13(b *testing.B) { benchQoS(b, harness.Figure13) }
-
-// BenchmarkFigure14 regenerates the Web Search QoS power-saving comparison
-// (paper: PowerChief saves 43% vs Pegasus 10%).
-func BenchmarkFigure14(b *testing.B) { benchQoS(b, harness.Figure14) }
 
 // BenchmarkTable1Metrics exercises every Table 1 latency metric over the
 // same ranking workload, reporting how often each metric disagrees with the

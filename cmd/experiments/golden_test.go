@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"powerchief/internal/harness"
 )
 
 // benchArtifacts are the committed results powerbench writes, not this
@@ -40,19 +42,47 @@ func TestFiguresGolden(t *testing.T) {
 		t.Fatalf("wrote %v, committed %v", got, want)
 	}
 	for _, name := range want {
-		t.Run(name, func(t *testing.T) {
-			w, err := os.ReadFile(filepath.Join(golden, name))
-			if err != nil {
+		t.Run(name, func(t *testing.T) { compareGolden(t, dir, golden, name) })
+	}
+}
+
+// TestRowsGolden regenerates each row of the table on its own: a row's
+// bytes may not depend on which other rows share its runs.
+func TestRowsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates DES experiments; skipped in -short")
+	}
+	golden := filepath.Join("..", "..", "results")
+	for _, row := range harness.Table() {
+		t.Run(row.Name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := writeFigures(dir, row.Name, 7, io.Discard); err != nil {
 				t.Fatal(err)
 			}
-			g, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
+			names := fileNames(t, dir)
+			if len(names) == 0 {
+				t.Fatal("row wrote no file")
 			}
-			if !bytes.Equal(g, w) {
-				t.Errorf("%s drifted from the committed golden.\n--- got ---\n%s\n--- want ---\n%s", name, g, w)
+			for _, name := range names {
+				compareGolden(t, dir, golden, name)
 			}
 		})
+	}
+}
+
+// compareGolden checks dir/name byte for byte against golden/name.
+func compareGolden(t *testing.T, dir, golden, name string) {
+	t.Helper()
+	w, err := os.ReadFile(filepath.Join(golden, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g, w) {
+		t.Errorf("%s drifted from the committed golden.\n--- got ---\n%s\n--- want ---\n%s", name, g, w)
 	}
 }
 

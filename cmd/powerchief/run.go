@@ -130,7 +130,7 @@ func runScenario(_ context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 	if *tracePath != "" {
-		if err := writeFile(*tracePath, func(w io.Writer) error { return harness.WriteRuntimeTrace(w, res) }); err != nil {
+		if err := writeFile(*tracePath, func(w io.Writer) error { return harness.WriteRuntimeTrace(w, res.Scenario, res) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "trace written to %s\n", *tracePath)

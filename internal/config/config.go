@@ -61,7 +61,8 @@ type Experiment struct {
 	QoS Duration `json:"qos,omitempty"`
 	// AdjustInterval is the control period.
 	AdjustInterval Duration `json:"adjust_interval"`
-	// BalanceThreshold suppresses reallocation below this metric spread.
+	// BalanceThreshold suppresses reallocation below this metric spread; 0
+	// reallocates on any spread (MitigationSetup writes Table 2's 1 s).
 	BalanceThreshold Duration `json:"balance_threshold"`
 	// WithdrawInterval is the §6.2 withdraw period (0 disables withdraw).
 	WithdrawInterval Duration `json:"withdraw_interval"`
@@ -91,35 +92,6 @@ func MitigationSetup(app, policy, load string, seed int64) Experiment {
 		Duration:         Duration(900 * time.Second),
 		Seed:             seed,
 	}
-}
-
-// QoSSetup returns the Table 3 configuration: over-provisioned instances at
-// the maximum frequency, with the per-application QoS target and adjust
-// interval from the paper.
-func QoSSetup(app, policy string, seed int64) (Experiment, error) {
-	e := Experiment{
-		Name:      fmt.Sprintf("%s-%s-qos", app, policy),
-		App:       app,
-		LevelGHz:  2.4,
-		Policy:    policy,
-		LoadLevel: "medium",
-		Seed:      seed,
-	}
-	switch app {
-	case "sirius":
-		e.Instances = []int{4, 2, 5}
-		e.QoS = Duration(2 * time.Second)
-		e.AdjustInterval = Duration(10 * time.Second)
-		e.Duration = Duration(900 * time.Second)
-	case "websearch":
-		e.Instances = []int{10, 1}
-		e.QoS = Duration(250 * time.Millisecond)
-		e.AdjustInterval = Duration(2 * time.Second)
-		e.Duration = Duration(200 * time.Second)
-	default:
-		return Experiment{}, fmt.Errorf("config: no Table 3 setup for app %q", app)
-	}
-	return e, nil
 }
 
 // Validate checks the experiment description's values. The app and policy

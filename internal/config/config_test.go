@@ -34,40 +34,6 @@ func TestMitigationSetupMatchesTable2(t *testing.T) {
 	}
 }
 
-func TestQoSSetupMatchesTable3(t *testing.T) {
-	s, err := QoSSetup("sirius", "saver", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Instances; len(got) != 3 || got[0] != 4 || got[1] != 2 || got[2] != 5 {
-		t.Errorf("sirius instances = %v, want 4,2,5", got)
-	}
-	if s.QoS.Std() != 2*time.Second || s.AdjustInterval.Std() != 10*time.Second {
-		t.Error("sirius QoS setup mismatch")
-	}
-	if s.Level() != cmp.MaxLevel {
-		t.Error("Table 3 services run at maximum frequency")
-	}
-
-	w, err := QoSSetup("websearch", "pegasus", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Instances; len(got) != 2 || got[0] != 10 || got[1] != 1 {
-		t.Errorf("websearch instances = %v, want 10,1", got)
-	}
-	if w.QoS.Std() != 250*time.Millisecond || w.AdjustInterval.Std() != 2*time.Second {
-		t.Error("websearch QoS setup mismatch")
-	}
-
-	if _, err := QoSSetup("nlp", "saver", 7); err == nil {
-		t.Error("Table 3 has no NLP setup")
-	}
-}
-
 func TestValidateRejectsBadExperiments(t *testing.T) {
 	good := MitigationSetup("sirius", "powerchief", "high", 1)
 	mutations := map[string]func(*Experiment){

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,8 +11,37 @@ import (
 	"powerchief/internal/workload"
 )
 
-func rowOf(a *AblationResult, label string) (AblationRow, bool) {
-	for _, r := range a.Rows {
+// AblationRow is one variant's outcome: its improvement over the study's
+// baseline and its average draw.
+type AblationRow struct {
+	Label    string
+	Avg, P99 float64
+	AvgPower float64
+}
+
+// study evaluates ablation id alone at seed.
+func study(tb testing.TB, id string, seed int64) (ablation, []AblationRow) {
+	tb.Helper()
+	i := slices.IndexFunc(ablations, func(a ablation) bool { return a.id == id })
+	if i < 0 {
+		tb.Fatalf("no study %s", id)
+	}
+	a := ablations[i]
+	ev, err := Evaluate([]Row{{Name: id, Keys: a.keys}}, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	runs := ev.Runs[0]
+	var rows []AblationRow
+	for i, v := range a.variants {
+		avg, p99 := Improvement(runs[0], runs[1+i])
+		rows = append(rows, AblationRow{Label: v.label, Avg: avg, P99: p99, AvgPower: float64(runs[1+i].AvgPower)})
+	}
+	return a, rows
+}
+
+func rowOf(rows []AblationRow, label string) (AblationRow, bool) {
+	for _, r := range rows {
 		if strings.HasPrefix(r.Label, label) {
 			return r, true
 		}
@@ -23,37 +53,52 @@ func TestAblationMetricEq1Wins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	res, err := AblationMetric(13)
-	if err != nil {
-		t.Fatal(err)
-	}
+	metric, res := study(t, "ablation-metric", 13)
 	eq1, ok := rowOf(res, "expected-delay")
 	if !ok {
 		t.Fatal("Eq.1 row missing")
 	}
-	for _, r := range res.Rows {
+	for _, r := range res {
 		t.Logf("%-24s avg=%.1fx p99=%.1fx power=%.2fW", r.Label, r.Avg, r.P99, r.AvgPower)
-	}
-	// Equation 1 must beat the pure serving-time metric decisively (the
-	// serving metric never sees the queue burst). The processing metric can
-	// get close; serving alone cannot.
-	serving, _ := rowOf(res, "avg-serving")
-	if eq1.Avg < serving.Avg {
-		t.Errorf("Eq.1 (%.1fx) lost to avg-serving (%.1fx)", eq1.Avg, serving.Avg)
 	}
 	if eq1.Avg < 5 {
 		t.Errorf("Eq.1 improvement %.1fx suspiciously low", eq1.Avg)
 	}
+	// The serving-only metric's row reads ≈1× because that PowerChief never
+	// acts: serving times alone stay within the balance threshold of each
+	// other, so every tick is balanced. The row measures the threshold, not
+	// the metric's ranking.
+	i := slices.IndexFunc(metric.variants, func(v tweak) bool { return v.label == "avg-serving" })
+	sc, err := metric.keys(13)[1+i].Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	serving, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spread time.Duration
+	frames := serving.Decisions.Trace().Frames
+	for _, f := range frames {
+		if f.Decided || len(f.Plan) > 0 || len(f.Withdraw) > 0 || f.Outcome.Kind != core.BoostNone {
+			t.Errorf("tick %d: avg-serving acted (%v)", f.Tick, f.Outcome.Kind)
+		}
+		if f.Identified != nil {
+			spread = max(spread, f.Identified.Spread)
+		}
+	}
+	if len(frames) == 0 || spread >= core.DefaultConfig().BalanceThreshold {
+		t.Errorf("avg-serving: %d ticks, largest spread %v, want ticks all under the %v balance threshold",
+			len(frames), spread, core.DefaultConfig().BalanceThreshold)
+	}
+	t.Logf("avg-serving: %d ticks, no action, largest spread %v", len(frames), spread)
 }
 
 func TestAblationWithdrawHelpsPhasedLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	res, err := AblationWithdraw(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := study(t, "ablation-withdraw", 5)
 	on, _ := rowOf(res, "withdraw-150s")
 	off, _ := rowOf(res, "withdraw-off")
 	t.Logf("withdraw on: %.1fx @ %.2fW; off: %.1fx @ %.2fW", on.Avg, on.AvgPower, off.Avg, off.AvgPower)
@@ -67,10 +112,7 @@ func TestAblationSplitCloneHelpsMediumLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	res, err := AblationSplitClone(7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := study(t, "ablation-splitclone", 7)
 	with, _ := rowOf(res, "split-clone")
 	without, _ := rowOf(res, "literal-alg1")
 	t.Logf("split-clone: %.2fx; literal: %.2fx", with.Avg, without.Avg)
@@ -83,14 +125,11 @@ func TestAblationThresholdSweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	res, err := AblationBalanceThreshold(7)
-	if err != nil {
-		t.Fatal(err)
+	_, res := study(t, "ablation-threshold", 7)
+	if len(res) != 3 {
+		t.Fatalf("rows = %d", len(res))
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, r := range res.Rows {
+	for _, r := range res {
 		t.Logf("%-14s avg=%.1fx", r.Label, r.Avg)
 		if r.Avg < 1 {
 			t.Errorf("threshold %s made high load worse (%.2fx)", r.Label, r.Avg)
@@ -102,14 +141,11 @@ func TestAblationDispatcherRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	res, err := AblationDispatcher(7)
-	if err != nil {
-		t.Fatal(err)
+	_, res := study(t, "ablation-dispatcher", 7)
+	if len(res) != 3 {
+		t.Fatalf("rows = %d", len(res))
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, r := range res.Rows {
+	for _, r := range res {
 		t.Logf("%-22s avg=%.1fx p99=%.1fx", r.Label, r.Avg, r.P99)
 		if r.Avg < 3 {
 			t.Errorf("dispatcher %s collapsed under PowerChief (%.1fx)", r.Label, r.Avg)
@@ -118,21 +154,28 @@ func TestAblationDispatcherRuns(t *testing.T) {
 }
 
 func TestWriteAblationAndTail(t *testing.T) {
-	a := &AblationResult{ID: "x", Title: "t", Rows: []AblationRow{{Label: "v", Avg: 2, P99: 3, AvgPower: 10}}}
-	var sb strings.Builder
-	if err := WriteAblation(&sb, a); err != nil {
+	// Every study's baseline averages 2 s, every variant 1 s.
+	var runs []*Result
+	for _, a := range ablations {
+		runs = append(runs, fakeRun(13, 2*time.Second))
+		for range a.variants {
+			runs = append(runs, fakeRun(10, time.Second))
+		}
+	}
+	files := map[string]string{}
+	if err := writeAblations(runs, capture(files)); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "2.0x") {
-		t.Errorf("ablation table = %q", sb.String())
+	if got := files["ablations.txt"]; !strings.Contains(got, "round-robin           2.0x") ||
+		strings.Count(got, "\n\n") != len(ablations) {
+		t.Errorf("ablation tables = %q", got)
 	}
-	tr := &TailResult{Rows: []TailRow{{Policy: "p", P50: time.Second}}}
-	sb.Reset()
-	if err := WriteTail(&sb, tr); err != nil {
+	runs = runs[:len(tailPolicies)]
+	if err := writeTail(runs, capture(files)); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "p50") {
-		t.Errorf("tail table = %q", sb.String())
+	if got := files["tail.txt"]; !strings.Contains(got, "p50") || !strings.Contains(got, "Baseline       2s") {
+		t.Errorf("tail table = %q", got)
 	}
 }
 
@@ -140,30 +183,27 @@ func TestTailAnalysisOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	res, err := TailAnalysis(7)
-	if err != nil {
-		t.Fatal(err)
+	runs := rowRuns(t, "tail", 7)
+	if len(runs) != len(tailPolicies) {
+		t.Fatalf("runs = %d", len(runs))
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	var base, pc TailRow
-	for _, r := range res.Rows {
-		t.Logf("%-14s p50=%v p99=%v p99.9=%v", r.Policy, r.P50, r.P99, r.P999)
+	for i, r := range runs {
+		l := r.Latency
+		t.Logf("%-14s p50=%v p99=%v p99.9=%v", tailPolicies[i].label, l.P50(), l.P99(), l.Percentile(0.999))
 		// Percentiles are monotone within a row.
-		if !(r.P50 <= r.P90 && r.P90 <= r.P95 && r.P95 <= r.P99 && r.P99 <= r.P999 && r.P999 <= r.Max) {
-			t.Errorf("%s: percentiles not monotone", r.Policy)
-		}
-		switch r.Policy {
-		case "Baseline":
-			base = r
-		case "PowerChief":
-			pc = r
+		var last time.Duration
+		for _, p := range []float64{0.50, 0.90, 0.95, 0.99, 0.999, 1} {
+			if v := l.Percentile(p); v < last {
+				t.Errorf("%s: p%v = %v below %v", tailPolicies[i].label, p*100, v, last)
+			} else {
+				last = v
+			}
 		}
 	}
 	// PowerChief compresses the whole distribution under the constraint.
-	if pc.P999 >= base.P999 {
-		t.Errorf("PowerChief p99.9 (%v) not below baseline (%v)", pc.P999, base.P999)
+	base, pc := runs[0].Latency.Percentile(0.999), runs[len(runs)-1].Latency.Percentile(0.999)
+	if tailPolicies[len(runs)-1].label != "PowerChief" || pc >= base {
+		t.Errorf("PowerChief p99.9 (%v) not below baseline (%v)", pc, base)
 	}
 }
 

@@ -27,9 +27,7 @@ func FromConfig(e config.Experiment) (Scenario, error) {
 	// The adjust interval lives on the scenario; the remaining control
 	// parameters configure the policy.
 	cfg := core.DefaultConfig()
-	if e.BalanceThreshold > 0 {
-		cfg.BalanceThreshold = e.BalanceThreshold.Std()
-	}
+	cfg.BalanceThreshold = e.BalanceThreshold.Std()
 	cfg.WithdrawInterval = e.WithdrawInterval.Std()
 
 	mk, err := replay.PolicyFactory(e.Policy, e.QoS.Std(), cfg)

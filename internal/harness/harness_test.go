@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -115,7 +116,7 @@ func TestRunRecordsTraceSeries(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	if err := WriteRuntimeTrace(&sb, res); err != nil {
+	if err := WriteRuntimeTrace(&sb, res.Scenario, res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "time_s,power") {
@@ -124,39 +125,37 @@ func TestRunRecordsTraceSeries(t *testing.T) {
 }
 
 func TestRendererOutputs(t *testing.T) {
-	fig := &Figure{ID: "f", Title: "t", Groups: []BarGroup{
-		{Label: "low", Bars: []Bar{{Label: "X", Avg: 2.5, P99: 3.5}}},
-	}}
-	var sb strings.Builder
-	if err := WriteFigure(&sb, fig); err != nil {
+	// Every load's policies run at half the baseline's latency.
+	var runs []*Result
+	for range fig10.loads {
+		runs = append(runs, fakeRun(13, 2*time.Second))
+		for range fig10.policies {
+			runs = append(runs, fakeRun(13, time.Second))
+		}
+	}
+	files := map[string]string{}
+	if err := fig10.write(runs, capture(files)); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "2.5x") {
-		t.Errorf("figure table = %q", sb.String())
+	if got := files["figure10.txt"]; strings.Count(got, "2.0x         2.0x") != 9 {
+		t.Errorf("figure table = %q", got)
 	}
-	sb.Reset()
-	if err := WriteFigure2(&sb, &Figure2Result{Rows: []Figure2Row{{Label: "b", Normalized: 0.5}}}); err != nil {
+	if err := writeFigure2(runs[:7], capture(files)); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "0.50") {
-		t.Errorf("figure2 table = %q", sb.String())
+	if got := files["figure2.txt"]; !strings.Contains(got, "Inst-boost QA only         0.50") {
+		t.Errorf("figure2 table = %q", got)
 	}
-	sb.Reset()
-	q := &QoSResult{ID: "q", Title: "t", QoS: time.Second, Runs: []QoSRun{
-		{Policy: "p", QoSFraction: 0.5, PowerFraction: 0.6, Result: &Result{}},
-	}}
-	if err := WriteQoS(&sb, q); err != nil {
+	// Draws 100 %, 90 % and 60 % of peak: PowerChief saves 40 %.
+	qos := []*Result{fakeQoSRun(1), fakeQoSRun(0.9), fakeQoSRun(0.6)}
+	if err := fig13.write(qos, capture(files)); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "40%") {
-		t.Errorf("qos table = %q", sb.String())
+	if got := files["figure13.txt"]; !strings.Contains(got, "powerchief  0.50         0.60        40%") {
+		t.Errorf("qos table = %q", got)
 	}
-	sb.Reset()
-	if err := WriteHeadline(&sb, Headline{SiriusAvgX: 20}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "20.0x") {
-		t.Errorf("headline = %q", sb.String())
+	if got := files["figure13-pegasus.csv"]; !strings.HasPrefix(got, "# figure13-pegasus (") {
+		t.Errorf("qos trace = %q", got)
 	}
 }
 
@@ -241,6 +240,51 @@ func TestFromConfigRoundTrip(t *testing.T) {
 		if _, err := FromConfig(e); err != nil {
 			t.Errorf("FromConfig(%s): %v", p, err)
 		}
+	}
+}
+
+// TestFromConfigZeroBalanceThreshold: a config's "0s" balance threshold is
+// a zero threshold, the run the ablation-threshold study's 0s variant keys.
+func TestFromConfigZeroBalanceThreshold(t *testing.T) {
+	const horizon = 300 * time.Second
+	e := config.MitigationSetup("sirius", "powerchief", "high", 7)
+	e.BalanceThreshold, e.Duration = 0, config.Duration(horizon)
+	sc, err := FromConfig(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromConfig, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	study := ablations[slices.IndexFunc(ablations, func(a ablation) bool { return a.id == "ablation-threshold" })]
+	k := study.keys(7)[1+slices.IndexFunc(study.variants, func(v tweak) bool { return v.label == "0s" })]
+	k.Horizon = horizon
+	if sc, err = k.Scenario(); err != nil {
+		t.Fatal(err)
+	}
+	keyed, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b strings.Builder
+	for _, r := range []struct {
+		w   *strings.Builder
+		res *Result
+	}{{&a, fromConfig}, {&b, keyed}} {
+		r.res.Scenario = "run"
+		if err := WriteResult(r.w, r.res); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.res.Trace.WriteCSV(r.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.String() != b.String() {
+		t.Errorf("config with a 0s threshold:\n%.400s\nablation-threshold/0s:\n%.400s", a.String(), b.String())
+	}
+	if boosts := fromConfig.Boosts[core.BoostFrequency] + fromConfig.Boosts[core.BoostInstance]; boosts == 0 {
+		t.Error("the zero-threshold run never boosted")
 	}
 }
 

@@ -25,7 +25,7 @@ func RunAll(scs []Scenario) ([]*Result, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i], errs[i] = Run(scs[i])
+			results[i], errs[i] = runScenario(scs[i])
 		}(i)
 	}
 	wg.Wait()

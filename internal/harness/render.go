@@ -9,69 +9,31 @@ import (
 	"powerchief/internal/core"
 )
 
-// WriteFigure renders an improvement figure as a text table, one row per
-// policy per load group — the textual equivalent of the paper's bar charts.
-func WriteFigure(w io.Writer, f *Figure) error {
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", f.ID, f.Title); err != nil {
-		return err
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "load\tpolicy\tavg latency\t99th latency")
-	for _, g := range f.Groups {
-		for _, b := range g.Bars {
-			fmt.Fprintf(tw, "%s\t%s\t%.1fx\t%.1fx\n", g.Label, b.Label, b.Avg, b.P99)
+// table renders a titled text table: the "== title ==" line, then lines
+// with their tab-separated cells aligned.
+func table(title string, lines []string) func(io.Writer) error {
+	return func(w io.Writer) error {
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		fmt.Fprintf(tw, "== %s ==\n", title)
+		for _, l := range lines {
+			fmt.Fprintln(tw, l)
 		}
+		return tw.Flush()
 	}
-	return tw.Flush()
 }
 
-// WriteFigure2 renders the static single-stage boosting sweep.
-func WriteFigure2(w io.Writer, f *Figure2Result) error {
-	if _, err := fmt.Fprintln(w, "== figure2: Normalized Sirius latency when boosting one stage (13.56W budget) =="); err != nil {
-		return err
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "configuration\tnormalized latency")
-	for _, r := range f.Rows {
-		fmt.Fprintf(tw, "%s\t%.2f\n", r.Label, r.Normalized)
-	}
-	return tw.Flush()
-}
-
-// WriteQoS renders a power-saving experiment (Figures 13/14).
-func WriteQoS(w io.Writer, q *QoSResult) error {
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", q.ID, q.Title); err != nil {
-		return err
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "policy\tlatency/QoS\tpower/peak\tpower saved\tQoS violations\tinstances withdrawn")
-	for _, r := range q.Runs {
-		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.0f%%\t%d\t%d\n",
-			r.Policy, r.QoSFraction, r.PowerFraction, (1-r.PowerFraction)*100, r.Violations, r.Result.Withdrawn)
-	}
-	return tw.Flush()
-}
-
-// WriteRuntimeTrace renders one Figure 11 run's time series as CSV: instance
-// counts per stage and per-instance frequencies over the run.
-func WriteRuntimeTrace(w io.Writer, r *Result) error {
-	if _, err := fmt.Fprintf(w, "# %s (%s)\n", r.Scenario, r.Policy); err != nil {
+// WriteRuntimeTrace renders one run's time series as CSV under the heading
+// name: instance counts per stage and per-instance frequencies over the run.
+func WriteRuntimeTrace(w io.Writer, name string, r *Result) error {
+	if _, err := fmt.Fprintf(w, "# %s (%s)\n", name, r.Policy); err != nil {
 		return err
 	}
 	return r.Trace.WriteCSV(w)
 }
 
-// WriteHeadline renders the abstract's aggregate numbers.
-func WriteHeadline(w io.Writer, h Headline) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "== headline: paper abstract numbers (paper → measured) ==")
-	fmt.Fprintf(tw, "Sirius avg improvement\t20.3x →\t%.1fx\n", h.SiriusAvgX)
-	fmt.Fprintf(tw, "Sirius 99%% improvement\t13.3x →\t%.1fx\n", h.SiriusP99X)
-	fmt.Fprintf(tw, "NLP avg improvement\t32.4x →\t%.1fx\n", h.NLPAvgX)
-	fmt.Fprintf(tw, "NLP 99%% improvement\t19.4x →\t%.1fx\n", h.NLPP99X)
-	fmt.Fprintf(tw, "Sirius power saved vs Pegasus\t23%% →\t%.0f%%\n", h.SiriusPowerSaved*100)
-	fmt.Fprintf(tw, "Web Search power saved vs Pegasus\t33%% →\t%.0f%%\n", h.SearchPowerSaved*100)
-	return tw.Flush()
+// trace renders r's time series under the heading name.
+func trace(name string, r *Result) func(io.Writer) error {
+	return func(w io.Writer) error { return WriteRuntimeTrace(w, name, r) }
 }
 
 // WriteResult renders one run's summary line.

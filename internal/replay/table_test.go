@@ -43,7 +43,7 @@ func TestEveryRegisteredPolicyRunsClosedLoop(t *testing.T) {
 // TestRecordedTracesReplayTheirOwnPolicy: a harness run under any
 // registered policy that records its decisions (core.TapSetter) stamps its
 // own name on the trace, and replaying that trace reproduces every recorded
-// plan. The QoS-saving policies run the Table 3 setup.
+// plan. The QoS-saving policies target a 2 s QoS.
 func TestRecordedTracesReplayTheirOwnPolicy(t *testing.T) {
 	for _, name := range replay.PolicyNames() {
 		p, err := replay.NewPolicy(name, time.Second)
@@ -54,11 +54,7 @@ func TestRecordedTracesReplayTheirOwnPolicy(t *testing.T) {
 			continue
 		}
 		e := config.MitigationSetup("sirius", name, "high", 7)
-		if _, err := replay.NewPolicy(name, 0); err != nil { // a QoS-saving policy
-			if e, err = config.QoSSetup("sirius", name, 7); err != nil {
-				t.Fatal(err)
-			}
-		}
+		e.QoS = config.Duration(2 * time.Second)
 		sc, err := harness.FromConfig(e)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

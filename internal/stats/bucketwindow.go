@@ -159,12 +159,6 @@ func (c *bucketClock) advance(now time.Duration) (clamped time.Duration, from, t
 	return now, from, abs
 }
 
-// Span returns the window length.
-func (w *BucketWindow) Span() time.Duration { return w.clock.span }
-
-// Buckets returns the fixed bucket count.
-func (w *BucketWindow) Buckets() int { return len(w.ring) }
-
 // advance retires buckets that fall out of the window as of now and makes
 // the bucket containing now current. Returns the clamped now.
 func (w *BucketWindow) advance(now time.Duration) time.Duration {
@@ -217,12 +211,6 @@ func (w *BucketWindow) Add(at, value time.Duration) {
 // without adding a sample.
 func (w *BucketWindow) Advance(now time.Duration) { w.advance(now) }
 
-// Len returns the number of samples currently inside the window.
-func (w *BucketWindow) Len() int { return int(w.count) }
-
-// Sum returns the sum of the samples currently inside the window.
-func (w *BucketWindow) Sum() time.Duration { return w.sum }
-
 // Mean returns the average of the samples in the window — exact, since the
 // per-bucket sums are exact; only eviction timing is granular.
 func (w *BucketWindow) Mean() (time.Duration, bool) {
@@ -230,28 +218,6 @@ func (w *BucketWindow) Mean() (time.Duration, bool) {
 		return 0, false
 	}
 	return w.sum / time.Duration(w.count), true
-}
-
-// MeanOr returns the window mean, or def when the window is empty.
-func (w *BucketWindow) MeanOr(def time.Duration) time.Duration {
-	if m, ok := w.Mean(); ok {
-		return m
-	}
-	return def
-}
-
-// Max returns the largest sample in the window, and false when empty.
-func (w *BucketWindow) Max() (time.Duration, bool) {
-	if w.count == 0 {
-		return 0, false
-	}
-	var max time.Duration
-	for i := range w.ring {
-		if b := &w.ring[i]; b.count > 0 && b.max > max {
-			max = b.max
-		}
-	}
-	return max, true
 }
 
 // binAccumulator merges the latency bins of a bucket window's live buckets so
@@ -368,14 +334,4 @@ func (w *BucketWindow) scratchBins() []uint64 {
 		w.scratch[i] = 0
 	}
 	return w.scratch
-}
-
-// Reset discards all samples but keeps the span and time floor.
-func (w *BucketWindow) Reset() {
-	for i := range w.ring {
-		w.ring[i].clear()
-	}
-	w.count = 0
-	w.sum = 0
-	w.clock.started = false
 }

@@ -124,11 +124,8 @@ func TestDeltaFoldMatchesPerRecordBucketWindow(t *testing.T) {
 		t.Fatalf("AddDigest: %v", err)
 	}
 
-	if direct.Len() != batched.Len() {
-		t.Fatalf("Len: direct %d, batched %d", direct.Len(), batched.Len())
-	}
-	if direct.Sum() != batched.Sum() {
-		t.Fatalf("Sum: direct %v, batched %v", direct.Sum(), batched.Sum())
+	if direct.count != batched.count || direct.sum != batched.sum {
+		t.Fatalf("count/sum: direct %d/%v, batched %d/%v", direct.count, direct.sum, batched.count, batched.sum)
 	}
 	dm, _ := direct.Mean()
 	bm, _ := batched.Mean()
@@ -141,11 +138,6 @@ func TestDeltaFoldMatchesPerRecordBucketWindow(t *testing.T) {
 		if dv != bv {
 			t.Fatalf("Percentile(%v): direct %v, batched %v", p, dv, bv)
 		}
-	}
-	dmax, _ := direct.Max()
-	bmax, _ := batched.Max()
-	if dmax != bmax {
-		t.Fatalf("Max: direct %v, batched %v", dmax, bmax)
 	}
 }
 

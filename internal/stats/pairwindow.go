@@ -165,9 +165,6 @@ func (w *PairBucketWindow) AddSums(at time.Duration, n uint64, queuing, serving 
 // Advance evicts the buckets that have fallen out of the window as of now.
 func (w *PairBucketWindow) Advance(now time.Duration) { w.advance(now) }
 
-// Len returns the number of pairs inside the window.
-func (w *PairBucketWindow) Len() int { return int(w.count) }
-
 // Means returns the mean queuing and serving times of the pairs inside the
 // window, and false when it is empty.
 func (w *PairBucketWindow) Means() (queuing, serving time.Duration, ok bool) {

@@ -40,9 +40,6 @@ func NewWindow(span time.Duration) *Window {
 	return &Window{span: span}
 }
 
-// Span returns the window length.
-func (w *Window) Span() time.Duration { return w.span }
-
 // Add records a sample at virtual time at. Timestamps must not decrease.
 func (w *Window) Add(at, value time.Duration) {
 	if at < w.last {
@@ -100,9 +97,6 @@ func (w *Window) Advance(now time.Duration) {
 // Len returns the number of samples currently inside the window.
 func (w *Window) Len() int { return len(w.samples) - w.head }
 
-// Sum returns the sum of the samples currently inside the window.
-func (w *Window) Sum() time.Duration { return w.sum }
-
 // Mean returns the average of the samples in the window, and false when the
 // window is empty.
 func (w *Window) Mean() (time.Duration, bool) {
@@ -110,14 +104,6 @@ func (w *Window) Mean() (time.Duration, bool) {
 		return 0, false
 	}
 	return w.sum / time.Duration(w.Len()), true
-}
-
-// MeanOr returns the window mean, or def when the window is empty.
-func (w *Window) MeanOr(def time.Duration) time.Duration {
-	if m, ok := w.Mean(); ok {
-		return m
-	}
-	return def
 }
 
 // Percentile returns the p-quantile (p in [0,1]) of the samples in the
@@ -159,26 +145,4 @@ func (w *Window) Percentiles(ps []float64, out []time.Duration) bool {
 		from = k
 	}
 	return true
-}
-
-// Max returns the largest sample in the window, and false when empty.
-func (w *Window) Max() (time.Duration, bool) {
-	live := w.samples[w.head:]
-	if len(live) == 0 {
-		return 0, false
-	}
-	max := live[0].Value
-	for _, s := range live[1:] {
-		if s.Value > max {
-			max = s.Value
-		}
-	}
-	return max, true
-}
-
-// Reset discards all samples but keeps the span and time floor.
-func (w *Window) Reset() {
-	w.samples = w.samples[:0]
-	w.head = 0
-	w.sum = 0
 }

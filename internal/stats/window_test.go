@@ -18,9 +18,6 @@ func TestWindowMean(t *testing.T) {
 	if !ok || m != 200*time.Millisecond {
 		t.Fatalf("Mean = %v,%v; want 200ms,true", m, ok)
 	}
-	if got := w.MeanOr(time.Hour); got != 200*time.Millisecond {
-		t.Errorf("MeanOr = %v", got)
-	}
 }
 
 func TestWindowEviction(t *testing.T) {
@@ -75,10 +72,6 @@ func TestWindowPercentileAndMax(t *testing.T) {
 	if p1 != 100*time.Millisecond {
 		t.Errorf("P(max) = %v, want 100ms", p1)
 	}
-	max, _ := w.Max()
-	if max != 100*time.Millisecond {
-		t.Errorf("Max = %v", max)
-	}
 }
 
 func TestWindowEmptyPercentile(t *testing.T) {
@@ -86,25 +79,9 @@ func TestWindowEmptyPercentile(t *testing.T) {
 	if _, ok := w.Percentile(0.5); ok {
 		t.Error("empty window reported a percentile")
 	}
-	if _, ok := w.Max(); ok {
-		t.Error("empty window reported a max")
+	if _, ok := w.Mean(); ok {
+		t.Error("empty window reported a mean")
 	}
-}
-
-func TestWindowReset(t *testing.T) {
-	w := NewWindow(time.Hour)
-	w.Add(time.Second, time.Second)
-	w.Reset()
-	if w.Len() != 0 {
-		t.Error("Reset did not clear samples")
-	}
-	// Time floor persists: adding older than last stamp panics.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order add after Reset did not panic")
-		}
-	}()
-	w.Add(0, time.Second)
 }
 
 func TestWindowRejectsTimeTravel(t *testing.T) {
@@ -147,9 +124,6 @@ func TestWindowIdleGapOneTruncation(t *testing.T) {
 	}
 	if m, ok := w.Mean(); !ok || m != 7*time.Millisecond {
 		t.Errorf("Mean after idle gap = %v,%v; want 7ms", m, ok)
-	}
-	if w.Sum() != 7*time.Millisecond {
-		t.Errorf("Sum after idle gap = %v", w.Sum())
 	}
 }
 
