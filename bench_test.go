@@ -10,6 +10,7 @@ package powerchief
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,23 +114,34 @@ func BenchmarkWindowTails(b *testing.B) {
 }
 
 // BenchmarkScenarioThroughput measures simulated queries per wall second
-// for a full PowerChief-managed Sirius run: ≈ 1.7 ms, 2695 allocs and 299 KB
-// per 900 s run of ≈ 1690 queries (1.6 allocs / 177 B per query — the
-// statistics windows, the control ticks and the queries the run had in flight
-// at once; the generator recycles the rest).
+// for a full PowerChief-managed Sirius run: ≈ 1.4 ms, 640 allocs and 159 KB
+// per 900 s run of ≈ 1700 queries (93 B per query — the statistics windows,
+// the latency summary, the control ticks and the queries the run had in
+// flight at once; the generator recycles the rest). It cycles eight seeds,
+// so ns/op does not drift with b.N, and reports the heap bytes allocated per
+// query and the collections per run next to the queries per run.
 func BenchmarkScenarioThroughput(b *testing.B) {
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var queries uint64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := Run(Scenario{
 			Name: "bench", App: Sirius(), Level: MidLevel, Budget: 13.56,
 			Policy: PowerChiefPolicy(),
-			Source: ConstantLoad(HighLoad), Duration: 900 * time.Second, Seed: int64(i),
+			Source: ConstantLoad(HighLoad), Duration: 900 * time.Second, Seed: int64(i % 8),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(res.Completed), "queries/op")
+		queries += res.Completed
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(queries)/float64(b.N), "queries/op")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(queries), "B/query")
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/op")
 }
 
 // syntheticRankingState builds a small in-memory system + aggregator for

@@ -69,16 +69,17 @@ type PlanView struct {
 
 // NewPlanView snapshots the system's power accounting, stage list and
 // instance lists, and starts an empty plan. It is the one-shot form of the
-// reset a planner's own view goes through every tick.
+// Reset a planner's own view goes through every tick.
 func NewPlanView(sys System) *PlanView {
 	pv := new(PlanView)
-	pv.reset(sys)
+	pv.Reset(sys)
 	return pv
 }
 
-// reset points the view at sys as it is now, with an empty plan, reusing
-// every slab the previous tick grew.
-func (pv *PlanView) reset(sys System) {
+// Reset points the view at sys as it is now, with an empty plan, reusing
+// every slab the previous tick grew. A planner that keeps one view — the
+// zero PlanView is ready for it — resets it at the start of every Plan.
+func (pv *PlanView) Reset(sys System) {
 	if pv.self != pv {
 		*pv = PlanView{self: pv}
 	}

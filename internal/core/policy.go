@@ -133,7 +133,7 @@ func Tick(p Planner, r *Recorded, sys System, agg *Aggregator) (BoostOutcome, Ap
 // (Equation 1), stop when the system is balanced, otherwise let decide plan
 // the boost against the overlay — the policy's own view, reset to sys.
 func planBoost(pv *PlanView, sys System, stats StatsReader, cfg Config, decide func(System, []Ranked) BoostOutcome) (*ActionPlan, BoostOutcome) {
-	pv.reset(sys)
+	pv.Reset(sys)
 	ranked := pv.Rank(cfg.Metric, stats)
 	if len(ranked) == 0 || Spread(ranked) < cfg.BalanceThreshold {
 		return pv.Take(), BoostOutcome{Kind: BoostNone}

@@ -45,7 +45,7 @@ func (*Pegasus) Name() string { return "pegasus" }
 // Plan implements Planner.
 func (p *Pegasus) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutcome) {
 	pv := &p.view
-	pv.reset(sys)
+	pv.Reset(sys)
 	lat, ok := stats.WindowLatency()
 	if !ok {
 		return pv.Take(), BoostOutcome{Kind: BoostNone}
@@ -146,7 +146,7 @@ func (*PowerChiefSaver) Name() string { return "saver" }
 // plan actually applied.
 func (s *PowerChiefSaver) Plan(sys System, stats StatsReader) (*ActionPlan, BoostOutcome) {
 	pv := &s.view
-	pv.reset(sys)
+	pv.Reset(sys)
 	lat, ok := stats.WindowLatency()
 	if !ok {
 		return pv.Take(), BoostOutcome{Kind: BoostNone}

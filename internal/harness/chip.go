@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -75,6 +76,10 @@ func (c *appChip) checkRecords() error {
 func (c *appChip) start(seed int64, horizon time.Duration) {
 	t := &c.spec
 	src := t.Source(t.App.CapacityQPS(t.RefInstances, t.RefLevel))
+	// Size the latency summary for the arrivals the run can have — MaxRate
+	// over the horizon, plus four standard deviations of the Poisson count.
+	arrivals := src.MaxRate() * horizon.Seconds()
+	c.latency.Grow(int(arrivals + 4*math.Sqrt(arrivals)))
 	branches := append([]int(nil), t.Instances...)
 	c.gen = workload.NewRefillingGenerator(c.sys.Engine(), c.sys, src, func(into [][]time.Duration, r *rand.Rand) [][]time.Duration {
 		return t.App.DrawWorkInto(into, r, branches)

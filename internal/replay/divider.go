@@ -22,11 +22,27 @@ type Divider struct {
 	strategy arbiter.Strategy
 	cfg      core.Config
 	core.Recorded
+
+	// One tick's working state, reset by the next Plan as the core planners
+	// reset their views (DESIGN.md §5l): a plan is valid until the next one.
+	view      core.PlanView
+	metric    map[string]time.Duration // instance name → Equation 1 metric
+	sets      []stageSet
+	members   []arbiter.Member
+	breakdown []arbiter.StageMetric // backs every member's Breakdown
+}
+
+// stageSet is one stage's instances, their floor and their share of the
+// budget.
+type stageSet struct {
+	ins    []core.Instance
+	floor  cmp.Watts
+	budget cmp.Watts
 }
 
 // NewDivider builds the policy over a weighting strategy.
 func NewDivider(s arbiter.Strategy, cfg core.Config) *Divider {
-	return &Divider{strategy: s, cfg: cfg}
+	return &Divider{strategy: s, cfg: cfg, metric: make(map[string]time.Duration)}
 }
 
 // Name implements core.Planner: the strategy's name.
@@ -41,27 +57,20 @@ func (d *Divider) Adjust(sys core.System, agg *core.Aggregator) core.BoostOutcom
 // Plan implements core.Planner.
 func (d *Divider) Plan(sys core.System, stats core.StatsReader) (*core.ActionPlan, core.BoostOutcome) {
 	none := core.BoostOutcome{Kind: core.BoostNone}
-	pv := core.NewPlanView(sys)
+	pv := &d.view
+	pv.Reset(sys)
 	ranked := pv.Rank(d.cfg.Metric, stats)
 	if len(ranked) == 0 || core.Spread(ranked) < d.cfg.BalanceThreshold {
 		return pv.Take(), none
 	}
-	metric := make(map[string]time.Duration, len(ranked))
+	clear(d.metric)
 	for _, r := range ranked {
-		metric[r.Instance.Name()] = r.Metric
+		d.metric[r.Instance.Name()] = r.Metric
 	}
 
 	model := pv.PowerModel()
-	type stageSet struct {
-		ins    []core.Instance
-		floor  cmp.Watts
-		budget cmp.Watts
-	}
-	var (
-		sets      []stageSet
-		members   []arbiter.Member
-		floorsSum cmp.Watts
-	)
+	sets, members, breakdown := d.sets[:0], d.members[:0], d.breakdown[:0]
+	var floorsSum cmp.Watts
 	for _, st := range pv.Stages() {
 		ins := st.Instances()
 		if len(ins) == 0 {
@@ -69,10 +78,10 @@ func (d *Divider) Plan(sys core.System, stats core.StatsReader) (*core.ActionPla
 		}
 		var granted cmp.Watts
 		var worst time.Duration
-		breakdown := make([]arbiter.StageMetric, 0, len(ins))
+		from := len(breakdown)
 		for _, in := range ins {
 			granted += model.Power(in.Level())
-			m := metric[in.Name()]
+			m := d.metric[in.Name()]
 			if m > worst {
 				worst = m
 			}
@@ -85,9 +94,10 @@ func (d *Divider) Plan(sys core.System, stats core.StatsReader) (*core.ActionPla
 			Granted:   granted,
 			Metric:    worst,
 			Weight:    float64(len(ins)),
-			Breakdown: breakdown,
+			Breakdown: breakdown[from:len(breakdown):len(breakdown)],
 		})
 	}
+	d.sets, d.members, d.breakdown = sets, members, breakdown
 	if len(sets) == 0 {
 		return pv.Take(), none
 	}

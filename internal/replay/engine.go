@@ -1,9 +1,9 @@
 package replay
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -144,7 +144,7 @@ func replayOne(t *Trace, name string, p core.Planner) PolicyScore {
 		f := &t.Frames[i]
 		sv := core.NewSnapshotView(f.Snapshot)
 		plan, out := p.Plan(sv, sv)
-		if planBytes(core.EncodePlan(plan)) == planBytes(f.Plan) {
+		if samePlan(core.EncodePlan(plan), f.Plan) {
 			score.PlanMatches++
 		}
 		if out.Kind != core.BoostNone {
@@ -162,16 +162,27 @@ func replayOne(t *Trace, name string, p core.Planner) PolicyScore {
 	return score
 }
 
-// planBytes is the canonical comparison form of an encoded plan.
-func planBytes(recs []core.ActionRecord) string {
-	if recs == nil {
-		recs = []core.ActionRecord{}
+// samePlan reports whether a replayed plan is the recorded one: the same
+// records in the same order, nil equal to empty. It agrees with comparing the
+// two plans' JSON encodings, the form a trace stores: ±0 watts are equal
+// (omitempty drops both), and a plan carrying a non-finite watt figure, which
+// JSON cannot encode, matches only another such plan.
+func samePlan(a, b []core.ActionRecord) bool {
+	if fa, fb := finiteWatts(a), finiteWatts(b); !fa || !fb {
+		return fa == fb
 	}
-	b, err := json.Marshal(recs)
-	if err != nil {
-		return ""
+	return slices.Equal(a, b)
+}
+
+// finiteWatts reports whether every watt figure in recs is finite.
+func finiteWatts(recs []core.ActionRecord) bool {
+	finite := func(w cmp.Watts) bool { return !math.IsNaN(float64(w)) && !math.IsInf(float64(w), 0) }
+	for _, r := range recs {
+		if !finite(r.FromW) || !finite(r.ToW) {
+			return false
+		}
 	}
-	return string(b)
+	return true
 }
 
 // projectedMS computes the projected bottleneck expected delay (ms) of the

@@ -32,6 +32,18 @@
 // make every *Event a caller still holds (to Cancel, to ask Pending) a
 // dangling handle, where ownership costs nothing and cannot alias.
 //
+// # Sharing the processor
+//
+// A simulation never blocks, so a goroutine running one holds its P until
+// the scheduler preempts it. The garbage collector's fractional mark worker,
+// the sweeper and the scavenger need that P: on one P a mark phase would
+// stretch to milliseconds of wall time, with the write barrier on for all of
+// it. RunUntil and Run therefore call runtime.Gosched every 1 024 fired
+// events (counted by Fired, so short RunUntil slices yield at the same
+// pace). One goroutine owns the engine, so the yield changes no event and
+// no order. Step never yields: a caller may step the engine under a lock,
+// as loadgen's DES target does.
+//
 // Entry points: NewEngine; Arm/Schedule/ScheduleAt place events, Every
 // installs a periodic one (control intervals), Run/RunUntil/Step advance
 // virtual time. Determinism here is what makes the figures under results/ and the

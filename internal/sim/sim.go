@@ -2,8 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 )
+
+// yieldEvery is how many fired events RunUntil and Run go between
+// runtime.Gosched calls: the package doc's "Sharing the processor".
+const yieldEvery = 1024
 
 // Event is a scheduled occurrence in virtual time. Engine.Schedule returns a
 // fresh one; a caller that fires the same occurrence over and over (an
@@ -198,7 +203,8 @@ func (e *Engine) Reschedule(ev *Event, delay time.Duration) *Event {
 }
 
 // Step executes the next pending event, advancing the clock to its time.
-// It returns false when no events remain.
+// It returns false when no events remain. Step never yields the processor,
+// so a caller may step the engine while it holds a lock.
 func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
@@ -215,21 +221,30 @@ func (e *Engine) Step() bool {
 
 // RunUntil executes events until the virtual clock would pass deadline or no
 // events remain. The clock is left at min(deadline, time of last event). The
-// engine can be resumed with further RunUntil calls.
+// engine can be resumed with further RunUntil calls. Every yieldEvery fired
+// events it yields the processor, so the collector's background work runs
+// while a simulation does; the events fired and their order do not change.
 func (e *Engine) RunUntil(deadline time.Duration) {
 	e.halted = false
 	for len(e.queue) > 0 && !e.halted && e.queue[0].at <= deadline {
 		e.Step()
+		if e.fired%yieldEvery == 0 {
+			runtime.Gosched()
+		}
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
 }
 
-// Run executes all pending events to exhaustion.
+// Run executes all pending events to exhaustion, yielding the processor
+// every yieldEvery fired events as RunUntil does.
 func (e *Engine) Run() {
 	e.halted = false
 	for !e.halted && e.Step() {
+		if e.fired%yieldEvery == 0 {
+			runtime.Gosched()
+		}
 	}
 }
 

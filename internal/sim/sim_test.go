@@ -3,8 +3,10 @@ package sim
 import (
 	"cmp"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -527,5 +529,48 @@ func TestPropertyHeapMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunLoopsYield pins that the run loops share the processor: on one P, a
+// goroutine started before a 10 000-event run gets to run before the run's
+// last event fires, because the loop yields every yieldEvery events. Without
+// the yield it would wait for an asynchronous preemption, milliseconds away.
+func TestRunLoopsYield(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const events = 10000
+	for name, run := range map[string]func(*Engine){
+		"RunUntil": func(e *Engine) { e.RunUntil(time.Hour) },
+		"Run":      (*Engine).Run,
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			var ev Event
+			var ran atomic.Bool
+			seenAt := 0 // the event that first saw the goroutine's mark
+			var tick func()
+			tick = func() {
+				if seenAt == 0 && ran.Load() {
+					seenAt = int(e.Fired())
+				}
+				if e.Fired() < events {
+					e.Arm(&ev, time.Millisecond, tick)
+				}
+			}
+			e.Arm(&ev, time.Millisecond, tick)
+			done := make(chan struct{})
+			go func() {
+				ran.Store(true)
+				close(done)
+			}()
+			run(e)
+			<-done
+			if e.Fired() != events {
+				t.Fatalf("fired %d events, want %d", e.Fired(), events)
+			}
+			if seenAt == 0 {
+				t.Fatalf("the goroutine did not run before event %d of %d fired", events, events)
+			}
+		})
 	}
 }

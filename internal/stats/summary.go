@@ -20,11 +20,22 @@ type Summary struct {
 // NewSummary returns an empty summary.
 func NewSummary() *Summary { return &Summary{} }
 
-// Observe records one latency value.
+// Observe records one latency value. A full array is replaced by one twice
+// its size: append grows a large slice by about 1.25×, so a run would
+// allocate three to four times its final array on the way.
 func (s *Summary) Observe(v time.Duration) {
+	if len(s.values) == cap(s.values) {
+		grown := make([]time.Duration, len(s.values), max(2*len(s.values), 64))
+		copy(grown, s.values)
+		s.values = grown
+	}
 	s.values = append(s.values, v)
 	s.sum += v
 }
+
+// Grow makes room for n more observations, so a caller that knows about how
+// many a run records allocates its array once.
+func (s *Summary) Grow(n int) { s.values = slices.Grow(s.values, n) }
 
 // Count returns the number of observations.
 func (s *Summary) Count() int { return len(s.values) }

@@ -103,6 +103,38 @@ func TestSummaryInterleavedObserveAndQuery(t *testing.T) {
 	}
 }
 
+// TestSummaryGrowAndDoubling pins the array growth: a grown summary takes
+// its observations without reallocating, and an ungrown one reallocates
+// only when full, to twice its length, with every value kept.
+func TestSummaryGrowAndDoubling(t *testing.T) {
+	s := NewSummary()
+	s.Grow(1000)
+	array := &s.values[:1][0]
+	for i := range 1000 {
+		s.Observe(time.Duration(i))
+	}
+	if &s.values[0] != array {
+		t.Error("1000 observations into a summary grown by 1000 reallocated its array")
+	}
+	d := NewSummary()
+	var caps []int
+	for i := range 1000 {
+		if len(d.values) == cap(d.values) && i > 0 {
+			caps = append(caps, cap(d.values))
+		}
+		d.Observe(time.Duration(i))
+	}
+	for i := 1; i < len(caps); i++ {
+		if caps[i] < 2*caps[i-1] {
+			t.Fatalf("array grew from %d to %d, want doubling", caps[i-1], caps[i])
+		}
+	}
+	if d.Count() != 1000 || d.Sum() != s.Sum() || d.P99() != s.P99() || d.Min() != 0 || d.Max() != 999 {
+		t.Errorf("doubled summary n=%d sum=%v p99=%v, grown n=%d sum=%v p99=%v",
+			d.Count(), d.Sum(), d.P99(), s.Count(), s.Sum(), s.P99())
+	}
+}
+
 func TestImprovement(t *testing.T) {
 	if got := Improvement(10*time.Second, time.Second); got != 10 {
 		t.Errorf("Improvement = %v, want 10", got)

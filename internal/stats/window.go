@@ -30,6 +30,7 @@ type Window struct {
 	head    int
 	sum     time.Duration
 	last    time.Duration
+	scratch []time.Duration // Percentiles' copy of the live values, reused
 }
 
 // NewWindow creates a moving window over the given span of virtual time.
@@ -118,21 +119,19 @@ func (w *Window) Percentile(p float64) (time.Duration, bool) {
 // Percentiles writes the ps[i]-quantile (clamped to [0,1]) of the samples
 // in the window into out[i] by nearest rank, and reports false, with out
 // untouched, when the window is empty. The live values are gathered once,
-// into one copy — on the stack while it is small — and each grid point is
-// selected from it.
+// into a copy the window keeps for the next read, and each grid point is
+// selected from it. Because of that copy Percentiles, like Add, must not run
+// concurrently with any other method; the aggregator calls it under its lock.
 func (w *Window) Percentiles(ps []float64, out []time.Duration) bool {
 	n := w.Len()
 	if n == 0 {
 		return false
 	}
-	var stack [64]time.Duration
-	vals := stack[:0]
-	if n > len(stack) {
-		vals = make([]time.Duration, 0, n)
-	}
+	vals := w.scratch[:0]
 	for _, s := range w.samples[w.head:] {
 		vals = append(vals, s.Value)
 	}
+	w.scratch = vals
 	// After selecting rank k, vals[k:] holds exactly ranks k and up, so an
 	// ascending grid narrows each selection to that suffix.
 	from := 0
